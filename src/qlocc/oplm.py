@@ -10,6 +10,13 @@ The solver works over real Hermitian coordinates (d diagonal entries plus
 sqrt2-scaled real/imag off-diagonal pairs), so the nullspace of the
 constraint matrix is exactly the operator space and SVD-orthonormal
 coordinate vectors give a trace-orthonormal basis.
+
+The dimension of the space comes from the singular values alone. If one
+of them lies within a decade of the rank cut (a guard band), the solve
+falls back to the full SVD and takes the rank from it. The basis needs
+the right singular vectors of the full-matrices SVD, so it is built the
+first time `OplmSpace.basis` is read; the search reads it only for spaces
+of dimension two or more.
 """
 
 from __future__ import annotations
@@ -66,31 +73,28 @@ def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _constraint_rows(g: np.ndarray) -> np.ndarray:
-    """Real constraint matrix over Hermitian coordinates from pair tensors."""
+    """Real constraint matrix over Hermitian coordinates from pair tensors.
+
+    Two rows (real, imaginary part) per state pair i<j in row-major order.
+    Coordinate layout: [e_0..e_{r-1}, then for a<b in row-major order:
+    x_ab, y_ab].
+    """
     n, _, r, _ = g.shape
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ncoord = r * r
-    rows = np.zeros((2 * len(pairs), ncoord), dtype=np.float64)
+    i, j = (k[:, None] for k in np.triu_indices(n, 1))
+    a, b = np.triu_indices(r, 1)
+    diag = g[i, j, np.arange(r), np.arange(r)]
+    c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
     rt2 = np.sqrt(2.0)
-    # coordinate layout: [e_0..e_{r-1}, then for a<b: x_ab, y_ab]
-    off_index = {}
-    pos = r
-    for a in range(r):
-        for b in range(a + 1, r):
-            off_index[(a, b)] = pos
-            pos += 2
-    for row, (i, j) in enumerate(pairs):
-        c = g[i, j]
-        re, im = 2 * row, 2 * row + 1
-        rows[re, :r] = np.real(np.diagonal(c))
-        rows[im, :r] = np.imag(np.diagonal(c))
-        for (a, b), p in off_index.items():
-            s_ab = (c[a, b] + c[b, a]) / rt2
-            d_ab = (c[a, b] - c[b, a]) / rt2
-            rows[re, p] = np.real(s_ab)
-            rows[re, p + 1] = -np.imag(d_ab)
-            rows[im, p] = np.imag(s_ab)
-            rows[im, p + 1] = np.real(d_ab)
+    s_ab = (c_ab + c_ba) / rt2
+    d_ab = (c_ab - c_ba) / rt2
+    rows = np.zeros((2 * len(i), r * r), dtype=np.float64)
+    re, im = rows[0::2], rows[1::2]
+    re[:, :r] = np.real(diag)
+    im[:, :r] = np.imag(diag)
+    re[:, r::2] = np.real(s_ab)
+    re[:, r + 1 :: 2] = -np.imag(d_ab)
+    im[:, r::2] = np.imag(s_ab)
+    im[:, r + 1 :: 2] = np.real(d_ab)
     return rows
 
 
@@ -108,18 +112,69 @@ def _coords_to_matrix(h: np.ndarray, r: int) -> np.ndarray:
     return e
 
 
-@dataclass
+def _rank(sv: np.ndarray) -> tuple[int, bool]:
+    """Numerical rank of a constraint matrix from its singular values.
+
+    Returns (rank, clear): clear is False when some singular value lies
+    within a decade of the cut. Singular values from different LAPACK
+    drivers agree to rounding, so a clear rank is the same whichever
+    decomposition produced sv.
+    """
+    # absolute floor: states are unit vectors, so rows from orthogonal
+    # pairs are pure rounding noise and must not count as constraints
+    cut = max(RANK_RTOL * sv[0], 1e-10) if sv.size else 1e-10
+    clear = not np.any((sv > cut / 10) & (sv < cut * 10))
+    return int(np.sum(sv > cut)), clear
+
+
+def _nullspace_basis(rows: np.ndarray, r: int, rank: int) -> list[np.ndarray]:
+    """Trace-orthonormal basis of the nullspace of the constraint rows, from
+    the full-matrices SVD.
+
+    The full-matrices call is the one the pinned certificate bytes rest on:
+    a reduced SVD moves vh by a few ulps, which reaches the Kraus operators.
+    """
+    coords = np.linalg.svd(rows)[2][rank:] if rows.shape[0] else np.eye(r * r)
+    return [_coords_to_matrix(h, r) for h in coords]
+
+
 class OplmSpace:
-    party: int
-    dim_party: int
-    support: np.ndarray  # (d, r) orthonormal columns
-    support_indices: list[int] | None  # basis labels when coordinate-aligned
-    basis: list[np.ndarray]  # r x r Hermitian, trace-orthonormal
-    pair_tensors: np.ndarray  # cached constraint data
+    """OPLM operator space of one party, in support coordinates.
+
+    `space_dim` is r^2 minus the rank of the constraint rows, taken from the
+    singular values alone; when one lies within a decade of the rank cut,
+    the rank comes from the full SVD instead. The trace-orthonormal `basis`
+    is built from the full SVD on first read, out of rows rebuilt from
+    `pair_tensors`; most spaces the search meets are one-dimensional and
+    their basis is never read. Passing an explicit basis (and no space_dim)
+    gives a space whose dimension is the length of that basis.
+    """
+
+    def __init__(
+        self,
+        party: int,
+        dim_party: int,
+        support: np.ndarray,
+        support_indices: list[int] | None,
+        basis: list[np.ndarray] | None,
+        pair_tensors: np.ndarray,
+        space_dim: int | None = None,
+    ):
+        self.party = party
+        self.dim_party = dim_party
+        self.support = support  # (d, r) orthonormal columns
+        self.support_indices = support_indices  # basis labels when coordinate-aligned
+        self.pair_tensors = pair_tensors  # constraint data
+        self._basis = basis
+        self.space_dim = len(basis) if space_dim is None else space_dim
 
     @property
-    def space_dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list[np.ndarray]:
+        """r x r Hermitian, trace-orthonormal; built on first read."""
+        if self._basis is None:
+            r = self.support_dim
+            self._basis = _nullspace_basis(_constraint_rows(self.pair_tensors), r, r * r - self.space_dim)
+        return self._basis
 
     @property
     def support_dim(self) -> int:
@@ -163,18 +218,11 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     g = _pair_tensors(mats, support)
     r = support.shape[1]
     rows = _constraint_rows(g)
-    if rows.shape[0] == 0:
-        coords = np.eye(r * r)
-    else:
-        _, sv, vh = np.linalg.svd(rows)
-        smax = sv[0] if sv.size else 0.0
-        # absolute floor: states are unit vectors, so rows from orthogonal
-        # pairs are pure rounding noise and must not count as constraints
-        cut = max(RANK_RTOL * smax, 1e-10)
-        rank = int(np.sum(sv > cut))
-        coords = vh[rank:]
-    basis = [_coords_to_matrix(hrow, r) for hrow in coords]
-    return OplmSpace(party, d, support, idx, basis, g)
+    rank, clear = _rank(np.linalg.svd(rows, compute_uv=False))
+    if not clear:
+        # the basis is cut from the full SVD, so its rank decides
+        rank, _ = _rank(np.linalg.svd(rows)[1])
+    return OplmSpace(party, d, support, idx, None, g, r * r - rank)
 
 
 def is_trivial(sp: OplmSpace) -> bool:
@@ -425,14 +473,13 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     """
     if len(s) < 2:
         raise ValueError("irreducibility needs at least two states")
-    dims = {}
-    for p in range(s.space.n_parties):
-        dims[party_letter(p)] = oplm_space(s, p, on_support=True).space_dim
+    spaces = [oplm_space(s, p, on_support=True) for p in range(s.space.n_parties)]
+    dims = {party_letter(p): sp.space_dim for p, sp in enumerate(spaces)}
     if all(v == 1 for v in dims.values()):
         return IrreducibilityVerdict("IRREDUCIBLE-EXACT", dims, None, 0, CLASS_NOTE)
     checked = 0
-    for p in range(s.space.n_parties):
-        for m in measurement_candidates(s, p):
+    for p, sp in enumerate(spaces):
+        for m in measurement_candidates(s, p, sp):
             checked += 1
             elim = eliminable_states(s, m)
             for outcome in elim:

@@ -95,12 +95,6 @@ def tree_from_json(obj):
     return Measure(int(obj["party"]), m, children)
 
 
-def tree_depth(node) -> int:
-    if node is None or isinstance(node, Leaf):
-        return 0
-    return 1 + max((tree_depth(c) for c in node.children), default=0)
-
-
 # ---------------------------------------------------------------------------
 # applying measurements
 

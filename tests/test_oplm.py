@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _helpers import random_orthogonal_product_set, random_orthonormal_set
 from qlocc.fixtures import build_fixture
+from qlocc.linalg import RANK_RTOL
 from qlocc.oplm import (
     OplmSpace,
+    _constraint_rows,
+    _coords_to_matrix,
+    _pair_tensors,
+    _party_matrices,
+    _rank,
+    _support_basis,
     block_structure,
     eliminable_states,
     is_locally_irreducible,
@@ -280,3 +289,197 @@ def test_candidate_measurements_complete_and_op():
             for m in measurement_candidates(s, p):
                 assert m.completeness_residual() <= 1e-10
                 assert is_oplm(s, m)
+
+
+# -- the solver against its loop-and-full-SVD reference ------------------------
+
+FIXTURES = ("s1", "s2", "s3", "s4", "s5", "s6", "tiles33")
+
+
+def _constraint_rows_loop(g):
+    """Reference: the constraint rows built pair by pair and coordinate by
+    coordinate, with the same elementwise arithmetic as the solver."""
+    n, _, r, _ = g.shape
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = np.zeros((2 * len(pairs), r * r), dtype=np.float64)
+    rt2 = np.sqrt(2.0)
+    off_index = {}
+    pos = r
+    for a in range(r):
+        for b in range(a + 1, r):
+            off_index[(a, b)] = pos
+            pos += 2
+    for row, (i, j) in enumerate(pairs):
+        c = g[i, j]
+        re, im = 2 * row, 2 * row + 1
+        rows[re, :r] = np.real(np.diagonal(c))
+        rows[im, :r] = np.imag(np.diagonal(c))
+        for (a, b), p in off_index.items():
+            s_ab = (c[a, b] + c[b, a]) / rt2
+            d_ab = (c[a, b] - c[b, a]) / rt2
+            rows[re, p] = np.real(s_ab)
+            rows[re, p + 1] = -np.imag(d_ab)
+            rows[im, p] = np.imag(s_ab)
+            rows[im, p + 1] = np.real(d_ab)
+    return rows
+
+
+def _pair_data(s, party, on_support):
+    mats = _party_matrices(s, party)
+    support = _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
+    return _pair_tensors(mats, support)
+
+
+def _eager_solve(s, party, on_support):
+    """Reference: rank and basis from one full-matrices SVD of the loop rows."""
+    g = _pair_data(s, party, on_support)
+    r = g.shape[2]
+    rows = _constraint_rows_loop(g)
+    if rows.shape[0] == 0:
+        return 0, [_coords_to_matrix(h, r) for h in np.eye(r * r)]
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.sum(sv > max(RANK_RTOL * sv[0], 1e-10)))
+    return rank, [_coords_to_matrix(h, r) for h in vh[rank:]]
+
+
+def _fixture_cases():
+    for name in FIXTURES:
+        s = build_fixture(name)
+        for p in range(s.space.n_parties):
+            for on_support in (False, True):
+                yield f"{name}-{p}-{on_support}", s, p, on_support
+    for d in (4, 6):
+        s = build_fixture("s1_general", d=d)
+        for on_support in (False, True):
+            yield f"s1_general{d}-0-{on_support}", s, 0, on_support
+
+
+def test_vectorized_rows_match_loop_bitwise():
+    for case, s, p, on_support in _fixture_cases():
+        g = _pair_data(s, p, on_support)
+        got, want = _constraint_rows(g), _constraint_rows_loop(g)
+        assert got.shape == want.shape, case
+        assert np.array_equal(got, want), case
+        assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
+def test_lazy_basis_matches_eager_full_svd():
+    for case, s, p, on_support in _fixture_cases():
+        rank, basis = _eager_solve(s, p, on_support)
+        sp = oplm_space(s, p, on_support=on_support)
+        r = sp.support_dim
+        assert sp.space_dim == r * r - rank == len(basis), case
+        assert len(sp.basis) == len(basis), case
+        for got, want in zip(sp.basis, basis):
+            assert np.array_equal(got, want), case
+
+
+def test_singular_value_rank_is_clear_on_fixtures():
+    for case, s, p, on_support in _fixture_cases():
+        rows = _constraint_rows(_pair_data(s, p, on_support))
+        rank, clear = _rank(np.linalg.svd(rows, compute_uv=False))
+        assert clear, case
+        assert rank == _rank(np.linalg.svd(rows)[1])[0] == _eager_solve(s, p, on_support)[0], case
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2)]),
+    n=st.integers(2, 8),
+    product=st.booleans(),
+)
+def test_singular_value_rank_matches_full_svd_random(seed, dims, n, product):
+    rng = np.random.default_rng(seed)
+    n = min(n, int(np.prod(dims)))
+    if product:
+        s = random_orthogonal_product_set(rng, dims, n, max_tries=50)
+        assume(s is not None)
+    else:
+        s = random_orthonormal_set(rng, dims, n)
+    for p in range(len(dims)):
+        for on_support in (False, True):
+            rows = _constraint_rows(_pair_data(s, p, on_support))
+            sv_rank, _ = _rank(np.linalg.svd(rows, compute_uv=False))
+            assert sv_rank == _eager_solve(s, p, on_support)[0]
+            assert oplm_space(s, p, on_support=on_support).space_dim == rows.shape[1] - sv_rank
+
+
+@pytest.mark.parametrize(
+    "sv, rank, clear",
+    [
+        ([], 0, True),
+        ([1.0, 0.5, 1e-12], 2, True),
+        ([1.0, 0.5, 1e-7 * 1.01], 3, True),  # just above the band
+        ([1.0, 0.5, 1e-9 * 0.99], 2, True),  # just below the band
+        ([1.0, 0.5, 2e-9], 2, False),  # below the cut 1e-8, within a decade
+        ([1.0, 0.5, 5e-8], 3, False),  # above the cut, within a decade
+        ([1e-3, 5e-11], 1, False),  # the absolute floor 1e-10 sets the cut
+        ([1e-3, 1e-13], 1, True),
+    ],
+)
+def test_rank_guard_band(sv, rank, clear):
+    assert _rank(np.array(sv, dtype=np.float64)) == (rank, clear)
+
+
+def _recording_svd(monkeypatch, nudge=None):
+    """Record the compute_uv flag of every np.linalg.svd call; optionally
+    rewrite the singular values of the values-only call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        out = svd(a, *args, **kwargs)
+        if nudge is not None and kwargs.get("compute_uv") is False:
+            out = nudge(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", wrapper)
+    return calls
+
+
+def test_clear_rank_defers_the_full_svd(monkeypatch):
+    s = build_fixture("s1")
+    calls = _recording_svd(monkeypatch)
+    sp = oplm_space(s, 0)
+    assert calls == [False] and sp.space_dim == 2
+    sp.basis
+    sp.basis
+    assert calls == [False, True]
+
+
+def test_value_in_guard_band_takes_full_svd_path(monkeypatch):
+    s = build_fixture("s1")
+    want = [b.copy() for b in oplm_space(s, 0).basis]
+
+    def nudge(sv):
+        # the smallest singular value (a zero one) is moved onto the cut
+        sv = sv.copy()
+        sv[-1] = RANK_RTOL * sv[0]
+        return sv
+
+    calls = _recording_svd(monkeypatch, nudge)
+    sp = oplm_space(s, 0)
+    # the rank came from the full SVD, not from the nudged values
+    assert calls == [False, True]
+    assert sp.space_dim == 2
+    assert len(sp.basis) == len(want)
+    for got, ref in zip(sp.basis, want):
+        assert np.array_equal(got, ref)
+
+
+def test_is_locally_irreducible_solves_each_party_once(monkeypatch):
+    import qlocc.oplm as oplm_mod
+
+    solved = []
+    real = oplm_mod.oplm_space
+
+    def counting(s, party, on_support=False):
+        solved.append(party)
+        return real(s, party, on_support)
+
+    monkeypatch.setattr(oplm_mod, "oplm_space", counting)
+    v = is_locally_irreducible(build_fixture("s3"))
+    assert v.verdict == "REDUCIBLE"
+    assert solved == [0, 1]
