@@ -12,10 +12,6 @@ import numpy as np
 RANK_RTOL = 1e-8
 # Default tolerance for pairwise-orthogonality checks.
 ORTHO_TOL = 1e-9
-# Hermiticity / eigen-reconstruction tolerance.
-HERM_TOL = 1e-9
-
-MAX_TENSOR_DIM = 2**20
 
 
 def as_carray(a) -> np.ndarray:
@@ -24,15 +20,6 @@ def as_carray(a) -> np.ndarray:
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("non-finite entries")
     return m
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the left operand as the slow index."""
-    a = as_carray(a)
-    b = as_carray(b)
-    if a.size * b.size > MAX_TENSOR_DIM:
-        raise ValueError(f"tensor product dimension {a.size * b.size} exceeds {MAX_TENSOR_DIM}")
-    return np.kron(a, b)
 
 
 def svd(m):
@@ -54,30 +41,3 @@ def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
-
-
-def nullspace(m, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace of m."""
-    m = as_carray(m)
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    s, _, vh = svd(m)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * smax)) if smax > 0 else 0
-    return vh[rank:].conj().T
-
-
-def hermitian_eig(h):
-    """Eigenvalues (ascending) and orthonormal eigenbasis of a Hermitian matrix."""
-    h = as_carray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
-    if np.abs(h - h.conj().T).max() > HERM_TOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def dagger(m) -> np.ndarray:
-    return as_carray(m).conj().T

@@ -24,6 +24,10 @@ from .states import Ket, StateSet, gram_check, is_product_state
 
 ASSIGNMENT_CAP = 10**7
 WITNESS_TOL = 1e-8
+# The largest number of restarts the numeric oracle runs as one stack. The
+# stack's memory grows with it (about 3 KB per restart on tiles33), so a
+# large restart budget runs block by block.
+RESTART_BLOCK = 1024
 
 
 def _local_support_vectors(s: StateSet):
@@ -146,6 +150,14 @@ def numeric_extension_search(
     candidate is restricted to the members' local supports (the same arena
     check_unextendible decides on); restrict_support=False searches the
     ambient space instead.
+
+    ``restarts`` is a budget: the search stops at the first restart that
+    reaches an exact extension (residual < 1e-12), and at least one restart
+    always runs. The result reports ``restarts`` as passed either way.
+    Restart 0 runs alone; when it finds no exact extension, the others run
+    as stacked batches of up to RESTART_BLOCK restarts. Each restart stops
+    on its own, and the best one is picked in restart order, so the result
+    is the one a restart-by-restart loop returns.
     """
     if len(s) == 0:
         raise ValueError("empty state set")
@@ -159,7 +171,40 @@ def numeric_extension_search(
             u = np.eye(s.space.party_dims[p], dtype=np.complex128)
         supports.append(u)
     rdims = [u.shape[1] for u in supports]
-    # compress each state to the support lattice
+    tensors = _compressed_states(s, supports)
+
+    best, best_vecs = np.inf, None
+    done = 0
+    while done < max(1, restarts) and best >= 1e-12:
+        # an exact extension ends the search; later restarts cannot improve the verdict
+        count = 1 if done == 0 else min(RESTART_BLOCK, restarts - done)
+        res, vecs = _descend(tensors, _random_starts(rng, rdims, count))
+        done += count
+        for b, cur in enumerate(res):
+            if best_vecs is None or cur < best:
+                best, best_vecs = cur, [v[b, :, 0].copy() for v in vecs]
+            if best < 1e-12:
+                break
+    amp = supports[0] @ best_vecs[0]
+    for p in range(1, n_parties):
+        amp = np.kron(amp, supports[p] @ best_vecs[p])
+    return ExtensionSearchResult(float(best), Ket(s.space, amp, "candidate-extension"), restarts)
+
+
+# The descent below runs many restarts at once but must return, bit for bit,
+# what one restart at a time returns. Each batched numpy call therefore
+# performs, item by item, the same BLAS or ufunc kernel on operands with the
+# same strides as the per-state call it replaces: np.matmul runs the gemv or
+# dot that np.dot runs inside np.tensordot, sums over states run strictly in
+# state order (np.add.accumulate, never a pairwise reduce), and |z|**2 is
+# libm pow, as on a numpy scalar.
+
+
+def _compressed_states(s: StateSet, supports) -> np.ndarray:
+    """Conjugated states on the support lattice, stacked as (n, r_1, ..., r_N).
+
+    Each state is compressed one party at a time, and the stack keeps the
+    stride order this leaves on each state (the last party slowest)."""
     tensors = []
     for kstate in s.states:
         t = kstate.tensor()
@@ -167,47 +212,85 @@ def numeric_extension_search(
             t = np.tensordot(u.conj().T, t, axes=([1], [p]))
             t = np.moveaxis(t, 0, p)
         tensors.append(np.conj(t))
+    t0 = tensors[0]
+    slowest_first = sorted(range(t0.ndim), key=lambda a: -t0.strides[a])
+    stack = np.empty((len(tensors),) + tuple(t0.shape[a] for a in slowest_first), dtype=np.complex128)
+    stack = stack.transpose([0] + [1 + slowest_first.index(a) for a in range(t0.ndim)])
+    stack[...] = tensors
+    return stack
 
-    def residual_for(vecs):
-        total = 0.0
-        for tc in tensors:
-            val = tc
-            for p in range(n_parties):
-                val = np.tensordot(val, vecs[p], axes=([0], [0]))
-            total += abs(val) ** 2
-        return float(total)
 
-    best = None
-    for _ in range(max(1, restarts)):
-        vecs = []
-        for r in rdims:
-            v = rng.normal(size=r) + 1j * rng.normal(size=r)
-            vecs.append(v / np.linalg.norm(v))
-        prev = np.inf
-        for _ in range(60):
-            for p in range(n_parties):
-                f = np.zeros((rdims[p], rdims[p]), dtype=np.complex128)
-                for tc in tensors:
-                    # contract in descending axis order so indices stay valid
-                    u = tc
-                    for q in range(n_parties - 1, -1, -1):
-                        if q == p:
-                            continue
-                        u = np.tensordot(u, vecs[q], axes=([q], [0]))
-                    f += np.outer(np.conj(u), u)
-                w, v = np.linalg.eigh(f)
-                vecs[p] = v[:, 0]
-            cur = residual_for(vecs)
-            if prev - cur < 1e-15:
-                break
-            prev = cur
-        cur = residual_for(vecs)
-        if best is None or cur < best[0]:
-            best = (cur, [v.copy() for v in vecs])
-        if best[0] < 1e-12:
-            break  # an exact extension was found; later restarts cannot improve the verdict
-    res, vecs = best
-    amp = supports[0] @ vecs[0]
-    for p in range(1, n_parties):
-        amp = np.kron(amp, supports[p] @ vecs[p])
-    return ExtensionSearchResult(res, Ket(s.space, amp, "candidate-extension"), restarts)
+def _random_starts(rng, rdims, count: int) -> list[np.ndarray]:
+    """Random unit vectors for ``count`` restarts, drawn restart by restart
+    and party by party (real part, then imaginary part), as (count, r_p, 1)."""
+    draws = rng.normal(size=(count, 2 * sum(rdims)))
+    starts = []
+    at = 0
+    for r in rdims:
+        v = draws[:, at : at + r] + 1j * draws[:, at + r : at + 2 * r]
+        at += 2 * r
+        re, im = v.real[:, None, :], v.imag[:, None, :]
+        sq = (re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0]
+        starts.append((v / np.sqrt(sq))[:, :, None])
+    return starts
+
+
+def _contract(t: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
+    """``np.tensordot(t[b, i], vecs[b, :, 0], axes=([axis], [0]))`` for every
+    restart b and state i of a (B, n, ...) stack."""
+    moved = np.moveaxis(t, 2 + axis, -1)
+    rest = moved.shape[2:-1]
+    mats = moved.reshape(moved.shape[:2] + (int(np.prod(rest)), moved.shape[-1]))
+    cols = np.broadcast_to(vecs[:, None, :, :1], mats.shape[:2] + (mats.shape[-1], 1))
+    return np.matmul(mats, cols).reshape(moved.shape[:2] + rest)
+
+
+def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
+    """``total = 0; for x in a: total += x`` along ``axis``, rounding included."""
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
+
+
+def _residuals(tensors: np.ndarray, vecs) -> np.ndarray:
+    """sum_i |<psi_i|a_1 x ... x a_N>|^2 for each restart."""
+    val = np.broadcast_to(tensors, (vecs[0].shape[0],) + tensors.shape)
+    for v in vecs:
+        val = _contract(val, v, 0)
+    return _sum_in_order(np.float_power(np.abs(val), 2), axis=1)
+
+
+def _descend(tensors: np.ndarray, starts) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Alternating sweeps for a stack of restarts.
+
+    ``starts[p]`` holds party p's vector of restart b in ``starts[p][b, :, 0]``.
+    A restart stops after a sweep that lowers its residual by less than
+    1e-15, or after 60 sweeps, and keeps the vectors of its last sweep.
+    Returns the residual of each restart and the vectors, in the same form.
+    """
+    n_parties = tensors.ndim - 1
+    count = starts[0].shape[0]
+    vecs = list(starts)
+    res = np.full(count, np.inf)
+    active = np.arange(count)
+    for sweep in range(60):
+        cur_vecs = [v[active] for v in vecs]
+        stack = np.broadcast_to(tensors, (len(active),) + tensors.shape)
+        for p in range(n_parties):
+            u = stack
+            # contract in descending axis order so indices stay valid
+            for q in range(n_parties - 1, -1, -1):
+                if q != p:
+                    u = _contract(u, cur_vecs[q], q)
+            f = _sum_in_order(np.conj(u)[..., :, None] * u[..., None, :], axis=1)
+            cur_vecs[p] = np.linalg.eigh(f)[1]
+        cur = _residuals(tensors, cur_vecs)
+        if sweep == 0:  # every restart is active in the first sweep
+            vecs = cur_vecs
+        else:
+            for v, w in zip(vecs, cur_vecs):
+                v[active] = w
+        stopped = res[active] - cur < 1e-15
+        res[active] = cur
+        active = active[~stopped]
+        if active.size == 0:
+            break
+    return res, vecs

@@ -100,6 +100,22 @@ def test_upb(capsys, files):
     assert rep["verdicts"]["oracle"]["agrees"]
 
 
+# The oracle object of `qlocc upb --oracle-restarts 200 --seed 0 --json`,
+# pinned with the residual's repr so that any change to the oracle's bits shows.
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("tiles33", {"residual": "0.028416213335729284", "restarts": 200, "agrees": True}),
+        ("minus", {"residual": "5.004680467665246e-34", "restarts": 200, "agrees": True}),
+    ],
+)
+def test_upb_oracle_json_pinned(capsys, files, name, oracle):
+    _, rep = run_json(capsys, "upb", "--set", files[name], "--oracle-restarts", "200", "--seed", "0")
+    got = dict(rep["verdicts"]["oracle"])
+    got["residual"] = repr(got["residual"])
+    assert got == oracle
+
+
 def test_protocol_verify_builtin(capsys, files):
     code, out, _ = run(capsys, "protocol", "verify", "--set", files["s3"], "--protocol", "builtin:s3_discrimination")
     assert code == 0 and "PASS-DISCRIMINATION" in out

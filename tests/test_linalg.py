@@ -1,44 +1,14 @@
 import numpy as np
 import pytest
 
-from qlocc.linalg import hermitian_eig, nullspace, numerical_rank, svd, tensor_product
-
-
-def test_tensor_identity():
-    assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_basis_index_arithmetic():
-    e0 = np.array([1, 0])
-    e1 = np.array([0, 1])
-    out = tensor_product(e0, e1)
-    expect = np.zeros(4)
-    expect[0 * 2 + 1] = 1
-    assert np.allclose(out, expect)
-
-
-def test_tensor_diagonal_factors():
-    a = np.diag([1, 0, 0, 0]).astype(complex)
-    out = tensor_product(a, np.eye(4))
-    expect = np.diag([1] * 4 + [0] * 12)
-    assert out.shape == (16, 16)
-    assert np.allclose(out, expect)
-
-
-def test_tensor_rejects_huge():
-    with pytest.raises(ValueError):
-        tensor_product(np.eye(2**11), np.eye(2**11))
-
-
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        tensor_product(np.array([np.nan, 0.0]), np.eye(2))
+from qlocc.linalg import as_carray, numerical_rank, svd
 
 
 def test_svd_zero_matrix():
     z = np.zeros((3, 3))
     assert numerical_rank(z) == 0
-    assert nullspace(z).shape == (3, 3)
+    _, _, vh = svd(z)
+    assert vh[numerical_rank(z) :].shape == (3, 3)
 
 
 def test_svd_identity():
@@ -76,49 +46,11 @@ def test_svd_reconstruction_and_nullspace():
         s, u, vh = svd(m)
         rec = u[:, : len(s)] @ np.diag(s) @ vh[: len(s)]
         assert np.abs(rec - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
-        null = nullspace(m)
-        if null.shape[1]:
-            assert np.abs(m @ null).max() <= 1e-8 * s[0]
+        null = vh[numerical_rank(m) :].conj().T
+        assert null.shape == (7, 2)
+        assert np.abs(m @ null).max() <= 1e-8 * s[0]
 
 
-def test_eig_diag():
-    w, _ = hermitian_eig(np.diag([0, 1, 1, 1]).astype(complex))
-    assert np.allclose(w, [0, 1, 1, 1])
-
-
-def test_eig_pauli_x():
-    w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(w, [-1, 1])
-
-
-def test_eig_scalar_combination():
-    p0 = np.diag([1, 0, 0, 0]).astype(complex)
-    p1 = np.diag([0, 1, 1, 1]).astype(complex)
-    w, _ = hermitian_eig((p0 + p1) / 2)
-    assert np.allclose(w, 0.5)
-
-
-def test_eig_rejects_non_hermitian():
+def test_as_carray_rejects_nonfinite():
     with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = a + a.conj().T
-        w, v = hermitian_eig(h)
-        assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() <= 1e-9 * np.abs(h).max()
-        assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
-
-
-def test_tensor_associative_random():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        c = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(left).max())
+        as_carray(np.array([np.nan, 0.0]))
