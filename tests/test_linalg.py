@@ -2,6 +2,17 @@ import numpy as np
 import pytest
 
 from qlocc.linalg import as_carray, numerical_rank, svd
+from qlocc.states import Ket, PartySpace, make_ket
+
+
+def test_tensor_basis_index_arithmetic():
+    # |0>|1> on C2 x C2 sits at flat index 0 * 2 + 1: the left party is the slow index
+    k = make_ket(PartySpace((2, 2)), [(1, (0, 1))])
+    expect = np.zeros(4)
+    expect[0 * 2 + 1] = 1
+    assert np.allclose(k.amplitudes, np.kron([1, 0], [0, 1]))
+    assert np.allclose(k.amplitudes, expect)
+    assert k.tensor()[0, 1] == 1
 
 
 def test_svd_zero_matrix():
@@ -54,3 +65,9 @@ def test_svd_reconstruction_and_nullspace():
 def test_as_carray_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_carray(np.array([np.nan, 0.0]))
+
+
+def test_tensor_rejects_nonfinite():
+    # a product state with a non-finite factor is rejected through as_carray
+    with pytest.raises(ValueError):
+        Ket(PartySpace((2, 2)), np.kron(np.array([np.nan, 0.0]), np.eye(2)[0]))
