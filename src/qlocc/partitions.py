@@ -124,9 +124,9 @@ def _cert_evidence(cert: Certificate) -> dict:
     return ev
 
 
-def _analyze_partition(merged: StateSet, max_depth: int) -> PartitionRecord:
-    blocks = ()
-    label = ""
+def _analyze_partition(merged: StateSet, max_depth: int, blocks) -> PartitionRecord:
+    """Record for the partition `blocks`, analyzed on `merged` (one party per block)."""
+    label = _partition_label(blocks)
     rule = qubit_times_n_rule(merged)
     if rule.applicable:
         return PartitionRecord(
@@ -164,19 +164,11 @@ def hidden_nonlocality_profile(s: StateSet, max_depth: int = 8) -> PartitionProf
     records: list[PartitionRecord] = []
 
     if n == 2:
-        rec = _analyze_partition(s, max_depth)
-        rec.partition = _partition_label(((0,), (1,)))
-        rec.blocks = ((0,), (1,))
+        rec = _analyze_partition(s, max_depth, ((0,), (1,)))
         flags = {1: _flag(rec.activable, rec.basis, f"root analysis of {rec.partition}")}
         return PartitionProfile(s.name, n, [rec], flags)
 
-    bi_records = []
-    for left, right in _two_block_partitions(n):
-        merged = _merge_for(s, (left, right))
-        rec = _analyze_partition(merged, max_depth)
-        rec.partition = _partition_label((left, right))
-        rec.blocks = (left, right)
-        bi_records.append(rec)
+    bi_records = [_analyze_partition(_merge_for(s, blocks), max_depth, blocks) for blocks in _two_block_partitions(n)]
 
     some_bipartition_activable = any(r.activable is True for r in bi_records)
     all_bipartitions_nonactivable = all(r.activable is False for r in bi_records)
@@ -199,9 +191,7 @@ def hidden_nonlocality_profile(s: StateSet, max_depth: int = 8) -> PartitionProf
             {"reason": "all bipartitions non-activable", "distinguishability": _cert_evidence(dist_cert)},
         )
     else:
-        finest = _analyze_partition(s, max_depth)
-        finest.partition = finest_label
-        finest.blocks = finest_blocks
+        finest = _analyze_partition(s, max_depth, finest_blocks)
     records.append(finest)
     records.extend(bi_records)
 

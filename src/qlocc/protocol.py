@@ -14,6 +14,7 @@ Negative verdicts are class-relative and say so; certificates replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,47 +143,55 @@ class VerifyReport:
     identified: dict[str, str]
 
 
+def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
+    """Replay a tree from `cur`; yield (path, reached set, leaf) per reachable leaf.
+
+    Faults of the tree itself are appended to `failures` as the walk meets
+    them, never raised: a reachable branch without a child, an incomplete
+    measurement, a child count that differs from the outcome count, and an
+    outcome that breaks orthogonality. Branches no state reaches are skipped.
+    """
+    if len(cur) == 0:
+        return
+    if node is None:
+        failures.append(f"{path}: reachable branch has no child ({len(cur)} states)")
+        return
+    if isinstance(node, Leaf):
+        yield path, cur, node
+        return
+    m = node.measurement
+    if m.completeness_residual() > 1e-8:
+        failures.append(f"{path}: measurement completeness violated")
+    if len(node.children) != len(m.kraus):
+        failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
+        return
+    for idx, kraus in enumerate(m.kraus):
+        try:
+            child_set, _ = apply_outcome(cur, node.party, kraus)
+        except ValueError as exc:
+            failures.append(f"{path}/{idx}: {exc}")
+            continue
+        yield from _replay(node.children[idx], child_set, failures, f"{path}/{idx}")
+
+
 def verify_protocol(s: StateSet, tree) -> VerifyReport:
     """Replay a tree and check perfect discrimination.
 
-    PASS iff every replay step preserves orthogonality, every reachable leaf
-    identifies exactly its single surviving state, and every input state is
-    identified somewhere.
+    PASS iff every replay step is a complete measurement that preserves
+    orthogonality, every reachable leaf identifies exactly its single
+    surviving state, and every input state is identified somewhere.
     """
     failures: list[str] = []
     identified: dict[str, str] = {}
-
-    def walk(node, cur: StateSet, path: str):
-        if len(cur) == 0:
-            return  # unreachable branch; content immaterial
-        if node is None:
-            failures.append(f"{path}: reachable branch has no child ({len(cur)} states)")
-            return
-        if isinstance(node, Leaf):
-            if node.identified is None:
-                failures.append(f"{path}: leaf identifies nothing but {len(cur)} state(s) reach it")
-            elif len(cur) != 1:
-                failures.append(f"{path}: leaf holds {len(cur)} states")
-            elif cur.states[0].label != node.identified:
-                failures.append(f"{path}: leaf claims {node.identified!r}, reached by {cur.states[0].label!r}")
-            else:
-                identified[node.identified] = path
-            return
-        m = node.measurement
-        if m.completeness_residual() > 1e-8:
-            failures.append(f"{path}: measurement completeness violated")
-        if len(node.children) != len(m.kraus):
-            failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
-            return
-        for idx, kraus in enumerate(m.kraus):
-            try:
-                child_set, _ = apply_outcome(cur, node.party, kraus)
-            except ValueError as exc:
-                failures.append(f"{path}/{idx}: {exc}")
-                continue
-            walk(node.children[idx], child_set, f"{path}/{idx}")
-
-    walk(tree, s, "root")
+    for path, cur, node in _replay(tree, s, failures):
+        if node.identified is None:
+            failures.append(f"{path}: leaf identifies nothing but {len(cur)} state(s) reach it")
+        elif len(cur) != 1:
+            failures.append(f"{path}: leaf holds {len(cur)} states")
+        elif cur.states[0].label != node.identified:
+            failures.append(f"{path}: leaf claims {node.identified!r}, reached by {cur.states[0].label!r}")
+        else:
+            identified[node.identified] = path
     missing = [lab for lab in s.labels if lab not in identified]
     if missing:
         failures.append("states never identified: " + ", ".join(missing))
@@ -239,13 +248,38 @@ def canonical_key(s: StateSet) -> bytes:
 # the memoized analysis graph
 
 
+class _Rule(NamedTuple):
+    slot: str  # memo key in the node dict
+    entry: str  # SetAnalyzer method that children are searched through
+    terminal: Callable  # (analyzer, key) -> (status, tree) closing the node, or None
+    order: str  # move order for _ordered_moves: "dist" or "act"
+    stop_on_fail: bool  # a move stops at its first failing outcome
+    build: bool  # a tree is built
+
+
 class SetAnalyzer:
     """Shared memo of reached sets and their analyses.
 
-    Distinguishability and activation statuses are tri-state: True, False
-    (conclusive for the searched class), or None (depth cap truncated the
-    exploration). Conclusive results are final; truncated ones are retried
-    when asked again with a larger budget.
+    One memoized AND-OR search serves three questions, each a row of
+    `_RULES`: a node is True if its terminal test closes it so, or if some
+    candidate measurement sends every nonempty outcome to a True node.
+
+    - `distinguishable` ("dist"): at most one state gets an identifying
+      leaf, else terminal one-party resolution; moves with the most
+      eliminations first; builds the discrimination tree.
+    - `activation` ("act"): fewer than 2 states is False; a certified
+      locally indistinguishable, whole-party irredundant set is a reached
+      leaf; the C2 x Cn product rule is False; moves with the fewest
+      eliminations first, each expanding every outcome; builds the
+      activation tree.
+    - `distinguishable_status` ("status"): the C2 x Cn product rule or
+      terminal resolution gives True, a certified locally indistinguishable
+      set False; "dist" move order; no tree.
+
+    Statuses are tri-state: True, False (conclusive for the searched
+    class), or None (depth cap truncated the exploration). Conclusive
+    results are final; truncated ones are retried when asked again with a
+    larger budget.
     """
 
     def __init__(self):
@@ -269,32 +303,24 @@ class SetAnalyzer:
             cache[party] = oplm_space(nd["set"], party, on_support=True)
         return cache[party]
 
-    def support_dims(self, key: bytes) -> tuple[int, ...]:
+    def _per_party(self, key: bytes, attr: str) -> tuple[int, ...]:
         nd = self.nodes[key]
-        if "support_dims" not in nd:
-            s = nd["set"]
-            nd["support_dims"] = tuple(self.oplm(key, p).support_dim for p in range(s.space.n_parties))
-        return nd["support_dims"]
+        if attr not in nd:
+            nd[attr] = tuple(getattr(self.oplm(key, p), attr) for p in range(nd["set"].space.n_parties))
+        return nd[attr]
+
+    def support_dims(self, key: bytes) -> tuple[int, ...]:
+        return self._per_party(key, "support_dim")
 
     def space_dims(self, key: bytes) -> tuple[int, ...]:
-        nd = self.nodes[key]
-        if "space_dims" not in nd:
-            s = nd["set"]
-            nd["space_dims"] = tuple(self.oplm(key, p).space_dim for p in range(s.space.n_parties))
-        return nd["space_dims"]
+        return self._per_party(key, "space_dim")
 
     def is_product(self, key: bytes) -> bool:
         nd = self.nodes[key]
         if "is_product" not in nd:
-            s = nd["set"]
-            n = s.space.n_parties
-            ok = True
-            if n > 1:
-                for k in s.states:
-                    if any(schmidt_rank(k, Bipartition.of({p}, n)) > 1 for p in range(n)):
-                        ok = False
-                        break
-            nd["is_product"] = ok
+            n = nd["set"].space.n_parties
+            cuts = [Bipartition.of({p}, n) for p in range(n)] if n > 1 else []
+            nd["is_product"] = all(schmidt_rank(k, c) <= 1 for k in nd["set"].states for c in cuts)
         return nd["is_product"]
 
     def exact_nonactivable(self, key: bytes) -> bool:
@@ -306,18 +332,8 @@ class SetAnalyzer:
         """
         nd = self.nodes[key]
         if "exact_nonactivable" not in nd:
-            s = nd["set"]
-            if len(s) <= 1:
-                nd["exact_nonactivable"] = True
-            else:
-                rdims = self.support_dims(key)
-                eff = [p for p, r in enumerate(rdims) if r >= 2]
-                if len(eff) <= 1:
-                    nd["exact_nonactivable"] = True
-                elif len(eff) == 2 and min(rdims[p] for p in eff) <= 2 and self.is_product(key):
-                    nd["exact_nonactivable"] = True
-                else:
-                    nd["exact_nonactivable"] = False
+            eff = [] if len(nd["set"]) <= 1 else [r for r in self.support_dims(key) if r >= 2]
+            nd["exact_nonactivable"] = len(eff) <= 1 or (len(eff) == 2 and min(eff) <= 2 and self.is_product(key))
         return nd["exact_nonactivable"]
 
     def certified_indistinguishable(self, key: bytes):
@@ -413,156 +429,96 @@ class SetAnalyzer:
         nd["terminal"] = result
         return result
 
-    # -- distinguishability ----------------------------------------------------
+    # -- the AND-OR search ------------------------------------------------------
 
-    def distinguishable(self, key: bytes, depth: int):
-        """Tri-state: (True, tree) | (False, None) conclusive | (None, None)."""
-        nd = self.nodes[key]
-        cached = nd.get("dist")
-        if cached is not None:
-            status, tree, tried = cached
-            if status is not None or tried >= depth:
-                return status, tree
-        s = nd["set"]
+    def _dist_terminal(self, key: bytes):
+        s = self.set_of(key)
         if len(s) <= 1:
-            tree = Leaf(identified=s.states[0].label) if len(s) == 1 else Leaf()
-            nd["dist"] = (True, tree, depth)
-            return True, tree
+            return True, Leaf(identified=s.states[0].label) if len(s) == 1 else Leaf()
         tr = self.terminal_resolution(key)
-        if tr is not None:
-            nd["dist"] = (True, tr, depth)
-            return True, tr
-        if depth <= 0:
-            nd["dist"] = (None, None, 0)
-            return None, None
-        incomplete = False
-        for p, m, children in self._ordered_moves(key, "dist"):
-            subtrees = []
-            good = True
-            for oi, ck, _labels in children:
-                if ck is None:
-                    subtrees.append(None)
-                    continue
-                st, subtree = self.distinguishable(ck, depth - 1)
-                if st is True:
-                    subtrees.append(subtree)
-                else:
-                    good = False
-                    if st is None:
-                        incomplete = True
-                    break
-            if good:
-                tree = Measure(p, m, subtrees)
-                nd["dist"] = (True, tree, depth)
-                return True, tree
-        status = None if incomplete else False
-        nd["dist"] = (status, None, depth)
-        return status, None
+        return (True, tr) if tr is not None else None
 
-    # -- activation -------------------------------------------------------------
-
-    def activation(self, key: bytes, depth: int):
-        """Tri-state AND-OR search for a deterministic activation tree.
-
-        A node activates if its set is certified locally indistinguishable
-        and locally irredundant (whole parties), or if some candidate
-        measurement sends every nonempty outcome to an activating node.
-        """
-        nd = self.nodes[key]
-        cached = nd.get("act")
-        if cached is not None:
-            status, tree, tried = cached
-            if status is not None or tried >= depth:
-                return status, tree
-        s = nd["set"]
+    def _act_terminal(self, key: bytes):
+        s = self.set_of(key)
         if len(s) < 2:
-            nd["act"] = (False, None, depth)
             return False, None
         cert = self.certified_indistinguishable(key)
         if cert is not None and not redundancy_check_whole_parties(s):
-            leaf = Leaf(reached=s)
-            nd["act"] = (True, leaf, depth)
-            nd["act_leaf_evidence"] = cert
-            return True, leaf
-        if self.exact_nonactivable(key):
-            nd["act"] = (False, None, depth)
-            return False, None
+            self.nodes[key]["act_leaf_evidence"] = cert
+            return True, Leaf(reached=s)
+        return (False, None) if self.exact_nonactivable(key) else None
+
+    def _status_terminal(self, key: bytes):
+        if len(self.set_of(key)) <= 1 or self.exact_nonactivable(key) or self.terminal_resolution(key) is not None:
+            return True, None
+        return (False, None) if self.certified_indistinguishable(key) is not None else None
+
+    _RULES = {
+        "dist": _Rule("dist", "distinguishable", _dist_terminal, "dist", True, True),
+        # on failure keep expanding the remaining outcomes: the negative
+        # verdict promises that every reachable set was analyzed
+        "act": _Rule("act", "activation", _act_terminal, "act", False, True),
+        "status": _Rule("dist_status", "distinguishable_status", _status_terminal, "dist", True, False),
+    }
+
+    def _and_or(self, rule: _Rule, key: bytes, depth: int):
+        """Tri-state memoized AND-OR search under one rule row.
+
+        Returns (True, tree) | (False, None) conclusive | (None, None) when
+        the depth cap truncated the exploration. Children are searched
+        through the row's entry point, which for a row that builds no tree
+        returns the bare status.
+        """
+        nd = self.nodes[key]
+        cached = nd.get(rule.slot)
+        if cached is not None:
+            status, tree, tried = cached
+            if status is not None or tried >= depth:
+                return status, tree
+        hit = rule.terminal(self, key)
+        if hit is not None:
+            nd[rule.slot] = (*hit, depth)
+            return hit
         if depth <= 0:
-            nd["act"] = (None, None, 0)
+            nd[rule.slot] = (None, None, 0)
             return None, None
+        entry = getattr(self, rule.entry)
         incomplete = False
-        for p, m, children in self._ordered_moves(key, "act"):
+        for p, m, children in self._ordered_moves(key, rule.order):
             subtrees = []
             good = True
-            # on failure keep expanding the remaining outcomes: the negative
-            # verdict promises that every reachable set was analyzed
-            for oi, ck, _labels in children:
+            for _oi, ck, _labels in children:
                 if ck is None:
-                    subtrees.append(None)
-                    continue
-                st, subtree = self.activation(ck, depth - 1)
-                if st is True:
-                    subtrees.append(subtree)
+                    st, subtree = True, None
                 else:
+                    res = entry(ck, depth - 1)
+                    st, subtree = res if rule.build else (res, None)
+                subtrees.append(subtree)
+                if st is not True:
                     good = False
-                    subtrees.append(None)
-                    if st is None:
-                        incomplete = True
+                    incomplete |= st is None
+                    if rule.stop_on_fail:
+                        break
             if good:
-                tree = Measure(p, m, subtrees)
-                nd["act"] = (True, tree, depth)
+                tree = Measure(p, m, subtrees) if rule.build else None
+                nd[rule.slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
-        nd["act"] = (status, None, depth)
+        nd[rule.slot] = (status, None, depth)
         return status, None
 
-    # -- status-only distinguishability ------------------------------------------
+    def distinguishable(self, key: bytes, depth: int):
+        """Tri-state: (True, tree) | (False, None) conclusive | (None, None)."""
+        return self._and_or(self._RULES["dist"], key, depth)
+
+    def activation(self, key: bytes, depth: int):
+        """Tri-state search for a deterministic activation tree, as (status, tree)."""
+        return self._and_or(self._RULES["act"], key, depth)
 
     def distinguishable_status(self, key: bytes, depth: int):
         """Tri-state distinguishability that may close branches with exact
-        dimension rules (no tree built): the C2 x Cn product rule gives True,
-        a certified locally indistinguishable set gives False.
-        """
-        nd = self.nodes[key]
-        cached = nd.get("dist_status")
-        if cached is not None:
-            status, tried = cached
-            if status is not None or tried >= depth:
-                return status
-        s = nd["set"]
-        status = None
-        if len(s) <= 1:
-            status = True
-        elif self.exact_nonactivable(key):
-            status = True
-        elif self.terminal_resolution(key) is not None:
-            status = True
-        elif self.certified_indistinguishable(key) is not None:
-            status = False
-        if status is not None:
-            nd["dist_status"] = (status, depth)
-            return status
-        if depth <= 0:
-            nd["dist_status"] = (None, 0)
-            return None
-        incomplete = False
-        for p, m, children in self._ordered_moves(key, "dist"):
-            good = True
-            for oi, ck, _labels in children:
-                if ck is None:
-                    continue
-                st = self.distinguishable_status(ck, depth - 1)
-                if st is not True:
-                    good = False
-                    if st is None:
-                        incomplete = True
-                    break
-            if good:
-                nd["dist_status"] = (True, depth)
-                return True
-        status = None if incomplete else False
-        nd["dist_status"] = (status, depth)
-        return status
+        dimension rules; no tree is built, only the status is returned."""
+        return self._and_or(self._RULES["status"], key, depth)[0]
 
     # -- transcripts ------------------------------------------------------------
 
@@ -599,13 +555,16 @@ class SetAnalyzer:
 # top-level search entry points
 
 
-def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | None = None) -> Certificate:
-    """Find and verify a perfect-discrimination protocol, or report exhaustion."""
-    rep = gram_check(s)
-    if not rep.ok:
+def _intern_root(s: StateSet, analyzer: SetAnalyzer | None):
+    if not gram_check(s).ok:
         raise ValueError("input set is not pairwise orthogonal")
     an = analyzer or SetAnalyzer()
-    key = an.intern(s)
+    return an, an.intern(s)
+
+
+def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | None = None) -> Certificate:
+    """Find and verify a perfect-discrimination protocol, or report exhaustion."""
+    an, key = _intern_root(s, analyzer)
     status, tree = an.distinguishable(key, max_depth)
     params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
     if status is True:
@@ -619,37 +578,27 @@ def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: Se
 
 
 def _collect_leaves(s: StateSet, tree, path="root"):
-    out = []
-
-    def walk(node, cur, path):
-        if len(cur) == 0:
-            return
-        if node is None:
-            raise ValueError(f"{path}: reachable branch without child")
-        if isinstance(node, Leaf):
-            out.append((path, cur, node))
-            return
-        for idx, kraus in enumerate(node.measurement.kraus):
-            child_set, _ = apply_outcome(cur, node.party, kraus)
-            walk(node.children[idx], child_set, f"{path}/{idx}")
-
-    walk(tree, s, path)
-    return out
+    """Reachable leaves of a well-formed tree as (path, set, leaf); raises ValueError otherwise."""
+    failures: list[str] = []
+    leaves = list(_replay(tree, s, failures, path))
+    if failures:
+        raise ValueError("; ".join(failures))
+    return leaves
 
 
 def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Replay an activation tree and certify every reachable leaf set.
 
-    Deterministic activation: each leaf must hold >= 2 states, be locally
-    irredundant over whole parties, and be certified locally
-    indistinguishable (IRREDUCIBLE-EXACT or support-restricted UPB).
+    Deterministic activation: every replay step must be a complete
+    measurement that preserves orthogonality, and each leaf must hold >= 2
+    states, be locally irredundant over whole parties, and be certified
+    locally indistinguishable (IRREDUCIBLE-EXACT or support-restricted UPB).
     """
     an = analyzer or SetAnalyzer()
     params = {"tolerance": SPAN_TOL}
-    leaves = _collect_leaves(s, tree)
     evidence = []
-    failures = []
-    for path, cur, node in leaves:
+    failures: list[str] = []
+    for path, cur, node in _replay(tree, s, failures):
         if node.identified is not None or len(cur) < 2:
             failures.append(f"{path}: not an activation leaf")
             continue
@@ -693,11 +642,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     every reached set and its distinguishability status. A truncated search
     returns kind Incomplete, never a negative verdict.
     """
-    rep = gram_check(s)
-    if not rep.ok:
-        raise ValueError("input set is not pairwise orthogonal")
-    an = analyzer or SetAnalyzer()
-    key = an.intern(s)
+    an, key = _intern_root(s, analyzer)
     params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
     dstat = an.distinguishable_status(key, max_depth)
     if dstat is False:
@@ -724,21 +669,16 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     transcript = an.activation_transcript(max_depth)
     # weaker some-branch flag: did any branch alone reach a certified leaf?
     probabilistic = any(nd.get("act_leaf_evidence") for nd in an.nodes.values())
-    if status is False:
-        return Certificate(
-            "NonActivabilityInClass",
-            SEARCH_CLASS_NOTE,
-            params | {"complete": True, "probabilistic_activation": probabilistic},
-            transcript=transcript,
-            verified=True,
-            notes="every reachable set in the class remained locally distinguishable",
-        )
+    complete = status is False
     return Certificate(
-        "Incomplete",
+        "NonActivabilityInClass" if complete else "Incomplete",
         SEARCH_CLASS_NOTE,
-        params | {"complete": False, "probabilistic_activation": probabilistic},
+        params | {"complete": complete, "probabilistic_activation": probabilistic},
         transcript=transcript,
-        notes="depth cap reached before exhausting the class; verdict INCOMPLETE",
+        verified=complete,
+        notes="every reachable set in the class remained locally distinguishable"
+        if complete
+        else "depth cap reached before exhausting the class; verdict INCOMPLETE",
     )
 
 
@@ -888,16 +828,16 @@ def _s4_abc_activation_tree():
     return Measure(1, mc, [branch(), branch()])
 
 
-BUILTIN_PROTOCOLS = ("s3_discrimination", "s3_activation", "s1_recursion", "s4_abc_activation")
+_BUILTIN_TREES = {
+    "s3_discrimination": _s3_discrimination_tree,
+    "s3_activation": _s3_activation_tree,
+    "s1_recursion": _s1_recursion_tree,
+    "s4_abc_activation": _s4_abc_activation_tree,
+}
+BUILTIN_PROTOCOLS = tuple(_BUILTIN_TREES)
 
 
 def builtin_protocol(name: str):
-    if name == "s3_discrimination":
-        return _s3_discrimination_tree()
-    if name == "s3_activation":
-        return _s3_activation_tree()
-    if name == "s1_recursion":
-        return _s1_recursion_tree()
-    if name == "s4_abc_activation":
-        return _s4_abc_activation_tree()
-    raise ValueError(f"unknown builtin protocol {name!r}")
+    if name not in _BUILTIN_TREES:
+        raise ValueError(f"unknown builtin protocol {name!r}")
+    return _BUILTIN_TREES[name]()

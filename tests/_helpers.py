@@ -1,9 +1,11 @@
-"""Shared test helpers: random state-set generators."""
+"""Shared test helpers: random state-set generators and malformed protocol trees."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from qlocc.oplm import LocalMeasurement
+from qlocc.protocol import builtin_protocol
 from qlocc.states import Ket, PartySpace, StateSet
 
 
@@ -67,3 +69,22 @@ def random_orthogonal_product_set(rng, dims, n_states: int, max_tries: int = 400
             amp = np.kron(amp, v)
         states.append(Ket(space, amp, f"p{i}"))
     return StateSet(space, states, name)
+
+
+def truncated_s3_activation_tree():
+    """builtin:s3_activation with each Alice measurement cut to its first
+    Kraus operator: the leaves still hold tiles33 copies, but the Alice
+    steps are not complete measurements (completeness residual 1.0)."""
+    tree = builtin_protocol("s3_activation")
+    for alice in tree.children:
+        m = alice.measurement
+        alice.measurement = LocalMeasurement(m.party, m.kraus[:1], m.labels[:1])
+        alice.children = alice.children[:1]
+    return tree
+
+
+def childless_s3_activation_tree():
+    """builtin:s3_activation whose first Alice step has 1 child for 2 outcomes."""
+    tree = builtin_protocol("s3_activation")
+    tree.children[0].children = tree.children[0].children[:1]
+    return tree

@@ -4,8 +4,11 @@ import pytest
 
 from qlocc.cli import main
 from qlocc.fixtures import build_fixture
+from qlocc.protocol import tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
+
+from _helpers import truncated_s3_activation_tree
 
 
 @pytest.fixture
@@ -123,6 +126,16 @@ def test_protocol_verify_builtin(capsys, files):
         capsys, "protocol", "verify", "--set", files["s3"], "--protocol", "builtin:s3_activation", "--activation"
     )
     assert code == 0 and "CERTIFIED" in out
+
+
+def test_truncated_activation_protocol_fails(capsys, files, tmp_path):
+    proto = tmp_path / "s3_truncated.json"
+    proto.write_text(json.dumps(tree_to_json(truncated_s3_activation_tree())))
+    code, out, _ = run(capsys, "protocol", "verify", "--set", files["s3"], "--protocol", str(proto), "--activation")
+    assert code == 1 and "FAILED" in out
+    code, rep = run_json(capsys, "activate", "--set", files["s3"], "--protocol", str(proto))
+    assert code == 1
+    assert rep["verdicts"]["kind"] == "ProtocolFailure"
 
 
 def test_protocol_search_and_reuse(capsys, files, tmp_path):

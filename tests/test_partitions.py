@@ -6,6 +6,16 @@ from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
 
 
+@pytest.fixture(scope="module")
+def s2_profile():
+    return hidden_nonlocality_profile(build_fixture("s2"), max_depth=8)
+
+
+@pytest.fixture(scope="module")
+def s4_profile():
+    return hidden_nonlocality_profile(build_fixture("s4"), max_depth=8)
+
+
 def test_rule_applies_to_s2_cuts():
     s2 = build_fixture("s2")
     b_ac = merge_parties(s2, [(1,), (0, 2)], reorder=[1, 0, 2])
@@ -46,8 +56,8 @@ def test_rule_not_bipartite():
     assert not qubit_times_n_rule(build_fixture("s2")).applicable
 
 
-def test_s2_profile():
-    prof = hidden_nonlocality_profile(build_fixture("s2"), max_depth=8)
+def test_s2_profile(s2_profile):
+    prof = s2_profile
     assert prof.h_flags[1]["value"] == "zero"
     assert prof.h_flags[2]["value"] == "zero"
     abc = prof.record("A|BC")
@@ -63,8 +73,8 @@ def test_s2_profile():
     assert finest.distinguishable is True
 
 
-def test_s4_profile():
-    prof = hidden_nonlocality_profile(build_fixture("s4"), max_depth=8)
+def test_s4_profile(s4_profile):
+    prof = s4_profile
     cab = prof.record("C|AB")  # the AB|C cut, smaller block first
     assert cab.rule == "qubit_times_n" and cab.activable is False and cab.basis == "EXACT"
     abc = prof.record("A|BC")
@@ -74,12 +84,15 @@ def test_s4_profile():
     assert bac.activable is True
 
 
-def test_s2_s4_profiles_differ():
-    p2 = hidden_nonlocality_profile(build_fixture("s2"), max_depth=8).to_json()
-    p4 = hidden_nonlocality_profile(build_fixture("s4"), max_depth=8).to_json()
-    v2 = {r["partition"]: r["activable"] for r in p2["partitions"] if "|" in r["partition"] and len(r["partition"].split("|")) == 2}
-    v4 = {r["partition"]: r["activable"] for r in p4["partitions"] if len(r["partition"].split("|")) == 2}
-    assert any(v4[k] != v2.get(k2) for k in v4 for k2 in v2) or v2 != v4
+def test_s2_s4_profiles_differ(s2_profile, s4_profile):
+    def bipartitions(prof):
+        return {r["partition"]: r["activable"] for r in prof.to_json()["partitions"] if r["partition"].count("|") == 1}
+
+    v2, v4 = bipartitions(s2_profile), bipartitions(s4_profile)
+    assert set(v2) == set(v4) == {"A|BC", "B|AC", "C|AB"}
+    assert v2["A|BC"] is False and v4["A|BC"] is True
+    assert v2["B|AC"] is False and v4["B|AC"] is True
+    assert v2["C|AB"] is False and v4["C|AB"] is False
 
 
 def test_bipartite_profile_only_k1():
@@ -89,7 +102,7 @@ def test_bipartite_profile_only_k1():
     assert len(prof.records) == 1
 
 
-def test_profile_invariant_under_bc_swap():
+def test_profile_invariant_under_bc_swap(s2_profile):
     s2 = build_fixture("s2")
     # swap parties B and C (both qubits): profile content must be unchanged
     perm_states = []
@@ -98,7 +111,7 @@ def test_profile_invariant_under_bc_swap():
         t = k.tensor().transpose(0, 2, 1).reshape(-1)
         perm_states.append(Ket(space, t, k.label))
     swapped = StateSet(space, perm_states, "s2-swapped")
-    a = hidden_nonlocality_profile(s2, max_depth=8)
+    a = s2_profile
     b = hidden_nonlocality_profile(swapped, max_depth=8)
     assert {k: v["value"] for k, v in a.h_flags.items()} == {k: v["value"] for k, v in b.h_flags.items()}
     assert a.record("A|BC").activable == b.record("A|BC").activable

@@ -8,6 +8,7 @@ from qlocc.oplm import measurement_candidates
 from qlocc.protocol import (
     Leaf,
     SetAnalyzer,
+    _collect_leaves,
     activation_search,
     apply_outcome,
     builtin_protocol,
@@ -19,6 +20,8 @@ from qlocc.protocol import (
     verify_protocol,
 )
 from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, make_ket, merge_parties
+
+from _helpers import childless_s3_activation_tree, truncated_s3_activation_tree
 
 
 def pair_set():
@@ -138,10 +141,28 @@ def test_certify_builtin_s3_activation():
     assert cert.kind == "Activation" and cert.verified
     assert len(cert.leaf_evidence) == 4
     tiles = build_fixture("tiles33")
-    from qlocc.protocol import _collect_leaves
-
     for _, cur, _node in _collect_leaves(s3, builtin_protocol("s3_activation")):
         assert equal_up_to_local_relabeling(cur, tiles)
+
+
+def test_certify_rejects_incomplete_measurement():
+    s3 = build_fixture("s3")
+    tree = truncated_s3_activation_tree()
+    cert = certify_activation_protocol(s3, tree)
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert "root/0: measurement completeness violated" in cert.notes
+    assert "root/1: measurement completeness violated" in cert.notes
+    vr = verify_protocol(s3, tree)
+    assert "root/0: measurement completeness violated" in vr.failures
+    with pytest.raises(ValueError, match="completeness"):
+        _collect_leaves(s3, tree)
+
+
+def test_certify_rejects_missing_children():
+    s3 = build_fixture("s3")
+    cert = certify_activation_protocol(s3, childless_s3_activation_tree())
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert "root/0: 1 children for 2 outcomes" in cert.notes
 
 
 def test_certify_builtin_s4_abc():
