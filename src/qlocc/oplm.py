@@ -31,15 +31,17 @@ from .states import StateSet, party_letter
 SPAN_TOL = 1e-8
 ELIM_TOL = 1e-9
 COMM_TOL = 1e-8
+# computational-basis index projectors are enumerated (2^r masks) only when
+# the occupied support of the party has r <= this many indices
+INDEX_PROJECTOR_CAP = 16
 
 
 def _party_matrices(s: StateSet, party: int) -> np.ndarray:
     """States reshaped to (n, d_party, d_rest) with the party axis leading."""
     dims = s.space.party_dims
-    n = len(dims)
-    order = [party] + [q for q in range(n) if q != party]
-    mats = [k.tensor().transpose(order).reshape(dims[party], -1) for k in s.states]
-    return np.stack(mats) if mats else np.zeros((0, dims[party], 1), dtype=np.complex128)
+    order = [party] + [q for q in range(len(dims)) if q != party]
+    t = s.matrix().reshape(len(s), *dims).transpose([0] + [1 + q for q in order])
+    return t.reshape(len(s), dims[party], s.space.total_dim // dims[party])
 
 
 def _support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -356,6 +358,18 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     return out
 
 
+def _occupied_indices(mats: np.ndarray) -> list[int]:
+    """Computational-basis indices of the party that some state occupies."""
+    weight = np.abs(mats).max(axis=(0, 2))
+    return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
+
+
+def index_projectors_capped(s: StateSet, party: int) -> bool:
+    """True when `measurement_candidates` skips the index projectors of
+    `party` because its occupied support exceeds INDEX_PROJECTOR_CAP."""
+    return len(_occupied_indices(_party_matrices(s, party))) > INDEX_PROJECTOR_CAP
+
+
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
     """Two-outcome projective OPLM candidates for one party.
 
@@ -364,11 +378,13 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     * If the operator space restricted to the joint local support commutes,
       the complete unions-of-joint-eigenblocks family (complete for
       two-outcome projective-in-span measurements on the support).
-    * Always: computational-basis index-set projectors over the occupied
-      indices, each verified against the full pairwise constraints. This is
-      the class the layered-tiling protocols live in, and it stays available
+    * Computational-basis index-set projectors over the occupied indices,
+      each verified against the full pairwise constraints. This is the
+      class the layered-tiling protocols live in, and it stays available
       when the operator space is noncommuting (where no joint eigenstructure
-      exists).
+      exists). They are enumerated only while the occupied support has at
+      most INDEX_PROJECTOR_CAP indices; `index_projectors_capped` says when
+      they are skipped.
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
@@ -387,10 +403,9 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
 
     d = s.space.party_dims[party]
     mats = _party_matrices(s, party)
-    weight = np.abs(mats).max(axis=(0, 2))
-    occ = [i for i in range(d) if weight[i] > 1e-9]
+    occ = _occupied_indices(mats)
     r = len(occ)
-    if r >= 2 and r <= 16:
+    if 2 <= r <= INDEX_PROJECTOR_CAP:
         u_occ = np.zeros((d, r), dtype=np.complex128)
         for col, i in enumerate(occ):
             u_occ[i, col] = 1.0
@@ -440,7 +455,7 @@ def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
     for kraus in m.kraus:
         post = np.einsum("ab,nbr->nar", kraus, mats)
         norms = np.linalg.norm(post.reshape(len(s), -1), axis=1)
-        out.append([s.states[i].label for i in range(len(s)) if norms[i] <= ELIM_TOL])
+        out.append([lab for lab, nrm in zip(s.labels, norms) if nrm <= ELIM_TOL])
     return out
 
 
@@ -478,11 +493,17 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     if all(v == 1 for v in dims.values()):
         return IrreducibilityVerdict("IRREDUCIBLE-EXACT", dims, None, 0, CLASS_NOTE)
     checked = 0
+    note = CLASS_NOTE
     for p, sp in enumerate(spaces):
+        if index_projectors_capped(s, p):
+            note += (
+                f"; index projectors not enumerated for party {party_letter(p)}"
+                f" (occupied support above {INDEX_PROJECTOR_CAP})"
+            )
         for m in measurement_candidates(s, p, sp):
             checked += 1
             elim = eliminable_states(s, m)
             for outcome in elim:
                 if outcome and len(outcome) < len(s):
-                    return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, CLASS_NOTE)
-    return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, CLASS_NOTE)
+                    return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, note)
+    return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, note)

@@ -13,6 +13,7 @@ Negative verdicts are class-relative and say so; certificates replay.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -21,19 +22,22 @@ import numpy as np
 from .oplm import (
     CLASS_NOTE,
     ELIM_TOL,
+    INDEX_PROJECTOR_CAP,
     SPAN_TOL,
     LocalMeasurement,
+    _party_matrices,
+    index_projectors_capped,
     measurement_candidates,
     oplm_space,
 )
 from .qset import serialize_qset
 from .states import (
-    Ket,
     StateSet,
     gram_check,
     local_vectors,
     party_letter,
     redundancy_check_whole_parties,
+    row_norms,
     schmidt_rank,
     Bipartition,
 )
@@ -103,26 +107,21 @@ def tree_from_json(obj):
 def apply_outcome(s: StateSet, party: int, kraus, check: bool = True, tol: float = SPAN_TOL):
     """Project every state, drop the eliminated ones, renormalize survivors.
 
-    Returns (surviving StateSet, list of surviving original labels). Raises
-    if the survivors are no longer pairwise orthogonal (not an OPLM outcome).
+    Works on the amplitude matrix: one batched product of the Kraus operator
+    with every state's party-first matrix, and a state is eliminated when
+    its post-measurement norm is at most ELIM_TOL. Returns (surviving
+    StateSet, list of surviving original labels). Raises if the survivors
+    are no longer pairwise orthogonal (not an OPLM outcome).
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
     dims = s.space.party_dims
-    n = s.space.n_parties
-    order = [party] + [q for q in range(n) if q != party]
-    inv = list(np.argsort(order))
-    survivors = []
-    labels = []
-    for k in s.states:
-        t = k.tensor().transpose(order).reshape(dims[party], -1)
-        post = kraus @ t
-        nrm = np.linalg.norm(post)
-        if nrm <= ELIM_TOL:
-            continue
-        full = post.reshape([dims[q] for q in order]).transpose(inv).reshape(-1)
-        survivors.append(Ket(s.space, full, k.label))
-        labels.append(k.label)
-    out = StateSet(s.space, survivors, s.name)
+    order = [party] + [q for q in range(len(dims)) if q != party]
+    post = kraus @ _party_matrices(s, party)
+    keep = ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+    post = post[keep].reshape(-1, *(dims[q] for q in order))
+    full = post.transpose([0] + [1 + int(i) for i in np.argsort(order)]).reshape(len(post), s.space.total_dim)
+    labels = [lab for lab, k in zip(s.labels, keep) if k]
+    out = StateSet.from_matrix(s.space, full, labels, s.name)
     if check and len(out) > 1:
         rep = gram_check(out, tol=tol)
         if not rep.ok:
@@ -188,8 +187,8 @@ def verify_protocol(s: StateSet, tree) -> VerifyReport:
             failures.append(f"{path}: leaf identifies nothing but {len(cur)} state(s) reach it")
         elif len(cur) != 1:
             failures.append(f"{path}: leaf holds {len(cur)} states")
-        elif cur.states[0].label != node.identified:
-            failures.append(f"{path}: leaf claims {node.identified!r}, reached by {cur.states[0].label!r}")
+        elif cur.labels[0] != node.identified:
+            failures.append(f"{path}: leaf claims {node.identified!r}, reached by {cur.labels[0]!r}")
         else:
             identified[node.identified] = path
     missing = [lab for lab in s.labels if lab not in identified]
@@ -232,16 +231,31 @@ class Certificate:
 
 
 def canonical_key(s: StateSet) -> bytes:
-    m = s.matrix().copy()
-    for i in range(m.shape[0]):
-        row = m[i]
-        nz = np.nonzero(np.abs(row) > 1e-7)[0]
-        if nz.size:
-            a = row[nz[0]]
-            m[i] = row * (np.conj(a) / abs(a))
-    m = np.round(m, 9) + 0.0
-    rows = sorted(np.ascontiguousarray(m[i]).tobytes() for i in range(m.shape[0]))
-    return repr(s.space.party_dims).encode() + b"|" + b"".join(rows)
+    """Interning key: the sha256 digest of the party dims and one item per
+    state, sorted.
+
+    Each row gets its phase fixed (its first entry above 1e-7 in magnitude
+    made real positive) and is rounded to 9 decimals; its item is the row's
+    bytes followed by its label, so sets that differ only in labels get
+    different keys. The memo keeps the digest, not the items, which are as
+    large as the amplitude matrix itself.
+    """
+    m = s.matrix()
+    big = np.abs(m) > 1e-7
+    rows = np.flatnonzero(big.any(axis=1))
+    if rows.size:
+        a = m[rows, big[rows].argmax(axis=1)]
+        m = m.copy()
+        # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on
+        # a complex array rounds differently for about a third of inputs
+        m[rows] = m[rows] * (np.conj(a) / np.hypot(a.real, a.imag))[:, None]
+    buf = (np.round(m, 9) + 0.0).tobytes()
+    width = m.shape[1] * m.itemsize
+    items = []
+    for i, lab in enumerate(s.labels):
+        b = lab.encode()
+        items.append(buf[i * width : (i + 1) * width] + len(b).to_bytes(4, "little") + b)
+    return hashlib.sha256(repr(s.space.party_dims).encode() + b"|" + b"".join(sorted(items))).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +294,17 @@ class SetAnalyzer:
     class), or None (depth cap truncated the exploration). Conclusive
     results are final; truncated ones are retried when asked again with a
     larger budget.
+
+    Reached sets are interned by `canonical_key`, so two sets with the same
+    amplitudes but different labels are two nodes. A node's moves are
+    expanded eagerly, every outcome of every candidate applied and
+    interned, because the activation transcript lists nodes in that order.
     """
 
     def __init__(self):
         self.nodes: dict[bytes, dict] = {}
+        # per memo slot, the expanded nodes whose index projectors were capped
+        self.capped: dict[str, set[bytes]] = {}
 
     def intern(self, s: StateSet) -> bytes:
         key = canonical_key(s)
@@ -381,6 +402,7 @@ class SetAnalyzer:
                     child, labels = apply_outcome(s, p, kraus)
                     children.append((oi, self.intern(child) if len(child) else None, labels))
                 out.append((p, m, children))
+        nd["index_capped"] = any(index_projectors_capped(s, p) for p in range(s.space.n_parties))
         nd["moves"] = out
         return out
 
@@ -417,9 +439,9 @@ class SetAnalyzer:
                 continue
             d = s.space.party_dims[p]
             kraus = [np.outer(v, v.conj()) for v in locs]
-            labels = [f"P[{k.label}]" for k, v in zip(s.states, locs)]
+            labels = [f"P[{lab}]" for lab in s.labels]
             rest = np.eye(d, dtype=np.complex128) - sum(kraus)
-            children = [Leaf(identified=k.label) for k in s.states]
+            children = [Leaf(identified=lab) for lab in s.labels]
             if np.abs(rest).max() > 1e-10:
                 kraus.append(rest)
                 labels.append("rest")
@@ -434,7 +456,7 @@ class SetAnalyzer:
     def _dist_terminal(self, key: bytes):
         s = self.set_of(key)
         if len(s) <= 1:
-            return True, Leaf(identified=s.states[0].label) if len(s) == 1 else Leaf()
+            return True, Leaf(identified=s.labels[0]) if len(s) == 1 else Leaf()
         tr = self.terminal_resolution(key)
         return (True, tr) if tr is not None else None
 
@@ -484,7 +506,10 @@ class SetAnalyzer:
             return None, None
         entry = getattr(self, rule.entry)
         incomplete = False
-        for p, m, children in self._ordered_moves(key, rule.order):
+        moves = self._ordered_moves(key, rule.order)
+        if nd["index_capped"]:
+            self.capped.setdefault(rule.slot, set()).add(key)
+        for p, m, children in moves:
             subtrees = []
             good = True
             for _oi, ck, _labels in children:
@@ -555,6 +580,19 @@ class SetAnalyzer:
 # top-level search entry points
 
 
+def _search_params(an: SetAnalyzer, max_depth: int, *slots: str) -> dict:
+    """Certificate params of a search that filled the memo `slots`.
+
+    Names the index-projector cap only when it bound at an expanded node,
+    i.e. when the searched class lacked some index projectors there.
+    """
+    params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
+    capped = set().union(*(an.capped.get(slot, ()) for slot in slots))
+    if capped:
+        params["index_projector_cap"] = {"cap": INDEX_PROJECTOR_CAP, "capped_nodes": len(capped)}
+    return params
+
+
 def _intern_root(s: StateSet, analyzer: SetAnalyzer | None):
     if not gram_check(s).ok:
         raise ValueError("input set is not pairwise orthogonal")
@@ -566,7 +604,7 @@ def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: Se
     """Find and verify a perfect-discrimination protocol, or report exhaustion."""
     an, key = _intern_root(s, analyzer)
     status, tree = an.distinguishable(key, max_depth)
-    params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
+    params = _search_params(an, max_depth, "dist")
     if status is True:
         vr = verify_protocol(s, tree)
         if not vr.passed:
@@ -643,8 +681,8 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     returns kind Incomplete, never a negative verdict.
     """
     an, key = _intern_root(s, analyzer)
-    params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
     dstat = an.distinguishable_status(key, max_depth)
+    params = _search_params(an, max_depth, "dist_status")
     if dstat is False:
         cert = an.certified_indistinguishable(key)
         return Certificate(
@@ -664,9 +702,10 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     status, tree = an.activation(key, max_depth)
     if status is True:
         cert = certify_activation_protocol(s, tree, analyzer=an)
-        cert.params.update(params)
+        cert.params.update(_search_params(an, max_depth, "act", "dist_status"))
         return cert
     transcript = an.activation_transcript(max_depth)
+    params = _search_params(an, max_depth, "act", "dist_status")
     # weaker some-branch flag: did any branch alone reach a certified leaf?
     probabilistic = any(nd.get("act_leaf_evidence") for nd in an.nodes.values())
     complete = status is False

@@ -2,12 +2,17 @@
 reduced states and local-redundancy checking.
 
 States are always stored normalized; analyses only ever need directions.
+A `StateSet` stores its states as one read-only (n_states, total_dim)
+amplitude matrix plus a label per row, and the hot paths work on that
+matrix; a `Ket` is the per-state view, built from a row the first time the
+set's states are read.
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
 (orthogonal supports), which for PSD operators is equivalent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +58,7 @@ class PartySpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.party_dims))
+        return math.prod(self.party_dims)
 
     def factor_dims(self) -> tuple[int, ...]:
         """Party dims with sub-splits expanded into individual tensor factors."""
@@ -151,35 +156,90 @@ def make_ket(space: PartySpace, terms, label: str = "") -> Ket:
     return Ket(space, amps, label)
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a C-contiguous complex (n, D) matrix.
+
+    Each value is bit for bit `np.linalg.norm` of that row: the same BLAS dot
+    of the real parts and of the imaginary parts (stride 2 doubles), summed,
+    then the square root.
+    """
+    re, im = m.real, m.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
+
+
 class StateSet:
-    """An ordered, labeled collection of kets sharing one party structure."""
+    """An ordered, labeled collection of states sharing one party structure.
+
+    The storage is one read-only (n_states, total_dim) complex128 matrix of
+    normalized rows plus one unique label per row; `matrix()` returns it as
+    is. `states` (and iteration) gives the per-state `Ket` views of the
+    rows, built on first read; a set made from kets keeps their amplitudes
+    in the matrix, not the kets. `from_matrix` makes a set straight from
+    amplitude rows without building any `Ket`.
+    """
 
     def __init__(self, space: PartySpace, states, name: str = ""):
         states = list(states)
         if any(s.space != space for s in states):
             raise ValueError("all states must share the set's PartySpace")
-        labels = [s.label for s in states]
+        if states:
+            m = np.stack([s.amplitudes for s in states])
+        else:
+            m = np.zeros((0, space.total_dim), dtype=np.complex128)
+        self._init(space, m, [s.label for s in states], name)
+
+    @classmethod
+    def from_matrix(cls, space: PartySpace, matrix, labels, name: str = "") -> "StateSet":
+        """A set whose states are the rows of `matrix`, labeled by `labels`.
+
+        Rows are checked and normalized as `Ket` does it (finite entries,
+        norm at least 1e-12, divided by the norm unless it is within 1e-12
+        of 1), once for the whole array.
+        """
+        labels = list(labels)
+        m = as_carray(np.array(matrix, dtype=np.complex128, order="C"))
+        if m.shape != (len(labels), space.total_dim):
+            raise ValueError(f"amplitude matrix shape {m.shape} != ({len(labels)}, {space.total_dim})")
+        norms = row_norms(m)
+        if np.any(norms < 1e-12):
+            raise ValueError("zero vector cannot be a Ket")
+        off = np.abs(norms - 1.0) > 1e-12
+        if off.any():
+            m[off] = m[off] / norms[off, None]
+        out = cls.__new__(cls)
+        out._init(space, m, labels, name)
+        return out
+
+    def _init(self, space: PartySpace, m: np.ndarray, labels: list[str], name: str):
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be unique")
+        m.flags.writeable = False
         self.space = space
-        self.states = states
         self.name = name
+        self._matrix = m
+        self._labels = labels
+        self._states: list[Ket] | None = None
+
+    @property
+    def states(self) -> list[Ket]:
+        if self._states is None:
+            self._states = [Ket(self.space, row, lab) for row, lab in zip(self._matrix, self._labels)]
+        return self._states
 
     def __len__(self):
-        return len(self.states)
+        return len(self._labels)
 
     def __iter__(self):
         return iter(self.states)
 
     @property
     def labels(self) -> list[str]:
-        return [s.label for s in self.states]
+        return list(self._labels)
 
     def matrix(self) -> np.ndarray:
-        """(n_states, total_dim) amplitude matrix."""
-        if not self.states:
-            return np.zeros((0, self.space.total_dim), dtype=np.complex128)
-        return np.stack([s.amplitudes for s in self.states])
+        """(n_states, total_dim) amplitude matrix, read-only."""
+        return self._matrix
 
     def __repr__(self):
         return f"StateSet({self.name or '?'}: {len(self)} states on {self.space.party_dims})"
@@ -212,12 +272,11 @@ def gram_check(s: StateSet, tol: float = ORTHO_TOL) -> OrthoReport:
     if len(s) == 0:
         raise ValueError("empty state set")
     g = np.abs(gram_matrix(s))
-    viol = []
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if g[i, j] > tol:
-                viol.append((s.states[i].label, s.states[j].label, float(g[i, j])))
-    viol.sort(key=lambda t: -t[2])
+    # pairs i < j in row-major order, then a stable sort by magnitude
+    i, j = np.nonzero(np.triu(g > tol, 1))
+    vals = g[i, j]
+    labels = s.labels
+    viol = [(labels[i[k]], labels[j[k]], float(vals[k])) for k in np.argsort(-vals, kind="stable")]
     return OrthoReport(ok=not viol, tol=tol, violations=viol)
 
 
@@ -298,12 +357,8 @@ def merge_parties(s: StateSet, grouping, reorder=None) -> StateSet:
         new_dims.append(int(np.prod([s.space.party_dims[i] for i in g])))
     if order_check != sorted(order_check):
         raise ValueError("groups must appear in reorder order")
-    new_space = PartySpace(tuple(new_dims))
-    new_states = []
-    for k in s.states:
-        t = k.tensor().transpose(reorder).reshape(-1)
-        new_states.append(Ket(new_space, t, k.label))
-    return StateSet(new_space, new_states, s.name)
+    m = s.matrix().reshape(len(s), *s.space.party_dims).transpose([0] + [1 + i for i in reorder])
+    return StateSet.from_matrix(PartySpace(tuple(new_dims)), m.reshape(len(s), s.space.total_dim), s.labels, s.name)
 
 
 def reduced_state(k: Ket, keep) -> np.ndarray:
@@ -382,7 +437,7 @@ def redundancy_check_whole_parties(s: StateSet, tol: float = ORTHO_TOL) -> bool:
     Used when judging activation leaves: in a given partition the discardable
     subsystems are the parties themselves.
     """
-    plain = StateSet(PartySpace(s.space.party_dims), [Ket(PartySpace(s.space.party_dims), k.amplitudes, k.label) for k in s.states], s.name)
+    plain = StateSet.from_matrix(PartySpace(s.space.party_dims), s.matrix(), s.labels, s.name)
     if plain.space.n_parties < 2:
         return False
     return redundancy_check(plain, tol=tol).redundant

@@ -1,12 +1,28 @@
-"""Shared test helpers: random state-set generators and malformed protocol trees."""
+"""Shared test helpers: random state-set generators, malformed protocol
+trees, the pinned benchmark digests, and per-state reference versions of
+the matrix code in qlocc."""
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
+import json
+from contextlib import contextmanager
+from pathlib import Path
 
-from qlocc.oplm import LocalMeasurement
+import numpy as np
+import pytest
+
+from qlocc import protocol
+from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
 from qlocc.protocol import builtin_protocol
-from qlocc.states import Ket, PartySpace, StateSet
+from qlocc.states import Ket, OrthoReport, PartySpace, StateSet
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+
+
+def digest(payload) -> str:
+    """sha256 of json.dumps(payload, sort_keys=True), as pinned in bench/digests.json."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def random_unit(rng, d: int) -> np.ndarray:
@@ -88,3 +104,117 @@ def childless_s3_activation_tree():
     tree = builtin_protocol("s3_activation")
     tree.children[0].children = tree.children[0].children[:1]
     return tree
+
+
+# ---------------------------------------------------------------------------
+# per-state references for the matrix code
+
+
+def reference_gram_check(s: StateSet, tol: float) -> OrthoReport:
+    """gram_check as a double loop over pairs, then a stable sort by magnitude."""
+    m = s.matrix()
+    g = np.abs(m.conj() @ m.T)
+    viol = []
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            if g[i, j] > tol:
+                viol.append((s.states[i].label, s.states[j].label, float(g[i, j])))
+    viol.sort(key=lambda t: -t[2])
+    return OrthoReport(ok=not viol, tol=tol, violations=viol)
+
+
+def reference_apply_outcome(s: StateSet, party: int, kraus, check: bool = True, tol: float = SPAN_TOL):
+    """apply_outcome one state at a time, one Ket per survivor."""
+    kraus = np.asarray(kraus, dtype=np.complex128)
+    dims = s.space.party_dims
+    n = s.space.n_parties
+    order = [party] + [q for q in range(n) if q != party]
+    inv = list(np.argsort(order))
+    survivors = []
+    labels = []
+    for k in s.states:
+        t = k.tensor().transpose(order).reshape(dims[party], -1)
+        post = kraus @ t
+        nrm = np.linalg.norm(post)
+        if nrm <= ELIM_TOL:
+            continue
+        full = post.reshape([dims[q] for q in order]).transpose(inv).reshape(-1)
+        survivors.append(Ket(s.space, full, k.label))
+        labels.append(k.label)
+    out = StateSet(s.space, survivors, s.name)
+    if check and len(out) > 1:
+        rep = reference_gram_check(out, tol)
+        if not rep.ok:
+            a, b, v = rep.violations[0]
+            raise ValueError(f"outcome breaks orthogonality: |<{a}|{b}>| = {v:.3g}")
+    return out, labels
+
+
+def reference_canonical_key(s: StateSet) -> bytes:
+    """canonical_key with the phases fixed one row at a time; each row's
+    label follows its row bytes (4-byte little-endian length, then UTF-8),
+    and the key is the sha256 digest of the whole."""
+    m = s.matrix().copy()
+    for i in range(m.shape[0]):
+        row = m[i]
+        nz = np.nonzero(np.abs(row) > 1e-7)[0]
+        if nz.size:
+            a = row[nz[0]]
+            m[i] = row * (np.conj(a) / abs(a))
+    m = np.round(m, 9) + 0.0
+    items = []
+    for i, lab in enumerate(s.labels):
+        b = lab.encode()
+        items.append(np.ascontiguousarray(m[i]).tobytes() + len(b).to_bytes(4, "little") + b)
+    return hashlib.sha256(repr(s.space.party_dims).encode() + b"|" + b"".join(sorted(items))).digest()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: sign bits of zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def outcome_matches_reference(s: StateSet, party: int, kraus, result) -> bool:
+    """`result` of apply_outcome(s, party, kraus) equals the per-state
+    reference bit for bit: amplitudes, Ket views, labels and name."""
+    out, labels = result
+    ref, ref_labels = reference_apply_outcome(s, party, kraus)
+    return (
+        labels == ref_labels == out.labels == ref.labels
+        and out.name == ref.name
+        and same_bits(out.matrix(), ref.matrix())
+        and all(same_bits(a.amplitudes, b.amplitudes) for a, b in zip(out.states, ref.states, strict=True))
+    )
+
+
+class ReferenceCheck:
+    """While installed, compares every `apply_outcome` and `canonical_key`
+    call made through qlocc.protocol with the per-state references."""
+
+    def __init__(self):
+        self.outcomes = 0
+        self.keys = 0
+        self.mismatches: list[str] = []
+
+    @contextmanager
+    def installed(self):
+        apply_outcome, canonical_key = protocol.apply_outcome, protocol.canonical_key
+
+        def checked_apply(s, party, kraus, *args, **kwargs):
+            result = apply_outcome(s, party, kraus, *args, **kwargs)
+            self.outcomes += 1
+            if not outcome_matches_reference(s, party, kraus, result):
+                self.mismatches.append(f"apply_outcome on {s.labels} at party {party}")
+            return result
+
+        def checked_key(s):
+            key = canonical_key(s)
+            self.keys += 1
+            if key != reference_canonical_key(s):
+                self.mismatches.append(f"canonical_key of {s.labels}")
+            return key
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "apply_outcome", checked_apply)
+            mp.setattr(protocol, "canonical_key", checked_key)
+            yield self

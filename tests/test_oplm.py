@@ -7,6 +7,7 @@ from _helpers import random_orthogonal_product_set, random_orthonormal_set
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import RANK_RTOL
 from qlocc.oplm import (
+    CLASS_NOTE,
     OplmSpace,
     _constraint_rows,
     _coords_to_matrix,
@@ -16,6 +17,7 @@ from qlocc.oplm import (
     _support_basis,
     block_structure,
     eliminable_states,
+    index_projectors_capped,
     is_locally_irreducible,
     is_oplm,
     is_trivial,
@@ -483,3 +485,15 @@ def test_is_locally_irreducible_solves_each_party_once(monkeypatch):
     v = is_locally_irreducible(build_fixture("s3"))
     assert v.verdict == "REDUCIBLE"
     assert solved == [0, 1]
+
+
+def test_index_projector_cap_named_in_class_note():
+    rng = np.random.default_rng(3)
+    wide = random_orthonormal_set(rng, (17, 2), 3)  # occupies all 17 indices of A
+    assert index_projectors_capped(wide, 0) and not index_projectors_capped(wide, 1)
+    v = is_locally_irreducible(wide)
+    assert v.verdict != "IRREDUCIBLE-EXACT"
+    assert v.class_note == CLASS_NOTE + "; index projectors not enumerated for party A (occupied support above 16)"
+    narrow = random_orthonormal_set(rng, (5, 2), 3)
+    assert not index_projectors_capped(narrow, 0)
+    assert is_locally_irreducible(narrow).class_note == CLASS_NOTE

@@ -1,19 +1,39 @@
 import numpy as np
 import pytest
 
+from _helpers import DIGESTS, ReferenceCheck, digest
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
 
 
-@pytest.fixture(scope="module")
-def s2_profile():
-    return hidden_nonlocality_profile(build_fixture("s2"), max_depth=8)
+def _checked_profile(name: str):
+    """The depth-8 profile of a fixture, computed while every apply_outcome
+    and canonical_key call is compared with the per-state references."""
+    check = ReferenceCheck()
+    with check.installed():
+        prof = hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    return prof, check
 
 
 @pytest.fixture(scope="module")
-def s4_profile():
-    return hidden_nonlocality_profile(build_fixture("s4"), max_depth=8)
+def s2_run():
+    return _checked_profile("s2")
+
+
+@pytest.fixture(scope="module")
+def s4_run():
+    return _checked_profile("s4")
+
+
+@pytest.fixture(scope="module")
+def s2_profile(s2_run):
+    return s2_run[0]
+
+
+@pytest.fixture(scope="module")
+def s4_profile(s4_run):
+    return s4_run[0]
 
 
 def test_rule_applies_to_s2_cuts():
@@ -82,6 +102,17 @@ def test_s4_profile(s4_profile):
     assert abc.evidence["activation"]["kind"] == "Activation"
     bac = prof.record("B|AC")
     assert bac.activable is True
+
+
+def test_s4_profile_bytes(s4_profile):
+    assert digest(s4_profile.to_json()) == DIGESTS["profile-s4"]["s4"]
+
+
+@pytest.mark.parametrize("run", ["s2_run", "s4_run"])
+def test_profile_outcomes_and_keys_match_per_state_references(run, request):
+    _prof, check = request.getfixturevalue(run)
+    assert check.outcomes > 0 and check.keys > 0
+    assert check.mismatches == []
 
 
 def test_s2_s4_profiles_differ(s2_profile, s4_profile):

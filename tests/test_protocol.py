@@ -21,7 +21,15 @@ from qlocc.protocol import (
 )
 from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, make_ket, merge_parties
 
-from _helpers import childless_s3_activation_tree, truncated_s3_activation_tree
+from _helpers import (
+    ReferenceCheck,
+    childless_s3_activation_tree,
+    outcome_matches_reference,
+    random_orthonormal_set,
+    reference_apply_outcome,
+    reference_canonical_key,
+    truncated_s3_activation_tree,
+)
 
 
 def pair_set():
@@ -66,6 +74,67 @@ def test_apply_outcome_rejects_orthogonality_break():
     )
     with pytest.raises(ValueError):
         apply_outcome(st, 0, np.diag([1, 0]).astype(complex))
+
+
+def test_apply_outcome_orthogonality_break_message_matches_reference():
+    s = PartySpace((2, 2))
+    st = StateSet(s, [make_ket(s, [(1, (0, 0))], "00"), make_ket(s, [(1, (1, 0))], "10")], "pair")
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.raises(ValueError) as ref:
+        reference_apply_outcome(st, 0, plus)
+    with pytest.raises(ValueError) as new:
+        apply_outcome(st, 0, plus)
+    assert str(new.value) == str(ref.value) == "outcome breaks orthogonality: |<00|10>| = 1"
+
+
+def _assert_matches_reference(s, party, kraus):
+    result = apply_outcome(s, party, kraus)
+    assert outcome_matches_reference(s, party, kraus, result)
+    assert canonical_key(result[0]) == reference_canonical_key(reference_apply_outcome(s, party, kraus)[0])
+    return result
+
+
+def test_apply_outcome_eliminating_every_state():
+    s1 = build_fixture("s1")
+    out, labels = _assert_matches_reference(s1, 1, np.zeros((4, 4), dtype=complex))
+    assert labels == [] and len(out) == 0
+    assert out.matrix().shape == (0, 16)
+
+
+def test_apply_outcome_single_survivor():
+    out, labels = _assert_matches_reference(pair_set(), 0, np.diag([1, 0]).astype(complex))
+    assert labels == out.labels == ["00"]
+
+
+def test_apply_outcome_one_party_space():
+    space = PartySpace((4,))
+    s = StateSet(space, [make_ket(space, [(1, (i,)), (1j, (i + 1,))], f"v{i}") for i in (0, 2)], "one-party")
+    out, labels = _assert_matches_reference(s, 0, np.diag([0, 1, 1, 1]).astype(complex))
+    assert labels == ["v0", "v2"]
+    _assert_matches_reference(s, 0, np.diag([1, 1, 0, 0]).astype(complex))
+
+
+def test_apply_outcome_renormalizes_as_the_reference_on_random_sets():
+    # generic Kraus operators leave survivors far from unit norm
+    rng = np.random.default_rng(7)
+    for dims in ((2, 3), (3, 2, 2)):
+        s = random_orthonormal_set(rng, dims, 5)
+        for party, d in enumerate(dims):
+            kraus = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            out, labels = apply_outcome(s, party, kraus, check=False)
+            ref, ref_labels = reference_apply_outcome(s, party, kraus, check=False)
+            assert labels == ref_labels == s.labels
+            assert out.matrix().tobytes() == ref.matrix().tobytes()
+            assert [k.amplitudes.tobytes() for k in out] == [k.amplitudes.tobytes() for k in ref]
+
+
+@pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
+def test_s1_general_outcomes_and_keys_match_per_state_references(search):
+    check = ReferenceCheck()
+    with check.installed():
+        search(build_fixture("s1_general", d=4), max_depth=8)
+    assert check.outcomes > 0 and check.keys > 0
+    assert check.mismatches == []
 
 
 def test_apply_outcome_count_conservation():
@@ -215,6 +284,26 @@ def test_canonical_key_dedup():
     assert canonical_key(s1) == canonical_key(reordered)
     s5 = build_fixture("s5")
     assert canonical_key(s1) != canonical_key(s5)
+
+
+def test_interning_is_label_aware():
+    s1 = build_fixture("s1")
+    relabeled = StateSet.from_matrix(s1.space, s1.matrix(), [f"x{lab}" for lab in s1.labels], "relabeled")
+    same = StateSet.from_matrix(s1.space, s1.matrix(), s1.labels, "copy")
+    an = SetAnalyzer()
+    keys = {an.intern(s1), an.intern(relabeled), an.intern(same)}
+    assert len(keys) == len(an.nodes) == 2
+    assert an.intern(same) == an.intern(s1) != an.intern(relabeled)
+
+
+@pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
+def test_index_projector_cap_named_in_search_params(search):
+    rng = np.random.default_rng(3)
+    wide = random_orthonormal_set(rng, (17, 2), 3)  # occupies all 17 indices of A
+    cert = search(wide, max_depth=2)
+    assert cert.params["index_projector_cap"] == {"cap": 16, "capped_nodes": 1}
+    narrow = random_orthonormal_set(rng, (5, 2), 3)
+    assert "index_projector_cap" not in search(narrow, max_depth=2).params
 
 
 def test_unknown_builtin():

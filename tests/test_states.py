@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_orthonormal_set
+from _helpers import random_orthonormal_set, reference_gram_check
 from qlocc.fixtures import build_fixture
 from qlocc.states import (
     Bipartition,
@@ -106,6 +106,71 @@ def test_gram_check_s6_verbatim_names_the_pairs():
     top = {frozenset(p) for p in rep.top_pairs(2)}
     assert top == {frozenset({"xi45+_0", "xi5_0"}), frozenset({"xi45-_0", "xi5_0"})}
     assert rep.violations[0][2] == pytest.approx(1 / np.sqrt(2))
+
+
+def test_gram_check_ties_keep_row_major_order():
+    space = PartySpace((2,))
+    rows = {"a": [1, 0], "b": [0, 1], "c": [1, 1], "d": [1, -1], "e": [3, 1]}
+    s = StateSet(space, [Ket(space, v, lab) for lab, v in rows.items()], "ties")
+    rep = gram_check(s)
+    # four pairs tie at 1/sqrt2 exactly; they keep their row-major order
+    assert [(a, b) for a, b, _ in rep.violations] == [
+        ("a", "e"), ("c", "e"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("d", "e"), ("b", "e"),
+    ]
+    assert len({v for _, _, v in rep.violations[2:6]}) == 1
+    assert rep.violations == reference_gram_check(s, rep.tol).violations
+    # 28 equal overlaps: more than a sort network of small size covers
+    same = StateSet(space, [Ket(space, [1, 1], f"p{i}") for i in range(8)], "copies")
+    pairs = [(f"p{i}", f"p{j}") for i in range(8) for j in range(i + 1, 8)]
+    assert [(a, b) for a, b, _ in gram_check(same).violations] == pairs
+
+
+def test_state_set_from_matrix_normalizes_as_ket():
+    space = PartySpace((2, 2))
+    rows = np.array([[3, 4j, 0, 0], [0, 0, 1, 0]], dtype=complex)
+    s = StateSet.from_matrix(space, rows, ["u", "v"], "m")
+    assert s.labels == ["u", "v"] and s.name == "m" and len(s) == 2
+    assert s.matrix()[0].tobytes() == Ket(space, rows[0], "u").amplitudes.tobytes()
+    assert s.matrix()[1].tobytes() == rows[1].tobytes()
+    rows[1, 2] = 5  # the set keeps its own copy
+    assert s.matrix()[1, 2] == 1
+    with pytest.raises(ValueError):
+        s.matrix()[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "rows, labels",
+    [
+        ([[1, 0, 0, 0], [0, 0, 0, 0]], ["a", "b"]),  # zero row
+        ([[1, 0, 0, np.nan]], ["a"]),  # non-finite
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], ["a", "a"]),  # duplicate label
+        ([[1, 0, 0]], ["a"]),  # wrong width
+        ([[1, 0, 0, 0]], ["a", "b"]),  # label count
+    ],
+)
+def test_state_set_from_matrix_rejects(rows, labels):
+    with pytest.raises(ValueError):
+        StateSet.from_matrix(PartySpace((2, 2)), np.array(rows, dtype=complex), labels)
+
+
+def test_state_set_builds_kets_only_when_read(monkeypatch):
+    built = []
+    init = Ket.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[-1])
+        init(self, *args, **kwargs)
+
+    s1 = build_fixture("s1")
+    monkeypatch.setattr(Ket, "__init__", counting)
+    s = StateSet.from_matrix(s1.space, s1.matrix(), s1.labels)
+    assert len(s) == 16 and s.labels == s1.labels and gram_check(s).ok
+    merged = merge_parties(s, [(0,), (1,)])
+    assert built == []
+    kets = s.states
+    assert built == s1.labels and s.states is kets
+    assert [k.amplitudes.tobytes() for k in kets] == [k.amplitudes.tobytes() for k in s1]
+    assert merged.matrix().tobytes() == s1.matrix().tobytes()
 
 
 def test_schmidt_rank_product():
