@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
 from .oplm import block_structure, is_locally_irreducible, oplm_space, projective_oplms
@@ -26,6 +24,7 @@ from .protocol import (
     activation_search,
     builtin_protocol,
     certify_activation_protocol,
+    matrix_json,
     search_distinguishing_protocol,
     tree_from_json,
     tree_to_json,
@@ -44,7 +43,7 @@ class UsageError(Exception):
 
 
 def _tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("QLOCC_TOL")
     return float(env) if env else DEFAULT_TOL
@@ -83,10 +82,6 @@ class NegativeVerdict(Exception):
     def __init__(self, payload: dict, text: str):
         self.payload = payload
         self.text = text
-
-
-def _matrix_json(m) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
 
 
 # -- command handlers: return (exit_code, verdict_payload, human_text) -------
@@ -168,7 +163,7 @@ def cmd_oplm(args, report):
         "support_dim": sp.support_dim,
         "trivial": sp.space_dim == 1,
         "identity_residual": sp.identity_residual(),
-        "basis": [_matrix_json(sp.embed(b)) for b in sp.basis],
+        "basis": [matrix_json(sp.embed(b)) for b in sp.basis],
         "commuting": bs.commuting,
         "block_supports": bs.index_supports if bs.commuting else None,
     }
@@ -332,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"qlocc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_depth=False):
+    def common(p, with_depth=False, with_tol=True):
         p.add_argument("--set", help="input .qset file")
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
-        p.add_argument("--tol", type=float, default=None, help="orthogonality tolerance (default 1e-9 or QLOCC_TOL)")
-        p.add_argument("--seed", type=int, default=None, help="seed for numeric oracle restarts")
+        if with_tol:
+            p.add_argument("--tol", type=float, default=None, help="orthogonality tolerance (default 1e-9 or QLOCC_TOL)")
         p.add_argument("--force", action="store_true", help="analyze even if the input fails the orthogonality check")
         if with_depth:
             p.add_argument("--max-depth", type=int, default=8, help="protocol search depth cap")
@@ -370,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upb", help="unextendibility of an orthogonal product set")
     common(p)
     p.add_argument("--oracle-restarts", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed for numeric oracle restarts")
     p.set_defaults(func=cmd_upb)
 
     p = sub.add_parser("protocol", help="verify or search discrimination protocols")
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("render", help="domino-tiling diagram (ascii or svg)")
-    common(p)
+    common(p, with_tol=False)
     p.add_argument("--format", default="ascii", choices=("ascii", "svg"))
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--overlay", default=None, help="PROTOCOL.json[:path] or builtin:NAME[:path]")

@@ -1,7 +1,9 @@
 """Dense complex linear algebra helpers for small (dim <= ~64) systems.
 
-All downstream rank/nullspace decisions derive from a single relative
-threshold ``RANK_RTOL`` applied to the largest singular value.
+Rank decisions cut at the relative threshold ``RANK_RTOL`` times the largest
+singular value. The one exception is the OPLM constraint rank
+(`oplm._rank`), which also keeps an absolute floor of 1e-10 so that rounding
+noise from orthogonal pairs never counts as a constraint.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL
-from .states import StateSet, party_letter
+from .states import StateSet, occupied_indices, party_letter, party_matrices
 
 SPAN_TOL = 1e-8
 ELIM_TOL = 1e-9
@@ -34,14 +34,6 @@ COMM_TOL = 1e-8
 # computational-basis index projectors are enumerated (2^r masks) only when
 # the occupied support of the party has r <= this many indices
 INDEX_PROJECTOR_CAP = 16
-
-
-def _party_matrices(s: StateSet, party: int) -> np.ndarray:
-    """States reshaped to (n, d_party, d_rest) with the party axis leading."""
-    dims = s.space.party_dims
-    order = [party] + [q for q in range(len(dims)) if q != party]
-    t = s.matrix().reshape(len(s), *dims).transpose([0] + [1 + q for q in order])
-    return t.reshape(len(s), dims[party], s.space.total_dim // dims[party])
 
 
 def _support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -212,7 +204,7 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     if len(s) == 0:
         raise ValueError("empty state set")
     d = s.space.party_dims[party]
-    mats = _party_matrices(s, party)
+    mats = party_matrices(s, party)
     if on_support:
         support, idx = _support_basis(mats)
     else:
@@ -299,9 +291,6 @@ class LocalMeasurement:
         total = sum(m.conj().T @ m for m in self.kraus)
         return float(np.abs(total - np.eye(total.shape[0])).max())
 
-    def describe(self) -> str:
-        return f"party {party_letter(self.party)}: " + " / ".join(self.labels)
-
 
 def _measurement_from_projector(sp: OplmSpace, p: np.ndarray, label: str) -> LocalMeasurement:
     p_full = sp.embed(p)
@@ -358,16 +347,10 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     return out
 
 
-def _occupied_indices(mats: np.ndarray) -> list[int]:
-    """Computational-basis indices of the party that some state occupies."""
-    weight = np.abs(mats).max(axis=(0, 2))
-    return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
-
-
 def index_projectors_capped(s: StateSet, party: int) -> bool:
     """True when `measurement_candidates` skips the index projectors of
     `party` because its occupied support exceeds INDEX_PROJECTOR_CAP."""
-    return len(_occupied_indices(_party_matrices(s, party))) > INDEX_PROJECTOR_CAP
+    return len(occupied_indices(party_matrices(s, party))) > INDEX_PROJECTOR_CAP
 
 
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
@@ -402,8 +385,8 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
                 add(m)
 
     d = s.space.party_dims[party]
-    mats = _party_matrices(s, party)
-    occ = _occupied_indices(mats)
+    mats = party_matrices(s, party)
+    occ = occupied_indices(mats)
     r = len(occ)
     if 2 <= r <= INDEX_PROJECTOR_CAP:
         u_occ = np.zeros((d, r), dtype=np.complex128)
@@ -432,7 +415,7 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
 
 def is_oplm(s: StateSet, m: LocalMeasurement, tol: float = SPAN_TOL) -> bool:
     """Check every outcome of m against the pairwise constraints."""
-    mats = _party_matrices(s, party=m.party)
+    mats = party_matrices(s, party=m.party)
     d = s.space.party_dims[m.party]
     ident = np.eye(d, dtype=np.complex128)
     g = _pair_tensors(mats, ident)
@@ -450,7 +433,7 @@ def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
     """Per outcome, the labels conclusively excluded (post-measurement norm 0)."""
     if not is_oplm(s, m):
         raise ValueError("measurement does not preserve orthogonality on this set")
-    mats = _party_matrices(s, m.party)
+    mats = party_matrices(s, m.party)
     out = []
     for kraus in m.kraus:
         post = np.einsum("ab,nbr->nar", kraus, mats)

@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .protocol import Certificate, SetAnalyzer, activation_search, search_distinguishing_protocol
-from .states import Bipartition, StateSet, merge_parties, party_letter, schmidt_rank
+from .states import StateSet, local_factors, merge_parties, party_letter
 
 
 @dataclass
@@ -41,8 +39,7 @@ def qubit_times_n_rule(s: StateSet) -> RuleVerdict:
         return RuleVerdict(False, reason="not bipartite")
     if min(s.space.party_dims) != 2:
         return RuleVerdict(False, reason="no 2-dimensional party")
-    cut = Bipartition.of({0}, 2)
-    if any(schmidt_rank(k, cut) > 1 for k in s.states):
+    if not local_factors(s, 0)[1].all():
         return RuleVerdict(False, reason="set contains an entangled state across the cut")
     return RuleVerdict(True, distinguishable=True, activable=False, reason="C2xCn product set")
 

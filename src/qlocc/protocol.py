@@ -25,7 +25,6 @@ from .oplm import (
     INDEX_PROJECTOR_CAP,
     SPAN_TOL,
     LocalMeasurement,
-    _party_matrices,
     index_projectors_capped,
     measurement_candidates,
     oplm_space,
@@ -34,12 +33,13 @@ from .qset import serialize_qset
 from .states import (
     StateSet,
     gram_check,
+    local_factors,
     local_vectors,
     party_letter,
+    party_matrices,
+    party_rows,
     redundancy_check_whole_parties,
     row_norms,
-    schmidt_rank,
-    Bipartition,
 )
 from .upb import check_unextendible
 
@@ -63,6 +63,11 @@ class Measure:
     children: list
 
 
+def matrix_json(m) -> list:
+    """A complex matrix as nested [real, imag] pairs, row by row."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+
+
 def tree_to_json(node):
     if node is None:
         return None
@@ -74,7 +79,7 @@ def tree_to_json(node):
         "party": node.party,
         "outcomes": [
             {
-                "kraus": [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(k)],
+                "kraus": matrix_json(k),
                 "child": tree_to_json(c),
             }
             for k, c in zip(node.measurement.kraus, node.children)
@@ -114,12 +119,9 @@ def apply_outcome(s: StateSet, party: int, kraus, check: bool = True, tol: float
     are no longer pairwise orthogonal (not an OPLM outcome).
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
-    dims = s.space.party_dims
-    order = [party] + [q for q in range(len(dims)) if q != party]
-    post = kraus @ _party_matrices(s, party)
+    post = kraus @ party_matrices(s, party)
     keep = ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
-    post = post[keep].reshape(-1, *(dims[q] for q in order))
-    full = post.transpose([0] + [1 + int(i) for i in np.argsort(order)]).reshape(len(post), s.space.total_dim)
+    full = party_rows(s.space, party, post[keep])
     labels = [lab for lab, k in zip(s.labels, keep) if k]
     out = StateSet.from_matrix(s.space, full, labels, s.name)
     if check and len(out) > 1:
@@ -339,9 +341,8 @@ class SetAnalyzer:
     def is_product(self, key: bytes) -> bool:
         nd = self.nodes[key]
         if "is_product" not in nd:
-            n = nd["set"].space.n_parties
-            cuts = [Bipartition.of({p}, n) for p in range(n)] if n > 1 else []
-            nd["is_product"] = all(schmidt_rank(k, c) <= 1 for k in nd["set"].states for c in cuts)
+            s = nd["set"]
+            nd["is_product"] = all(local_factors(s, p)[1].all() for p in range(s.space.n_parties))
         return nd["is_product"]
 
     def exact_nonactivable(self, key: bytes) -> bool:

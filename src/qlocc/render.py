@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import Bipartition, StateSet, coefficient_matrix
+from .linalg import RANK_RTOL
+from .states import StateSet, party_matrices
 
 CELL_TOL = 1e-9
 
@@ -93,7 +94,7 @@ def _rectangles_of(label: str, m: np.ndarray, allow_linked: bool):
             raise ValueError(f"state {label!r}: support does not fill its bounding rectangle")
         amps = m[np.ix_(rs, cs)]
         sv = np.linalg.svd(amps, compute_uv=False)
-        if sv.size > 1 and sv[1] > 1e-8 * sv[0]:
+        if sv.size > 1 and sv[1] > RANK_RTOL * sv[0]:
             raise ValueError(f"state {label!r}: rectangle block is not rank one")
         rects.append((rs[0], rs[-1], cs[0], cs[-1]))
 
@@ -117,18 +118,17 @@ def extract_tiles(s: StateSet, allow_linked: bool = False) -> TileDiagram:
     links: list[tuple[str, list[int]]] = []
     order: list[tuple] = []
     pending_links: list[tuple[str, list[tuple]]] = []
-    for k in s.states:
-        m = coefficient_matrix(k, Bipartition.of({0}, 2))
-        rects = _rectangles_of(k.label, m, allow_linked)
+    for label, m in zip(s.labels, party_matrices(s, 0)):
+        rects = _rectangles_of(label, m, allow_linked)
         keys = []
         for r in rects:
             if r not in by_range:
                 by_range[r] = Tile(*r)
                 order.append(r)
-            by_range[r].members.append(k.label)
+            by_range[r].members.append(label)
             keys.append(r)
         if len(keys) > 1:
-            pending_links.append((k.label, keys))
+            pending_links.append((label, keys))
     order.sort()
     index = {r: i for i, r in enumerate(order)}
     tiles = [by_range[r] for r in order]
@@ -144,14 +144,6 @@ def _tile_color(t: Tile) -> str:
         "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd", "#ccebc5", "#ffed6f",
     )
     return palette[digest[0] % len(palette)]
-
-
-def _coverage(diagram: TileDiagram) -> np.ndarray:
-    cover = np.zeros(diagram.dims, dtype=int)
-    for t in diagram.tiles:
-        for a, b in t.cells():
-            cover[a, b] += 1
-    return cover
 
 
 def render(s: StateSet, fmt: str = "ascii", overlay: tuple[int, list[int]] | None = None) -> str:

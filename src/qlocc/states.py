@@ -6,6 +6,15 @@ A `StateSet` stores its states as one read-only (n_states, total_dim)
 amplitude matrix plus a label per row, and the hot paths work on that
 matrix; a `Ket` is the per-state view, built from a row the first time the
 set's states are read.
+
+This is the one module that knows how a set looks from one party:
+`party_matrices` is the party-first (n, d_p, rest) view of the amplitude
+matrix and `party_rows` its inverse, `occupied_indices` the party's
+occupied computational-basis indices, and `local_factors` decides with one
+stacked SVD per party which states are product across that party's cut and
+what their local vectors are. `schmidt_rank`, `coefficient_matrix` and
+`is_product_state` remain as the per-`Ket` API.
+
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
 (orthogonal supports), which for PSD operators is equivalent.
 """
@@ -305,6 +314,46 @@ def is_product_state(k: Ket) -> bool:
     return all(schmidt_rank(k, Bipartition.of({p}, n)) == 1 for p in range(n))
 
 
+def _party_first(dims, party: int) -> list[int]:
+    return [party] + [q for q in range(len(dims)) if q != party]
+
+
+def party_matrices(s: StateSet, party: int) -> np.ndarray:
+    """States reshaped to (n, d_party, d_rest) with the party axis leading."""
+    dims = s.space.party_dims
+    order = _party_first(dims, party)
+    t = s.matrix().reshape(len(s), *dims).transpose([0] + [1 + q for q in order])
+    return t.reshape(len(s), dims[party], s.space.total_dim // dims[party])
+
+
+def party_rows(space: PartySpace, party: int, mats: np.ndarray) -> np.ndarray:
+    """Inverse of `party_matrices`: (n, d_party, d_rest) back to amplitude rows."""
+    dims = space.party_dims
+    order = _party_first(dims, party)
+    t = mats.reshape(-1, *(dims[q] for q in order))
+    return t.transpose([0] + [1 + int(i) for i in np.argsort(order)]).reshape(len(t), space.total_dim)
+
+
+def occupied_indices(mats: np.ndarray) -> list[int]:
+    """Computational-basis indices of the party that some state occupies,
+    from its party matrices (n, d_party, d_rest)."""
+    weight = np.abs(mats).max(axis=(0, 2))
+    return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
+
+
+def local_factors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's leading left singular vector on `party` (rows of an
+    (n, d_party) array) and a mask of the states that are product across
+    that party's cut (sigma_1 <= RANK_RTOL * sigma_0).
+
+    One stacked full-matrices SVD of the party matrices; each item is bit
+    for bit the SVD of that state's coefficient matrix.
+    """
+    u, sv, _ = np.linalg.svd(party_matrices(s, party))
+    second = sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(s))
+    return u[:, :, 0], second <= RANK_RTOL * sv[:, 0]
+
+
 def local_vectors(s: StateSet, party: int) -> np.ndarray | None:
     """Per-state local vectors on `party` when every state is product across
     that party's cut; None if some state is entangled across it.
@@ -312,20 +361,14 @@ def local_vectors(s: StateSet, party: int) -> np.ndarray | None:
     Vectors are normalized with a fixed phase convention (first significant
     amplitude real positive).
     """
-    n = s.space.n_parties
-    if n == 1:
+    if s.space.n_parties == 1:
         return s.matrix()
-    out = []
-    for k in s.states:
-        m = coefficient_matrix(k, Bipartition.of({party}, n))
-        u, sv, vh = np.linalg.svd(m)
-        if sv.size > 1 and sv[1] > RANK_RTOL * sv[0]:
-            return None
-        v = u[:, 0]
-        j = int(np.argmax(np.abs(v) > 1e-7))
-        v = v * (np.conj(v[j]) / abs(v[j]))
-        out.append(v)
-    return np.stack(out)
+    v, product = local_factors(s, party)
+    if not product.all():
+        return None
+    a = v[np.arange(len(v)), np.argmax(np.abs(v) > 1e-7, axis=1)]
+    # np.hypot is libm hypot, as abs() on one complex scalar
+    return v * (np.conj(a) / np.hypot(a.real, a.imag))[:, None]
 
 
 def merge_parties(s: StateSet, grouping, reorder=None) -> StateSet:
@@ -447,9 +490,9 @@ def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
     """Bipartite amplitude matrices restricted to the index supports."""
     if s.space.n_parties != 2:
         raise ValueError("relabeling comparison is bipartite")
-    mats = np.stack([coefficient_matrix(k, Bipartition.of({0}, 2)) for k in s.states])
-    arows = np.where(np.abs(mats).max(axis=(0, 2)) > 1e-9)[0]
-    acols = np.where(np.abs(mats).max(axis=(0, 1)) > 1e-9)[0]
+    mats = party_matrices(s, 0)
+    arows = occupied_indices(mats)
+    acols = occupied_indices(party_matrices(s, 1))
     return mats[:, arows][:, :, acols], len(arows), len(acols)
 
 

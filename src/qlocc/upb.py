@@ -9,7 +9,8 @@ eigenvector descent serves as an independent numeric cross-check.
 
 Parties are restricted to the span of the members' local supports first, so
 sets embedded in larger spaces (post-measurement leaves) are judged on the
-subspace they actually occupy.
+subspace they actually occupy. The members' product structure and local
+vectors come from `states.local_factors`, one stacked SVD per party.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL
-from .oplm import _party_matrices, _support_basis
-from .states import Ket, StateSet, gram_check, is_product_state
+from .oplm import _support_basis
+from .states import Ket, StateSet, gram_check, local_factors, party_matrices
 
 ASSIGNMENT_CAP = 10**7
 WITNESS_TOL = 1e-8
@@ -30,23 +30,16 @@ WITNESS_TOL = 1e-8
 RESTART_BLOCK = 1024
 
 
-def _local_support_vectors(s: StateSet):
+def _local_support_vectors(s: StateSet, factors):
     """Per-party support basis U_p and per-state unit local vectors in the
-    support coordinates. Requires every member to be a product state."""
+    support coordinates, from the `local_factors` of every party. Every
+    member must be a product state."""
     supports = []
     locals_ = []
-    for p in range(s.space.n_parties):
-        mats = _party_matrices(s, p)
-        u, _ = _support_basis(mats)
-        vecs = []
-        for i in range(len(s)):
-            m = mats[i]
-            uu, sv, _ = np.linalg.svd(m)
-            if sv.size > 1 and sv[1] > RANK_RTOL * sv[0]:
-                raise ValueError(f"state {s.states[i].label} is not product across party {p}")
-            vecs.append(u.conj().T @ uu[:, 0])
+    for p, (vecs, _) in enumerate(factors):
+        u, _ = _support_basis(party_matrices(s, p))
         supports.append(u)
-        locals_.append(np.stack(vecs))
+        locals_.append(np.stack([u.conj().T @ v for v in vecs]))
     return supports, locals_
 
 
@@ -74,14 +67,15 @@ def check_unextendible(s: StateSet, node_cap: int = 5_000_000) -> UpbVerdict:
         raise ValueError("empty state set")
     if not gram_check(s).ok:
         raise ValueError("set must be pairwise orthogonal")
-    for k in s.states:
-        if not is_product_state(k):
-            raise ValueError(f"state {k.label} is not a product state")
     n_parties = s.space.n_parties
+    factors = [local_factors(s, p) for p in range(n_parties)]
+    product = np.logical_and.reduce([mask for _, mask in factors])
+    if not product.all():
+        raise ValueError(f"state {s.labels[int(np.argmin(product))]} is not a product state")
     k = len(s)
     if n_parties**k > ASSIGNMENT_CAP:
         raise ValueError(f"{n_parties}^{k} assignments exceed cap; use numeric_extension_search")
-    supports, locals_ = _local_support_vectors(s)
+    supports, locals_ = _local_support_vectors(s, factors)
     rdims = [u.shape[1] for u in supports]
     note = "supports: " + " x ".join(str(r) for r in rdims) + f" (ambient {'x'.join(str(d) for d in s.space.party_dims)})"
 
@@ -100,20 +94,17 @@ def check_unextendible(s: StateSet, node_cap: int = 5_000_000) -> UpbVerdict:
             w = locals_[p][i]
             resid = w - spans[p] @ (spans[p].conj().T @ w)
             rn = np.linalg.norm(resid)
-            if rn > 1e-8:
+            grow = rn > 1e-8  # w is not yet in party p's span
+            if grow:
                 if spans[p].shape[1] + 1 >= rdims[p]:
                     continue  # party span would become full: no room for a witness
                 spans[p] = np.hstack([spans[p], (resid / rn)[:, None]])
-                assignment.append(p)
-                if dfs(i + 1):
-                    return True
-                assignment.pop()
+            assignment.append(p)
+            if dfs(i + 1):
+                return True
+            assignment.pop()
+            if grow:
                 spans[p] = spans[p][:, :-1]
-            else:
-                assignment.append(p)
-                if dfs(i + 1):
-                    return True
-                assignment.pop()
         return False
 
     if dfs(0):
@@ -166,7 +157,7 @@ def numeric_extension_search(
     supports = []
     for p in range(n_parties):
         if restrict_support:
-            u, _ = _support_basis(_party_matrices(s, p))
+            u, _ = _support_basis(party_matrices(s, p))
         else:
             u = np.eye(s.space.party_dims[p], dtype=np.complex128)
         supports.append(u)

@@ -12,10 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlocc import protocol
-from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
+from qlocc import partitions, protocol, states, upb
+from qlocc.linalg import RANK_RTOL
+from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement, _support_basis
 from qlocc.protocol import builtin_protocol
-from qlocc.states import Ket, OrthoReport, PartySpace, StateSet
+from qlocc.states import (
+    Bipartition,
+    Ket,
+    OrthoReport,
+    PartySpace,
+    StateSet,
+    coefficient_matrix,
+    local_factors,
+    local_vectors,
+    party_matrices,
+    schmidt_rank,
+)
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
 
@@ -187,14 +199,82 @@ def outcome_matches_reference(s: StateSet, party: int, kraus, result) -> bool:
     )
 
 
+def reference_leading_vectors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
+    """`local_factors` one Ket at a time: the leading left singular vector of
+    each state's coefficient matrix, and the `schmidt_rank` product test."""
+    cut = Bipartition.of({party}, s.space.n_parties)
+    vecs = np.stack([np.linalg.svd(coefficient_matrix(k, cut))[0][:, 0] for k in s.states])
+    return vecs, np.array([schmidt_rank(k, cut) <= 1 for k in s.states])
+
+
+def reference_local_vectors(s: StateSet, party: int) -> np.ndarray | None:
+    """`local_vectors` as one SVD and one phase fix per state."""
+    n = s.space.n_parties
+    if n == 1:
+        return s.matrix()
+    out = []
+    for k in s.states:
+        m = coefficient_matrix(k, Bipartition.of({party}, n))
+        u, sv, vh = np.linalg.svd(m)
+        if sv.size > 1 and sv[1] > RANK_RTOL * sv[0]:
+            return None
+        v = u[:, 0]
+        j = int(np.argmax(np.abs(v) > 1e-7))
+        v = v * (np.conj(v[j]) / abs(v[j]))
+        out.append(v)
+    return np.stack(out)
+
+
+def reference_local_support_vectors(s: StateSet):
+    """`upb._local_support_vectors` as one SVD per state and party."""
+    supports = []
+    locals_ = []
+    for p in range(s.space.n_parties):
+        mats = party_matrices(s, p)
+        u, _ = _support_basis(mats)
+        vecs = []
+        for i in range(len(s)):
+            uu, sv, _ = np.linalg.svd(mats[i])
+            if sv.size > 1 and sv[1] > RANK_RTOL * sv[0]:
+                raise ValueError(f"state {s.states[i].label} is not product across party {p}")
+            vecs.append(u.conj().T @ uu[:, 0])
+        supports.append(u)
+        locals_.append(np.stack(vecs))
+    return supports, locals_
+
+
+def product_structure_mismatches(s: StateSet) -> list[str]:
+    """Where the stacked product-structure path differs from the per-state
+    references on `s`, bit for bit: `local_factors` and `local_vectors` on
+    every party, and `upb._local_support_vectors` when every state is product."""
+    bad = []
+    factors = [local_factors(s, p) for p in range(s.space.n_parties)]
+    for p, (vecs, mask) in enumerate(factors):
+        ref_vecs, ref_mask = reference_leading_vectors(s, p)
+        if not (same_bits(np.ascontiguousarray(vecs), ref_vecs) and np.array_equal(mask, ref_mask)):
+            bad.append(f"local_factors of {s.name} at party {p}")
+        lv, ref_lv = local_vectors(s, p), reference_local_vectors(s, p)
+        if (lv is None) != (ref_lv is None) or (lv is not None and not same_bits(lv, ref_lv)):
+            bad.append(f"local_vectors of {s.name} at party {p}")
+    if all(mask.all() for _, mask in factors):
+        got = upb._local_support_vectors(s, factors)
+        ref = reference_local_support_vectors(s)
+        if not all(same_bits(a, b) for g, r in zip(got, ref, strict=True) for a, b in zip(g, r, strict=True)):
+            bad.append(f"_local_support_vectors of {s.name}")
+    return bad
+
+
 class ReferenceCheck:
     """While installed, compares every `apply_outcome` and `canonical_key`
-    call made through qlocc.protocol with the per-state references."""
+    call made through qlocc.protocol with the per-state references, and
+    keeps every distinct set whose product structure was asked for through
+    `local_factors` (in `factor_sets`, keyed by object id)."""
 
     def __init__(self):
         self.outcomes = 0
         self.keys = 0
         self.mismatches: list[str] = []
+        self.factor_sets: dict[int, StateSet] = {}
 
     @contextmanager
     def installed(self):
@@ -214,7 +294,13 @@ class ReferenceCheck:
                 self.mismatches.append(f"canonical_key of {s.labels}")
             return key
 
+        def recorded_factors(s, party):
+            self.factor_sets.setdefault(id(s), s)
+            return local_factors(s, party)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "apply_outcome", checked_apply)
             mp.setattr(protocol, "canonical_key", checked_key)
+            for mod in (states, protocol, partitions, upb):
+                mp.setattr(mod, "local_factors", recorded_factors)
             yield self

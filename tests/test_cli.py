@@ -210,6 +210,21 @@ def test_usage_errors(capsys, files, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("activate", "--seed", "1"),
+        ("check-ortho", "--seed", "1"),
+        ("render", "--tol", "1e-9"),
+    ],
+)
+def test_options_only_where_read(capsys, files, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--set", files["s1"]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_non_orthogonal_input_negative_verdict(capsys, files):
     code, out, _ = run(capsys, "redundancy", "--set", files["s6v"])
     assert code == 1 and "not pairwise orthogonal" in out

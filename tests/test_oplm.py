@@ -12,7 +12,6 @@ from qlocc.oplm import (
     _constraint_rows,
     _coords_to_matrix,
     _pair_tensors,
-    _party_matrices,
     _rank,
     _support_basis,
     block_structure,
@@ -30,6 +29,7 @@ from qlocc.states import (
     StateSet,
     apply_local_unitaries,
     make_ket,
+    party_matrices,
     random_local_unitaries,
 )
 
@@ -327,7 +327,7 @@ def _constraint_rows_loop(g):
 
 
 def _pair_data(s, party, on_support):
-    mats = _party_matrices(s, party)
+    mats = party_matrices(s, party)
     support = _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
     return _pair_tensors(mats, support)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import DIGESTS, ReferenceCheck, digest
+from _helpers import DIGESTS, ReferenceCheck, digest, product_structure_mismatches
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
@@ -113,6 +113,14 @@ def test_profile_outcomes_and_keys_match_per_state_references(run, request):
     _prof, check = request.getfixturevalue(run)
     assert check.outcomes > 0 and check.keys > 0
     assert check.mismatches == []
+
+
+@pytest.mark.parametrize("run", ["s2_run", "s4_run"])
+def test_profile_product_structure_matches_per_state_references(run, request):
+    _prof, check = request.getfixturevalue(run)
+    assert check.factor_sets
+    mismatches = [m for s in check.factor_sets.values() for m in product_structure_mismatches(s)]
+    assert mismatches == []
 
 
 def test_s2_s4_profiles_differ(s2_profile, s4_profile):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from _helpers import random_orthonormal_set, reference_gram_check
-from qlocc.fixtures import build_fixture
+from _helpers import (
+    product_structure_mismatches,
+    random_orthogonal_product_set,
+    random_orthonormal_set,
+    reference_gram_check,
+)
+from qlocc.fixtures import FIXTURE_NAMES, build_fixture
+from qlocc.partitions import _merge_for, _partition_label, _two_block_partitions
 from qlocc.states import (
     Bipartition,
     Ket,
@@ -12,8 +18,12 @@ from qlocc.states import (
     equal_up_to_local_relabeling,
     gram_check,
     inner_product,
+    local_factors,
     make_ket,
     merge_parties,
+    occupied_indices,
+    party_matrices,
+    party_rows,
     random_local_unitaries,
     reduced_state,
     redundancy_check,
@@ -322,3 +332,55 @@ def test_equal_up_to_local_relabeling():
     s1 = build_fixture("s1")
     some = StateSet(s1.space, s1.states[:5], "frag")
     assert not equal_up_to_local_relabeling(some, t)
+
+
+def _product_structure_cases():
+    """Every fixture (s1_general at d = 4, 6, 8), every two-block merge of
+    the multipartite ones, two seeded random sets, and random local-unitary
+    images of three fixtures (generic amplitudes for the phase fix)."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        sets = {f"-d{d}": build_fixture(name, d=d) for d in (4, 6, 8)} if name == "s1_general" else {"": build_fixture(name)}
+        for tag, s in sets.items():
+            cases.append(pytest.param(s, id=name + tag))
+            if s.space.n_parties > 2:
+                for blocks in _two_block_partitions(s.space.n_parties):
+                    cases.append(pytest.param(_merge_for(s, blocks), id=f"{name}-{_partition_label(blocks)}"))
+    rng = np.random.default_rng(31)
+    cases.append(pytest.param(random_orthonormal_set(rng, (3, 4), 6), id="random-entangled"))
+    cases.append(pytest.param(random_orthogonal_product_set(rng, (2, 2, 3), 7), id="random-product"))
+    for name in ("tiles33", "s1", "s4"):
+        s = build_fixture(name)
+        cases.append(pytest.param(apply_local_unitaries(s, random_local_unitaries(s.space, rng)), id=f"{name}-rotated"))
+    return cases
+
+
+@pytest.mark.parametrize("s", _product_structure_cases())
+def test_product_structure_matches_per_state_references(s):
+    assert product_structure_mismatches(s) == []
+
+
+def test_local_factors_mask_mixed_and_single_party():
+    s = PartySpace((2, 2))
+    mixed = StateSet(
+        s,
+        [make_ket(s, [(1, (0, 0))], "00"), make_ket(s, [(1, (0, 1)), (1, (1, 0))], "e"), make_ket(s, [(1, (1, 1))], "11")],
+    )
+    for p in (0, 1):
+        assert local_factors(mixed, p)[1].tolist() == [True, False, True]
+    one = StateSet(PartySpace((3,)), [Ket(PartySpace((3,)), [1, 1j, 0], "a")])
+    vecs, mask = local_factors(one, 0)
+    assert mask.tolist() == [True] and np.allclose(np.abs(vecs[0]), np.abs(one.matrix()[0]))
+
+
+def test_party_rows_inverts_party_matrices():
+    s = build_fixture("s4")
+    for p in range(s.space.n_parties):
+        assert party_rows(s.space, p, party_matrices(s, p)).tobytes() == s.matrix().tobytes()
+
+
+def test_occupied_indices():
+    s = PartySpace((4, 3))
+    sub = StateSet(s, [make_ket(s, [(1, (1, 0))], "a"), make_ket(s, [(1, (3, 2))], "b")])
+    assert occupied_indices(party_matrices(sub, 0)) == [1, 3]
+    assert occupied_indices(party_matrices(sub, 1)) == [0, 2]

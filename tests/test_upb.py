@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from _helpers import random_orthogonal_product_set
 from qlocc.fixtures import build_fixture
-from qlocc.oplm import _party_matrices, _support_basis
+from qlocc.oplm import _support_basis
 from qlocc.states import (
     Ket,
     PartySpace,
@@ -16,6 +17,7 @@ from qlocc.states import (
     apply_local_unitaries,
     is_product_state,
     make_ket,
+    party_matrices,
     random_local_unitaries,
 )
 from qlocc import upb
@@ -67,6 +69,86 @@ def test_rejects_entangled_member():
     bell = StateSet(s, [make_ket(s, [(1, (0, 0)), (1, (1, 1))], "bell")], "b")
     with pytest.raises(ValueError):
         check_unextendible(bell)
+
+
+def test_entangled_member_named_in_set_order():
+    s = PartySpace((2, 2))
+    bell = [make_ket(s, [(1, (0, 1)), (sign, (1, 0))], lab) for sign, lab in ((1, "e+"), (-1, "e-"))]
+    two = StateSet(s, [make_ket(s, [(1, (0, 0))], "00"), *bell, make_ket(s, [(1, (1, 1))], "11")], "two")
+    with pytest.raises(ValueError, match=r"^state e\+ is not a product state$"):
+        check_unextendible(two)
+    # x is entangled only across B|C and y only across A|B: x comes first in
+    # set order although party A's cut finds y first
+    s = PartySpace((2, 2, 2))
+    three = StateSet(
+        s,
+        [
+            make_ket(s, [(1, (0, 0, 0))], "000"),
+            make_ket(s, [(1, (0, 0, 1)), (1, (0, 1, 0))], "x"),
+            make_ket(s, [(1, (1, 1, 1))], "111"),
+            make_ket(s, [(1, (0, 1, 1)), (1, (1, 0, 1))], "y"),
+        ],
+        "three",
+    )
+    with pytest.raises(ValueError, match=r"^state x is not a product state$"):
+        check_unextendible(three)
+
+
+def _pinned_cases():
+    """tiles33, tiles33 without each state, and seeded random orthogonal
+    product sets, keyed by the ids of UPB_PINS."""
+    t = build_fixture("tiles33")
+    cases = [("tiles33", t)]
+    for drop in range(len(t)):
+        cases.append((f"tiles33-minus-{drop}", StateSet(t.space, [k for i, k in enumerate(t.states) if i != drop], "m")))
+    for dims, seed, sizes in [((3, 3), 21, (5, 7, 9)), ((2, 2, 2), 22, (5, 7, 8)), ((2, 4), 23, (5, 7, 8)), ((3, 3, 2), 24, (6, 9, 10))]:
+        rng = np.random.default_rng(seed)
+        for n in sizes:
+            s = None
+            while s is None:
+                s = random_orthogonal_product_set(rng, dims, n)
+            cases.append(("x".join(map(str, dims)) + f"-{n}", s))
+    return dict(cases)
+
+
+# (unextendible, nodes_explored, assignment, sha256 of the witness amplitudes)
+# of check_unextendible, computed with one product test per state and a DFS
+# with separate grow and no-grow branches; the stacked SVD and the one-body
+# DFS must reproduce them bit for bit
+UPB_PINS = {
+    "tiles33": (True, 19, None, None),
+    "tiles33-minus-0": (False, 5, [0, 0, 1, 1], "93ddef40477094761870ea83c70bad3a711123d38d36479a0fd615b00399d623"),
+    "tiles33-minus-1": (False, 5, [0, 0, 1, 1], "00dc26e70aed9b44174155e31a57f2af71a335fa4820c1db267296e018b8d1a5"),
+    "tiles33-minus-2": (False, 5, [0, 0, 1, 1], "05f3698bb2ab75f0e2189b18b71f34c452fb2502c650bc98de7d2fdd1b742bf0"),
+    "tiles33-minus-3": (False, 5, [0, 0, 1, 1], "30e9e2dcfcc1e60b3024a4ce07b50c3f009a4517c4e774461584d5a6c047e391"),
+    "tiles33-minus-4": (False, 5, [0, 0, 1, 1], "5261df4870b6c2c76f3e705d27fe3739aac1799d8689b16288771f91369aa9ec"),
+    "3x3-5": (False, 9, [0, 1, 0, 1, 1], "f1757bda950f9f6fa4962aa0b2580ea8211828fa57b9cc8dcc5326a82cbc79c8"),
+    "3x3-7": (False, 8, [0, 0, 1, 0, 0, 0, 1], "31b1a01914757f4df898c8ea47fbcc9fefc851eeba8cfab13d96ffb2db8eebc9"),
+    "3x3-9": (True, 30, None, None),
+    "2x2x2-5": (False, 6, [0, 1, 1, 2, 2], "170dbdf2c43cd00978b0b1aebf088f4e63e3ad1c0ddca834a812631bc69254d9"),
+    "2x2x2-7": (False, 22, [2, 0, 2, 1, 2, 2, 1], "5b1f158c9ec43c6aa4dc3c09f511fd6bc2f8f55f84e1e431309b41ddca75e02f"),
+    "2x2x2-8": (True, 37, None, None),
+    "2x4-5": (False, 6, [0, 1, 1, 1, 0], "02ec8cbb494ca092146c479adc3d158ef6945071c5d1619783dc3b88c9de0955"),
+    "2x4-7": (False, 8, [0, 1, 1, 1, 0, 0, 1], "8a079108f7a83aa16f064c50d00301a9ce96b303aac3d89aa77f5a626a9dab71"),
+    "2x4-8": (True, 21, None, None),
+    "3x3x2-6": (False, 7, [0, 0, 1, 1, 2, 0], "b2fcc78269684bbad74dc4bf2cde58c0a11db806d414602559bc5f9f7e2954b7"),
+    "3x3x2-9": (False, 17, [0, 0, 2, 1, 1, 2, 1, 2, 2], "01f713a19d0b5ab654e7044f65053043b5e04e785e6494995bd721f73a622397"),
+    "3x3x2-10": (
+        False,
+        75,
+        [0, 2, 1, 1, 0, 1, 1, 2, 2, 1],
+        "bff91f0f722c04ff126077af400f191f888e5d896f0631b527129405af9fae47",
+    ),
+}
+
+
+def test_check_unextendible_pins():
+    got = {}
+    for name, s in _pinned_cases().items():
+        v = check_unextendible(s)
+        w = None if v.witness is None else hashlib.sha256(v.witness.amplitudes.tobytes()).hexdigest()
+        got[name] = (v.unextendible, v.nodes_explored, v.assignment, w)
+    assert got == UPB_PINS
 
 
 def test_oracle_tiles33():
@@ -170,7 +252,7 @@ def _reference_extension_search(s, restarts=200, seed=0, restrict_support=True):
     supports = []
     for p in range(n_parties):
         if restrict_support:
-            u, _ = _support_basis(_party_matrices(s, p))
+            u, _ = _support_basis(party_matrices(s, p))
         else:
             u = np.eye(s.space.party_dims[p], dtype=np.complex128)
         supports.append(u)
