@@ -17,6 +17,7 @@ import time
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
+from .linalg import ORTHO_TOL as DEFAULT_TOL
 from .oplm import block_structure, is_locally_irreducible, oplm_space, projective_oplms
 from .partitions import hidden_nonlocality_profile
 from .protocol import (
@@ -34,8 +35,6 @@ from .qset import QsetError, parse_qset, serialize_qset
 from .render import overlay_from_kraus, render
 from .states import gram_check, party_letter, redundancy_check
 from .upb import check_unextendible, numeric_extension_search
-
-DEFAULT_TOL = 1e-9
 
 
 class UsageError(Exception):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import Ket, PartySpace, StateSet, make_ket
+from .states import PartySpace, StateSet, make_ket
 
 FIXTURE_NAMES = ("s1", "s2", "s3", "s4", "s5", "s6", "tiles33", "s1_general")
 
@@ -220,12 +220,9 @@ def build_fixture(name: str, variant: str = "corrected", d: int | None = None) -
     if name == "s4":
         s3 = build_fixture("s3", variant)
         space = PartySpace((6, 6, 2), {1: (2, 3)})
-        states = []
-        for k in s3.states:
-            for c in (0, 1):
-                amp = np.kron(k.amplitudes, np.eye(2)[c])
-                states.append(Ket(space, amp, f"{k.label}_c{c}"))
-        return StateSet(space, states, f"s4[{variant}]")
+        rows = [np.kron(row, np.eye(2)[c]) for row in s3.matrix() for c in (0, 1)]
+        labels = [f"{lab}_c{c}" for lab in s3.labels for c in (0, 1)]
+        return StateSet.from_matrix(space, rows, labels, f"s4[{variant}]")
     if name == "s5":
         return _build(PartySpace((4, 4)), _s5_states(), f"s5[{variant}]")
     if name == "s6":

@@ -19,7 +19,7 @@ ORTHO_TOL = 1e-9
 def as_carray(a) -> np.ndarray:
     """Coerce to a complex128 ndarray and reject non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries")
     return m
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL
-from .states import StateSet, occupied_indices, party_letter, party_matrices
+from .states import StateSet, occupied_indices, party_letter, party_matrices, support_basis
 
 SPAN_TOL = 1e-8
 ELIM_TOL = 1e-9
@@ -34,29 +34,6 @@ COMM_TOL = 1e-8
 # computational-basis index projectors are enumerated (2^r masks) only when
 # the occupied support of the party has r <= this many indices
 INDEX_PROJECTOR_CAP = 16
-
-
-def _support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Orthonormal basis (columns) of the joint local support.
-
-    Returns (U, indices) where indices lists the computational-basis labels
-    when the support projector is 0/1-diagonal (then U has identity columns).
-    """
-    d = mats.shape[1]
-    stacked = mats.transpose(1, 0, 2).reshape(d, -1)
-    u, sv, _ = np.linalg.svd(stacked, full_matrices=True)
-    r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    u = u[:, :r]
-    proj = u @ u.conj().T
-    diag = np.real(np.diagonal(proj))
-    off = proj - np.diag(np.diagonal(proj))
-    if np.abs(off).max(initial=0.0) < 1e-9 and np.all((diag < 1e-9) | (np.abs(diag - 1) < 1e-9)):
-        idx = [i for i in range(d) if diag[i] > 0.5]
-        aligned = np.zeros((d, r), dtype=np.complex128)
-        for col, i in enumerate(idx):
-            aligned[i, col] = 1.0
-        return aligned, idx
-    return u, None
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -206,7 +183,7 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     d = s.space.party_dims[party]
     mats = party_matrices(s, party)
     if on_support:
-        support, idx = _support_basis(mats)
+        support, idx = support_basis(mats)
     else:
         support, idx = np.eye(d, dtype=np.complex128), list(range(d))
     g = _pair_tensors(mats, support)

@@ -109,14 +109,14 @@ def tree_from_json(obj):
 # applying measurements
 
 
-def apply_outcome(s: StateSet, party: int, kraus, check: bool = True, tol: float = SPAN_TOL):
+def apply_outcome(s: StateSet, party: int, kraus, check: bool = True):
     """Project every state, drop the eliminated ones, renormalize survivors.
 
     Works on the amplitude matrix: one batched product of the Kraus operator
     with every state's party-first matrix, and a state is eliminated when
     its post-measurement norm is at most ELIM_TOL. Returns (surviving
     StateSet, list of surviving original labels). Raises if the survivors
-    are no longer pairwise orthogonal (not an OPLM outcome).
+    are no longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome).
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
     post = kraus @ party_matrices(s, party)
@@ -125,7 +125,7 @@ def apply_outcome(s: StateSet, party: int, kraus, check: bool = True, tol: float
     labels = [lab for lab, k in zip(s.labels, keep) if k]
     out = StateSet.from_matrix(s.space, full, labels, s.name)
     if check and len(out) > 1:
-        rep = gram_check(out, tol=tol)
+        rep = gram_check(out, tol=SPAN_TOL)
         if not rep.ok:
             a, b, v = rep.violations[0]
             raise ValueError(f"outcome breaks orthogonality: |<{a}|{b}>| = {v:.3g}")
@@ -643,10 +643,11 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
             continue
         key = an.intern(cur)
         cert = an.certified_indistinguishable(key)
-        redundant = redundancy_check_whole_parties(cur)
+        # redundancy is judged on certified leaves only, as in the search: replay
+        # keeps survivors orthogonal to SPAN_TOL, which redundancy would reject
         if cert is None:
             failures.append(f"{path}: leaf set not certified locally indistinguishable")
-        elif redundant:
+        elif redundancy_check_whole_parties(cur):
             failures.append(f"{path}: leaf set is locally redundant")
         else:
             evidence.append(

@@ -11,6 +11,7 @@ Line-oriented; `#` starts a comment. A document is:
 A term is an optional coefficient (decimal, p/q rational, `(re,im)` complex,
 or `1/sqrt(n)`) joined with `*` to a ket `|i0,i1,...>` carrying one index per
 party. Terms are combined with `+` / `-`. States are normalized on load.
+Both directions work on the set's amplitude matrix and build no `Ket`.
 
 Serialization is canonical: one `(re,im)` coefficient per nonzero amplitude
 with 17 significant digits, terms in ascending basis order, byte-identical
@@ -19,11 +20,12 @@ across runs.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
-from .states import Ket, PartySpace, StateSet
+from .states import PartySpace, StateSet
 
 
 class QsetError(ValueError):
@@ -173,24 +175,23 @@ def parse_qset(text: str) -> StateSet:
     if dims is None:
         raise QsetError("E_SYNTAX", 1, 1, "missing dims line")
     space = PartySpace(dims, splits)
+    if not state_rows:
+        raise QsetError("E_EMPTY_STATE", 1, 1, "document declares no states")
+    strides = [math.prod(dims[p + 1 :]) for p in range(len(dims))]
+    m = np.zeros((len(state_rows), space.total_dim), dtype=np.complex128)
     seen = set()
-    kets = []
-    for label, expr, line_no, col in state_rows:
+    for r, (label, expr, line_no, col) in enumerate(state_rows):
         if label in seen:
             raise QsetError("E_DUP_LABEL", line_no, col, f"duplicate state label {label!r}", label)
         seen.add(label)
         terms = _parse_terms(expr, line_no, col, space)
         if not terms:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} has no terms")
-        amps = np.zeros(space.total_dim, dtype=np.complex128)
         for coeff, idx in terms:
-            amps[int(np.ravel_multi_index(idx, dims))] += coeff
-        if np.linalg.norm(amps) < 1e-12:
+            m[r, sum(i * st for i, st in zip(idx, strides))] += coeff
+        if np.linalg.norm(m[r]) < 1e-12:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} sums to zero")
-        kets.append(Ket(space, amps, label))
-    if not kets:
-        raise QsetError("E_EMPTY_STATE", 1, 1, "document declares no states")
-    return StateSet(space, kets, name)
+    return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
 
 
 def _fmt(x: float) -> str:
@@ -203,15 +204,11 @@ def serialize_qset(s: StateSet) -> str:
         lines.append(f"split: {p} = " + " ".join(str(f) for f in s.space.sub_splits[p]))
     if s.name:
         lines.append(f"name: {s.name}")
-    dims = s.space.party_dims
-    for k in s.states:
-        terms = []
-        for flat in range(s.space.total_dim):
-            a = k.amplitudes[flat]
-            if abs(a) <= 1e-14:
-                continue
-            idx = np.unravel_index(flat, dims)
-            ket = "|" + ",".join(str(int(i)) for i in idx) + ">"
-            terms.append(f"({_fmt(a.real)},{_fmt(a.imag)})*{ket}")
-        lines.append(f"state {k.label}: " + " + ".join(terms))
+    kets = ["|" + ",".join(str(i) for i in idx) + ">" for idx in np.ndindex(*s.space.party_dims)]
+    m = s.matrix()
+    # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on the array rounds differently
+    shown = np.hypot(m.real, m.imag) > 1e-14
+    for label, row, nz in zip(s.labels, m, shown):
+        terms = [f"({_fmt(row[f].real)},{_fmt(row[f].imag)})*{kets[f]}" for f in np.flatnonzero(nz)]
+        lines.append(f"state {label}: " + " + ".join(terms))
     return "\n".join(lines) + "\n"

@@ -242,17 +242,7 @@ def _render_svg(s: StateSet, diagram: TileDiagram, overlay) -> str:
             )
     if overlay is not None:
         party, idx = overlay
-        idx = sorted(idx)
-        runs = []
-        start = prev = idx[0]
-        for i in idx[1:]:
-            if i == prev + 1:
-                prev = i
-                continue
-            runs.append((start, prev))
-            start = prev = i
-        runs.append((start, prev))
-        for lo, hi in runs:
+        for lo, hi in _runs(sorted(idx)):
             if party == 0:
                 x, y, w, h = pad, pad + lo * cell, db * cell, (hi - lo + 1) * cell
             else:

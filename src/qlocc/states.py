@@ -3,16 +3,19 @@ reduced states and local-redundancy checking.
 
 States are always stored normalized; analyses only ever need directions.
 A `StateSet` stores its states as one read-only (n_states, total_dim)
-amplitude matrix plus a label per row, and the hot paths work on that
-matrix; a `Ket` is the per-state view, built from a row the first time the
-set's states are read.
+amplitude matrix plus a label per row, and every analysis in qlocc works on
+that matrix. A `Ket` is a per-state view, built only when a caller reads a
+set's `states` or receives a witness. `Ket` and `StateSet.from_matrix`
+normalize by one rule (`_unit_rows`), and `_reduced_states` is the one
+partial trace: a batch of rows at a time, one row for `reduced_state`.
 
 This is the one module that knows how a set looks from one party:
 `party_matrices` is the party-first (n, d_p, rest) view of the amplitude
 matrix and `party_rows` its inverse, `occupied_indices` the party's
-occupied computational-basis indices, and `local_factors` decides with one
-stacked SVD per party which states are product across that party's cut and
-what their local vectors are. `schmidt_rank`, `coefficient_matrix` and
+occupied computational-basis indices, `support_basis` an orthonormal basis
+of its joint local support, and `local_factors` decides with one stacked
+SVD per party which states are product across that party's cut and what
+their local vectors are. `schmidt_rank`, `coefficient_matrix` and
 `is_product_state` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
@@ -124,16 +127,11 @@ class Ket:
     __slots__ = ("space", "amplitudes", "label")
 
     def __init__(self, space: PartySpace, amplitudes, label: str = ""):
-        amps = as_carray(amplitudes).reshape(-1)
-        if amps.shape[0] != space.total_dim:
-            raise ValueError(f"amplitude length {amps.shape[0]} != total dim {space.total_dim}")
-        n = np.linalg.norm(amps)
-        if n < 1e-12:
-            raise ValueError("zero vector cannot be a Ket")
-        if abs(n - 1.0) > 1e-12:
-            amps = amps / n
+        amps = as_carray(np.array(amplitudes, dtype=np.complex128, order="C")).reshape(1, -1)
+        if amps.shape[1] != space.total_dim:
+            raise ValueError(f"amplitude length {amps.shape[1]} != total dim {space.total_dim}")
         self.space = space
-        self.amplitudes = amps
+        self.amplitudes = _unit_rows(amps)[0]
         self.label = label
 
     def tensor(self) -> np.ndarray:
@@ -148,7 +146,6 @@ def make_ket(space: PartySpace, terms, label: str = "") -> Ket:
     if not terms:
         raise ValueError("empty term list")
     amps = np.zeros(space.total_dim, dtype=np.complex128)
-    any_nonzero = False
     for coeff, idx in terms:
         idx = tuple(int(i) for i in idx)
         if len(idx) != space.n_parties:
@@ -158,10 +155,6 @@ def make_ket(space: PartySpace, terms, label: str = "") -> Ket:
                 raise ValueError(f"index {i} out of range for party {party_letter(p)}")
         flat = int(np.ravel_multi_index(idx, space.party_dims))
         amps[flat] += complex(coeff)
-        if coeff != 0:
-            any_nonzero = True
-    if not any_nonzero or np.linalg.norm(amps) < 1e-12:
-        raise ValueError("all coefficients vanish")
     return Ket(space, amps, label)
 
 
@@ -175,6 +168,17 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     re, im = m.real, m.imag
     sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
     return np.sqrt(sq[:, 0, 0])
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Normalize the rows of a C-contiguous complex (n, D) matrix in place:
+    reject a row of norm below 1e-12, divide a row by its norm unless that
+    is within 1e-12 of 1. The one normalization rule of the state model."""
+    norms = row_norms(m)
+    if (norms < 1e-12).any():
+        raise ValueError("zero vector cannot be a Ket")
+    np.divide(m, norms[:, None], out=m, where=abs(norms[:, None] - 1.0) > 1e-12)
+    return m
 
 
 class StateSet:
@@ -202,22 +206,15 @@ class StateSet:
     def from_matrix(cls, space: PartySpace, matrix, labels, name: str = "") -> "StateSet":
         """A set whose states are the rows of `matrix`, labeled by `labels`.
 
-        Rows are checked and normalized as `Ket` does it (finite entries,
-        norm at least 1e-12, divided by the norm unless it is within 1e-12
-        of 1), once for the whole array.
+        The rows are copied, checked for finite entries and normalized by
+        the rule `Ket` uses, once for the whole array.
         """
         labels = list(labels)
         m = as_carray(np.array(matrix, dtype=np.complex128, order="C"))
         if m.shape != (len(labels), space.total_dim):
             raise ValueError(f"amplitude matrix shape {m.shape} != ({len(labels)}, {space.total_dim})")
-        norms = row_norms(m)
-        if np.any(norms < 1e-12):
-            raise ValueError("zero vector cannot be a Ket")
-        off = np.abs(norms - 1.0) > 1e-12
-        if off.any():
-            m[off] = m[off] / norms[off, None]
         out = cls.__new__(cls)
-        out._init(space, m, labels, name)
+        out._init(space, _unit_rows(m), labels, name)
         return out
 
     def _init(self, space: PartySpace, m: np.ndarray, labels: list[str], name: str):
@@ -276,16 +273,19 @@ class OrthoReport:
         return [(a, b) for a, b, _ in self.violations[:n]]
 
 
+def _sorted_violations(labels: list[str], i: np.ndarray, j: np.ndarray, vals: np.ndarray) -> list[tuple[str, str, float]]:
+    """(label_i, label_j, value) for violating pairs i < j given in row-major
+    order, kept in that order under a stable sort by descending value."""
+    return [(labels[i[k]], labels[j[k]], float(vals[k])) for k in np.argsort(-vals, kind="stable")]
+
+
 def gram_check(s: StateSet, tol: float = ORTHO_TOL) -> OrthoReport:
     """Pairwise-orthogonality report; violations sorted by magnitude descending."""
     if len(s) == 0:
         raise ValueError("empty state set")
     g = np.abs(gram_matrix(s))
-    # pairs i < j in row-major order, then a stable sort by magnitude
     i, j = np.nonzero(np.triu(g > tol, 1))
-    vals = g[i, j]
-    labels = s.labels
-    viol = [(labels[i[k]], labels[j[k]], float(vals[k])) for k in np.argsort(-vals, kind="stable")]
+    viol = _sorted_violations(s.labels, i, j, g[i, j])
     return OrthoReport(ok=not viol, tol=tol, violations=viol)
 
 
@@ -339,6 +339,30 @@ def occupied_indices(mats: np.ndarray) -> list[int]:
     from its party matrices (n, d_party, d_rest)."""
     weight = np.abs(mats).max(axis=(0, 2))
     return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
+
+
+def support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """Orthonormal basis (columns) of the joint local support of a party,
+    from its party matrices (n, d_party, d_rest).
+
+    Returns (U, indices) where indices lists the computational-basis labels
+    when the support projector is 0/1-diagonal (then U has identity columns).
+    """
+    d = mats.shape[1]
+    stacked = mats.transpose(1, 0, 2).reshape(d, -1)
+    u, sv, _ = np.linalg.svd(stacked, full_matrices=True)
+    r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    u = u[:, :r]
+    proj = u @ u.conj().T
+    diag = np.real(np.diagonal(proj))
+    off = proj - np.diag(np.diagonal(proj))
+    if np.abs(off).max(initial=0.0) < 1e-9 and np.all((diag < 1e-9) | (np.abs(diag - 1) < 1e-9)):
+        idx = [i for i in range(d) if diag[i] > 0.5]
+        aligned = np.zeros((d, r), dtype=np.complex128)
+        for col, i in enumerate(idx):
+            aligned[i, col] = 1.0
+        return aligned, idx
+    return u, None
 
 
 def local_factors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,6 +428,15 @@ def merge_parties(s: StateSet, grouping, reorder=None) -> StateSet:
     return StateSet.from_matrix(PartySpace(tuple(new_dims)), m.reshape(len(s), s.space.total_dim), s.labels, s.name)
 
 
+def _reduced_states(m: np.ndarray, fdims, keep: list[int]) -> np.ndarray:
+    """Partial traces of the amplitude rows of `m` down to the factors in
+    `keep` (sorted indices into `fdims`), stacked as (n, d_keep, d_keep)."""
+    discard = [i for i in range(len(fdims)) if i not in keep]
+    t = m.reshape(len(m), *fdims).transpose([0] + [1 + i for i in keep + discard])
+    t = t.reshape(len(m), math.prod(fdims[i] for i in keep), -1)
+    return t @ t.conj().transpose(0, 2, 1)
+
+
 def reduced_state(k: Ket, keep) -> np.ndarray:
     """Partial trace down to the kept tensor factors (sub-splits expanded).
 
@@ -419,12 +452,7 @@ def reduced_state(k: Ket, keep) -> np.ndarray:
         raise ValueError("factor index out of range")
     if len(keep) == nf:
         raise ValueError("keep covers all factors; nothing to discard")
-    t = k.amplitudes.reshape(fdims)
-    discard = [i for i in range(nf) if i not in keep]
-    t = t.transpose(keep + discard)
-    dk = int(np.prod([fdims[i] for i in keep]))
-    m = t.reshape(dk, -1)
-    return m @ m.conj().T
+    return _reduced_states(k.amplitudes[None], fdims, keep)[0]
 
 
 @dataclass
@@ -440,50 +468,49 @@ class RedundancyReport:
         return "locally redundant" if self.redundant else "locally irredundant"
 
 
-def redundancy_check(s: StateSet, tol: float = ORTHO_TOL) -> RedundancyReport:
-    """Decide local redundancy: does some discard of tensor factors keep all
-    pairwise reduced states on orthogonal supports (tr(rho_i rho_j) = 0)?
-
-    Sub-splits participate as individual discardable factors.
-    """
-    rep = gram_check(s, tol=max(tol, ORTHO_TOL))
-    if not rep.ok:
+def _redundancy(s: StateSet, fdims, fnames, tol: float) -> RedundancyReport:
+    """`redundancy_check` over the tensor factors `fdims` named `fnames`."""
+    if not gram_check(s, tol=max(tol, ORTHO_TOL)).ok:
         raise ValueError("redundancy_check requires a pairwise orthogonal set")
-    fdims = s.space.factor_dims()
-    fnames = s.space.factor_names()
     nf = len(fdims)
     if nf < 2:
         raise ValueError("need at least two tensor factors")
+    m, labels = s.matrix(), s.labels
+    iu, ju = np.triu_indices(len(s), 1)
     violations: dict[tuple[str, ...], list[tuple[str, str, float]]] = {}
     witness = None
     # iterate nonempty proper keep-subsets; discard = complement
     for mask in range(1, 2**nf - 1):
         keep = [i for i in range(nf) if mask >> i & 1]
         discard = tuple(fnames[i] for i in range(nf) if not mask >> i & 1)
-        rhos = [reduced_state(k, keep) for k in s.states]
-        bad = []
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                val = float(np.real(np.trace(rhos[i] @ rhos[j])))
-                if val > tol:
-                    bad.append((s.states[i].label, s.states[j].label, val))
-        bad.sort(key=lambda t: -t[2])
-        violations[discard] = bad
+        rho = _reduced_states(m, fdims, keep)
+        traces = np.real(np.trace(rho[iu] @ rho[ju], axis1=1, axis2=2))
+        hit = traces > tol
+        violations[discard] = bad = _sorted_violations(labels, iu[hit], ju[hit], traces[hit])
         if not bad and witness is None:
             witness = discard
     return RedundancyReport(redundant=witness is not None, witness_discard=witness, violations=violations)
 
 
-def redundancy_check_whole_parties(s: StateSet, tol: float = ORTHO_TOL) -> bool:
-    """Redundancy over whole parties only (sub-splits ignored).
+def redundancy_check(s: StateSet, tol: float = ORTHO_TOL) -> RedundancyReport:
+    """Decide local redundancy: does some discard of tensor factors keep all
+    pairwise reduced states on orthogonal supports (tr(rho_i rho_j) = 0)?
+
+    Sub-splits participate as individual discardable factors.
+    """
+    return _redundancy(s, s.space.factor_dims(), s.space.factor_names(), tol)
+
+
+def redundancy_check_whole_parties(s: StateSet) -> bool:
+    """Redundancy over whole parties only (sub-splits ignored), at ORTHO_TOL.
 
     Used when judging activation leaves: in a given partition the discardable
     subsystems are the parties themselves.
     """
-    plain = StateSet.from_matrix(PartySpace(s.space.party_dims), s.matrix(), s.labels, s.name)
-    if plain.space.n_parties < 2:
+    n = s.space.n_parties
+    if n < 2:
         return False
-    return redundancy_check(plain, tol=tol).redundant
+    return _redundancy(s, s.space.party_dims, [party_letter(p) for p in range(n)], ORTHO_TOL).redundant
 
 
 def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
@@ -496,9 +523,10 @@ def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
     return mats[:, arows][:, :, acols], len(arows), len(acols)
 
 
-def equal_up_to_local_relabeling(a: StateSet, b: StateSet, tol: float = 1e-8) -> bool:
+def equal_up_to_local_relabeling(a: StateSet, b: StateSet, tol: float = 1e-6) -> bool:
     """Same bipartite set up to support embedding, independent local basis
-    relabelings (index permutations), per-state phases and state order."""
+    relabelings (index permutations), per-state phases and state order: each
+    state of `a` must have overlap above 1 - `tol` with a distinct state of `b`."""
     from itertools import permutations
 
     if len(a) != len(b):
@@ -512,7 +540,7 @@ def equal_up_to_local_relabeling(a: StateSet, b: StateSet, tol: float = 1e-8) ->
         for pb in permutations(range(ca)):
             perm = mb[:, pa][:, :, pb].reshape(len(b), -1)
             overlap = np.abs(va.conj() @ perm.T)
-            hits = overlap > 1 - 1e-6
+            hits = overlap > 1 - tol
             if hits.sum(axis=1).min() >= 1 and len(set(int(np.argmax(r)) for r in hits)) == len(a):
                 return True
     return False
@@ -533,4 +561,5 @@ def apply_local_unitaries(s: StateSet, us) -> StateSet:
     full = us[0]
     for u in us[1:]:
         full = np.kron(full, u)
-    return StateSet(s.space, [Ket(s.space, full @ k.amplitudes, k.label) for k in s.states], s.name)
+    # a matrix-vector product per row, as `full @ amplitudes`; `m @ full.T` rounds differently
+    return StateSet.from_matrix(s.space, np.matmul(full, s.matrix()[:, :, None])[:, :, 0], s.labels, s.name)

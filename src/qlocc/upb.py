@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oplm import _support_basis
-from .states import Ket, StateSet, gram_check, local_factors, party_matrices
+from .states import Ket, StateSet, gram_check, local_factors, party_matrices, support_basis
 
 ASSIGNMENT_CAP = 10**7
+# The assignment search gives up after this many nodes.
+NODE_CAP = 5_000_000
 WITNESS_TOL = 1e-8
 # The largest number of restarts the numeric oracle runs as one stack. The
 # stack's memory grows with it (about 3 KB per restart on tiles33), so a
@@ -37,7 +38,7 @@ def _local_support_vectors(s: StateSet, factors):
     supports = []
     locals_ = []
     for p, (vecs, _) in enumerate(factors):
-        u, _ = _support_basis(party_matrices(s, p))
+        u, _ = support_basis(party_matrices(s, p))
         supports.append(u)
         locals_.append(np.stack([u.conj().T @ v for v in vecs]))
     return supports, locals_
@@ -61,7 +62,7 @@ def _orth_complement_vector(span_cols: np.ndarray, dim: int) -> np.ndarray:
     return vh[-1].conj()
 
 
-def check_unextendible(s: StateSet, node_cap: int = 5_000_000) -> UpbVerdict:
+def check_unextendible(s: StateSet) -> UpbVerdict:
     """Exact unextendibility decision by exhaustive party assignment."""
     if len(s) == 0:
         raise ValueError("empty state set")
@@ -86,7 +87,7 @@ def check_unextendible(s: StateSet, node_cap: int = 5_000_000) -> UpbVerdict:
     def dfs(i: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > NODE_CAP:
             raise ValueError("assignment search exceeded node cap")
         if i == k:
             return True
@@ -157,7 +158,7 @@ def numeric_extension_search(
     supports = []
     for p in range(n_parties):
         if restrict_support:
-            u, _ = _support_basis(party_matrices(s, p))
+            u, _ = support_basis(party_matrices(s, p))
         else:
             u = np.eye(s.space.party_dims[p], dtype=np.complex128)
         supports.append(u)
@@ -197,8 +198,8 @@ def _compressed_states(s: StateSet, supports) -> np.ndarray:
     Each state is compressed one party at a time, and the stack keeps the
     stride order this leaves on each state (the last party slowest)."""
     tensors = []
-    for kstate in s.states:
-        t = kstate.tensor()
+    for row in s.matrix():
+        t = row.reshape(s.space.party_dims)
         for p, u in enumerate(supports):
             t = np.tensordot(u.conj().T, t, axes=([1], [p]))
             t = np.moveaxis(t, 0, p)

@@ -6,27 +6,37 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlocc import partitions, protocol, states, upb
-from qlocc.linalg import RANK_RTOL
-from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement, _support_basis
-from qlocc.protocol import builtin_protocol
+from qlocc import partitions, protocol, qset, states, upb
+from qlocc.fixtures import FIXTURE_NAMES, build_fixture
+from qlocc.linalg import ORTHO_TOL, RANK_RTOL
+from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
+from qlocc.protocol import _collect_leaves, builtin_protocol
 from qlocc.states import (
     Bipartition,
     Ket,
     OrthoReport,
     PartySpace,
+    RedundancyReport,
     StateSet,
+    apply_local_unitaries,
     coefficient_matrix,
     local_factors,
     local_vectors,
+    merge_parties,
     party_matrices,
+    random_local_unitaries,
+    reduced_state,
+    redundancy_check,
+    redundancy_check_whole_parties,
     schmidt_rank,
+    support_basis,
 )
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
@@ -109,6 +119,20 @@ def truncated_s3_activation_tree():
         alice.measurement = LocalMeasurement(m.party, m.kraus[:1], m.labels[:1])
         alice.children = alice.children[:1]
     return tree
+
+
+def near_orthogonal_leaves_tree():
+    """A 4x2 pair and a one-step tree whose two leaves replay but are not
+    certifiable: party A measures diag(1,1,0,0) and its complement, which
+    leaves the two states with overlap 5e-9 in each branch (orthogonal at
+    SPAN_TOL, not at ORTHO_TOL)."""
+    x = 5e-9
+    y = np.sqrt(1 - x * x)
+    e0 = np.eye(2)[0]
+    rows = [np.kron(np.array([1, 0, 1, 0]) / np.sqrt(2), e0), np.kron(np.array([x, y, -x, y]) / np.sqrt(2), e0)]
+    s = StateSet.from_matrix(PartySpace((4, 2)), rows, ["p1", "p2"], "near")
+    halves = [np.diag([1, 1, 0, 0]).astype(complex), np.diag([0, 0, 1, 1]).astype(complex)]
+    return s, protocol.Measure(0, LocalMeasurement(0, halves, ["M0", "M1"]), [protocol.Leaf(), protocol.Leaf()])
 
 
 def childless_s3_activation_tree():
@@ -231,7 +255,7 @@ def reference_local_support_vectors(s: StateSet):
     locals_ = []
     for p in range(s.space.n_parties):
         mats = party_matrices(s, p)
-        u, _ = _support_basis(mats)
+        u, _ = support_basis(mats)
         vecs = []
         for i in range(len(s)):
             uu, sv, _ = np.linalg.svd(mats[i])
@@ -304,3 +328,179 @@ class ReferenceCheck:
             for mod in (states, protocol, partitions, upb):
                 mp.setattr(mod, "local_factors", recorded_factors)
             yield self
+
+
+# ---------------------------------------------------------------------------
+# per-Ket references for the state model: normalization, reduced states,
+# local redundancy and qset I/O
+
+
+def reference_normalized(amplitudes) -> np.ndarray:
+    """One state's amplitudes normalized as `Ket` once did it inline: divide
+    by `np.linalg.norm` unless that is within 1e-12 of 1."""
+    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    n = np.linalg.norm(amps)
+    return amps / n if abs(n - 1.0) > 1e-12 else amps
+
+
+def reference_reduced_state(k: Ket, keep) -> np.ndarray:
+    """`reduced_state` on one ket's own tensor."""
+    fdims = k.space.factor_dims()
+    keep = sorted(keep)
+    discard = [i for i in range(len(fdims)) if i not in keep]
+    m = k.amplitudes.reshape(fdims).transpose(keep + discard).reshape(int(np.prod([fdims[i] for i in keep])), -1)
+    return m @ m.conj().T
+
+
+def reference_redundancy_check(s: StateSet, tol: float = ORTHO_TOL, whole_parties: bool = False) -> RedundancyReport:
+    """`redundancy_check` (or, over whole parties, the check behind
+    `redundancy_check_whole_parties`) with one reduced state per Ket and
+    discard choice and a double loop over the pairs."""
+    if whole_parties:
+        s = StateSet(PartySpace(s.space.party_dims), [Ket(PartySpace(s.space.party_dims), k.amplitudes, k.label) for k in s.states], s.name)
+    if not reference_gram_check(s, max(tol, ORTHO_TOL)).ok:
+        raise ValueError("redundancy_check requires a pairwise orthogonal set")
+    fnames = s.space.factor_names()
+    nf = len(fnames)
+    violations = {}
+    witness = None
+    for mask in range(1, 2**nf - 1):
+        keep = [i for i in range(nf) if mask >> i & 1]
+        discard = tuple(fnames[i] for i in range(nf) if not mask >> i & 1)
+        rhos = [reference_reduced_state(k, keep) for k in s.states]
+        bad = []
+        for i in range(len(s)):
+            for j in range(i + 1, len(s)):
+                val = float(np.real(np.trace(rhos[i] @ rhos[j])))
+                if val > tol:
+                    bad.append((s.states[i].label, s.states[j].label, val))
+        bad.sort(key=lambda t: -t[2])
+        violations[discard] = bad
+        if not bad and witness is None:
+            witness = discard
+    return RedundancyReport(redundant=witness is not None, witness_discard=witness, violations=violations)
+
+
+def reference_parse_qset(text: str) -> StateSet:
+    """`parse_qset` for a well-formed document, one Ket per state."""
+    dims, splits, name, kets = None, {}, "", []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("dims:"):
+            dims = tuple(int(x) for x in line[len("dims:") :].split())
+        elif line.startswith("split:"):
+            party, factors = line[len("split:") :].split("=")
+            splits[int(party)] = tuple(int(x) for x in factors.split())
+        elif line.startswith("name:"):
+            name = line[len("name:") :].strip()
+        elif line.startswith("state"):
+            label, expr = re.match(r"state\s+([^\s:]+)\s*:\s*(.*)$", line).groups()
+            space = PartySpace(dims, splits)
+            amps = np.zeros(space.total_dim, dtype=np.complex128)
+            for coeff, idx in qset._parse_terms(expr, line_no, 1, space):
+                amps[int(np.ravel_multi_index(idx, dims))] += coeff
+            kets.append(Ket(space, amps, label))
+    return StateSet(PartySpace(dims, splits), kets, name)
+
+
+def reference_serialize_qset(s: StateSet) -> str:
+    """`serialize_qset` reading each Ket's amplitudes one at a time."""
+    lines = ["qset v1", "dims: " + " ".join(str(d) for d in s.space.party_dims)]
+    for p in sorted(s.space.sub_splits):
+        lines.append(f"split: {p} = " + " ".join(str(f) for f in s.space.sub_splits[p]))
+    if s.name:
+        lines.append(f"name: {s.name}")
+    for k in s.states:
+        terms = []
+        for flat in range(s.space.total_dim):
+            a = k.amplitudes[flat]
+            if abs(a) <= 1e-14:
+                continue
+            idx = np.unravel_index(flat, s.space.party_dims)
+            ket = "|" + ",".join(str(int(i)) for i in idx) + ">"
+            terms.append(f"({qset._fmt(a.real)},{qset._fmt(a.imag)})*{ket}")
+        lines.append(f"state {k.label}: " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    """repr of fn's result, or of the ValueError it raises: reprs of floats
+    tell every bit apart, and a dict's repr keeps its order."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+def redundancy_mismatches(s: StateSet) -> list[str]:
+    """Where the batched redundancy path differs from the per-Ket references
+    on `s`, bit for bit: the reduced states of every keep choice, every
+    trace product (each pair is a violation at tol=-1), the whole report,
+    and the whole-party check."""
+    bad = []
+    fdims = s.space.factor_dims()
+    for mask in range(1, 2 ** len(fdims) - 1):
+        keep = [i for i in range(len(fdims)) if mask >> i & 1]
+        got = states._reduced_states(s.matrix(), fdims, keep)
+        ref = [reference_reduced_state(k, keep) for k in s.states]
+        if not (same_bits(got, np.stack(ref)) and all(same_bits(reduced_state(k, keep), r) for k, r in zip(s.states, ref))):
+            bad.append(f"reduced states of {s.name} keeping {keep}")
+    for tol in (ORTHO_TOL, -1.0):
+        if _outcome(redundancy_check, s, tol) != _outcome(reference_redundancy_check, s, tol):
+            bad.append(f"redundancy_check of {s.name} at tol={tol}")
+    if _outcome(redundancy_check_whole_parties, s) != _outcome(reference_redundant_whole_parties, s):
+        bad.append(f"redundancy_check_whole_parties of {s.name}")
+    return bad
+
+
+def reference_redundant_whole_parties(s: StateSet) -> bool:
+    """`redundancy_check_whole_parties` on the per-Ket reference."""
+    return s.space.n_parties > 1 and reference_redundancy_check(s, whole_parties=True).redundant
+
+
+def qset_mismatches(s: StateSet) -> list[str]:
+    """Where qset I/O on the amplitude matrix differs from the per-Ket
+    references on `s`: the serialized text, and the parsed set's matrix
+    (bit for bit), labels, name and space."""
+    bad = []
+    text = qset.serialize_qset(s)
+    if text != reference_serialize_qset(s):
+        bad.append(f"serialize_qset of {s.name}")
+    got, ref = qset.parse_qset(text), reference_parse_qset(text)
+    if not (same_bits(got.matrix(), ref.matrix()) and (got.labels, got.name, got.space) == (ref.labels, ref.name, ref.space)):
+        bad.append(f"parse_qset of {s.name}")
+    return bad
+
+
+def state_model_cases() -> list:
+    """Sets for the per-Ket reference checks, as pytest params: every
+    fixture (s1_general at d = 4, 6), the two-block merges of s2 and s4, a
+    seeded local-unitary image of each of these, and the leaf sets of the s3
+    and s4 activation certificates."""
+    sets = {f"s1_general-d{d}": build_fixture("s1_general", d=d) for d in (4, 6)}
+    sets |= {name: build_fixture(name) for name in FIXTURE_NAMES if name != "s1_general"}
+    for name in ("s2", "s4"):
+        for blocks in partitions._two_block_partitions(sets[name].space.n_parties):
+            sets[f"{name}-{partitions._partition_label(blocks)}"] = partitions._merge_for(sets[name], blocks)
+    rng = np.random.default_rng(23)
+    sets |= {f"{tag}-rotated": apply_local_unitaries(s, random_local_unitaries(s.space, rng)) for tag, s in sets.items()}
+    s4_abc = merge_parties(build_fixture("s4"), [(0,), (1, 2)])
+    for s, tree in ((sets["s3"], "s3_activation"), (s4_abc, "s4_abc_activation")):
+        sets |= {f"{tree}-{path}": leaf_set for path, leaf_set, _ in _collect_leaves(s, builtin_protocol(tree))}
+    return [pytest.param(s, id=tag) for tag, s in sets.items()]
+
+
+@contextmanager
+def counted_kets():
+    """While installed, appends the label of every `Ket` constructed to the
+    yielded list."""
+    built: list[str] = []
+    init = Ket.__init__
+
+    def counting(self, space, amplitudes, label=""):
+        built.append(label)
+        init(self, space, amplitudes, label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ket, "__init__", counting)
+        yield built

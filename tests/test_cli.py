@@ -8,7 +8,7 @@ from qlocc.protocol import tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
 
-from _helpers import truncated_s3_activation_tree
+from _helpers import digest, near_orthogonal_leaves_tree, truncated_s3_activation_tree
 
 
 @pytest.fixture
@@ -72,6 +72,39 @@ def test_redundancy(capsys, files):
         {v["labels"][0], v["labels"][1]} == {"phi3", "phi4"}
         for v in rep["verdicts"]["per_discard"]["b2"]
     )
+
+
+@pytest.mark.parametrize(
+    "name, pin",
+    [
+        ("s2", "d998bcaca41b559d728b7b508cccaf19ff7c71f6cf9dd1da9dae4312c0b111a2"),
+        ("s3", "f2a204cba33860b977cd19719a715620f61108e7fdefe36da535e06b5e7428b4"),
+        ("s4", "5f47f64bff6976b5044cf8772ae13042426594b8d6e4e5f5332702504a77a265"),
+        ("s6", "b2c7c9b0ae9b32ba5c15239a9df3a77ae87fe794417d903fba4ad5d413d84826"),
+    ],
+)
+def test_redundancy_json_bytes(capsys, tmp_path, name, pin):
+    """sha256 of the sorted JSON report without `timings`, with the set's
+    path cut to its file name; recorded before redundancy moved onto the
+    amplitude matrix."""
+    path = tmp_path / f"{name}.qset"
+    path.write_text(serialize_qset(build_fixture(name)))
+    code, rep = run_json(capsys, "redundancy", "--set", str(path))
+    del rep["timings"]
+    rep["params"]["set"] = path.name
+    assert code == 0 and rep["verdicts"]["verdict"] == "locally irredundant"
+    assert digest(rep) == pin
+
+
+def test_protocol_verify_activation_uncertified_leaves_fail(capsys, tmp_path):
+    s, tree = near_orthogonal_leaves_tree()
+    set_path, tree_path = tmp_path / "near.qset", tmp_path / "near.json"
+    set_path.write_text(serialize_qset(s))
+    tree_path.write_text(json.dumps(tree_to_json(tree)))
+    code, rep = run_json(capsys, "protocol", "verify", "--set", str(set_path), "--protocol", str(tree_path), "--activation")
+    assert code == 1
+    assert rep["verdicts"]["kind"] == "ProtocolFailure"
+    assert rep["verdicts"]["notes"].count("leaf set not certified locally indistinguishable") == 2
 
 
 def test_oplm(capsys, files):

@@ -13,7 +13,6 @@ from qlocc.oplm import (
     _coords_to_matrix,
     _pair_tensors,
     _rank,
-    _support_basis,
     block_structure,
     eliminable_states,
     index_projectors_capped,
@@ -31,6 +30,7 @@ from qlocc.states import (
     make_ket,
     party_matrices,
     random_local_unitaries,
+    support_basis,
 )
 
 
@@ -328,7 +328,7 @@ def _constraint_rows_loop(g):
 
 def _pair_data(s, party, on_support):
     mats = party_matrices(s, party)
-    support = _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
+    support = support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
     return _pair_tensors(mats, support)
 
 

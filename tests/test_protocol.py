@@ -24,6 +24,7 @@ from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, mak
 from _helpers import (
     ReferenceCheck,
     childless_s3_activation_tree,
+    near_orthogonal_leaves_tree,
     outcome_matches_reference,
     random_orthonormal_set,
     reference_apply_outcome,
@@ -232,6 +233,16 @@ def test_certify_rejects_missing_children():
     cert = certify_activation_protocol(s3, childless_s3_activation_tree())
     assert cert.kind == "ProtocolFailure" and not cert.verified
     assert "root/0: 1 children for 2 outcomes" in cert.notes
+
+
+def test_certify_judges_redundancy_only_on_certified_leaves():
+    s, tree = near_orthogonal_leaves_tree()
+    cert = certify_activation_protocol(s, tree)
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert cert.notes == (
+        "root/0: leaf set not certified locally indistinguishable; "
+        "root/1: leaf set not certified locally indistinguishable"
+    )
 
 
 def test_certify_builtin_s4_abc():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_orthonormal_set
+from _helpers import qset_mismatches, random_orthonormal_set, state_model_cases
 from qlocc.fixtures import build_fixture
 from qlocc.qset import QsetError, parse_qset, serialize_qset
 from qlocc.states import gram_check, gram_matrix
@@ -56,6 +56,11 @@ def test_roundtrip_random_sets():
         assert np.abs(gram_matrix(s) - gram_matrix(s2)).max() <= 1e-12
         # canonical serialization is a fixed point
         assert serialize_qset(s2) == text
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_qset_io_matches_per_ket_reference(s):
+    assert qset_mismatches(s) == []
 
 
 def test_serialize_single_basis_state():
@@ -113,3 +118,9 @@ def test_error_syntax_reports_position():
 def test_error_dangling_operator():
     e = _err("qset v1\ndims: 2 2\nstate a: |0,0> +\n")
     assert e.code == "E_SYNTAX"
+
+
+def test_error_order_follows_the_states():
+    # a state that sums to zero is reported before a later state's syntax error
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0> - |0,0>\nstate b: |0,0> + oops\n")
+    assert (e.code, e.line) == ("E_EMPTY_STATE", 3)

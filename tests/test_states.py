@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    counted_kets,
     product_structure_mismatches,
     random_orthogonal_product_set,
     random_orthonormal_set,
+    redundancy_mismatches,
     reference_gram_check,
+    reference_normalized,
+    same_bits,
+    state_model_cases,
 )
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.partitions import _merge_for, _partition_label, _two_block_partitions
+from qlocc.qset import parse_qset, serialize_qset
 from qlocc.states import (
     Bipartition,
     Ket,
@@ -27,8 +33,10 @@ from qlocc.states import (
     random_local_unitaries,
     reduced_state,
     redundancy_check,
+    redundancy_check_whole_parties,
     schmidt_rank,
 )
+from qlocc.upb import numeric_extension_search
 
 
 def space44():
@@ -332,6 +340,50 @@ def test_equal_up_to_local_relabeling():
     s1 = build_fixture("s1")
     some = StateSet(s1.space, s1.states[:5], "frag")
     assert not equal_up_to_local_relabeling(some, t)
+
+
+def test_equal_up_to_local_relabeling_reads_tol():
+    t = build_fixture("tiles33")
+    perm = np.kron(np.eye(3), np.eye(3)[[1, 2, 0]])
+    rows = t.matrix() @ perm.T
+    # tilt the first state towards the second: its best overlap is cos(theta) = 1 - 1e-7
+    theta = np.arccos(1 - 1e-7)
+    rows[0] = np.cos(theta) * rows[0] + np.sin(theta) * rows[1]
+    moved = StateSet.from_matrix(t.space, rows, t.labels, "moved")
+    assert equal_up_to_local_relabeling(moved, t)
+    assert not equal_up_to_local_relabeling(moved, t, tol=1e-9)
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_redundancy_matches_per_ket_reference(s):
+    assert redundancy_mismatches(s) == []
+
+
+def test_ket_and_from_matrix_share_the_normalization_rule():
+    rng = np.random.default_rng(41)
+    space = PartySpace((6, 6, 2))
+    for _ in range(50):
+        m = (rng.normal(size=(4, 72)) + 1j * rng.normal(size=(4, 72))) * rng.uniform(1e-3, 1e3, size=(4, 1))
+        m[1] /= np.linalg.norm(m[1])  # within 1e-12 of 1: kept as is
+        ref = np.stack([reference_normalized(row) for row in m])
+        assert same_bits(StateSet.from_matrix(space, m, list("abcd")).matrix(), ref)
+        assert all(same_bits(Ket(space, row).amplitudes, r) for row, r in zip(m, ref))
+    m[2] = 1e-13
+    for build in (lambda: StateSet.from_matrix(space, m, list("abcd")), lambda: Ket(space, m[2])):
+        with pytest.raises(ValueError, match="zero vector cannot be a Ket"):
+            build()
+
+
+def test_matrix_paths_build_no_kets():
+    s4, tiles = build_fixture("s4"), build_fixture("tiles33")
+    minus = StateSet.from_matrix(tiles.space, tiles.matrix()[:4], tiles.labels[:4], "minus")
+    with counted_kets() as built:
+        redundancy_check(s4)
+        redundancy_check_whole_parties(s4)
+        parse_qset(serialize_qset(s4))
+        assert built == []
+        numeric_extension_search(minus, restarts=5)
+        assert built == ["candidate-extension"]
 
 
 def _product_structure_cases():

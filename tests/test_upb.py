@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from _helpers import random_orthogonal_product_set
 from qlocc.fixtures import build_fixture
-from qlocc.oplm import _support_basis
 from qlocc.states import (
     Ket,
     PartySpace,
@@ -19,6 +18,7 @@ from qlocc.states import (
     make_ket,
     party_matrices,
     random_local_unitaries,
+    support_basis,
 )
 from qlocc import upb
 from qlocc.upb import ExtensionSearchResult, _residuals, check_unextendible, numeric_extension_search
@@ -252,7 +252,7 @@ def _reference_extension_search(s, restarts=200, seed=0, restrict_support=True):
     supports = []
     for p in range(n_parties):
         if restrict_support:
-            u, _ = _support_basis(party_matrices(s, p))
+            u, _ = support_basis(party_matrices(s, p))
         else:
             u = np.eye(s.space.party_dims[p], dtype=np.complex128)
         supports.append(u)
