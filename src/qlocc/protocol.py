@@ -466,7 +466,7 @@ class SetAnalyzer:
         if len(s) < 2:
             return False, None
         cert = self.certified_indistinguishable(key)
-        if cert is not None and not redundancy_check_whole_parties(s):
+        if cert is not None and _leaf_redundant(s) is False:
             self.nodes[key]["act_leaf_evidence"] = cert
             return True, Leaf(reached=s)
         return (False, None) if self.exact_nonactivable(key) else None
@@ -625,13 +625,24 @@ def _collect_leaves(s: StateSet, tree, path="root"):
     return leaves
 
 
+def _leaf_redundant(s: StateSet) -> bool | None:
+    """Whole-party redundancy of a certified activation leaf, or None when the
+    set is not orthogonal at ORTHO_TOL and so has no redundancy verdict: the
+    search and replay keep survivors orthogonal only to SPAN_TOL."""
+    try:
+        return redundancy_check_whole_parties(s)
+    except ValueError:
+        return None
+
+
 def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Replay an activation tree and certify every reachable leaf set.
 
     Deterministic activation: every replay step must be a complete
     measurement that preserves orthogonality, and each leaf must hold >= 2
-    states, be locally irredundant over whole parties, and be certified
-    locally indistinguishable (IRREDUCIBLE-EXACT or support-restricted UPB).
+    states, be orthogonal at ORTHO_TOL and locally irredundant over whole
+    parties, and be certified locally indistinguishable (IRREDUCIBLE-EXACT
+    or support-restricted UPB).
     """
     an = analyzer or SetAnalyzer()
     params = {"tolerance": SPAN_TOL}
@@ -643,11 +654,11 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
             continue
         key = an.intern(cur)
         cert = an.certified_indistinguishable(key)
-        # redundancy is judged on certified leaves only, as in the search: replay
-        # keeps survivors orthogonal to SPAN_TOL, which redundancy would reject
         if cert is None:
             failures.append(f"{path}: leaf set not certified locally indistinguishable")
-        elif redundancy_check_whole_parties(cur):
+        elif (redundant := _leaf_redundant(cur)) is None:
+            failures.append(f"{path}: leaf set not orthogonal at ORTHO_TOL")
+        elif redundant:
             failures.append(f"{path}: leaf set is locally redundant")
         else:
             evidence.append(

@@ -127,7 +127,7 @@ class Ket:
     __slots__ = ("space", "amplitudes", "label")
 
     def __init__(self, space: PartySpace, amplitudes, label: str = ""):
-        amps = as_carray(np.array(amplitudes, dtype=np.complex128, order="C")).reshape(1, -1)
+        amps = np.array(amplitudes, dtype=np.complex128, order="C").reshape(1, -1)
         if amps.shape[1] != space.total_dim:
             raise ValueError(f"amplitude length {amps.shape[1]} != total dim {space.total_dim}")
         self.space = space
@@ -171,13 +171,16 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """Normalize the rows of a C-contiguous complex (n, D) matrix in place:
-    reject a row of norm below 1e-12, divide a row by its norm unless that
-    is within 1e-12 of 1. The one normalization rule of the state model."""
-    norms = row_norms(m)
+    """Check and normalize in place the rows of a C-contiguous complex
+    (n, D) matrix the caller owns: reject non-finite entries and a row of
+    norm below 1e-12, divide a row by its norm unless that is within 1e-12
+    of 1. The one normalization rule of the state model."""
+    norms = row_norms(as_carray(m))
     if (norms < 1e-12).any():
         raise ValueError("zero vector cannot be a Ket")
-    np.divide(m, norms[:, None], out=m, where=abs(norms[:, None] - 1.0) > 1e-12)
+    off = np.abs(norms - 1.0) > 1e-12
+    if off.any():
+        np.divide(m, norms[:, None], out=m, where=off[:, None])
     return m
 
 
@@ -206,11 +209,11 @@ class StateSet:
     def from_matrix(cls, space: PartySpace, matrix, labels, name: str = "") -> "StateSet":
         """A set whose states are the rows of `matrix`, labeled by `labels`.
 
-        The rows are copied, checked for finite entries and normalized by
-        the rule `Ket` uses, once for the whole array.
+        The rows are copied, then checked and normalized by the rule `Ket`
+        uses, once for the whole array.
         """
         labels = list(labels)
-        m = as_carray(np.array(matrix, dtype=np.complex128, order="C"))
+        m = np.array(matrix, dtype=np.complex128, order="C")
         if m.shape != (len(labels), space.total_dim):
             raise ValueError(f"amplitude matrix shape {m.shape} != ({len(labels)}, {space.total_dim})")
         out = cls.__new__(cls)
@@ -475,8 +478,8 @@ def _redundancy(s: StateSet, fdims, fnames, tol: float) -> RedundancyReport:
     nf = len(fdims)
     if nf < 2:
         raise ValueError("need at least two tensor factors")
-    m, labels = s.matrix(), s.labels
-    iu, ju = np.triu_indices(len(s), 1)
+    m, labels, n = s.matrix(), s.labels, len(s)
+    iu, ju = np.triu_indices(n, 1)
     violations: dict[tuple[str, ...], list[tuple[str, str, float]]] = {}
     witness = None
     # iterate nonempty proper keep-subsets; discard = complement
@@ -484,7 +487,8 @@ def _redundancy(s: StateSet, fdims, fnames, tol: float) -> RedundancyReport:
         keep = [i for i in range(nf) if mask >> i & 1]
         discard = tuple(fnames[i] for i in range(nf) if not mask >> i & 1)
         rho = _reduced_states(m, fdims, keep)
-        traces = np.real(np.trace(rho[iu] @ rho[ju], axis1=1, axis2=2))
+        # one row of pairs (i, j > i) at a time keeps the products at n reduced states
+        traces = np.concatenate([np.real(np.trace(rho[i] @ rho[i + 1 :], axis1=1, axis2=2)) for i in range(n)])
         hit = traces > tol
         violations[discard] = bad = _sorted_violations(labels, iu[hit], ju[hit], traces[hit])
         if not bad and witness is None:
@@ -523,10 +527,14 @@ def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
     return mats[:, arows][:, :, acols], len(arows), len(acols)
 
 
-def equal_up_to_local_relabeling(a: StateSet, b: StateSet, tol: float = 1e-6) -> bool:
+RELABEL_TOL = 1e-6  # two states match when their overlap exceeds 1 - RELABEL_TOL
+
+
+def equal_up_to_local_relabeling(a: StateSet, b: StateSet) -> bool:
     """Same bipartite set up to support embedding, independent local basis
     relabelings (index permutations), per-state phases and state order: each
-    state of `a` must have overlap above 1 - `tol` with a distinct state of `b`."""
+    state of `a` must have overlap above 1 - RELABEL_TOL with a distinct
+    state of `b`."""
     from itertools import permutations
 
     if len(a) != len(b):
@@ -540,7 +548,7 @@ def equal_up_to_local_relabeling(a: StateSet, b: StateSet, tol: float = 1e-6) ->
         for pb in permutations(range(ca)):
             perm = mb[:, pa][:, :, pb].reshape(len(b), -1)
             overlap = np.abs(va.conj() @ perm.T)
-            hits = overlap > 1 - tol
+            hits = overlap > 1 - RELABEL_TOL
             if hits.sum(axis=1).min() >= 1 and len(set(int(np.argmax(r)) for r in hits)) == len(a):
                 return True
     return False

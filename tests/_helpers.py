@@ -135,6 +135,23 @@ def near_orthogonal_leaves_tree():
     return s, protocol.Measure(0, LocalMeasurement(0, halves, ["M0", "M1"]), [protocol.Leaf(), protocol.Leaf()])
 
 
+def near_bell_leaves_tree():
+    """A 4x2 triple and the one-step tree of `near_orthogonal_leaves_tree`
+    whose two leaves are certified but not orthogonal at ORTHO_TOL: each half
+    of A's space holds three Bell states of A's block and B, the second one
+    tilted by +x towards the first on one half and by -x on the other, so
+    the root is orthogonal and each leaf has overlap x = 5e-9."""
+    x = 5e-9
+    y = np.sqrt(1 - x * x)
+    phip, phim, psip = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]]) / np.sqrt(2)
+    rows = [
+        np.concatenate([top, bottom]) / np.sqrt(2)
+        for top, bottom in [(phip, phip), (y * phim + x * phip, y * phim - x * phip), (psip, psip)]
+    ]
+    s = StateSet.from_matrix(PartySpace((4, 2)), rows, ["p1", "p2", "p3"], "near-bell")
+    return s, near_orthogonal_leaves_tree()[1]
+
+
 def childless_s3_activation_tree():
     """builtin:s3_activation whose first Alice step has 1 child for 2 outcomes."""
     tree = builtin_protocol("s3_activation")

@@ -8,7 +8,7 @@ from qlocc.protocol import tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
 
-from _helpers import digest, near_orthogonal_leaves_tree, truncated_s3_activation_tree
+from _helpers import digest, near_bell_leaves_tree, near_orthogonal_leaves_tree, truncated_s3_activation_tree
 
 
 @pytest.fixture
@@ -96,15 +96,22 @@ def test_redundancy_json_bytes(capsys, tmp_path, name, pin):
     assert digest(rep) == pin
 
 
-def test_protocol_verify_activation_uncertified_leaves_fail(capsys, tmp_path):
-    s, tree = near_orthogonal_leaves_tree()
+@pytest.mark.parametrize(
+    "case, note",
+    [
+        (near_orthogonal_leaves_tree, "leaf set not certified locally indistinguishable"),
+        (near_bell_leaves_tree, "leaf set not orthogonal at ORTHO_TOL"),
+    ],
+)
+def test_protocol_verify_activation_near_orthogonal_leaves_fail(capsys, tmp_path, case, note):
+    s, tree = case()
     set_path, tree_path = tmp_path / "near.qset", tmp_path / "near.json"
     set_path.write_text(serialize_qset(s))
     tree_path.write_text(json.dumps(tree_to_json(tree)))
     code, rep = run_json(capsys, "protocol", "verify", "--set", str(set_path), "--protocol", str(tree_path), "--activation")
     assert code == 1
     assert rep["verdicts"]["kind"] == "ProtocolFailure"
-    assert rep["verdicts"]["notes"].count("leaf set not certified locally indistinguishable") == 2
+    assert rep["verdicts"]["notes"].count(note) == 2
 
 
 def test_oplm(capsys, files):

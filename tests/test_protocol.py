@@ -24,6 +24,7 @@ from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, mak
 from _helpers import (
     ReferenceCheck,
     childless_s3_activation_tree,
+    near_bell_leaves_tree,
     near_orthogonal_leaves_tree,
     outcome_matches_reference,
     random_orthonormal_set,
@@ -243,6 +244,19 @@ def test_certify_judges_redundancy_only_on_certified_leaves():
         "root/0: leaf set not certified locally indistinguishable; "
         "root/1: leaf set not certified locally indistinguishable"
     )
+
+
+def test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol():
+    s, tree = near_bell_leaves_tree()
+    an = SetAnalyzer()
+    cert = certify_activation_protocol(s, tree, an)
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert cert.notes == "root/0: leaf set not orthogonal at ORTHO_TOL; root/1: leaf set not orthogonal at ORTHO_TOL"
+    for _, leaf, _ in _collect_leaves(s, tree):
+        key = an.intern(leaf)
+        assert an.certified_indistinguishable(key)["kind"] == "IRREDUCIBLE-EXACT"
+        # the search does not take such a set as an activation leaf either
+        assert an.activation(key, 0)[0] is not True
 
 
 def test_certify_builtin_s4_abc():

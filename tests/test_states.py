@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -342,21 +344,35 @@ def test_equal_up_to_local_relabeling():
     assert not equal_up_to_local_relabeling(some, t)
 
 
-def test_equal_up_to_local_relabeling_reads_tol():
+@pytest.mark.parametrize("gap, equal", [(1e-7, True), (1e-5, False)])
+def test_equal_up_to_local_relabeling_overlap_bound(gap, equal):
+    # overlaps 1 - 1e-7 and 1 - 1e-5 lie on either side of 1 - RELABEL_TOL (1e-6)
     t = build_fixture("tiles33")
     perm = np.kron(np.eye(3), np.eye(3)[[1, 2, 0]])
     rows = t.matrix() @ perm.T
-    # tilt the first state towards the second: its best overlap is cos(theta) = 1 - 1e-7
-    theta = np.arccos(1 - 1e-7)
+    # tilt the first state towards the second: its best overlap is cos(theta) = 1 - gap
+    theta = np.arccos(1 - gap)
     rows[0] = np.cos(theta) * rows[0] + np.sin(theta) * rows[1]
     moved = StateSet.from_matrix(t.space, rows, t.labels, "moved")
-    assert equal_up_to_local_relabeling(moved, t)
-    assert not equal_up_to_local_relabeling(moved, t, tol=1e-9)
+    assert equal_up_to_local_relabeling(moved, t) is equal
 
 
 @pytest.mark.parametrize("s", state_model_cases())
 def test_redundancy_matches_per_ket_reference(s):
     assert redundancy_mismatches(s) == []
+
+
+def test_redundancy_memory_linear_in_states():
+    # a complete 4x4x4 product basis: 2,016 pairs of 16x16 reduced states per
+    # one-party discard, about 8 MB per array were all pairs stacked at once
+    s = StateSet.from_matrix(PartySpace((4, 4, 4)), np.eye(64), [f"s{i}" for i in range(64)])
+    tracemalloc.start()
+    try:
+        assert not redundancy_check(s).redundant
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_ket_and_from_matrix_share_the_normalization_rule():
