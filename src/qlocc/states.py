@@ -15,7 +15,8 @@ matrix and `party_rows` its inverse, `occupied_indices` the party's
 occupied computational-basis indices, `support_basis` an orthonormal basis
 of its joint local support, and `local_factors` decides with one stacked
 SVD per party which states are product across that party's cut and what
-their local vectors are. `schmidt_rank`, `coefficient_matrix` and
+their local vectors are. A set keeps that decision, so each (set, party)
+is decided once however many analyses ask. `schmidt_rank`, `coefficient_matrix` and
 `is_product_state` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
@@ -229,6 +230,7 @@ class StateSet:
         self._matrix = m
         self._labels = labels
         self._states: list[Ket] | None = None
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # party -> local_factors
 
     @property
     def states(self) -> list[Ket]:
@@ -374,11 +376,16 @@ def local_factors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
     that party's cut (sigma_1 <= RANK_RTOL * sigma_0).
 
     One stacked full-matrices SVD of the party matrices; each item is bit
-    for bit the SVD of that state's coefficient matrix.
+    for bit the SVD of that state's coefficient matrix. The set keeps the
+    result, read-only, and later calls for the same party return it.
     """
-    u, sv, _ = np.linalg.svd(party_matrices(s, party))
-    second = sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(s))
-    return u[:, :, 0], second <= RANK_RTOL * sv[:, 0]
+    if party not in s._factors:
+        u, sv, _ = np.linalg.svd(party_matrices(s, party))
+        second = sv[:, 1] if sv.shape[1] > 1 else np.zeros(len(s))
+        vecs, product = u[:, :, 0], second <= RANK_RTOL * sv[:, 0]
+        vecs.flags.writeable = product.flags.writeable = False
+        s._factors[party] = (vecs, product)
+    return s._factors[party]
 
 
 def local_vectors(s: StateSet, party: int) -> np.ndarray | None:

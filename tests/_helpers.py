@@ -18,6 +18,14 @@ from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.linalg import ORTHO_TOL, RANK_RTOL
 from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
 from qlocc.protocol import _collect_leaves, builtin_protocol
+from qlocc.upb import (
+    ASSIGNMENT_CAP,
+    NODE_CAP,
+    WITNESS_TOL,
+    UpbVerdict,
+    _local_support_vectors,
+    _orth_complement_vector,
+)
 from qlocc.states import (
     Bipartition,
     Ket,
@@ -27,6 +35,7 @@ from qlocc.states import (
     StateSet,
     apply_local_unitaries,
     coefficient_matrix,
+    gram_check,
     local_factors,
     local_vectors,
     merge_parties,
@@ -284,6 +293,89 @@ def reference_local_support_vectors(s: StateSet):
     return supports, locals_
 
 
+def reference_check_unextendible(s: StateSet) -> UpbVerdict:
+    """`upb.check_unextendible` without the dominance prune: the plain
+    depth-first search over party assignments, trying every party in index
+    order at every state. The pruned search must return the same verdict,
+    assignment and witness; only `nodes_explored` may differ."""
+    if len(s) == 0:
+        raise ValueError("empty state set")
+    if not gram_check(s).ok:
+        raise ValueError("set must be pairwise orthogonal")
+    n_parties = s.space.n_parties
+    factors = [local_factors(s, p) for p in range(n_parties)]
+    product = np.logical_and.reduce([mask for _, mask in factors])
+    if not product.all():
+        raise ValueError(f"state {s.labels[int(np.argmin(product))]} is not a product state")
+    k = len(s)
+    if n_parties**k > ASSIGNMENT_CAP:
+        raise ValueError(f"{n_parties}^{k} assignments exceed cap; use numeric_extension_search")
+    supports, locals_ = _local_support_vectors(s, factors)
+    rdims = [u.shape[1] for u in supports]
+    note = "supports: " + " x ".join(str(r) for r in rdims) + f" (ambient {'x'.join(str(d) for d in s.space.party_dims)})"
+
+    nodes = 0
+    spans = [np.zeros((r, 0), dtype=np.complex128) for r in rdims]
+    assignment: list[int] = []
+
+    def dfs(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_CAP:
+            raise ValueError("assignment search exceeded node cap")
+        if i == k:
+            return True
+        for p in range(n_parties):
+            w = locals_[p][i]
+            resid = w - spans[p] @ (spans[p].conj().T @ w)
+            rn = np.linalg.norm(resid)
+            grow = rn > 1e-8  # w is not yet in party p's span
+            if grow:
+                if spans[p].shape[1] + 1 >= rdims[p]:
+                    continue  # party span would become full: no room for a witness
+                spans[p] = np.hstack([spans[p], (resid / rn)[:, None]])
+            assignment.append(p)
+            if dfs(i + 1):
+                return True
+            assignment.pop()
+            if grow:
+                spans[p] = spans[p][:, :-1]
+        return False
+
+    if dfs(0):
+        parts = []
+        for p in range(n_parties):
+            v = _orth_complement_vector(spans[p], rdims[p])
+            parts.append(supports[p] @ v)
+        amp = parts[0]
+        for v in parts[1:]:
+            amp = np.kron(amp, v)
+        witness = Ket(s.space, amp, "extension")
+        overlaps = np.abs(s.matrix().conj() @ witness.amplitudes)
+        if overlaps.max() > WITNESS_TOL:
+            raise AssertionError("internal error: extension witness not orthogonal")
+        return UpbVerdict(False, witness, list(assignment), note, nodes)
+    return UpbVerdict(True, None, None, note, nodes)
+
+
+def upb_run(fn, s: StateSet):
+    """fn(s), or the ValueError it raises."""
+    try:
+        return fn(s)
+    except ValueError as exc:
+        return exc
+
+
+def upb_outcome(result):
+    """(unextendible, assignment, sha256 of the witness amplitudes) of a
+    `upb_run` verdict, or the message of its ValueError: what the pruned
+    and the reference search must agree on."""
+    if isinstance(result, ValueError):
+        return f"ValueError({result})"
+    w = None if result.witness is None else hashlib.sha256(result.witness.amplitudes.tobytes()).hexdigest()
+    return result.unextendible, result.assignment, w
+
+
 def product_structure_mismatches(s: StateSet) -> list[str]:
     """Where the stacked product-structure path differs from the per-state
     references on `s`, bit for bit: `local_factors` and `local_vectors` on
@@ -307,7 +399,9 @@ def product_structure_mismatches(s: StateSet) -> list[str]:
 
 class ReferenceCheck:
     """While installed, compares every `apply_outcome` and `canonical_key`
-    call made through qlocc.protocol with the per-state references, and
+    call made through qlocc.protocol with the per-state references and
+    every `check_unextendible` call with the unpruned search (keeping each
+    set with both results, verdict or ValueError, in `upb_calls`), and
     keeps every distinct set whose product structure was asked for through
     `local_factors` (in `factor_sets`, keyed by object id)."""
 
@@ -316,10 +410,12 @@ class ReferenceCheck:
         self.keys = 0
         self.mismatches: list[str] = []
         self.factor_sets: dict[int, StateSet] = {}
+        self.upb_calls: list[tuple[StateSet, UpbVerdict | ValueError, UpbVerdict | ValueError]] = []
 
     @contextmanager
     def installed(self):
         apply_outcome, canonical_key = protocol.apply_outcome, protocol.canonical_key
+        check_unextendible = protocol.check_unextendible
 
         def checked_apply(s, party, kraus, *args, **kwargs):
             result = apply_outcome(s, party, kraus, *args, **kwargs)
@@ -339,9 +435,19 @@ class ReferenceCheck:
             self.factor_sets.setdefault(id(s), s)
             return local_factors(s, party)
 
+        def checked_upb(s):
+            got, ref = upb_run(check_unextendible, s), upb_run(reference_check_unextendible, s)
+            self.upb_calls.append((s, got, ref))
+            if upb_outcome(got) != upb_outcome(ref):
+                self.mismatches.append(f"check_unextendible on {s.labels}")
+            if isinstance(got, ValueError):
+                raise got
+            return got
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "apply_outcome", checked_apply)
             mp.setattr(protocol, "canonical_key", checked_key)
+            mp.setattr(protocol, "check_unextendible", checked_upb)
             for mod in (states, protocol, partitions, upb):
                 mp.setattr(mod, "local_factors", recorded_factors)
             yield self

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import DIGESTS, ReferenceCheck, digest, product_structure_mismatches
+from _helpers import DIGESTS, ReferenceCheck, digest, product_structure_mismatches, upb_outcome
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
@@ -121,6 +121,25 @@ def test_profile_product_structure_matches_per_state_references(run, request):
     assert check.factor_sets
     mismatches = [m for s in check.factor_sets.values() for m in product_structure_mismatches(s)]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("run, completed", [("s2_run", 7), ("s4_run", 14)])
+def test_profile_upb_inputs_match_unpruned_search(run, completed, request):
+    # every call is compared in ReferenceCheck; this pins how many inputs
+    # that covers (the rest exceed the assignment cap in both searches)
+    _prof, check = request.getfixturevalue(run)
+    outcomes = [(upb_outcome(got), upb_outcome(ref)) for _, got, ref in check.upb_calls]
+    assert sum(not isinstance(ref, ValueError) for _, _, ref in check.upb_calls) == completed
+    assert all(got == ref for got, ref in outcomes)
+
+
+def test_upb_prune_bounds_s4_abc_node(s4_run):
+    # the 20-state 6x12 nodes of the s4 A|BC search that the unpruned
+    # search settles in 58,352 nodes each
+    _prof, check = s4_run
+    hard = [(got, ref) for s, got, ref in check.upb_calls if len(s) == 20 and s.space.party_dims == (6, 12) and ref.unextendible]
+    assert max(ref.nodes_explored for _, ref in hard) == 58_352
+    assert all(got.unextendible and got.nodes_explored <= 2_000 for got, _ in hard)
 
 
 def test_s2_s4_profiles_differ(s2_profile, s4_profile):

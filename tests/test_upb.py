@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_orthogonal_product_set
+from _helpers import random_orthogonal_product_set, reference_check_unextendible, upb_outcome, upb_run
 from qlocc.fixtures import build_fixture
 from qlocc.states import (
     Ket,
@@ -112,9 +112,10 @@ def _pinned_cases():
 
 
 # (unextendible, nodes_explored, assignment, sha256 of the witness amplitudes)
-# of check_unextendible, computed with one product test per state and a DFS
-# with separate grow and no-grow branches; the stacked SVD and the one-body
-# DFS must reproduce them bit for bit
+# of the assignment search without the dominance prune, computed with one
+# product test per state and a DFS with separate grow and no-grow branches;
+# the stacked SVD and the one-body DFS of reference_check_unextendible must
+# reproduce them bit for bit
 UPB_PINS = {
     "tiles33": (True, 19, None, None),
     "tiles33-minus-0": (False, 5, [0, 0, 1, 1], "93ddef40477094761870ea83c70bad3a711123d38d36479a0fd615b00399d623"),
@@ -142,13 +143,42 @@ UPB_PINS = {
 }
 
 
+# nodes_explored of check_unextendible, whose dominance prune skips the
+# branches that cannot change the outcome; every other field is UPB_PINS's
+UPB_NODES = {
+    "tiles33": 19,
+    "tiles33-minus-0": 5,
+    "tiles33-minus-1": 5,
+    "tiles33-minus-2": 5,
+    "tiles33-minus-3": 5,
+    "tiles33-minus-4": 5,
+    "3x3-5": 9,
+    "3x3-7": 8,
+    "3x3-9": 29,
+    "2x2x2-5": 6,
+    "2x2x2-7": 22,
+    "2x2x2-8": 30,
+    "2x4-5": 6,
+    "2x4-7": 8,
+    "2x4-8": 20,
+    "3x3x2-6": 7,
+    "3x3x2-9": 23,
+    "3x3x2-10": 56,
+}
+
+
+def _pin(v):
+    w = None if v.witness is None else hashlib.sha256(v.witness.amplitudes.tobytes()).hexdigest()
+    return (v.unextendible, v.nodes_explored, v.assignment, w)
+
+
+def test_reference_search_pins():
+    assert {name: _pin(reference_check_unextendible(s)) for name, s in _pinned_cases().items()} == UPB_PINS
+
+
 def test_check_unextendible_pins():
-    got = {}
-    for name, s in _pinned_cases().items():
-        v = check_unextendible(s)
-        w = None if v.witness is None else hashlib.sha256(v.witness.amplitudes.tobytes()).hexdigest()
-        got[name] = (v.unextendible, v.nodes_explored, v.assignment, w)
-    assert got == UPB_PINS
+    got = {name: _pin(check_unextendible(s)) for name, s in _pinned_cases().items()}
+    assert got == {name: (u, UPB_NODES[name], a, w) for name, (u, _, a, w) in UPB_PINS.items()}
 
 
 def test_oracle_tiles33():
@@ -233,8 +263,9 @@ def test_assignment_cap():
     for i in range(13):
         bits = [(i >> b) & 1 for b in range(4)]
         states.append(make_ket(s, [(1, tuple(bits + [i % 2]))], f"v{i}"))
-    # states here are not pairwise orthogonal in general; cap check fires first
-    with pytest.raises(ValueError):
+    # distinct computational basis states: orthogonal and product, so the
+    # gram and product checks pass and the cap is what refuses them
+    with pytest.raises(ValueError, match="exceed cap"):
         check_unextendible(StateSet(s, states[:13], "big"))
 
 
@@ -425,5 +456,6 @@ def test_exact_upb_matches_brute_force_and_oracle(seed, dims, k):
     assume(s is not None)
     unextendible = check_unextendible(s).unextendible
     assert unextendible == (not _brute_force_extendible(s))
+    assert upb_outcome(upb_run(check_unextendible, s)) == upb_outcome(upb_run(reference_check_unextendible, s))
     oracle = numeric_extension_search(s, restarts=60, seed=seed % 1000)
     assert unextendible == (oracle.residual > 1e-8), oracle.residual
