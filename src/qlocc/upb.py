@@ -120,39 +120,35 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             resids.append((resid, np.linalg.norm(resid)))
         free = next((p for p, (_, rn) in enumerate(resids) if rn <= 1e-8), None)
         if free is None:
-            return try_parties(i, range(n_parties), resids)
+            return grow_into(i, range(n_parties), resids)
         at_entry = list(spans)
         assignment.append(free)
         if not dfs(i + 1):
             assignment.pop()
             return False
-        if free == 0:
-            return True
-        kept_assignment, kept_spans = assignment[i:], list(spans)
-        del assignment[i:]
-        spans[:] = at_entry
-        if try_parties(i, range(free), resids):
-            return True
-        assignment.extend(kept_assignment)
-        spans[:] = kept_spans
+        if free > 0:
+            kept_assignment, kept_spans = assignment[i:], list(spans)
+            del assignment[i:]
+            spans[:] = at_entry
+            if not grow_into(i, range(free), resids):
+                assignment.extend(kept_assignment)
+                spans[:] = kept_spans
         return True
 
-    def try_parties(i: int, parties, resids) -> bool:
-        """Give state i to each of `parties` in turn, growing its span by the
-        state's residual there, until the rest of the search succeeds."""
+    def grow_into(i: int, parties, resids) -> bool:
+        """Give state i to each of `parties` in turn, none of whose spans
+        holds its local vector yet, growing that span by the state's
+        residual, until the rest of the search succeeds."""
         for p in parties:
             resid, rn = resids[p]
-            grow = rn > 1e-8  # w is not yet in party p's span
-            if grow:
-                if spans[p].shape[1] + 1 >= rdims[p]:
-                    continue  # party span would become full: no room for a witness
-                spans[p] = np.hstack([spans[p], (resid / rn)[:, None]])
+            if spans[p].shape[1] + 1 >= rdims[p]:
+                continue  # party span would become full: no room for a witness
+            spans[p] = np.hstack([spans[p], (resid / rn)[:, None]])
             assignment.append(p)
             if dfs(i + 1):
                 return True
             assignment.pop()
-            if grow:
-                spans[p] = spans[p][:, :-1]
+            spans[p] = spans[p][:, :-1]
         return False
 
     if dfs(0):
