@@ -16,8 +16,8 @@ occupied computational-basis indices, `support_basis` an orthonormal basis
 of its joint local support, and `local_factors` decides with one stacked
 SVD per party which states are product across that party's cut and what
 their local vectors are. A set keeps that decision, so each (set, party)
-is decided once however many analyses ask. `schmidt_rank`, `coefficient_matrix` and
-`is_product_state` remain as the per-`Ket` API.
+is decided once however many analyses ask. `schmidt_rank`,
+`coefficient_matrix` and `is_product_state` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
 (orthogonal supports), which for PSD operators is equivalent.

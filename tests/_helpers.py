@@ -18,14 +18,6 @@ from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.linalg import ORTHO_TOL, RANK_RTOL
 from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
 from qlocc.protocol import _collect_leaves, builtin_protocol
-from qlocc.upb import (
-    ASSIGNMENT_CAP,
-    NODE_CAP,
-    WITNESS_TOL,
-    UpbVerdict,
-    _local_support_vectors,
-    _orth_complement_vector,
-)
 from qlocc.states import (
     Bipartition,
     Ket,
@@ -46,6 +38,14 @@ from qlocc.states import (
     redundancy_check_whole_parties,
     schmidt_rank,
     support_basis,
+)
+from qlocc.upb import (
+    ASSIGNMENT_CAP,
+    NODE_CAP,
+    WITNESS_TOL,
+    UpbVerdict,
+    _local_support_vectors,
+    _orth_complement_vector,
 )
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())

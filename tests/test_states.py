@@ -441,6 +441,23 @@ def test_local_factors_mask_mixed_and_single_party():
     assert mask.tolist() == [True] and np.allclose(np.abs(vecs[0]), np.abs(one.matrix()[0]))
 
 
+def test_local_factors_decided_once_per_set_and_party(monkeypatch):
+    s4 = build_fixture("s4")
+    svds = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    first = [local_factors(s4, p) for p in range(3)]
+    again = [local_factors(s4, p) for p in range(3)]
+    assert len(svds) == 3
+    assert all(a is b for a, b in zip(first, again))
+    assert not any(a.flags.writeable for pair in first for a in pair)
+
+
 def test_party_rows_inverts_party_matrices():
     s = build_fixture("s4")
     for p in range(s.space.n_parties):

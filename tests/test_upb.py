@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import itertools
 
 import numpy as np
@@ -168,8 +167,8 @@ UPB_NODES = {
 
 
 def _pin(v):
-    w = None if v.witness is None else hashlib.sha256(v.witness.amplitudes.tobytes()).hexdigest()
-    return (v.unextendible, v.nodes_explored, v.assignment, w)
+    unextendible, assignment, witness = upb_outcome(v)
+    return (unextendible, v.nodes_explored, assignment, witness)
 
 
 def test_reference_search_pins():
@@ -454,8 +453,9 @@ def _brute_force_extendible(s):
 def test_exact_upb_matches_brute_force_and_oracle(seed, dims, k):
     s = random_orthogonal_product_set(np.random.default_rng(seed), dims, k, max_tries=50)
     assume(s is not None)
-    unextendible = check_unextendible(s).unextendible
+    verdict = check_unextendible(s)
+    assert upb_outcome(verdict) == upb_outcome(upb_run(reference_check_unextendible, s))
+    unextendible = verdict.unextendible
     assert unextendible == (not _brute_force_extendible(s))
-    assert upb_outcome(upb_run(check_unextendible, s)) == upb_outcome(upb_run(reference_check_unextendible, s))
     oracle = numeric_extension_search(s, restarts=60, seed=seed % 1000)
     assert unextendible == (oracle.residual > 1e-8), oracle.residual
