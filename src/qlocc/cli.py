@@ -22,6 +22,7 @@ from .oplm import block_structure, is_locally_irreducible, oplm_space, projectiv
 from .partitions import hidden_nonlocality_profile
 from .protocol import (
     BUILTIN_PROTOCOLS,
+    Measure,
     activation_search,
     builtin_protocol,
     certify_activation_protocol,
@@ -300,12 +301,13 @@ def _parse_overlay(spec: str):
         src, path = spec, ""
     if src == "builtin":  # user wrote builtin:NAME with no path
         src, path = spec, ""
-    tree = _load_protocol(src)
-    node = tree
-    if path:
-        for hop in path.split("/"):
-            node = node.children[int(hop)]
-    if node is None or not hasattr(node, "measurement"):
+    node = _load_protocol(src)
+    hops = path.split("/") if path else []
+    for at, hop in enumerate(hops):
+        if not (isinstance(node, Measure) and hop.isdigit() and int(hop) < len(node.children)):
+            raise UsageError(f"overlay path {path!r}: {'/'.join(['root', *hops[:at]])} has no child {hop!r}")
+        node = node.children[int(hop)]
+    if not isinstance(node, Measure):
         raise UsageError("overlay path does not reach a measurement node")
     return node.party, overlay_from_kraus(node.measurement.kraus[0])
 

@@ -26,14 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL
-from .states import StateSet, occupied_indices, party_letter, party_matrices, support_basis
+from .states import StateSet, index_support, occupied_indices, party_letter, party_matrices, support_basis
 
 SPAN_TOL = 1e-8
 ELIM_TOL = 1e-9
 COMM_TOL = 1e-8
-# computational-basis index projectors are enumerated (2^r masks) only when
-# the occupied support of the party has r <= this many indices
+# computational-basis index projectors are enumerated (2^(r-1) masks) only
+# while the occupied support of the party has r <= this many indices
 INDEX_PROJECTOR_CAP = 16
+# union masks tested per matrix product; bounds the test's memory at the cap
+MASK_CHUNK = 256
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -244,16 +246,10 @@ def block_structure(sp: OplmSpace) -> BlockStructure:
         vb = v[:, cols]
         p = vb @ vb.conj().T
         projectors.append(p)
-        diag = np.real(np.diagonal(p))
-        off = p - np.diag(np.diagonal(p))
-        if np.abs(off).max(initial=0.0) < 1e-8 and np.all((diag < 1e-8) | (np.abs(diag - 1) < 1e-8)):
-            local = [i for i in range(sp.support_dim) if diag[i] > 0.5]
-            if sp.support_indices is not None:
-                supports.append(sorted(sp.support_indices[i] for i in local))
-            else:
-                supports.append(local)
-        else:
-            supports.append(None)
+        local = index_support(p)
+        if local is not None and sp.support_indices is not None:
+            local = sorted(sp.support_indices[i] for i in local)
+        supports.append(local)
     order = sorted(range(len(projectors)), key=lambda b: (supports[b] is None, supports[b] or []))
     return BlockStructure(True, [projectors[b] for b in order], [supports[b] for b in order])
 
@@ -269,124 +265,101 @@ class LocalMeasurement:
         return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
-def _measurement_from_projector(sp: OplmSpace, p: np.ndarray, label: str) -> LocalMeasurement:
-    p_full = sp.embed(p)
-    comp = np.eye(sp.dim_party, dtype=np.complex128) - p_full
-    return LocalMeasurement(sp.party, [p_full, comp], [label, f"I-{label}"])
+def _union_measurements(party: int, support: np.ndarray, atoms, index_sets, cols: np.ndarray) -> list[LocalMeasurement]:
+    """The measurements {P, I-P} for every union P of atoms that passes a
+    test linear in the union, in ascending mask order.
 
-
-def _subset_label(indices) -> str:
-    return "P[" + ",".join(str(i) for i in indices) + "]"
+    `atoms` are orthogonal projectors in the coordinates of `support`
+    (d, r), and column b of `cols` is atom b's term of the test: a union
+    passes when every entry of the sum of its atoms' columns is within
+    SPAN_TOL. A union and its complement are one measurement, so only the
+    masks without the last atom are tried, one matrix product per
+    MASK_CHUNK of them. P is labelled by its indices, P[...], when every
+    member atom has an index set, and by its atoms, P[blocks ...], otherwise.
+    """
+    k, d = len(atoms), support.shape[0]
+    n_masks = 1 << max(k - 1, 0)
+    out = []
+    for lo in range(1, n_masks, MASK_CHUNK):
+        masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
+        bits = (masks[:, None] >> np.arange(k)) & 1
+        passed = np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL
+        for mask in masks[passed]:
+            members = [b for b in range(k) if mask >> b & 1]
+            p = np.zeros((support.shape[1],) * 2, dtype=np.complex128)
+            for b in members:
+                p += atoms[b]
+            if all(index_sets[b] is not None for b in members):
+                label = "P[" + ",".join(str(i) for i in sorted(i for b in members for i in index_sets[b])) + "]"
+            else:
+                label = f"P[blocks {members}]"
+            p_full = support @ p @ support.conj().T
+            out.append(LocalMeasurement(party, [p_full, np.eye(d, dtype=np.complex128) - p_full], [label, f"I-{label}"]))
+    return out
 
 
 def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement]:
     """All two-outcome block-projective measurements inside the span.
 
-    Enumerates unions of joint eigenblocks, keeps the in-span ones, and
-    dedupes complements. For a commuting span this is complete for
-    two-outcome projective-in-span measurements: any in-span projector is
-    diagonal in the joint eigenbasis with 0/1 eigenvalues constant on
-    blocks, hence a block union.
+    The unions of joint eigenblocks that lie in the span and preserve every
+    pairwise constraint, one per complementary pair. For a commuting span
+    this is complete for two-outcome projective-in-span measurements: any
+    in-span projector is diagonal in the joint eigenbasis with 0/1
+    eigenvalues constant on blocks, hence a block union. Both tests are
+    linear in the union, so each block contributes its span residual
+    proj(B) - B and its off-diagonal constraint values as one column.
     """
     if not bs.commuting:
         raise ValueError("operator space basis does not commute; no block structure")
-    r = sp.support_dim
-    nb = len(bs.blocks)
-    out = []
-    seen = set()
-    for mask in range(1, 2**nb - 1):
-        p = np.zeros((r, r), dtype=np.complex128)
-        members = []
-        for b in range(nb):
-            if mask >> b & 1:
-                p += bs.blocks[b]
-                members.append(b)
-        # complement dedup: keep the lexicographically smaller side
-        comp_mask = (2**nb - 1) ^ mask
-        if comp_mask < mask:
-            continue
-        proj = sum(np.trace(bb.conj().T @ p) * bb for bb in sp.basis)
-        if np.abs(proj - p).max() > SPAN_TOL:
-            continue
-        if sp.constraint_residual(p) > SPAN_TOL:
-            continue
-        key = np.round(p, 9).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        sup = bs.index_supports
-        if all(sup[b] is not None for b in members):
-            idx = sorted(i for b in members for i in sup[b])
-            label = _subset_label(idx)
-        else:
-            label = f"P[blocks {members}]"
-        out.append(_measurement_from_projector(sp, p, label))
-    return out
+    blocks = np.array(bs.blocks).reshape(len(bs.blocks), -1).T  # one column per block
+    basis = np.array(sp.basis).reshape(len(sp.basis), -1)
+    span = basis.T @ (basis.conj() @ blocks) - blocks
+    n = len(sp.pair_tensors)
+    i, j = np.triu_indices(n, 1)
+    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
+    return _union_measurements(sp.party, sp.support, bs.blocks, bs.index_supports, np.concatenate([span, vals]))
 
 
 def index_projectors_capped(s: StateSet, party: int) -> bool:
     """True when `measurement_candidates` skips the index projectors of
-    `party` because its occupied support exceeds INDEX_PROJECTOR_CAP."""
+    `party`: its occupied support has more than INDEX_PROJECTOR_CAP indices."""
     return len(occupied_indices(party_matrices(s, party))) > INDEX_PROJECTOR_CAP
 
 
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
     """Two-outcome projective OPLM candidates for one party.
 
-    Two complementary enumerations, deduplicated:
+    Two families of unions, enumerated by `_union_measurements` and
+    deduplicated on their rounded Kraus operators, the first found kept:
 
     * If the operator space restricted to the joint local support commutes,
-      the complete unions-of-joint-eigenblocks family (complete for
+      `projective_oplms`: the unions of joint eigenblocks (complete for
       two-outcome projective-in-span measurements on the support).
-    * Computational-basis index-set projectors over the occupied indices,
-      each verified against the full pairwise constraints. This is the
-      class the layered-tiling protocols live in, and it stays available
-      when the operator space is noncommuting (where no joint eigenstructure
-      exists). They are enumerated only while the occupied support has at
-      most INDEX_PROJECTOR_CAP indices; `index_projectors_capped` says when
-      they are skipped.
+    * Computational-basis index projectors: unions of the occupied indices
+      whose diagonal constraint sum_a t_a <psi_i|a><a|psi_j> vanishes on
+      every pair. This is the class the layered-tiling protocols live in,
+      and it stays available when the operator space is noncommuting (where
+      no joint eigenstructure exists). It is skipped when
+      `index_projectors_capped` says so.
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
-    seen: dict[bytes, LocalMeasurement] = {}
-
-    def add(m: LocalMeasurement):
-        k1 = np.round(m.kraus[0], 9).tobytes()
-        k2 = np.round(m.kraus[1], 9).tobytes()
-        seen.setdefault(min(k1, k2), m)
-
-    if sp.space_dim >= 2 and 2 <= sp.support_dim:
+    cands = []
+    if sp.space_dim >= 2 and sp.support_dim >= 2:
         bs = block_structure(sp)
         if bs.commuting:
-            for m in projective_oplms(sp, bs):
-                add(m)
-
-    d = s.space.party_dims[party]
-    mats = party_matrices(s, party)
-    occ = occupied_indices(mats)
-    r = len(occ)
-    if 2 <= r <= INDEX_PROJECTOR_CAP:
-        u_occ = np.zeros((d, r), dtype=np.complex128)
-        for col, i in enumerate(occ):
-            u_occ[i, col] = 1.0
-        g = _pair_tensors(mats, u_occ)
-        n = len(s)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        diag = np.array([np.diagonal(g[i, j]) for i, j in pairs])
-        ident = np.eye(d, dtype=np.complex128)
-        for mask in range(1, 2**r - 1):
-            comp_mask = (2**r - 1) ^ mask
-            if comp_mask < mask:
-                continue
-            t = np.array([(mask >> a) & 1 for a in range(r)], dtype=np.float64)
-            vals = diag @ t
-            if np.abs(vals).max(initial=0.0) > SPAN_TOL:
-                continue
-            p_full = np.zeros((d, d), dtype=np.complex128)
-            idx = [occ[a] for a in range(r) if (mask >> a) & 1]
-            for i in idx:
-                p_full[i, i] = 1.0
-            add(LocalMeasurement(party, [p_full, ident - p_full], [_subset_label(idx), f"I-{_subset_label(idx)}"]))
+            cands = projective_oplms(sp, bs)
+    if not index_projectors_capped(s, party):
+        mats = party_matrices(s, party)
+        occ = occupied_indices(mats)
+        rows = mats[:, occ]
+        diag = np.einsum("iar,jar->ija", rows.conj(), rows)
+        support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
+        atoms = [np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)]
+        cands += _union_measurements(party, support, atoms, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])
+    seen: dict[bytes, LocalMeasurement] = {}
+    for m in cands:
+        seen.setdefault(min(np.round(k, 9).tobytes() for k in m.kraus), m)
     return list(seen.values())
 
 

@@ -88,21 +88,51 @@ def tree_to_json(node):
 
 
 def tree_from_json(obj):
+    """A protocol tree from its `tree_to_json` form. Raises ValueError
+    naming the path of the first malformed node."""
+    return _node_from_json(obj, "root")
+
+
+def _node_from_json(obj, path: str):
     from .qset import parse_qset
+
+    def malformed(what: str) -> ValueError:
+        return ValueError(f"malformed protocol at {path}: {what}")
 
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise malformed(f"a node must be an object or null, not {type(obj).__name__}")
     if "identified" in obj:
+        if not isinstance(obj["identified"], str):
+            raise malformed("'identified' must be a state label")
         return Leaf(identified=obj["identified"])
     if "set" in obj:
+        if not isinstance(obj["set"], (str, type(None))):
+            raise malformed("'set' must be qset text or null")
         return Leaf(reached=parse_qset(obj["set"]) if obj["set"] else None)
+    party, outcomes = obj.get("party"), obj.get("outcomes")
+    if type(party) is not int or party < 0:
+        raise malformed("'party' must be a party index")
+    if not isinstance(outcomes, list) or not outcomes:
+        raise malformed("'outcomes' must be a nonempty list")
     kraus = []
     children = []
-    for out in obj["outcomes"]:
-        kraus.append(np.array([[complex(re, im) for re, im in row] for row in out["kraus"]]))
-        children.append(tree_from_json(out["child"]))
-    m = LocalMeasurement(int(obj["party"]), kraus, [f"M{i}" for i in range(len(kraus))])
-    return Measure(int(obj["party"]), m, children)
+    for i, out in enumerate(outcomes):
+        if not isinstance(out, dict) or "kraus" not in out or "child" not in out:
+            raise malformed(f"outcome {i} must be an object with 'kraus' and 'child'")
+        try:
+            k = np.array([[complex(re, im) for re, im in row] for row in out["kraus"]])
+        except (TypeError, ValueError):
+            k = None
+        if k is None or k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size or not np.isfinite(k).all():
+            raise malformed(f"outcome {i}: 'kraus' must be a square matrix of [re, im] pairs")
+        if kraus and k.shape != kraus[0].shape:
+            raise malformed(f"outcome {i}: 'kraus' shape {k.shape} differs from outcome 0's {kraus[0].shape}")
+        kraus.append(k)
+        children.append(_node_from_json(out["child"], f"{path}/{i}"))
+    m = LocalMeasurement(party, kraus, [f"M{i}" for i in range(len(kraus))])
+    return Measure(party, m, children)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +178,10 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     """Replay a tree from `cur`; yield (path, reached set, leaf) per reachable leaf.
 
     Faults of the tree itself are appended to `failures` as the walk meets
-    them, never raised: a reachable branch without a child, an incomplete
-    measurement, a child count that differs from the outcome count, and an
-    outcome that breaks orthogonality. Branches no state reaches are skipped.
+    them, never raised: a reachable branch without a child, a party the set
+    does not have, an incomplete measurement, a child count that differs
+    from the outcome count, and an outcome that breaks orthogonality.
+    Branches no state reaches are skipped.
     """
     if len(cur) == 0:
         return
@@ -159,6 +190,9 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
         return
     if isinstance(node, Leaf):
         yield path, cur, node
+        return
+    if not 0 <= node.party < cur.space.n_parties:
+        failures.append(f"{path}: measures party {node.party} of a {cur.space.n_parties}-party set")
         return
     m = node.measurement
     if m.completeness_residual() > 1e-8:

@@ -13,7 +13,8 @@ This is the one module that knows how a set looks from one party:
 `party_matrices` is the party-first (n, d_p, rest) view of the amplitude
 matrix and `party_rows` its inverse, `occupied_indices` the party's
 occupied computational-basis indices, `support_basis` an orthonormal basis
-of its joint local support, and `local_factors` decides with one stacked
+of its joint local support (index-aligned when `index_support` finds its
+projector to be a 0/1 diagonal), and `local_factors` decides with one stacked
 SVD per party which states are product across that party's cut and what
 their local vectors are. A set keeps that decision, so each (set, party)
 is decided once however many analyses ask. `schmidt_rank`,
@@ -346,6 +347,21 @@ def occupied_indices(mats: np.ndarray) -> list[int]:
     return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
 
 
+# a projector is an index projector when every entry is within this of a
+# 0/1 diagonal
+INDEX_TOL = 1e-9
+
+
+def index_support(proj: np.ndarray) -> list[int] | None:
+    """The indices i with proj[i, i] = 1 when the projector `proj` is a 0/1
+    diagonal matrix to within INDEX_TOL in every entry, else None."""
+    diag = np.real(np.diagonal(proj))
+    off = proj - np.diag(np.diagonal(proj))
+    if np.abs(off).max(initial=0.0) < INDEX_TOL and np.all((diag < INDEX_TOL) | (np.abs(diag - 1) < INDEX_TOL)):
+        return [i for i in range(len(diag)) if diag[i] > 0.5]
+    return None
+
+
 def support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
     """Orthonormal basis (columns) of the joint local support of a party,
     from its party matrices (n, d_party, d_rest).
@@ -358,11 +374,8 @@ def support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
     u, sv, _ = np.linalg.svd(stacked, full_matrices=True)
     r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     u = u[:, :r]
-    proj = u @ u.conj().T
-    diag = np.real(np.diagonal(proj))
-    off = proj - np.diag(np.diagonal(proj))
-    if np.abs(off).max(initial=0.0) < 1e-9 and np.all((diag < 1e-9) | (np.abs(diag - 1) < 1e-9)):
-        idx = [i for i in range(d) if diag[i] > 0.5]
+    idx = index_support(u @ u.conj().T)
+    if idx is not None:
         aligned = np.zeros((d, r), dtype=np.complex128)
         for col, i in enumerate(idx):
             aligned[i, col] = 1.0

@@ -13,10 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlocc import partitions, protocol, qset, states, upb
+from qlocc import oplm, partitions, protocol, qset, states, upb
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.linalg import ORTHO_TOL, RANK_RTOL
-from qlocc.oplm import ELIM_TOL, SPAN_TOL, LocalMeasurement
+from qlocc.oplm import (
+    ELIM_TOL,
+    INDEX_PROJECTOR_CAP,
+    SPAN_TOL,
+    BlockStructure,
+    LocalMeasurement,
+    OplmSpace,
+    _pair_tensors,
+    block_structure,
+    oplm_space,
+)
 from qlocc.protocol import _collect_leaves, builtin_protocol
 from qlocc.states import (
     Bipartition,
@@ -31,6 +41,7 @@ from qlocc.states import (
     local_factors,
     local_vectors,
     merge_parties,
+    occupied_indices,
     party_matrices,
     random_local_unitaries,
     reduced_state,
@@ -249,6 +260,109 @@ def outcome_matches_reference(s: StateSet, party: int, kraus, result) -> bool:
     )
 
 
+def _reference_subset_label(indices) -> str:
+    return "P[" + ",".join(str(i) for i in indices) + "]"
+
+
+def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement]:
+    """`projective_oplms` as one Python iteration per block union: the span
+    and constraint residuals of each union tested on its summed projector."""
+    if not bs.commuting:
+        raise ValueError("operator space basis does not commute; no block structure")
+    r = sp.support_dim
+    nb = len(bs.blocks)
+    out = []
+    seen = set()
+    for mask in range(1, 2**nb - 1):
+        p = np.zeros((r, r), dtype=np.complex128)
+        members = []
+        for b in range(nb):
+            if mask >> b & 1:
+                p += bs.blocks[b]
+                members.append(b)
+        # complement dedup: keep the lexicographically smaller side
+        comp_mask = (2**nb - 1) ^ mask
+        if comp_mask < mask:
+            continue
+        proj = sum(np.trace(bb.conj().T @ p) * bb for bb in sp.basis)
+        if np.abs(proj - p).max() > SPAN_TOL:
+            continue
+        if sp.constraint_residual(p) > SPAN_TOL:
+            continue
+        key = np.round(p, 9).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        sup = bs.index_supports
+        if all(sup[b] is not None for b in members):
+            idx = sorted(i for b in members for i in sup[b])
+            label = _reference_subset_label(idx)
+        else:
+            label = f"P[blocks {members}]"
+        p_full = sp.embed(p)
+        comp = np.eye(sp.dim_party, dtype=np.complex128) - p_full
+        out.append(LocalMeasurement(sp.party, [p_full, comp], [label, f"I-{label}"]))
+    return out
+
+
+def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
+    """`measurement_candidates` with both union families enumerated one mask
+    per Python iteration: the block unions as `_reference_projective_oplms`,
+    and the index projectors each tested by its own product with the
+    per-pair constraint diagonals."""
+    if sp is None:
+        sp = oplm_space(s, party, on_support=True)
+    seen: dict[bytes, LocalMeasurement] = {}
+
+    def add(m: LocalMeasurement):
+        k1 = np.round(m.kraus[0], 9).tobytes()
+        k2 = np.round(m.kraus[1], 9).tobytes()
+        seen.setdefault(min(k1, k2), m)
+
+    if sp.space_dim >= 2 and 2 <= sp.support_dim:
+        bs = block_structure(sp)
+        if bs.commuting:
+            for m in _reference_projective_oplms(sp, bs):
+                add(m)
+
+    d = s.space.party_dims[party]
+    mats = party_matrices(s, party)
+    occ = occupied_indices(mats)
+    r = len(occ)
+    if 2 <= r <= INDEX_PROJECTOR_CAP:
+        u_occ = np.zeros((d, r), dtype=np.complex128)
+        for col, i in enumerate(occ):
+            u_occ[i, col] = 1.0
+        g = _pair_tensors(mats, u_occ)
+        n = len(s)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        diag = np.array([np.diagonal(g[i, j]) for i, j in pairs])
+        ident = np.eye(d, dtype=np.complex128)
+        for mask in range(1, 2**r - 1):
+            comp_mask = (2**r - 1) ^ mask
+            if comp_mask < mask:
+                continue
+            t = np.array([(mask >> a) & 1 for a in range(r)], dtype=np.float64)
+            vals = diag @ t
+            if np.abs(vals).max(initial=0.0) > SPAN_TOL:
+                continue
+            p_full = np.zeros((d, d), dtype=np.complex128)
+            idx = [occ[a] for a in range(r) if (mask >> a) & 1]
+            for i in idx:
+                p_full[i, i] = 1.0
+            add(LocalMeasurement(party, [p_full, ident - p_full], [_reference_subset_label(idx), f"I-{_reference_subset_label(idx)}"]))
+    return list(seen.values())
+
+
+def candidates_match_reference(got: list[LocalMeasurement], ref: list[LocalMeasurement]) -> bool:
+    """Same candidates in the same order: party, labels and Kraus bytes,
+    sign bits of zeros included."""
+    return len(got) == len(ref) and all(
+        g.party == r.party and g.labels == r.labels and all(same_bits(a, b) for a, b in zip(g.kraus, r.kraus, strict=True))
+        for g, r in zip(got, ref)
+    )
+
+
 def reference_leading_vectors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
     """`local_factors` one Ket at a time: the leading left singular vector of
     each state's coefficient matrix, and the `schmidt_rank` product test."""
@@ -399,8 +513,10 @@ def product_structure_mismatches(s: StateSet) -> list[str]:
 
 class ReferenceCheck:
     """While installed, compares every `apply_outcome` and `canonical_key`
-    call made through qlocc.protocol with the per-state references and
-    every `check_unextendible` call with the unpruned search (keeping each
+    call made through qlocc.protocol with the per-state references, every
+    `measurement_candidates` call with the one-mask-per-iteration loops of
+    `reference_measurement_candidates`, and every `check_unextendible`
+    call with the unpruned search (keeping each
     set with both results, verdict or ValueError, in `upb_calls`), and
     keeps every distinct set whose product structure was asked for through
     `local_factors` (in `factor_sets`, keyed by object id)."""
@@ -408,6 +524,7 @@ class ReferenceCheck:
     def __init__(self):
         self.outcomes = 0
         self.keys = 0
+        self.candidate_calls = 0
         self.mismatches: list[str] = []
         self.factor_sets: dict[int, StateSet] = {}
         self.upb_calls: list[tuple[StateSet, UpbVerdict | ValueError, UpbVerdict | ValueError]] = []
@@ -416,6 +533,7 @@ class ReferenceCheck:
     def installed(self):
         apply_outcome, canonical_key = protocol.apply_outcome, protocol.canonical_key
         check_unextendible = protocol.check_unextendible
+        measurement_candidates = oplm.measurement_candidates
 
         def checked_apply(s, party, kraus, *args, **kwargs):
             result = apply_outcome(s, party, kraus, *args, **kwargs)
@@ -430,6 +548,13 @@ class ReferenceCheck:
             if key != reference_canonical_key(s):
                 self.mismatches.append(f"canonical_key of {s.labels}")
             return key
+
+        def checked_candidates(s, party, sp=None):
+            got = measurement_candidates(s, party, sp)
+            self.candidate_calls += 1
+            if not candidates_match_reference(got, reference_measurement_candidates(s, party, sp)):
+                self.mismatches.append(f"measurement_candidates on {s.labels} at party {party}")
+            return got
 
         def recorded_factors(s, party):
             self.factor_sets.setdefault(id(s), s)
@@ -448,6 +573,8 @@ class ReferenceCheck:
             mp.setattr(protocol, "apply_outcome", checked_apply)
             mp.setattr(protocol, "canonical_key", checked_key)
             mp.setattr(protocol, "check_unextendible", checked_upb)
+            for mod in (oplm, protocol):
+                mp.setattr(mod, "measurement_candidates", checked_candidates)
             for mod in (states, protocol, partitions, upb):
                 mp.setattr(mod, "local_factors", recorded_factors)
             yield self

@@ -248,6 +248,33 @@ def test_usage_errors(capsys, files, tmp_path):
     assert code == 2 and "E_DIM" in err
     code, _, err = run(capsys, "upb", "--set", str(tmp_path / "missing.qset"))
     assert code == 2
+    # malformed protocol JSON: missing keys, wrong-typed entries, bad nodes
+    protocol = tmp_path / "p.json"
+    for doc in (
+        {},
+        [],
+        {"party": 0},
+        {"party": 0, "outcomes": []},
+        {"party": 0, "outcomes": [{"kraus": [[[1, 0]]]}]},
+        {"party": 0, "outcomes": [{"child": None}]},
+        {"party": "0", "outcomes": [{"kraus": [[[1, 0]]], "child": None}]},
+        {"party": 0, "outcomes": 5},
+        {"party": 0, "outcomes": [5]},
+        {"party": 0, "outcomes": [{"kraus": 3, "child": None}]},
+        {"party": 0, "outcomes": [{"kraus": [[[1, 0, 2]]], "child": None}]},
+        {"party": 0, "outcomes": [{"kraus": [[[1, 0]], [[1, 0], [0, 0]]], "child": None}]},
+        {"party": 0, "outcomes": [{"kraus": [[[1, 0]]], "child": None}, {"kraus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "child": None}]},
+        {"party": 0, "outcomes": [{"kraus": [[[1, 0]]], "child": 5}]},
+        {"identified": 3},
+        {"set": 4},
+    ):
+        protocol.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "protocol", "verify", "--set", files["s3"], "--protocol", str(protocol))
+        assert code == 2 and err.startswith("qlocc: error: malformed protocol"), (doc, err)
+    # overlay paths that leave the tree or walk through a leaf
+    for spec, where in (("builtin:s3_activation:9", "root"), ("builtin:s3_activation:0/0/0", "root/0/0")):
+        code, _, err = run(capsys, "render", "--set", files["s3"], "--overlay", spec)
+        assert code == 2 and err.startswith("qlocc: error: overlay path") and f"{where} has no child" in err, (spec, err)
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_orthogonal_product_set, random_orthonormal_set
+from _helpers import (
+    candidates_match_reference,
+    random_orthogonal_product_set,
+    random_orthonormal_set,
+    reference_measurement_candidates,
+    state_model_cases,
+)
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import RANK_RTOL
 from qlocc.oplm import (
     CLASS_NOTE,
+    INDEX_PROJECTOR_CAP,
+    MASK_CHUNK,
     OplmSpace,
     _constraint_rows,
     _coords_to_matrix,
@@ -497,3 +505,58 @@ def test_index_projector_cap_named_in_class_note():
     narrow = random_orthonormal_set(rng, (5, 2), 3)
     assert not index_projectors_capped(narrow, 0)
     assert is_locally_irreducible(narrow).class_note == CLASS_NOTE
+
+
+# ---------------------------------------------------------------------------
+# the batched union enumeration against the one-mask-per-iteration loops
+
+
+def bell_pairs(r: int) -> StateSet:
+    """On r x 2 (r >= 16): (|2k,0> +- |2k+1,1>)/sqrt2 for k < 8, then |i,0>
+    for 16 <= i < r. Party A occupies all r indices; its index projectors
+    are the unions of the pairs {2k, 2k+1}, and its operator space does not
+    commute, so only the index family yields candidates."""
+    rows = []
+    for k in range(8):
+        for sign in (1, -1):
+            v = np.zeros((r, 2), dtype=complex)
+            v[2 * k, 0], v[2 * k + 1, 1] = 1, sign
+            rows.append(v.ravel())
+    for i in range(16, r):
+        v = np.zeros((r, 2), dtype=complex)
+        v[i, 0] = 1
+        rows.append(v.ravel())
+    return StateSet.from_matrix(PartySpace((r, 2)), np.array(rows), [f"b{i}" for i in range(len(rows))], f"bell{r}")
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_candidates_match_reference(s):
+    for p in range(s.space.n_parties):
+        assert candidates_match_reference(measurement_candidates(s, p), reference_measurement_candidates(s, p)), p
+
+
+def test_candidates_match_reference_on_rotated_fixture():
+    s = build_fixture("s1")
+    rot = apply_local_unitaries(s, random_local_unitaries(s.space, np.random.default_rng(5)))
+    labels = []
+    for p in range(s.space.n_parties):
+        got = measurement_candidates(rot, p)
+        assert candidates_match_reference(got, reference_measurement_candidates(rot, p))
+        labels += [m.labels[0] for m in got]
+    assert any(lab.startswith("P[blocks ") for lab in labels)
+
+
+def test_candidates_match_reference_at_the_cap():
+    s = bell_pairs(16)
+    assert 2 ** (INDEX_PROJECTOR_CAP - 1) > 4 * MASK_CHUNK
+    got = measurement_candidates(s, 0)
+    assert candidates_match_reference(got, reference_measurement_candidates(s, 0))
+    assert len(got) == 2**7 - 1  # unions of the 8 pairs without the last
+    assert got[-1].labels[0] == "P[" + ",".join(map(str, range(14))) + "]"
+
+
+def test_candidates_capped_above_the_cap():
+    s = bell_pairs(17)
+    assert index_projectors_capped(s, 0)
+    got = measurement_candidates(s, 0)
+    assert got == [] and reference_measurement_candidates(s, 0) == []

@@ -8,8 +8,9 @@ from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
 
 
 def _checked_profile(name: str):
-    """The depth-8 profile of a fixture, computed while every apply_outcome
-    and canonical_key call is compared with the per-state references."""
+    """The depth-8 profile of a fixture, computed while every apply_outcome,
+    canonical_key and measurement_candidates call is compared with its
+    reference."""
     check = ReferenceCheck()
     with check.installed():
         prof = hidden_nonlocality_profile(build_fixture(name), max_depth=8)
@@ -111,7 +112,7 @@ def test_s4_profile_bytes(s4_profile):
 @pytest.mark.parametrize("run", ["s2_run", "s4_run"])
 def test_profile_outcomes_and_keys_match_per_state_references(run, request):
     _prof, check = request.getfixturevalue(run)
-    assert check.outcomes > 0 and check.keys > 0
+    assert check.outcomes > 0 and check.keys > 0 and check.candidate_calls > 0
     assert check.mismatches == []
 
 

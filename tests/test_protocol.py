@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qlocc.fixtures import build_fixture
-from qlocc.oplm import measurement_candidates
+from qlocc.oplm import LocalMeasurement, measurement_candidates
 from qlocc.protocol import (
     Leaf,
+    Measure,
     SetAnalyzer,
     _collect_leaves,
     activation_search,
@@ -135,7 +136,7 @@ def test_s1_general_outcomes_and_keys_match_per_state_references(search):
     check = ReferenceCheck()
     with check.installed():
         search(build_fixture("s1_general", d=4), max_depth=8)
-    assert check.outcomes > 0 and check.keys > 0
+    assert check.outcomes > 0 and check.keys > 0 and check.candidate_calls > 0
     assert check.mismatches == []
 
 
@@ -165,6 +166,13 @@ def test_verify_bare_leaf_fails():
     vr = verify_protocol(pair_set(), Leaf())
     assert not vr.passed
     assert any("leaf" in f for f in vr.failures)
+
+
+def test_verify_party_out_of_range_fails():
+    ident = np.eye(2, dtype=complex)
+    tree = Measure(7, LocalMeasurement(7, [ident], ["I"]), [Leaf()])
+    vr = verify_protocol(pair_set(), tree)
+    assert vr.failures[0] == "root: measures party 7 of a 2-party set"
 
 
 def test_search_pair_depth_one():
