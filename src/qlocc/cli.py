@@ -9,6 +9,7 @@ Exit codes: 0 = affirmative/clean verdict, 1 = negative verdict
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -400,9 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# `main` parses with one parser per process; building one costs more than
+# most commands, and parsing leaves it as it was
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     report = {
         "command": args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),
         "tool": {"name": "qlocc", "version": __version__},

@@ -207,7 +207,7 @@ def is_trivial(sp: OplmSpace) -> bool:
 class BlockStructure:
     commuting: bool
     blocks: list[np.ndarray]  # projectors in support coordinates
-    index_supports: list[list[int] | None]
+    index_supports: list[list[int] | None]  # a block's basis indices, when the support is index-aligned
 
 
 def block_structure(sp: OplmSpace) -> BlockStructure:
@@ -246,10 +246,9 @@ def block_structure(sp: OplmSpace) -> BlockStructure:
         vb = v[:, cols]
         p = vb @ vb.conj().T
         projectors.append(p)
-        local = index_support(p)
-        if local is not None and sp.support_indices is not None:
-            local = sorted(sp.support_indices[i] for i in local)
-        supports.append(local)
+        # index labels only where support coordinates are basis indices
+        local = index_support(p) if sp.support_indices is not None else None
+        supports.append(None if local is None else sorted(sp.support_indices[i] for i in local))
     order = sorted(range(len(projectors)), key=lambda b: (supports[b] is None, supports[b] or []))
     return BlockStructure(True, [projectors[b] for b in order], [supports[b] for b in order])
 

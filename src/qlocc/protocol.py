@@ -93,6 +93,27 @@ def tree_from_json(obj):
     return _node_from_json(obj, "root")
 
 
+def _kraus_from_json(entry) -> np.ndarray | None:
+    """The complex matrix of an outcome's `kraus` entry when that is a
+    nonempty square matrix of [re, im] pairs of finite numbers, else None.
+
+    One `np.asarray` reads the whole entry; its dtype tells the leaf types,
+    so a string is refused, not parsed. A bool counts as 0 or 1 and an
+    integer too wide for 64 bits as the nearest float, both as `complex`
+    takes them.
+    """
+    try:
+        a = np.asarray(entry)
+    except (TypeError, ValueError):  # ragged
+        return None
+    if a.dtype == object and all(type(v) in (bool, int, float) for v in a.flat):
+        a = a.astype(np.float64)
+    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2 or a.shape[0] != a.shape[1] or not a.size:
+        return None
+    a = a.astype(np.float64)
+    return a.view(np.complex128)[..., 0] if np.isfinite(a).all() else None
+
+
 def _node_from_json(obj, path: str):
     from .qset import parse_qset
 
@@ -121,11 +142,8 @@ def _node_from_json(obj, path: str):
     for i, out in enumerate(outcomes):
         if not isinstance(out, dict) or "kraus" not in out or "child" not in out:
             raise malformed(f"outcome {i} must be an object with 'kraus' and 'child'")
-        try:
-            k = np.array([[complex(re, im) for re, im in row] for row in out["kraus"]])
-        except (TypeError, ValueError):
-            k = None
-        if k is None or k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size or not np.isfinite(k).all():
+        k = _kraus_from_json(out["kraus"])
+        if k is None:
             raise malformed(f"outcome {i}: 'kraus' must be a square matrix of [re, im] pairs")
         if kraus and k.shape != kraus[0].shape:
             raise malformed(f"outcome {i}: 'kraus' shape {k.shape} differs from outcome 0's {kraus[0].shape}")

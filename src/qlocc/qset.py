@@ -9,8 +9,9 @@ Line-oriented; `#` starts a comment. A document is:
     state phi1: |0,0> + 1/sqrt(2)*|0,1> + (0.5,-0.5)*|2,3>
 
 A term is an optional coefficient (decimal, p/q rational, `(re,im)` complex,
-or `1/sqrt(n)`) joined with `*` to a ket `|i0,i1,...>` carrying one index per
-party. Terms are combined with `+` / `-`. States are normalized on load.
+or `1/sqrt(n)`), an optional `*`, and a ket `|i0,i1,...>` carrying one index
+per party. Terms are combined with `+` / `-`, and a repeated ket sums in term
+order. The README states the grammar. States are normalized on load.
 Both directions work on the set's amplitude matrix and build no `Ket`.
 
 Serialization is canonical: one `(re,im)` coefficient per nonzero amplitude
@@ -20,12 +21,13 @@ across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
 import numpy as np
 
-from .states import PartySpace, StateSet
+from .states import PartySpace, StateSet, row_norms
 
 
 class QsetError(ValueError):
@@ -39,82 +41,117 @@ class QsetError(ValueError):
         super().__init__(f"{code} at {where}: {message}{tail}")
 
 
-_KET_RE = re.compile(r"\|(\d+(?:,\d+)*)>")
-_SQRT_RE = re.compile(r"1/sqrt\((\d+)\)")
-_COMPLEX_RE = re.compile(r"\((-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?),(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)")
-_RATIONAL_RE = re.compile(r"(-?\d+)/(\d+)(?!\w)")
-_DECIMAL_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# One term, all of it in group 1. Group 2 is the + or - that joins it to the
+# previous term; it can only follow a ket, so a leading "-" belongs to the
+# first coefficient. Group 3 is empty and marks where the term starts, after
+# blanks. The coefficient is the first of four forms that matches: 1/sqrt(n)
+# (group 4), (re,im) (5, 6), p/q (7, 8) or a decimal (9); `*` and blanks may
+# follow it. Group 10 holds the ket's indices. Every part after the operator
+# is optional, so a match never backtracks into another form: it stops where
+# the grammar does, and `_term_error` reads the error off it.
+_TERM_RE = re.compile(
+    r"((?:(?<=>)\s*([+-]))?\s*()"
+    rf"(?:(?:1/sqrt\((\d+)\)|\(({_NUM}),({_NUM})\)|(-?\d+)/(\d+)(?!\w)|({_NUM}))\*?\s*)?"
+    r"(?:\|(\d+(?:,\d+)*)>)?)"
+)
 
 
-def _parse_terms(expr: str, line_no: int, col0: int, space: PartySpace):
-    """Parse `term (+|-) term ...`; returns [(coeff, index tuple)]."""
-    pos = 0
-    n = len(expr)
-    terms = []
-    sign = 1.0
-    expect_term = True
-    while True:
-        while pos < n and expr[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        col = col0 + pos
-        ch = expr[pos]
-        if not expect_term:
-            if ch == "+":
-                sign = 1.0
-            elif ch == "-":
-                sign = -1.0
-            else:
-                raise QsetError("E_SYNTAX", line_no, col, "expected + or - between terms", expr[pos : pos + 8])
-            pos += 1
-            expect_term = True
-            continue
-        coeff = complex(1.0)
-        m = _SQRT_RE.match(expr, pos)
-        if m:
-            coeff = 1.0 / np.sqrt(int(m.group(1)))
-            pos = m.end()
-        else:
-            m = _COMPLEX_RE.match(expr, pos)
-            if m:
-                coeff = complex(float(m.group(1)), float(m.group(2)))
-                pos = m.end()
-            else:
-                m = _RATIONAL_RE.match(expr, pos)
-                if m:
-                    if int(m.group(2)) == 0:
-                        raise QsetError("E_SYNTAX", line_no, col, "zero denominator", m.group(0))
-                    coeff = int(m.group(1)) / int(m.group(2))
-                    pos = m.end()
-                elif ch != "|":
-                    m = _DECIMAL_RE.match(expr, pos)
-                    if m:
-                        coeff = float(m.group(0))
-                        pos = m.end()
-                    else:
-                        raise QsetError("E_SYNTAX", line_no, col, "expected coefficient or ket", expr[pos : pos + 8])
-        if pos < n and expr[pos] == "*":
-            pos += 1
-        while pos < n and expr[pos].isspace():
-            pos += 1
-        col = col0 + pos
-        m = _KET_RE.match(expr, pos)
-        if not m:
-            raise QsetError("E_SYNTAX", line_no, col, "expected ket |i0,i1,...>", expr[pos : pos + 12])
-        idx = tuple(int(x) for x in m.group(1).split(","))
-        if len(idx) != space.n_parties:
-            raise QsetError("E_DIM", line_no, col, f"ket has {len(idx)} indices for {space.n_parties} parties", m.group(0))
-        for p, i in enumerate(idx):
-            if i >= space.party_dims[p]:
-                raise QsetError("E_DIM", line_no, col, f"index {i} out of range for party {p} (dim {space.party_dims[p]})", m.group(0))
-        pos = m.end()
-        terms.append((sign * coeff, idx))
-        sign = 1.0
-        expect_term = False
-    if expect_term and terms:
-        raise QsetError("E_SYNTAX", line_no, col0 + pos, "dangling operator", "")
-    return terms
+def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, space: PartySpace) -> QsetError:
+    """The error of the term at `pos`, which is not a whole term or has an
+    index out of range."""
+    m = _TERM_RE.match(expr, pos)
+    _, op, _, _, _, _, rp, rq, _, ket = m.groups()
+    p, q = m.start(3), m.end()
+    if after_term and op is None:
+        return QsetError("E_SYNTAX", line_no, col0 + p, "expected + or - between terms", expr[p : p + 8])
+    if p == len(expr):
+        return QsetError("E_SYNTAX", line_no, col0 + p, "dangling operator", "")
+    if rq is not None and int(rq) == 0:
+        return QsetError("E_SYNTAX", line_no, col0 + p, "zero denominator", f"{rp}/{rq}")
+    if ket is None and q == p and expr[p] != "|":
+        return QsetError("E_SYNTAX", line_no, col0 + p, "expected coefficient or ket", expr[p : p + 8])
+    if ket is None:
+        return QsetError("E_SYNTAX", line_no, col0 + q, "expected ket |i0,i1,...>", expr[q : q + 12])
+    col, idx = col0 + m.start(10) - 1, [int(i) for i in ket.split(",")]
+    if len(idx) != space.n_parties:
+        return QsetError("E_DIM", line_no, col, f"ket has {len(idx)} indices for {space.n_parties} parties", f"|{ket}>")
+    party = next(k for k, (i, d) in enumerate(zip(idx, space.party_dims)) if i >= d)
+    message = f"index {idx[party]} out of range for party {party} (dim {space.party_dims[party]})"
+    return QsetError("E_DIM", line_no, col, message, f"|{ket}>")
+
+
+def _present(col: tuple[str, ...]) -> np.ndarray:
+    """Which entries of a `findall` column are not empty."""
+    return np.fromiter(map(bool, col), bool, len(col))
+
+
+def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[np.ndarray, list[int], list]:
+    """Parse the term lists `term (+|-) term ...` of a document's states,
+    given as [(expr, line_no, col0)], all at once.
+
+    Returns (amplitudes, counts, errors): one row per state, the sum of its
+    terms in term order, so a repeated ket adds up as written; each state's
+    number of terms; and each state's QsetError, that of its first bad term
+    (an index out of range counts before a later term's syntax), or None.
+    Rows from the first state with an error on stay zero.
+
+    One `findall` cuts each expression into matches. The leading ones that
+    are whole terms (a ket, an operator after the first, no zero
+    denominator, one index per party) tile the text, since none is empty,
+    and what follows them must be blank. The last match of an expression,
+    the empty one at its end, is never a whole term.
+    """
+    n_parties, dims = space.n_parties, space.party_dims
+    found = [_TERM_RE.findall(expr) for expr, _, _ in exprs]
+    sizes = list(map(len, found))
+    starts = list(itertools.accumulate(sizes, initial=0))[:-1]
+    spans, ops, _, sq, cre, cim, rp, rq, dec, kets = zip(*itertools.chain.from_iterable(found))
+    joined = _present(ops)
+    joined[starts] = True  # the first term of a state has no operator
+    whole = _present(kets) & joined
+    whole &= np.fromiter(map(str.count, kets, itertools.repeat(",")), np.intp, len(kets)) == n_parties - 1
+    if any(rq):
+        whole &= [not d or int(d) != 0 for d in rq]
+    row = np.repeat(np.arange(len(exprs)), sizes)
+    not_whole = np.flatnonzero(~whole)
+    ends = not_whole[np.searchsorted(not_whole, starts)].tolist()
+    term = np.arange(len(kets)) < np.array(ends)[row]
+    # indices compare as floats: exact below any dim, and no overflow on a long one
+    idx = map(str.split, itertools.compress(kets, term), itertools.repeat(","))
+    at = np.fromiter(map(float, itertools.chain.from_iterable(idx)), np.float64).reshape(-1, n_parties)
+    over = np.flatnonzero(term)[(at >= dims).any(axis=1)]
+    first_over = np.append(over, len(kets))[np.searchsorted(over, starts)].tolist()
+    errors = []
+    for (expr, line_no, col0), s, e, o in zip(exprs, starts, ends, first_over):
+        t = min(e, o)
+        pos = sum(map(len, spans[s:t]))
+        errors.append(_term_error(expr, pos, t > s, line_no, col0, space) if o < e or expr[pos:].strip() else None)
+    # the terms that count: the whole ones of the states before the first error
+    term &= row < next((r for r, err in enumerate(errors) if err), len(exprs))
+    # sign * coefficient, each form filling the terms that use it; a bare ket
+    # has coefficient 1. A complex one takes Python's float-by-complex
+    # product, (s*re - 0*im, s*im + 0*re): it differs from (s*re, s*im) only
+    # where an entry is not finite.
+    sign = np.where(np.fromiter(map("-".__eq__, ops), bool, len(ops)), -1.0, 1.0)
+    real, imag = sign.copy(), np.zeros(len(ops))
+    w = _present(sq) & term
+    real[w] = sign[w] * [1.0 / np.sqrt(int(v)) for v in itertools.compress(sq, w)]
+    w = _present(rp) & term
+    real[w] = sign[w] * [int(a) / int(b) for a, b in itertools.compress(zip(rp, rq), w)]
+    w = _present(dec) & term
+    real[w] = sign[w] * np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
+    w = _present(cre) & term
+    cr, ci = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
+    real[w], imag[w] = sign[w] * cr - 0.0 * ci, sign[w] * ci + 0.0 * cr
+    coeffs = np.empty(int(term.sum()), np.complex128)
+    coeffs.real, coeffs.imag = real[term], imag[term]
+    # that restriction drops only trailing terms, so `at` starts with the kept ones
+    strides = [math.prod(dims[p + 1 :]) for p in range(n_parties)]
+    flat = at[: len(coeffs)].astype(np.intp) @ strides
+    m = np.zeros((len(exprs), space.total_dim), dtype=np.complex128)
+    np.add.at(m, (row[term], flat), coeffs)
+    return m, [e - s for s, e in zip(starts, ends)], errors
 
 
 def parse_qset(text: str) -> StateSet:
@@ -177,19 +214,18 @@ def parse_qset(text: str) -> StateSet:
     space = PartySpace(dims, splits)
     if not state_rows:
         raise QsetError("E_EMPTY_STATE", 1, 1, "document declares no states")
-    strides = [math.prod(dims[p + 1 :]) for p in range(len(dims))]
-    m = np.zeros((len(state_rows), space.total_dim), dtype=np.complex128)
+    m, counts, errors = _parse_terms([row[1:] for row in state_rows], space)
+    norms = row_norms(m)
     seen = set()
-    for r, (label, expr, line_no, col) in enumerate(state_rows):
+    for (label, _, line_no, col), count, err, norm in zip(state_rows, counts, errors, norms):
         if label in seen:
             raise QsetError("E_DUP_LABEL", line_no, col, f"duplicate state label {label!r}", label)
         seen.add(label)
-        terms = _parse_terms(expr, line_no, col, space)
-        if not terms:
+        if err is not None:
+            raise err
+        if not count:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} has no terms")
-        for coeff, idx in terms:
-            m[r, sum(i * st for i, st in zip(idx, strides))] += coeff
-        if np.linalg.norm(m[r]) < 1e-12:
+        if norm < 1e-12:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} sums to zero")
     return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
 

@@ -129,11 +129,23 @@ class Ket:
     __slots__ = ("space", "amplitudes", "label")
 
     def __init__(self, space: PartySpace, amplitudes, label: str = ""):
-        amps = np.array(amplitudes, dtype=np.complex128, order="C").reshape(1, -1)
-        if amps.shape[1] != space.total_dim:
-            raise ValueError(f"amplitude length {amps.shape[1]} != total dim {space.total_dim}")
+        amps = np.array(amplitudes, dtype=np.complex128, order="C").reshape(-1)
+        if amps.shape[0] != space.total_dim:
+            raise ValueError(f"amplitude length {amps.shape[0]} != total dim {space.total_dim}")
+        # `_unit_rows` on one row, with scalar tests: the same norm bits (the
+        # dot of the real parts plus that of the imaginary parts) and rule. A
+        # non-finite entry makes the norm non-finite, so only then are the
+        # entries scanned.
+        re, im = amps.real, amps.imag
+        norm = math.sqrt(re @ re + im @ im)
+        if not math.isfinite(norm) and not np.isfinite(amps).all():
+            raise ValueError("non-finite entries")
+        if norm < 1e-12:
+            raise ValueError("zero vector cannot be a Ket")
+        if abs(norm - 1.0) > 1e-12:
+            np.divide(amps, norm, out=amps)
         self.space = space
-        self.amplitudes = _unit_rows(amps)[0]
+        self.amplitudes = amps
         self.label = label
 
     def tensor(self) -> np.ndarray:
@@ -176,7 +188,8 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Check and normalize in place the rows of a C-contiguous complex
     (n, D) matrix the caller owns: reject non-finite entries and a row of
     norm below 1e-12, divide a row by its norm unless that is within 1e-12
-    of 1. The one normalization rule of the state model."""
+    of 1. The one normalization rule of the state model; `Ket.__init__`
+    applies it to its one row with scalar tests, to the same bits."""
     norms = row_norms(as_carray(m))
     if (norms < 1e-12).any():
         raise ValueError("zero vector cannot be a Ket")

@@ -28,6 +28,7 @@ from qlocc.oplm import (
     oplm_space,
 )
 from qlocc.protocol import _collect_leaves, builtin_protocol
+from qlocc.qset import QsetError
 from qlocc.states import (
     Bipartition,
     Ket,
@@ -631,6 +632,99 @@ def reference_redundancy_check(s: StateSet, tol: float = ORTHO_TOL, whole_partie
     return RedundancyReport(redundant=witness is not None, witness_discard=witness, violations=violations)
 
 
+_KET_RE = re.compile(r"\|(\d+(?:,\d+)*)>")
+_SQRT_RE = re.compile(r"1/sqrt\((\d+)\)")
+_COMPLEX_RE = re.compile(r"\((-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?),(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)")
+_RATIONAL_RE = re.compile(r"(-?\d+)/(\d+)(?!\w)")
+_DECIMAL_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+# The character walker that tokenized qset terms before the one-pattern
+# tokenizer, kept verbatim as the reference for its values and errors.
+def reference_parse_terms(expr: str, line_no: int, col0: int, space: PartySpace):
+    """Parse `term (+|-) term ...`; returns [(coeff, index tuple)]."""
+    pos = 0
+    n = len(expr)
+    terms = []
+    sign = 1.0
+    expect_term = True
+    while True:
+        while pos < n and expr[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        col = col0 + pos
+        ch = expr[pos]
+        if not expect_term:
+            if ch == "+":
+                sign = 1.0
+            elif ch == "-":
+                sign = -1.0
+            else:
+                raise QsetError("E_SYNTAX", line_no, col, "expected + or - between terms", expr[pos : pos + 8])
+            pos += 1
+            expect_term = True
+            continue
+        coeff = complex(1.0)
+        m = _SQRT_RE.match(expr, pos)
+        if m:
+            coeff = 1.0 / np.sqrt(int(m.group(1)))
+            pos = m.end()
+        else:
+            m = _COMPLEX_RE.match(expr, pos)
+            if m:
+                coeff = complex(float(m.group(1)), float(m.group(2)))
+                pos = m.end()
+            else:
+                m = _RATIONAL_RE.match(expr, pos)
+                if m:
+                    if int(m.group(2)) == 0:
+                        raise QsetError("E_SYNTAX", line_no, col, "zero denominator", m.group(0))
+                    coeff = int(m.group(1)) / int(m.group(2))
+                    pos = m.end()
+                elif ch != "|":
+                    m = _DECIMAL_RE.match(expr, pos)
+                    if m:
+                        coeff = float(m.group(0))
+                        pos = m.end()
+                    else:
+                        raise QsetError("E_SYNTAX", line_no, col, "expected coefficient or ket", expr[pos : pos + 8])
+        if pos < n and expr[pos] == "*":
+            pos += 1
+        while pos < n and expr[pos].isspace():
+            pos += 1
+        col = col0 + pos
+        m = _KET_RE.match(expr, pos)
+        if not m:
+            raise QsetError("E_SYNTAX", line_no, col, "expected ket |i0,i1,...>", expr[pos : pos + 12])
+        idx = tuple(int(x) for x in m.group(1).split(","))
+        if len(idx) != space.n_parties:
+            raise QsetError("E_DIM", line_no, col, f"ket has {len(idx)} indices for {space.n_parties} parties", m.group(0))
+        for p, i in enumerate(idx):
+            if i >= space.party_dims[p]:
+                raise QsetError("E_DIM", line_no, col, f"index {i} out of range for party {p} (dim {space.party_dims[p]})", m.group(0))
+        pos = m.end()
+        terms.append((sign * coeff, idx))
+        sign = 1.0
+        expect_term = False
+    if expect_term and terms:
+        raise QsetError("E_SYNTAX", line_no, col0 + pos, "dangling operator", "")
+    return terms
+
+
+def reference_kraus_from_json(entry) -> np.ndarray | None:
+    """An outcome's `kraus` entry read one [re, im] pair at a time, as
+    `protocol` did before it loaded the entry in one call: the matrix, or
+    None where that loader called the entry malformed."""
+    try:
+        k = np.array([[complex(re, im) for re, im in row] for row in entry])
+    except (TypeError, ValueError):
+        k = None
+    if k is None or k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size or not np.isfinite(k).all():
+        return None
+    return k
+
+
 def reference_parse_qset(text: str) -> StateSet:
     """`parse_qset` for a well-formed document, one Ket per state."""
     dims, splits, name, kets = None, {}, "", []
@@ -647,7 +741,7 @@ def reference_parse_qset(text: str) -> StateSet:
             label, expr = re.match(r"state\s+([^\s:]+)\s*:\s*(.*)$", line).groups()
             space = PartySpace(dims, splits)
             amps = np.zeros(space.total_dim, dtype=np.complex128)
-            for coeff, idx in qset._parse_terms(expr, line_no, 1, space):
+            for coeff, idx in reference_parse_terms(expr, line_no, 1, space):
                 amps[int(np.ravel_multi_index(idx, dims))] += coeff
             kets.append(Ket(space, amps, label))
     return StateSet(PartySpace(dims, splits), kets, name)

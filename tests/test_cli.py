@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qlocc.cli import main
+from qlocc import cli
+from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
 from qlocc.protocol import tree_to_json
 from qlocc.qset import serialize_qset
@@ -321,3 +322,35 @@ def test_fixture_general_family(capsys, tmp_path):
     assert code == 0
     code2, _, _ = run(capsys, "check-ortho", "--set", str(out))
     assert code2 == 0
+
+
+def test_main_reuses_one_parser_and_nothing_else(capsys, files, monkeypatch):
+    # main parses every call with one parser; a flag given to one call must
+    # not reach the next, so each call reports as it does on a fresh parser
+    calls = [
+        ("protocol", "verify", "--set", files["s3"], "--protocol", "builtin:s3_activation", "--activation"),
+        ("protocol", "verify", "--set", files["s3"], "--protocol", "builtin:s3_discrimination"),
+        ("upb", "--set", files["tiles33"], "--oracle-restarts", "50", "--seed", "3"),
+        ("upb", "--set", files["tiles33"]),
+        ("check-ortho", "--set", files["s6v"], "--tol", "1.0"),
+        ("check-ortho", "--set", files["s6v"]),
+    ]
+
+    def reports():
+        out = []
+        for argv in calls:
+            code, rep = run_json(capsys, *argv)
+            del rep["timings"]
+            out.append((code, rep))
+        return out
+
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = reports()
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 1]
+    assert all(shared[i] != shared[i + 1] for i in (0, 2, 4))  # each flag shows
+    monkeypatch.setattr(cli, "_shared_parser", build_parser)
+    assert reports() == shared
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()

@@ -31,7 +31,9 @@ from qlocc.oplm import (
     oplm_space,
     projective_oplms,
 )
+from qlocc.partitions import _merge_for
 from qlocc.states import (
+    INDEX_TOL,
     PartySpace,
     StateSet,
     apply_local_unitaries,
@@ -560,3 +562,32 @@ def test_candidates_capped_above_the_cap():
     assert index_projectors_capped(s, 0)
     got = measurement_candidates(s, 0)
     assert got == [] and reference_measurement_candidates(s, 0) == []
+
+
+def _index_label_mismatches(s: StateSet) -> list[str]:
+    """The `P[i,...]` candidate labels of `s` whose first Kraus operator is
+    not the 0/1 diagonal of those indices."""
+    bad = []
+    for p in range(s.space.n_parties):
+        for m in measurement_candidates(s, p):
+            label = m.labels[0]
+            if label.startswith("P[") and not label.startswith("P[blocks "):
+                on = np.isin(np.arange(m.kraus[0].shape[0]), [int(i) for i in label[2:-1].split(",")])
+                if np.abs(m.kraus[0] - np.diag(on.astype(complex))).max() > INDEX_TOL:
+                    bad.append(f"party {p} {label}")
+    return bad
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_index_labels_name_their_operator(s):
+    assert _index_label_mismatches(s) == []
+
+
+def test_unaligned_support_keeps_block_labels():
+    # s4 merged to C|AB: party AB's support is not index-aligned, so its block
+    # projectors are labelled by block, not by support coordinates
+    s = _merge_for(build_fixture("s4"), [(2,), (0, 1)])
+    assert oplm_space(s, 1, on_support=True).support_indices is None
+    labels = [m.labels[0] for m in measurement_candidates(s, 1)]
+    assert labels and all(label.startswith("P[blocks ") for label in labels)
+    assert _index_label_mismatches(s) == []

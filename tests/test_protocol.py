@@ -10,6 +10,7 @@ from qlocc.protocol import (
     Measure,
     SetAnalyzer,
     _collect_leaves,
+    _kraus_from_json,
     activation_search,
     apply_outcome,
     builtin_protocol,
@@ -31,6 +32,8 @@ from _helpers import (
     random_orthonormal_set,
     reference_apply_outcome,
     reference_canonical_key,
+    reference_kraus_from_json,
+    same_bits,
     truncated_s3_activation_tree,
 )
 
@@ -361,3 +364,54 @@ def test_orthogonality_asserted_during_search():
                 from qlocc.states import gram_check
 
                 assert gram_check(an.set_of(ck), tol=1e-8).ok
+
+
+# JSON `kraus` entries: well-formed ones, ints past 64 bits, booleans and
+# signed zeros; and wrong nesting, ragged or non-square rows, pairs of the
+# wrong length, strings (numeric ones too), nulls, objects, non-finite values
+KRAUS_ENTRIES = [
+    [[[1, 0]]],
+    [[[0.1, -0.0], [1e-300, 5]], [[-0.0, 0.0], [1, 2]]],
+    [[[True, False]]],
+    [[[2**70, 0]]],
+    [[[2**64, 0.5]]],
+    [[[2**63, -0.0]]],
+    [[[-1, 2], [3, 4], [5, 6]], [[7, 8], [9, 10], [11, 12]], [[1, 1], [1, 1], [1, 1]]],
+    3,
+    None,
+    "1.5",
+    {},
+    {"ab": 1},
+    [],
+    [[]],
+    [[], []],
+    [[[1, 0, 2]]],
+    [[[1, 0]], [[1, 0], [0, 0]]],
+    [[[1, 0], [0, 0]]],
+    [[[[1, 0]]]],
+    [[[1, 0]], [[0, 1]]],
+    [[["1", 0]]],
+    [["10"]],
+    [[[1, "x"]]],
+    [[[2**70, "1"]]],
+    [[[None, 0]]],
+    [[["1", None]]],
+    [[{"a": 1, "b": 2}]],
+    [[[1, 0], {"a": 1, "b": 2}]],
+    [[[1, [0]]]],
+    [[[float("inf"), 0]]],
+    [[[float("nan"), 0]]],
+]
+
+
+@pytest.mark.parametrize("entry", KRAUS_ENTRIES, ids=range(len(KRAUS_ENTRIES)))
+def test_kraus_entries_load_as_the_per_pair_reference(entry):
+    got, ref = _kraus_from_json(entry), reference_kraus_from_json(entry)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert same_bits(np.ascontiguousarray(got), ref)
+    else:
+        doc = {"party": 0, "outcomes": [{"kraus": entry, "child": None}]}
+        with pytest.raises(ValueError) as exc:
+            tree_from_json(doc)
+        assert str(exc.value) == "malformed protocol at root: outcome 0: 'kraus' must be a square matrix of [re, im] pairs"

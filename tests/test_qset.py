@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from _helpers import qset_mismatches, random_orthonormal_set, state_model_cases
+from _helpers import (
+    qset_mismatches,
+    random_orthonormal_set,
+    reference_parse_qset,
+    reference_parse_terms,
+    same_bits,
+    state_model_cases,
+)
+from qlocc import qset
 from qlocc.fixtures import build_fixture
 from qlocc.qset import QsetError, parse_qset, serialize_qset
-from qlocc.states import gram_check, gram_matrix
+from qlocc.states import PartySpace, apply_local_unitaries, gram_check, gram_matrix, random_local_unitaries
 
 
 def test_parse_minimal():
@@ -61,6 +69,101 @@ def test_roundtrip_random_sets():
 @pytest.mark.parametrize("s", state_model_cases())
 def test_qset_io_matches_per_ket_reference(s):
     assert qset_mismatches(s) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rotated_s1_general_documents_match_reference(seed):
+    s = build_fixture("s1_general", d=6)
+    assert qset_mismatches(apply_local_unitaries(s, random_local_unitaries(s.space, np.random.default_rng(seed)))) == []
+
+
+# every coefficient form, with and without `*`, blanks around operators and
+# after `*`, signed coefficients after an operator, and repeated kets
+HAND_WRITTEN = [
+    "state a: 1/sqrt(2)*|0,0> + 1/sqrt(2)|1,2>\nstate b: 1/sqrt(3)* |0,0> -1/sqrt(3)\t|1,2> + 1/sqrt(3)*|1,1>",
+    "state a: (0.5,-0.5)*|0,1> + (-.25,1e-3)|1,0> - (3.,0)* |1,1>\nstate b: (1,0)|0,0>-(0,1)*|0,2>",
+    "state a: 1/2*|0,0> + -1/2|1,1> - -3/4 |0,2>\nstate b: 2/3|1,0>+1/3*|0,1>",
+    "state a: 0.5*|0,0> - .5|0,1> + 1.|0,2> + 1e-3*|1,0> - -2.5E+1 |1,1> + 7|1,2>",
+    "state a: |0,0>+|1,1>  -   |1,2>\nstate b: -0.5|0,1> + |0,0>",
+    "state a: |0,0> + |0,0> - 0.5*|0,0> + (0,1)|0,0> + 1/2|1,2> + 1/sqrt(5)|1,2> - (0.25,0.5)|1,2>",
+    "state a: (1e-320,0)|0,0> + |1,1> - |1,1> + (0,-0.0)|0,1> + (-0.0,2)|1,2>",
+]
+
+
+@pytest.mark.parametrize("body", HAND_WRITTEN)
+def test_hand_written_documents_match_reference(body):
+    text = f"qset v1\ndims: 2 3\nname: hand\n{body}\n"
+    got, ref = parse_qset(text), reference_parse_qset(text)
+    assert same_bits(got.matrix(), ref.matrix())
+    assert (got.labels, got.name, got.space) == (ref.labels, ref.name, ref.space)
+
+
+@pytest.mark.parametrize("expr", ["", " \t", " |0,0> + |1,1>\t", "\t0.5|0,0>  ", "(0,1)|1,2> - |1,2>\u2003"])
+def test_outer_blanks_parse_as_the_reference_walker(expr):
+    space = PartySpace((2, 3))
+    rows, counts, errors = qset._parse_terms([(expr, 7, 12)], space)
+    ref = np.zeros(space.total_dim, dtype=complex)
+    terms = reference_parse_terms(expr, 7, 12, space)
+    for coeff, (i, j) in terms:
+        ref[3 * i + j] += coeff
+    assert errors == [None] and counts == [len(terms)] and same_bits(rows[0], ref)
+
+
+# one or more of: a dangling operator, a missing operator, p/0, a bad ket, the
+# wrong arity, an index out of range; and errors that follow good terms
+MALFORMED = [
+    "|0,0> +",
+    "|0,0> -   ",
+    "|0,0>+\t",
+    "|0,0> |1,1>",
+    "0.5|0,0> 0.5|1,1>",
+    "|0,0> + + |1,1>",
+    "+|0,0>",
+    "- |0,0>",
+    "1/0*|0,0>",
+    "|0,0> - 3/00|1,1>",
+    "|0,0> + 1/2x|1,1>",
+    "1/2.5|0,0>",
+    "1/sqrt(2|0,0>",
+    "1/sqrt()|0,0>",
+    "(1,)|0,0>",
+    "(,1)*|0,0>",
+    "(1;0)|0,0>",
+    "0.5 *|0,0>",
+    "*|0,0>",
+    "0.5**|0,0>",
+    "1e|0,0>",
+    "0.5",
+    "|0,>",
+    "|,0>",
+    "|0 ,0>",
+    "|a,0>",
+    "|0,0",
+    "0,0>",
+    "|0>",
+    "|0,0,0>",
+    "|0,3>",
+    "|2,0>",
+    "|00,99999999999999999999999>",
+    "|0,0> + |0,1,0> + oops",
+    "|0,0> + |0,9> + oops",
+    "|0,0> + oops + |0,9>",
+    "|0,0> + |1,1> x",
+    "oops",
+]
+
+
+def _fields(e: QsetError) -> tuple:
+    return e.code, e.line, e.col, e.lexeme, str(e)
+
+
+@pytest.mark.parametrize("expr", MALFORMED)
+def test_malformed_terms_report_as_the_reference_walker(expr):
+    space = PartySpace((2, 3))
+    with pytest.raises(QsetError) as ref:
+        reference_parse_terms(expr, 7, 12, space)
+    _, _, errors = qset._parse_terms([(expr, 7, 12)], space)
+    assert _fields(errors[0]) == _fields(ref.value)
 
 
 def test_serialize_single_basis_state():
@@ -124,3 +227,11 @@ def test_error_order_follows_the_states():
     # a state that sums to zero is reported before a later state's syntax error
     e = _err("qset v1\ndims: 2 2\nstate a: |0,0> - |0,0>\nstate b: |0,0> + oops\n")
     assert (e.code, e.line) == ("E_EMPTY_STATE", 3)
+    # and before a later state's index error; a duplicate label before its terms
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0> - |0,0>\nstate b: |0,5>\n")
+    assert (e.code, e.line) == ("E_EMPTY_STATE", 3)
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0>\nstate a: oops\n")
+    assert (e.code, e.line) == ("E_DUP_LABEL", 4)
+    # within a state, an index out of range comes before a later term's syntax
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0>\nstate b: |1,1> + |0,2> + oops\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_DIM", 4, 18, "|0,2>")

@@ -16,6 +16,7 @@ from _helpers import (
 )
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.partitions import _merge_for, _partition_label, _two_block_partitions
+from qlocc import states
 from qlocc.qset import parse_qset, serialize_qset
 from qlocc.states import (
     Bipartition,
@@ -388,6 +389,47 @@ def test_ket_and_from_matrix_share_the_normalization_rule():
     for build in (lambda: StateSet.from_matrix(space, m, list("abcd")), lambda: Ket(space, m[2])):
         with pytest.raises(ValueError, match="zero vector cannot be a Ket"):
             build()
+
+
+def _normalized_or_error(normalize, row):
+    try:
+        return normalize(row.copy())
+    except ValueError as exc:
+        return str(exc)
+
+
+def _ket_matches_unit_rows(space, row) -> bool:
+    """`Ket`'s one-row normalization gives `_unit_rows`' bits, or its error."""
+    got = _normalized_or_error(lambda r: Ket(space, r).amplitudes, row)
+    ref = _normalized_or_error(lambda r: states._unit_rows(r.reshape(1, -1))[0], row)
+    return got == ref if isinstance(ref, str) or isinstance(got, str) else same_bits(got, ref)
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_ket_normalizes_rows_as_unit_rows(s):
+    m = s.matrix()
+    assert all(_ket_matches_unit_rows(s.space, row) for row in np.concatenate([m, 3 * m, m / 7]))
+
+
+def test_ket_normalization_thresholds_match_unit_rows():
+    s = build_fixture("s1_general", d=4)
+    row = s.matrix()[5] * (1 + 1j) / np.sqrt(2)
+    steps = 1 + np.arange(-12, 13) * 2.0**-52
+    zero, divided = set(), set()
+    for scale in (1e-12 * steps, (1 + 1e-12) * steps, (1 - 1e-12) * steps):
+        for c in scale:
+            scaled = row * c
+            assert _ket_matches_unit_rows(s.space, scaled), c
+            out = _normalized_or_error(lambda r: states._unit_rows(r.reshape(1, -1))[0], scaled)
+            zero.add(isinstance(out, str))
+            divided.add(not isinstance(out, str) and not same_bits(out, scaled))
+    # the scan reaches both sides of the zero test and of the divide test
+    assert zero == {True, False} and divided == {True, False}
+    for bad in (np.nan, np.inf, 1e200):  # 1e200 overflows the norm to inf
+        odd = row.copy()
+        odd[3] = bad
+        with np.errstate(over="ignore"):
+            assert _ket_matches_unit_rows(s.space, odd), bad
 
 
 def test_matrix_paths_build_no_kets():
