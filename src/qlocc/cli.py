@@ -170,7 +170,8 @@ def cmd_oplm(args, report):
     }
     if bs.commuting:
         ms = projective_oplms(sp, bs)
-        payload["projective_measurements"] = [m.labels[0] for m in ms]
+        # null when the blocks make more than ATOM_CAP atoms and are not enumerated
+        payload["projective_measurements"] = None if ms is None else [m.labels[0] for m in ms]
     human = (
         f"{s.name}: party {party_letter(party)} OPLM space dim {sp.space_dim} "
         f"(support {sp.support_dim}), " + ("commuting" if bs.commuting else "non-commuting")

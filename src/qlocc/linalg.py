@@ -1,4 +1,4 @@
-"""Dense complex linear algebra helpers for small (dim <= ~64) systems.
+"""Shared numerical tolerances and the finite complex array check.
 
 Rank decisions cut at the relative threshold ``RANK_RTOL`` times the largest
 singular value. The one exception is the OPLM constraint rank
@@ -22,24 +22,3 @@ def as_carray(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("non-finite entries")
     return m
-
-
-def svd(m):
-    """SVD returning (singular values descending, U, Vh).
-
-    Raises ValueError on non-convergence (diagnostic failure).
-    """
-    m = as_carray(m)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise ValueError(f"svd did not converge: {exc}") from exc
-    return s, u, vh
-
-
-def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
-    """Count of singular values above rtol * sigma_max (0 for the zero matrix)."""
-    s, _, _ = svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))

@@ -22,6 +22,7 @@ of dimension two or more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,11 +32,12 @@ from .states import StateSet, index_support, occupied_indices, party_letter, par
 SPAN_TOL = 1e-8
 ELIM_TOL = 1e-9
 COMM_TOL = 1e-8
-# computational-basis index projectors are enumerated (2^(r-1) masks) only
-# while the occupied support of the party has r <= this many indices
-INDEX_PROJECTOR_CAP = 16
+# a union family is enumerated (2^(k-1) masks) only while it has k <= this
+# many atoms; above it the family is skipped, and the skip is named
+ATOM_CAP = 16
 # union masks tested per matrix product; bounds the test's memory at the cap
 MASK_CHUNK = 256
+ATOM_TOL = 1e-6  # entrywise, between the nullspace projections of one atom's columns
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -160,13 +162,6 @@ class OplmSpace:
         proj = sum(np.trace(b.conj().T @ ident) * b for b in self.basis)
         return float(np.abs(proj - ident).max())
 
-    def constraint_residual(self, e: np.ndarray) -> float:
-        """Largest |<psi_i|(E on p)|psi_j>| over pairs, E in support coords."""
-        vals = np.einsum("ijab,ab->ij", self.pair_tensors, e)
-        n = vals.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        return float(np.abs(vals[mask]).max(initial=0.0))
-
     def embed(self, e: np.ndarray) -> np.ndarray:
         """Lift a support-coordinate operator to the full party dimension."""
         return self.support @ e @ self.support.conj().T
@@ -217,11 +212,8 @@ def block_structure(sp: OplmSpace) -> BlockStructure:
     iteratively one basis element at a time.
     """
     basis = sp.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            if np.abs(comm).max() > COMM_TOL:
-                return BlockStructure(False, [], [])
+    if any(np.abs(a @ b - b @ a).max() > COMM_TOL for a, b in combinations(basis, 2)):
+        return BlockStructure(False, [], [])
     r = sp.support_dim
     # columns of V carry the running joint eigenbasis, grouped into blocks
     v = np.eye(r, dtype=np.complex128)
@@ -264,41 +256,73 @@ class LocalMeasurement:
         return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
-def _union_measurements(party: int, support: np.ndarray, atoms, index_sets, cols: np.ndarray) -> list[LocalMeasurement]:
-    """The measurements {P, I-P} for every union P of atoms that passes a
-    test linear in the union, in ascending mask order.
+class Candidates(list):
+    """A party's candidate measurements; `capped` names the union families
+    skipped for having more than ATOM_CAP atoms."""
 
-    `atoms` are orthogonal projectors in the coordinates of `support`
-    (d, r), and column b of `cols` is atom b's term of the test: a union
-    passes when every entry of the sum of its atoms' columns is within
-    SPAN_TOL. A union and its complement are one measurement, so only the
-    masks without the last atom are tried, one matrix product per
-    MASK_CHUNK of them. P is labelled by its indices, P[...], when every
-    member atom has an index set, and by its atoms, P[blocks ...], otherwise.
+    capped: tuple[str, ...] = ()
+
+
+def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each column's atom, and the number of atoms, numbered in the order of
+    their largest members: the classes of columns on which every real t with
+    cols @ t = 0 is constant, so every passing union is a union of atoms.
+    Columns share one when the nullspace projector maps them alike. It errs
+    towards splitting: a passing 0/1 union has at most SPAN_TOL * sqrt(rows)
+    / cut of its length along singular values above cut, 1e3 times less than
+    the 1 by which two members of one atom would differ."""
+    k = cols.shape[1]
+    # the zero row adds no constraint and keeps the SVD defined for a test without rows
+    _, sv, vh = np.linalg.svd(np.concatenate([cols.real, cols.imag, np.zeros((1, k))]), full_matrices=False)
+    vh = vh[sv > 1e3 * SPAN_TOL * np.sqrt(cols.shape[0])]
+    null = np.eye(k) - vh.T @ vh
+    owner, tops = np.zeros(k, dtype=np.intp), []  # tops: each atom's largest member, descending
+    for b in range(k - 1, -1, -1):
+        owner[b] = next((a for a, c in enumerate(tops) if np.abs(null[c] - null[b]).max() <= ATOM_TOL), len(tops))
+        if owner[b] == len(tops):
+            tops.append(b)
+    return len(tops) - 1 - owner, len(tops)
+
+
+def _union_measurements(party: int, support: np.ndarray, parts, index_sets, cols: np.ndarray) -> list[LocalMeasurement] | None:
+    """The measurements {P, I-P} for every union P of parts that passes a
+    test linear in the union, in ascending mask order; None when the parts
+    make more than ATOM_CAP atoms, the one bound on the candidate class.
+
+    `parts` are orthogonal projectors in the coordinates of `support`
+    (d, r); a union passes when every entry of the sum of its parts' columns
+    of `cols` is within SPAN_TOL. Only unions of `_atoms` can pass, and a
+    union and its complement are one measurement, so the unions of atoms
+    without the last are tried, one matrix product per MASK_CHUNK of them,
+    in ascending part-mask order. P is labelled by its indices, P[...], when
+    every member part has an index set, and by its parts, P[blocks ...].
     """
-    k, d = len(atoms), support.shape[0]
+    owner, k = _atoms(cols)
+    if k > ATOM_CAP:
+        return None
     n_masks = 1 << max(k - 1, 0)
     out = []
     for lo in range(1, n_masks, MASK_CHUNK):
         masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
-        bits = (masks[:, None] >> np.arange(k)) & 1
+        bits = (masks[:, None] >> owner) & 1  # a part's bit is its atom's
         passed = np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL
-        for mask in masks[passed]:
-            members = [b for b in range(k) if mask >> b & 1]
+        for row in bits[passed]:
+            members = np.flatnonzero(row).tolist()
             p = np.zeros((support.shape[1],) * 2, dtype=np.complex128)
             for b in members:
-                p += atoms[b]
+                p += parts[b]
             if all(index_sets[b] is not None for b in members):
                 label = "P[" + ",".join(str(i) for i in sorted(i for b in members for i in index_sets[b])) + "]"
             else:
                 label = f"P[blocks {members}]"
             p_full = support @ p @ support.conj().T
-            out.append(LocalMeasurement(party, [p_full, np.eye(d, dtype=np.complex128) - p_full], [label, f"I-{label}"]))
+            out.append(LocalMeasurement(party, [p_full, np.eye(len(p_full), dtype=np.complex128) - p_full], [label, f"I-{label}"]))
     return out
 
 
-def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement]:
-    """All two-outcome block-projective measurements inside the span.
+def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement] | None:
+    """All two-outcome block-projective measurements inside the span, or
+    None when the blocks make more than ATOM_CAP atoms.
 
     The unions of joint eigenblocks that lie in the span and preserve every
     pairwise constraint, one per complementary pair. For a commuting span
@@ -319,13 +343,7 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     return _union_measurements(sp.party, sp.support, bs.blocks, bs.index_supports, np.concatenate([span, vals]))
 
 
-def index_projectors_capped(s: StateSet, party: int) -> bool:
-    """True when `measurement_candidates` skips the index projectors of
-    `party`: its occupied support has more than INDEX_PROJECTOR_CAP indices."""
-    return len(occupied_indices(party_matrices(s, party))) > INDEX_PROJECTOR_CAP
-
-
-def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
+def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> Candidates:
     """Two-outcome projective OPLM candidates for one party.
 
     Two families of unions, enumerated by `_union_measurements` and
@@ -338,44 +356,38 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
       whose diagonal constraint sum_a t_a <psi_i|a><a|psi_j> vanishes on
       every pair. This is the class the layered-tiling protocols live in,
       and it stays available when the operator space is noncommuting (where
-      no joint eigenstructure exists). It is skipped when
-      `index_projectors_capped` says so.
+      no joint eigenstructure exists).
+
+    A family with more than ATOM_CAP atoms is skipped and named in `capped`.
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
-    cands = []
+    families = []
     if sp.space_dim >= 2 and sp.support_dim >= 2:
         bs = block_structure(sp)
         if bs.commuting:
-            cands = projective_oplms(sp, bs)
-    if not index_projectors_capped(s, party):
-        mats = party_matrices(s, party)
-        occ = occupied_indices(mats)
-        rows = mats[:, occ]
-        diag = np.einsum("iar,jar->ija", rows.conj(), rows)
-        support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
-        atoms = [np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)]
-        cands += _union_measurements(party, support, atoms, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])
+            families.append(("block unions", projective_oplms(sp, bs)))
+    mats = party_matrices(s, party)
+    occ = occupied_indices(mats)
+    rows = mats[:, occ]
+    diag = np.einsum("iar,jar->ija", rows.conj(), rows)
+    support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
+    parts = [np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)]
+    families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])))
     seen: dict[bytes, LocalMeasurement] = {}
-    for m in cands:
-        seen.setdefault(min(np.round(k, 9).tobytes() for k in m.kraus), m)
-    return list(seen.values())
+    for _, ms in families:
+        for m in ms or ():
+            seen.setdefault(min(np.round(k, 9).tobytes() for k in m.kraus), m)
+    out = Candidates(seen.values())
+    out.capped = tuple(name for name, ms in families if ms is None)
+    return out
 
 
 def is_oplm(s: StateSet, m: LocalMeasurement, tol: float = SPAN_TOL) -> bool:
     """Check every outcome of m against the pairwise constraints."""
-    mats = party_matrices(s, party=m.party)
-    d = s.space.party_dims[m.party]
-    ident = np.eye(d, dtype=np.complex128)
-    g = _pair_tensors(mats, ident)
-    n = len(s)
-    mask = ~np.eye(n, dtype=bool)
-    for kraus in m.kraus:
-        e = kraus.conj().T @ kraus
-        vals = np.einsum("ijab,ab->ij", g, e)
-        if np.abs(vals[mask]).max(initial=0.0) > tol:
-            return False
-    return True
+    g = _pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
+    off = ~np.eye(len(s), dtype=bool)
+    return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > tol for k in m.kraus)
 
 
 def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
@@ -383,12 +395,8 @@ def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
     if not is_oplm(s, m):
         raise ValueError("measurement does not preserve orthogonality on this set")
     mats = party_matrices(s, m.party)
-    out = []
-    for kraus in m.kraus:
-        post = np.einsum("ab,nbr->nar", kraus, mats)
-        norms = np.linalg.norm(post.reshape(len(s), -1), axis=1)
-        out.append([lab for lab, nrm in zip(s.labels, norms) if nrm <= ELIM_TOL])
-    return out
+    norms = [np.linalg.norm(np.einsum("ab,nbr->nar", k, mats).reshape(len(s), -1), axis=1) for k in m.kraus]
+    return [[lab for lab, nrm in zip(s.labels, ns) if nrm <= ELIM_TOL] for ns in norms]
 
 
 @dataclass
@@ -427,12 +435,10 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     checked = 0
     note = CLASS_NOTE
     for p, sp in enumerate(spaces):
-        if index_projectors_capped(s, p):
-            note += (
-                f"; index projectors not enumerated for party {party_letter(p)}"
-                f" (occupied support above {INDEX_PROJECTOR_CAP})"
-            )
-        for m in measurement_candidates(s, p, sp):
+        cands = measurement_candidates(s, p, sp)
+        if cands.capped:
+            note += f"; {' and '.join(cands.capped)} not enumerated for party {party_letter(p)} (above {ATOM_CAP} atoms)"
+        for m in cands:
             checked += 1
             elim = eliminable_states(s, m)
             for outcome in elim:

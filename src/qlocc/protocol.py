@@ -20,18 +20,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .oplm import (
+    ATOM_CAP,
     CLASS_NOTE,
     ELIM_TOL,
-    INDEX_PROJECTOR_CAP,
     SPAN_TOL,
     LocalMeasurement,
-    index_projectors_capped,
     measurement_candidates,
     oplm_space,
 )
 from .qset import serialize_qset
 from .states import (
     StateSet,
+    fixed_phases,
     gram_check,
     local_factors,
     local_vectors,
@@ -288,21 +288,12 @@ def canonical_key(s: StateSet) -> bytes:
     """Interning key: the sha256 digest of the party dims and one item per
     state, sorted.
 
-    Each row gets its phase fixed (its first entry above 1e-7 in magnitude
-    made real positive) and is rounded to 9 decimals; its item is the row's
-    bytes followed by its label, so sets that differ only in labels get
-    different keys. The memo keeps the digest, not the items, which are as
-    large as the amplitude matrix itself.
+    Each row gets its phase fixed by `fixed_phases` and is rounded to 9
+    decimals; its item is the row's bytes followed by its label, so sets that
+    differ only in labels get different keys. The memo keeps the digest, not
+    the items, which are as large as the amplitude matrix itself.
     """
-    m = s.matrix()
-    big = np.abs(m) > 1e-7
-    rows = np.flatnonzero(big.any(axis=1))
-    if rows.size:
-        a = m[rows, big[rows].argmax(axis=1)]
-        m = m.copy()
-        # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on
-        # a complex array rounds differently for about a third of inputs
-        m[rows] = m[rows] * (np.conj(a) / np.hypot(a.real, a.imag))[:, None]
+    m = fixed_phases(s.matrix())
     buf = (np.round(m, 9) + 0.0).tobytes()
     width = m.shape[1] * m.itemsize
     items = []
@@ -357,8 +348,6 @@ class SetAnalyzer:
 
     def __init__(self):
         self.nodes: dict[bytes, dict] = {}
-        # per memo slot, the expanded nodes whose index projectors were capped
-        self.capped: dict[str, set[bytes]] = {}
 
     def intern(self, s: StateSet) -> bytes:
         key = canonical_key(s)
@@ -448,14 +437,18 @@ class SetAnalyzer:
             return nd["moves"]
         s = nd["set"]
         out = []
+        # the memo slots that expanded this node, when ATOM_CAP bound at it
+        nd["capped_in"] = None
         for p in range(s.space.n_parties):
-            for m in measurement_candidates(s, p, self.oplm(key, p)):
+            cands = measurement_candidates(s, p, self.oplm(key, p))
+            if cands.capped:
+                nd["capped_in"] = set()
+            for m in cands:
                 children = []
                 for oi, kraus in enumerate(m.kraus):
                     child, labels = apply_outcome(s, p, kraus)
                     children.append((oi, self.intern(child) if len(child) else None, labels))
                 out.append((p, m, children))
-        nd["index_capped"] = any(index_projectors_capped(s, p) for p in range(s.space.n_parties))
         nd["moves"] = out
         return out
 
@@ -560,8 +553,8 @@ class SetAnalyzer:
         entry = getattr(self, rule.entry)
         incomplete = False
         moves = self._ordered_moves(key, rule.order)
-        if nd["index_capped"]:
-            self.capped.setdefault(rule.slot, set()).add(key)
+        if nd["capped_in"] is not None:
+            nd["capped_in"].add(rule.slot)
         for p, m, children in moves:
             subtrees = []
             good = True
@@ -636,13 +629,13 @@ class SetAnalyzer:
 def _search_params(an: SetAnalyzer, max_depth: int, *slots: str) -> dict:
     """Certificate params of a search that filled the memo `slots`.
 
-    Names the index-projector cap only when it bound at an expanded node,
-    i.e. when the searched class lacked some index projectors there.
+    Names ATOM_CAP only when it bound at a node expanded under one of the
+    slots, i.e. when the searched class lacked a union family there.
     """
     params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
-    capped = set().union(*(an.capped.get(slot, ()) for slot in slots))
+    capped = sum(1 for nd in an.nodes.values() if nd.get("capped_in") and not nd["capped_in"].isdisjoint(slots))
     if capped:
-        params["index_projector_cap"] = {"cap": INDEX_PROJECTOR_CAP, "capped_nodes": len(capped)}
+        params["atom_cap"] = {"cap": ATOM_CAP, "capped_nodes": capped}
     return params
 
 
@@ -666,15 +659,6 @@ def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: Se
     kind = "Exhaustion" if status is False else "Incomplete"
     note = "no distinguishing protocol exists in the searched class" if status is False else "depth cap reached; verdict INCOMPLETE"
     return Certificate(kind, SEARCH_CLASS_NOTE, params | {"complete": status is False}, notes=note)
-
-
-def _collect_leaves(s: StateSet, tree, path="root"):
-    """Reachable leaves of a well-formed tree as (path, set, leaf); raises ValueError otherwise."""
-    failures: list[str] = []
-    leaves = list(_replay(tree, s, failures, path))
-    if failures:
-        raise ValueError("; ".join(failures))
-    return leaves
 
 
 def _leaf_redundant(s: StateSet) -> bool | None:

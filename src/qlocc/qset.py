@@ -57,17 +57,19 @@ _TERM_RE = re.compile(
 )
 
 
-def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, space: PartySpace) -> QsetError:
-    """The error of the term at `pos`, which is not a whole term or has an
-    index out of range."""
+def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, space: PartySpace, bad_coeff: bool) -> QsetError:
+    """The error of the term at `pos`, which is not a whole term, has an
+    index out of range, or (`bad_coeff`) has a coefficient that is not finite."""
     m = _TERM_RE.match(expr, pos)
+    if bad_coeff:
+        return QsetError("E_RANGE", line_no, col0 + m.start(3), "coefficient outside float range", expr[m.start(3) : m.end()])
     _, op, _, _, _, _, rp, rq, _, ket = m.groups()
     p, q = m.start(3), m.end()
     if after_term and op is None:
         return QsetError("E_SYNTAX", line_no, col0 + p, "expected + or - between terms", expr[p : p + 8])
     if p == len(expr):
         return QsetError("E_SYNTAX", line_no, col0 + p, "dangling operator", "")
-    if rq is not None and int(rq) == 0:
+    if rq is not None and not rq.strip("0"):
         return QsetError("E_SYNTAX", line_no, col0 + p, "zero denominator", f"{rp}/{rq}")
     if ket is None and q == p and expr[p] != "|":
         return QsetError("E_SYNTAX", line_no, col0 + p, "expected coefficient or ket", expr[p : p + 8])
@@ -79,6 +81,14 @@ def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, 
     party = next(k for k, (i, d) in enumerate(zip(idx, space.party_dims)) if i >= d)
     message = f"index {idx[party]} out of range for party {party} (dim {space.party_dims[party]})"
     return QsetError("E_DIM", line_no, col, message, f"|{ket}>")
+
+
+def _quotient(p: str, q: str) -> float:
+    """p/q as Python divides ints; nan where that is no float or p or q has too many digits to convert."""
+    try:
+        return int(p) / int(q)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _present(col: tuple[str, ...]) -> np.ndarray:
@@ -93,8 +103,9 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     Returns (amplitudes, counts, errors): one row per state, the sum of its
     terms in term order, so a repeated ket adds up as written; each state's
     number of terms; and each state's QsetError, that of its first bad term
-    (an index out of range counts before a later term's syntax), or None.
-    Rows from the first state with an error on stay zero.
+    (a coefficient outside float range or an index out of range counts
+    before a later term's syntax), or None. Rows from the first state with
+    an error on stay zero.
 
     One `findall` cuts each expression into matches. The leading ones that
     are whole terms (a ket, an operator after the first, no zero
@@ -112,7 +123,7 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     whole = _present(kets) & joined
     whole &= np.fromiter(map(str.count, kets, itertools.repeat(",")), np.intp, len(kets)) == n_parties - 1
     if any(rq):
-        whole &= [not d or int(d) != 0 for d in rq]
+        whole &= [not d or bool(d.strip("0")) for d in rq]
     row = np.repeat(np.arange(len(exprs)), sizes)
     not_whole = np.flatnonzero(~whole)
     ends = not_whole[np.searchsorted(not_whole, starts)].tolist()
@@ -122,13 +133,6 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     at = np.fromiter(map(float, itertools.chain.from_iterable(idx)), np.float64).reshape(-1, n_parties)
     over = np.flatnonzero(term)[(at >= dims).any(axis=1)]
     first_over = np.append(over, len(kets))[np.searchsorted(over, starts)].tolist()
-    errors = []
-    for (expr, line_no, col0), s, e, o in zip(exprs, starts, ends, first_over):
-        t = min(e, o)
-        pos = sum(map(len, spans[s:t]))
-        errors.append(_term_error(expr, pos, t > s, line_no, col0, space) if o < e or expr[pos:].strip() else None)
-    # the terms that count: the whole ones of the states before the first error
-    term &= row < next((r for r, err in enumerate(errors) if err), len(exprs))
     # sign * coefficient, each form filling the terms that use it; a bare ket
     # has coefficient 1. A complex one takes Python's float-by-complex
     # product, (s*re - 0*im, s*im + 0*re): it differs from (s*re, s*im) only
@@ -136,21 +140,34 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     sign = np.where(np.fromiter(map("-".__eq__, ops), bool, len(ops)), -1.0, 1.0)
     real, imag = sign.copy(), np.zeros(len(ops))
     w = _present(sq) & term
-    real[w] = sign[w] * [1.0 / np.sqrt(int(v)) for v in itertools.compress(sq, w)]
-    w = _present(rp) & term
-    real[w] = sign[w] * [int(a) / int(b) for a, b in itertools.compress(zip(rp, rq), w)]
-    w = _present(dec) & term
-    real[w] = sign[w] * np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
-    w = _present(cre) & term
-    cr, ci = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
-    real[w], imag[w] = sign[w] * cr - 0.0 * ci, sign[w] * ci + 0.0 * cr
+    n = np.fromiter(map(float, itertools.compress(sq, w)), np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real[w] = sign[w] * np.where(n < np.inf, 1.0 / np.sqrt(n), np.nan)
+        w = _present(rp) & term
+        real[w] = sign[w] * [_quotient(a, b) for a, b in itertools.compress(zip(rp, rq), w)]
+        w = _present(dec) & term
+        real[w] = sign[w] * np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
+        w = _present(cre) & term
+        cr, ci = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
+        real[w], imag[w] = sign[w] * cr - 0.0 * ci, sign[w] * ci + 0.0 * cr
+    bad = np.flatnonzero(term & ~(np.isfinite(real) & np.isfinite(imag)))
+    first_bad = np.append(bad, len(kets))[np.searchsorted(bad, starts)].tolist()
+    errors = []
+    for (expr, line_no, col0), s, e, o, b in zip(exprs, starts, ends, first_over, first_bad):
+        t = min(e, o, b)
+        pos = sum(map(len, spans[s:t]))
+        bad_coeff = b == t  # b < e then: only whole terms have coefficients
+        errors.append(_term_error(expr, pos, t > s, line_no, col0, space, bad_coeff) if bad_coeff or o < e or expr[pos:].strip() else None)
+    # the terms that count: the whole ones of the states before the first error
+    term &= row < next((r for r, err in enumerate(errors) if err), len(exprs))
     coeffs = np.empty(int(term.sum()), np.complex128)
     coeffs.real, coeffs.imag = real[term], imag[term]
     # that restriction drops only trailing terms, so `at` starts with the kept ones
     strides = [math.prod(dims[p + 1 :]) for p in range(n_parties)]
     flat = at[: len(coeffs)].astype(np.intp) @ strides
     m = np.zeros((len(exprs), space.total_dim), dtype=np.complex128)
-    np.add.at(m, (row[term], flat), coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # parse_qset rejects a row that is not finite
+        np.add.at(m, (row[term], flat), coeffs)
     return m, [e - s for s, e in zip(starts, ends)], errors
 
 
@@ -215,7 +232,8 @@ def parse_qset(text: str) -> StateSet:
     if not state_rows:
         raise QsetError("E_EMPTY_STATE", 1, 1, "document declares no states")
     m, counts, errors = _parse_terms([row[1:] for row in state_rows], space)
-    norms = row_norms(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = row_norms(m)
     seen = set()
     for (label, _, line_no, col), count, err, norm in zip(state_rows, counts, errors, norms):
         if label in seen:
@@ -225,6 +243,8 @@ def parse_qset(text: str) -> StateSet:
             raise err
         if not count:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} has no terms")
+        if not math.isfinite(norm):
+            raise QsetError("E_RANGE", line_no, col, f"state {label!r} has a norm outside float range")
         if norm < 1e-12:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} sums to zero")
     return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)

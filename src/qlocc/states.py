@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ORTHO_TOL, RANK_RTOL, as_carray, numerical_rank
+from .linalg import ORTHO_TOL, RANK_RTOL, as_carray
 
 
 def party_letter(i: int) -> str:
@@ -321,8 +321,9 @@ def coefficient_matrix(k: Ket, cut: Bipartition) -> np.ndarray:
 
 
 def schmidt_rank(k: Ket, cut: Bipartition) -> int:
-    """Rank of the coefficient matrix across the cut; 1 means product."""
-    return numerical_rank(coefficient_matrix(k, cut))
+    """Rank of the coefficient matrix across the cut (singular values above RANK_RTOL * sigma_max); 1 means product."""
+    sv = np.linalg.svd(coefficient_matrix(k, cut))[1]
+    return int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
 
 
 def is_product_state(k: Ket) -> bool:
@@ -418,17 +419,25 @@ def local_vectors(s: StateSet, party: int) -> np.ndarray | None:
     """Per-state local vectors on `party` when every state is product across
     that party's cut; None if some state is entangled across it.
 
-    Vectors are normalized with a fixed phase convention (first significant
-    amplitude real positive).
+    Vectors are normalized, their phases fixed by `fixed_phases`.
     """
     if s.space.n_parties == 1:
         return s.matrix()
     v, product = local_factors(s, party)
-    if not product.all():
-        return None
-    a = v[np.arange(len(v)), np.argmax(np.abs(v) > 1e-7, axis=1)]
-    # np.hypot is libm hypot, as abs() on one complex scalar
-    return v * (np.conj(a) / np.hypot(a.real, a.imag))[:, None]
+    return fixed_phases(v) if product.all() else None
+
+
+def fixed_phases(m: np.ndarray) -> np.ndarray:
+    """A copy of the rows of `m`, each with its first entry above 1e-7 in
+    magnitude made real positive; a row without one is copied as is."""
+    big = np.abs(m) > 1e-7
+    rows = np.flatnonzero(big.any(axis=1))
+    out = m.copy()
+    a = m[rows, big[rows].argmax(axis=1)]
+    # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on a
+    # complex array rounds differently for about a third of inputs
+    out[rows] = m[rows] * (np.conj(a) / np.hypot(a.real, a.imag))[:, None]
+    return out
 
 
 def merge_parties(s: StateSet, grouping, reorder=None) -> StateSet:

@@ -18,7 +18,6 @@ from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.linalg import ORTHO_TOL, RANK_RTOL
 from qlocc.oplm import (
     ELIM_TOL,
-    INDEX_PROJECTOR_CAP,
     SPAN_TOL,
     BlockStructure,
     LocalMeasurement,
@@ -27,7 +26,7 @@ from qlocc.oplm import (
     block_structure,
     oplm_space,
 )
-from qlocc.protocol import _collect_leaves, builtin_protocol
+from qlocc.protocol import _replay, builtin_protocol
 from qlocc.qset import QsetError
 from qlocc.states import (
     Bipartition,
@@ -128,6 +127,15 @@ def random_orthogonal_product_set(rng, dims, n_states: int, max_tries: int = 400
             amp = np.kron(amp, v)
         states.append(Ket(space, amp, f"p{i}"))
     return StateSet(space, states, name)
+
+
+def _collect_leaves(s: StateSet, tree, path="root"):
+    """Reachable leaves of a well-formed tree as (path, set, leaf); raises ValueError otherwise."""
+    failures: list[str] = []
+    leaves = list(_replay(tree, s, failures, path))
+    if failures:
+        raise ValueError("; ".join(failures))
+    return leaves
 
 
 def truncated_s3_activation_tree():
@@ -288,7 +296,7 @@ def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[Local
         proj = sum(np.trace(bb.conj().T @ p) * bb for bb in sp.basis)
         if np.abs(proj - p).max() > SPAN_TOL:
             continue
-        if sp.constraint_residual(p) > SPAN_TOL:
+        if constraint_residual(sp, p) > SPAN_TOL:
             continue
         key = np.round(p, 9).tobytes()
         if key in seen:
@@ -306,11 +314,23 @@ def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[Local
     return out
 
 
+def constraint_residual(sp: OplmSpace, e: np.ndarray) -> float:
+    """Largest |<psi_i|(E on p)|psi_j>| over pairs, E in support coords."""
+    vals = np.einsum("ijab,ab->ij", sp.pair_tensors, e)
+    return float(np.abs(vals[~np.eye(len(vals), dtype=bool)]).max(initial=0.0))
+
+
+# the reference loops over the 2^(r-1) index masks only while r <= this
+REFERENCE_MAX_INDICES = 16
+
+
 def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
-    """`measurement_candidates` with both union families enumerated one mask
-    per Python iteration: the block unions as `_reference_projective_oplms`,
-    and the index projectors each tested by its own product with the
-    per-pair constraint diagonals."""
+    """`measurement_candidates` without atoms, both union families
+    enumerated one mask per Python iteration: the block unions as
+    `_reference_projective_oplms`, and the index projectors, while the party
+    occupies at most REFERENCE_MAX_INDICES indices, each tested by its own
+    product with the per-pair constraint diagonals. A family of at most
+    ATOM_CAP parts has at most that many atoms, so there the two agree."""
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
     seen: dict[bytes, LocalMeasurement] = {}
@@ -330,7 +350,7 @@ def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | No
     mats = party_matrices(s, party)
     occ = occupied_indices(mats)
     r = len(occ)
-    if 2 <= r <= INDEX_PROJECTOR_CAP:
+    if 2 <= r <= REFERENCE_MAX_INDICES:
         u_occ = np.zeros((d, r), dtype=np.complex128)
         for col, i in enumerate(occ):
             u_occ[i, col] = 1.0

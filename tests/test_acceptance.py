@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import random_orthogonal_product_set, random_orthonormal_set
+from _helpers import _collect_leaves, constraint_residual, random_orthogonal_product_set, random_orthonormal_set
 from qlocc.fixtures import build_fixture
 from qlocc.oplm import block_structure, measurement_candidates, oplm_space, projective_oplms
 from qlocc.partitions import hidden_nonlocality_profile
 from qlocc.protocol import (
-    _collect_leaves,
     activation_search,
     apply_outcome,
     builtin_protocol,
@@ -268,7 +267,7 @@ def test_criterion_12_property_suites():
                 for _ in range(5):
                     coeff = rng.normal(size=sp.space_dim)
                     e = sum(c * b for c, b in zip(coeff, sp.basis))
-                    assert sp.constraint_residual(e) <= 1e-8
+                    assert constraint_residual(sp, e) <= 1e-8
                 for m in measurement_candidates(s, p):
                     assert m.completeness_residual() <= 1e-10
                     for kraus in m.kraus:

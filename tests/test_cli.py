@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -238,6 +239,29 @@ def test_json_determinism(capsys, files):
     rep1.pop("timings")
     rep2.pop("timings")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "coeff", ["1/sqrt(0)", "1/sqrt(" + "9" * 400 + ")", "9" * 400 + "/3", "(1e999,0)"], ids=["sqrt0", "sqrt-huge", "p-huge", "real"]
+)
+def test_coefficient_outside_float_range_exits_2(capsys, tmp_path, coeff):
+    bad = tmp_path / "range.qset"
+    bad.write_text(f"qset v1\ndims: 2 2\nstate a: {coeff}*|0,0>\n")
+    code, _, err = run(capsys, "check-ortho", "--set", str(bad))
+    assert code == 2 and err.startswith("qlocc: parse error: E_RANGE at line 3, col 10:"), err
+
+
+def test_irreducible_names_the_atom_cap_at_desk_scale(capsys, tmp_path):
+    # |i,0> on 24 x 2: both union families of party A have 24 atoms
+    wide = tmp_path / "wide.qset"
+    wide.write_text("qset v1\ndims: 24 2\n" + "".join(f"state e{i}: |{i},0>\n" for i in range(24)))
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "irreducible", "--set", str(wide))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and rep["verdicts"]["verdict"] == "IRREDUCIBLE-IN-CLASS"
+    assert rep["verdicts"]["class_note"].endswith("; block unions and index projectors not enumerated for party A (above 16 atoms)")
+    code, rep = run_json(capsys, "oplm", "--set", str(wide), "--party", "0")
+    assert code == 0 and rep["verdicts"]["projective_measurements"] is None
 
 
 def test_usage_errors(capsys, files, tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qlocc.linalg import as_carray, numerical_rank, svd
-from qlocc.states import Ket, PartySpace, make_ket
+from qlocc.linalg import as_carray
+from qlocc.states import Bipartition, Ket, PartySpace, make_ket, schmidt_rank
 
 
 def test_tensor_basis_index_arithmetic():
@@ -15,17 +15,11 @@ def test_tensor_basis_index_arithmetic():
     assert k.tensor()[0, 1] == 1
 
 
-def test_svd_zero_matrix():
-    z = np.zeros((3, 3))
-    assert numerical_rank(z) == 0
-    _, _, vh = svd(z)
-    assert vh[numerical_rank(z) :].shape == (3, 3)
-
-
 def test_svd_identity():
-    s, _, _ = svd(np.eye(4))
-    assert np.allclose(s, 1.0)
-    assert numerical_rank(np.eye(4)) == 4
+    # the maximally entangled state on C4 x C4 has the identity as its coefficient matrix
+    space = PartySpace((4, 4))
+    k = make_ket(space, [(1, (i, i)) for i in range(4)])
+    assert schmidt_rank(k, Bipartition.of({0}, 2)) == 4
 
 
 def _gram_schmidt_rank(rows, tol=1e-10):
@@ -46,20 +40,9 @@ def test_svd_rank_two_coefficient_matrix():
     m = np.zeros((4, 4))
     m[0, 0] = m[0, 1] = 1
     m[2, 2] = m[2, 3] = 1
-    assert numerical_rank(m) == 2
+    k = Ket(PartySpace((4, 4)), m.ravel())
+    assert schmidt_rank(k, Bipartition.of({0}, 2)) == 2
     assert _gram_schmidt_rank(m) == 2
-
-
-def test_svd_reconstruction_and_nullspace():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        s, u, vh = svd(m)
-        rec = u[:, : len(s)] @ np.diag(s) @ vh[: len(s)]
-        assert np.abs(rec - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
-        null = vh[numerical_rank(m) :].conj().T
-        assert null.shape == (7, 2)
-        assert np.abs(m @ null).max() <= 1e-8 * s[0]
 
 
 def test_as_carray_rejects_nonfinite():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     candidates_match_reference,
+    constraint_residual,
     random_orthogonal_product_set,
     random_orthonormal_set,
     reference_measurement_candidates,
@@ -13,17 +14,17 @@ from _helpers import (
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import RANK_RTOL
 from qlocc.oplm import (
+    ATOM_CAP,
     CLASS_NOTE,
-    INDEX_PROJECTOR_CAP,
     MASK_CHUNK,
     OplmSpace,
+    _atoms,
     _constraint_rows,
     _coords_to_matrix,
     _pair_tensors,
     _rank,
     block_structure,
     eliminable_states,
-    index_projectors_capped,
     is_locally_irreducible,
     is_oplm,
     is_trivial,
@@ -38,6 +39,7 @@ from qlocc.states import (
     StateSet,
     apply_local_unitaries,
     make_ket,
+    occupied_indices,
     party_matrices,
     random_local_unitaries,
     support_basis,
@@ -138,7 +140,7 @@ def test_random_span_samples_satisfy_constraints():
             for _ in range(5):
                 coeff = rng.normal(size=sp.space_dim)
                 e = sum(c * b for c, b in zip(coeff, sp.basis))
-                assert sp.constraint_residual(e) <= 1e-8
+                assert constraint_residual(sp, e) <= 1e-8
 
 
 def test_block_structure_synthetic_span():
@@ -498,14 +500,16 @@ def test_is_locally_irreducible_solves_each_party_once(monkeypatch):
 
 
 def test_index_projector_cap_named_in_class_note():
+    # the atom bound, where it binds on the index projectors only
     rng = np.random.default_rng(3)
-    wide = random_orthonormal_set(rng, (17, 2), 3)  # occupies all 17 indices of A
-    assert index_projectors_capped(wide, 0) and not index_projectors_capped(wide, 1)
+    wide = random_orthonormal_set(rng, (17, 2), 3)  # 17 index atoms on A
+    assert measurement_candidates(wide, 0).capped == ("index projectors",)
+    assert measurement_candidates(wide, 1).capped == ()
     v = is_locally_irreducible(wide)
     assert v.verdict != "IRREDUCIBLE-EXACT"
-    assert v.class_note == CLASS_NOTE + "; index projectors not enumerated for party A (occupied support above 16)"
+    assert v.class_note == CLASS_NOTE + "; index projectors not enumerated for party A (above 16 atoms)"
     narrow = random_orthonormal_set(rng, (5, 2), 3)
-    assert not index_projectors_capped(narrow, 0)
+    assert measurement_candidates(narrow, 0).capped == ()
     assert is_locally_irreducible(narrow).class_note == CLASS_NOTE
 
 
@@ -548,20 +552,104 @@ def test_candidates_match_reference_on_rotated_fixture():
     assert any(lab.startswith("P[blocks ") for lab in labels)
 
 
+def quads() -> StateSet:
+    """On 16 x 2: (|4g,0> + |4g+1,0> +- (|4g+2,1> + |4g+3,1>))/2 for g < 4.
+    Each pair constrains its group to t_4g + t_4g+1 = t_4g+2 + t_4g+3,
+    which ties no two indices: party A has 16 index atoms, and each group
+    passes 6 of its 16 unions."""
+    rows = []
+    for g in range(4):
+        for sign in (1, -1):
+            v = np.zeros((16, 2), dtype=complex)
+            v[4 * g, 0] = v[4 * g + 1, 0] = 0.5
+            v[4 * g + 2, 1] = v[4 * g + 3, 1] = 0.5 * sign
+            rows.append(v.ravel())
+    return StateSet.from_matrix(PartySpace((16, 2)), np.array(rows), [f"q{i}" for i in range(8)], "quads")
+
+
+def index_test_columns(s: StateSet, party: int) -> np.ndarray:
+    """The index family's union test: the per-pair constraint diagonals."""
+    mats = party_matrices(s, party)
+    rows = mats[:, occupied_indices(mats)]
+    return np.einsum("iar,jar->ija", rows.conj(), rows)[np.triu_indices(len(s), 1)]
+
+
+def test_atoms_tie_only_what_every_solution_ties():
+    owner, k = _atoms(index_test_columns(bell_pairs(17), 0))
+    assert (owner.tolist(), k) == ([b // 2 for b in range(17)], 9)
+    owner, k = _atoms(index_test_columns(quads(), 0))
+    assert (owner.tolist(), k) == (list(range(16)), 16)
+    owner, k = _atoms(np.zeros((0, 3), dtype=complex))
+    assert (owner.tolist(), k) == ([0, 1, 2], 3)
+    # a near-null constraint counts as null and splits: t_0 = t_1 only to 1e-9
+    assert _atoms(np.array([[1e-9, -1e-9]], dtype=complex))[1] == 2
+    assert _atoms(np.array([[1.0, -1.0]], dtype=complex))[1] == 1
+    # atoms are numbered by their largest member: t_0 = t_2 ties {0, 2} after {1}
+    owner, k = _atoms(np.array([[1.0, 0.0, -1.0]], dtype=complex))
+    assert (owner.tolist(), k) == ([1, 0, 1], 2)
+
+
 def test_candidates_match_reference_at_the_cap():
-    s = bell_pairs(16)
-    assert 2 ** (INDEX_PROJECTOR_CAP - 1) > 4 * MASK_CHUNK
+    s = quads()
+    assert _atoms(index_test_columns(s, 0))[1] == ATOM_CAP and 2 ** (ATOM_CAP - 1) > 4 * MASK_CHUNK
     got = measurement_candidates(s, 0)
+    assert got.capped == ()
     assert candidates_match_reference(got, reference_measurement_candidates(s, 0))
+    assert len(got) == (6**4 - 2) // 2  # unions of passing group unions, up to complement
+    bells = bell_pairs(16)
+    got = measurement_candidates(bells, 0)
+    assert candidates_match_reference(got, reference_measurement_candidates(bells, 0))
     assert len(got) == 2**7 - 1  # unions of the 8 pairs without the last
     assert got[-1].labels[0] == "P[" + ",".join(map(str, range(14))) + "]"
 
 
 def test_candidates_capped_above_the_cap():
-    s = bell_pairs(17)
-    assert index_projectors_capped(s, 0)
+    # 17 indices make 9 atoms, the 8 pairs and {16}: under the cap
+    got = measurement_candidates(bell_pairs(17), 0)
+    assert got.capped == () and len(got) == 2**8 - 1
+    assert got[-1].labels[0] == "P[" + ",".join(map(str, range(16))) + "]"
+    # |i,0> for i < 17: no constraint at all, so 17 atoms in both families
+    s = StateSet.from_matrix(PartySpace((17, 2)), np.eye(34)[::2], [f"e{i}" for i in range(17)], "wide")
     got = measurement_candidates(s, 0)
-    assert got == [] and reference_measurement_candidates(s, 0) == []
+    assert got == [] and got.capped == ("block unions", "index projectors")
+    assert projective_oplms(oplm_space(s, 0, on_support=True), block_structure(oplm_space(s, 0, on_support=True))) is None
+
+
+def test_atom_cap_binds_on_the_s4_ab_index_projectors():
+    s = _merge_for(build_fixture("s4"), [(2,), (0, 1)])
+    assert _atoms(index_test_columns(s, 1))[1] > ATOM_CAP
+    got = measurement_candidates(s, 1)
+    assert got.capped == ("index projectors",) and len(got) == 2**9 - 1
+    assert measurement_candidates(s, 0).capped == ()
+
+
+def _candidate_source(seed: int, source: str, rotated: bool) -> StateSet | None:
+    rng = np.random.default_rng(seed)
+    dims = [(3, 4), (4, 4), (2, 6), (12, 2), (2, 2, 3)][seed % 5]
+    if source == "random":
+        s = random_orthonormal_set(rng, dims, int(rng.integers(2, 9)))
+    elif source == "product":
+        s = random_orthogonal_product_set(rng, dims, int(rng.integers(2, 9)))
+        if s is None:
+            return None
+    else:
+        full = build_fixture("s1_general", d=4) if source == "s1_general" else build_fixture(source)
+        keep = np.sort(rng.choice(len(full), size=int(rng.integers(2, len(full) + 1)), replace=False))
+        s = StateSet.from_matrix(full.space, full.matrix()[keep], [full.labels[i] for i in keep], source)
+    return apply_local_unitaries(s, random_local_unitaries(s.space, rng)) if rotated else s
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["random", "product", "s1", "s2", "s3", "s5", "s6", "tiles33", "s1_general"]),
+    rotated=st.booleans(),
+)
+def test_atom_candidates_match_reference_random(seed, source, rotated):
+    s = _candidate_source(seed, source, rotated)
+    assume(s is not None)
+    for p in range(s.space.n_parties):
+        assert candidates_match_reference(measurement_candidates(s, p), reference_measurement_candidates(s, p)), p
 
 
 def _index_label_mismatches(s: StateSet) -> list[str]:

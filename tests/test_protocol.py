@@ -9,7 +9,6 @@ from qlocc.protocol import (
     Leaf,
     Measure,
     SetAnalyzer,
-    _collect_leaves,
     _kraus_from_json,
     activation_search,
     apply_outcome,
@@ -25,6 +24,7 @@ from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, mak
 
 from _helpers import (
     ReferenceCheck,
+    _collect_leaves,
     childless_s3_activation_tree,
     near_bell_leaves_tree,
     near_orthogonal_leaves_tree,
@@ -334,12 +334,13 @@ def test_interning_is_label_aware():
 
 @pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
 def test_index_projector_cap_named_in_search_params(search):
+    # the atom bound binds on the index projectors of party A, at the root
     rng = np.random.default_rng(3)
-    wide = random_orthonormal_set(rng, (17, 2), 3)  # occupies all 17 indices of A
+    wide = random_orthonormal_set(rng, (17, 2), 3)  # 17 index atoms on A
     cert = search(wide, max_depth=2)
-    assert cert.params["index_projector_cap"] == {"cap": 16, "capped_nodes": 1}
+    assert cert.params["atom_cap"] == {"cap": 16, "capped_nodes": 1}
     narrow = random_orthonormal_set(rng, (5, 2), 3)
-    assert "index_projector_cap" not in search(narrow, max_depth=2).params
+    assert "atom_cap" not in search(narrow, max_depth=2).params
 
 
 def test_unknown_builtin():

@@ -235,3 +235,47 @@ def test_error_order_follows_the_states():
     # within a state, an index out of range comes before a later term's syntax
     e = _err("qset v1\ndims: 2 2\nstate a: |0,0>\nstate b: |1,1> + |0,2> + oops\n")
     assert (e.code, e.line, e.col, e.lexeme) == ("E_DIM", 4, 18, "|0,2>")
+
+
+RANGE = {
+    "sqrt0": "1/sqrt(0)",
+    "sqrt00": "1/sqrt(00)",
+    "sqrt-huge": "1/sqrt(" + "9" * 400 + ")",
+    "p-huge": "9" * 400 + "/3",
+    "p-5000-digits": "-" + "9" * 5000 + "/3",
+    "decimal": "1e999",
+    "negative": "-1e999",
+    "real": "(1e999,0)",
+    "imag": "(0,-1e999)",
+}
+
+
+@pytest.mark.parametrize("coeff", RANGE.values(), ids=RANGE.keys())
+def test_coefficient_outside_float_range_is_a_range_error(coeff):
+    # reported at the coefficient, before the later syntax error
+    e = _err(f"qset v1\ndims: 2 2\nstate a: |1,1> - {coeff}*|0,0> + oops\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_RANGE", 3, 18, f"{coeff}*|0,0>")
+
+
+def test_range_error_order_follows_the_terms():
+    # a later state's range error comes after an earlier state's error, and
+    # within a state after an earlier term's index error
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0> - |0,0>\nstate b: 1e999|0,0>\n")
+    assert (e.code, e.line) == ("E_EMPTY_STATE", 3)
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,5> + 1e999|0,0>\n")
+    assert (e.code, e.col) == ("E_DIM", 10)
+    e = _err("qset v1\ndims: 2 2\nstate a: |1,1>\nstate b: |0,1> + 1/sqrt(0)|0,0> + |0,5>\n")
+    assert (e.code, e.line, e.col) == ("E_RANGE", 4, 18)
+
+
+@pytest.mark.parametrize("expr", ["1e308*|0,0> + 1e308*|0,0>", "1e200*|0,0> + |1,1>"])
+def test_state_norm_outside_float_range_is_a_range_error(expr):
+    e = _err(f"qset v1\ndims: 2 2\nstate a: {expr}\n")
+    assert (e.code, e.line, e.col) == ("E_RANGE", 3, 10)
+
+
+def test_large_sqrt_argument_parses():
+    # beyond a 64-bit integer, but 1/sqrt(n) is a float: 1e-10
+    s = parse_qset("qset v1\ndims: 2 2\nstate a: |1,1> + 1/sqrt(100000000000000000000)*|0,0>\n")
+    want = np.array([1 / np.sqrt(1e20), 0, 0, 1], dtype=complex)
+    assert same_bits(s.matrix()[0], want / np.linalg.norm(want))
