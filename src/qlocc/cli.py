@@ -12,13 +12,14 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
-from .linalg import ORTHO_TOL as DEFAULT_TOL
+from .linalg import ORACLE_TOL, ORTHO_TOL
 from .oplm import block_structure, is_locally_irreducible, oplm_space, projective_oplms
 from .partitions import hidden_nonlocality_profile
 from .protocol import (
@@ -44,10 +45,18 @@ class UsageError(Exception):
 
 
 def _tol(args) -> float:
+    """The orthogonality tolerance: --tol, else QLOCC_TOL, else ORTHO_TOL;
+    a value that is not a finite number >= 0 is a usage error."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("QLOCC_TOL")
-    return float(env) if env else DEFAULT_TOL
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("QLOCC_TOL")
+        if not env:
+            return ORTHO_TOL
+        tol, source = float(env), "QLOCC_TOL"
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"{source} must be a finite number >= 0, not {tol!r}")
+    return tol
 
 
 def _load_set(args, report):
@@ -217,7 +226,7 @@ def cmd_upb(args, report):
         payload["oracle"] = {
             "residual": res.residual,
             "restarts": res.restarts,
-            "agrees": (res.residual <= 1e-8) == (not v.unextendible),
+            "agrees": (res.residual <= ORACLE_TOL) == (not v.unextendible),
         }
     human = f"{s.name}: {payload['verdict']} ({v.support_note})"
     if "oracle" in payload:
@@ -334,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", help="input .qset file")
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
         if with_tol:
-            p.add_argument("--tol", type=float, default=None, help="orthogonality tolerance (default 1e-9 or QLOCC_TOL)")
+            p.add_argument("--tol", type=float, default=None, help=f"orthogonality tolerance (default {ORTHO_TOL:g} or QLOCC_TOL)")
         p.add_argument("--force", action="store_true", help="analyze even if the input fails the orthogonality check")
         if with_depth:
             p.add_argument("--max-depth", type=int, default=8, help="protocol search depth cap")

@@ -26,18 +26,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import RANK_RTOL
+from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
 from .states import StateSet, index_support, occupied_indices, party_letter, party_matrices, support_basis
 
-SPAN_TOL = 1e-8
-ELIM_TOL = 1e-9
-COMM_TOL = 1e-8
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
 # many atoms; above it the family is skipped, and the skip is named
 ATOM_CAP = 16
 # union masks tested per matrix product; bounds the test's memory at the cap
 MASK_CHUNK = 256
-ATOM_TOL = 1e-6  # entrywise, between the nullspace projections of one atom's columns
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -97,7 +93,7 @@ def _rank(sv: np.ndarray) -> tuple[int, bool]:
     """
     # absolute floor: states are unit vectors, so rows from orthogonal
     # pairs are pure rounding noise and must not count as constraints
-    cut = max(RANK_RTOL * sv[0], 1e-10) if sv.size else 1e-10
+    cut = max(RANK_RTOL * sv[0], NOISE_TOL) if sv.size else NOISE_TOL
     clear = not np.any((sv > cut / 10) & (sv < cut * 10))
     return int(np.sum(sv > cut)), clear
 
@@ -228,7 +224,7 @@ def block_structure(sp: OplmSpace) -> BlockStructure:
             # split by eigenvalue clusters
             start = 0
             for k in range(1, len(w) + 1):
-                if k == len(w) or w[k] - w[start] > 1e-6:
+                if k == len(w) or w[k] - w[start] > CLUSTER_TOL:
                     new_blocks.append(cols[start:k])
                     start = k
         blocks = new_blocks
@@ -383,11 +379,11 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     return out
 
 
-def is_oplm(s: StateSet, m: LocalMeasurement, tol: float = SPAN_TOL) -> bool:
-    """Check every outcome of m against the pairwise constraints."""
+def is_oplm(s: StateSet, m: LocalMeasurement) -> bool:
+    """Check every outcome of m against the pairwise constraints, at SPAN_TOL."""
     g = _pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
     off = ~np.eye(len(s), dtype=bool)
-    return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > tol for k in m.kraus)
+    return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > SPAN_TOL for k in m.kraus)
 
 
 def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:

@@ -19,11 +19,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .linalg import ELIM_TOL, NOISE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import (
     ATOM_CAP,
     CLASS_NOTE,
-    ELIM_TOL,
-    SPAN_TOL,
     LocalMeasurement,
     measurement_candidates,
     oplm_space,
@@ -61,6 +60,16 @@ class Measure:
     party: int
     measurement: LocalMeasurement
     children: list
+
+
+def _with_rest(party: int, d: int, kraus: list, labels: list[str], children: list) -> Measure:
+    """A measurement of `party` (dimension d) with one child per operator of
+    `kraus`, completed when rest = I - sum(kraus) is nonzero (an entry above
+    NOISE_TOL) by a `rest` outcome that has no child."""
+    rest = _rest(d, kraus)
+    if np.abs(rest).max() > NOISE_TOL:
+        kraus, labels, children = [*kraus, rest], [*labels, "rest"], [*children, None]
+    return Measure(party, LocalMeasurement(party, kraus, labels), children)
 
 
 def matrix_json(m) -> list:
@@ -213,7 +222,7 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
         failures.append(f"{path}: measures party {node.party} of a {cur.space.n_parties}-party set")
         return
     m = node.measurement
-    if m.completeness_residual() > 1e-8:
+    if m.completeness_residual() > SPAN_TOL:
         failures.append(f"{path}: measurement completeness violated")
     if len(node.children) != len(m.kraus):
         failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
@@ -481,18 +490,11 @@ class SetAnalyzer:
                 continue
             g = locs.conj() @ locs.T
             off = np.abs(g - np.diag(np.diagonal(g)))
-            if off.max(initial=0.0) > 1e-9:
+            if off.max(initial=0.0) > ORTHO_TOL:
                 continue
-            d = s.space.party_dims[p]
             kraus = [np.outer(v, v.conj()) for v in locs]
             labels = [f"P[{lab}]" for lab in s.labels]
-            rest = np.eye(d, dtype=np.complex128) - sum(kraus)
-            children = [Leaf(identified=lab) for lab in s.labels]
-            if np.abs(rest).max() > 1e-10:
-                kraus.append(rest)
-                labels.append("rest")
-                children.append(None)
-            result = Measure(p, LocalMeasurement(p, kraus, labels), children)
+            result = _with_rest(p, s.space.party_dims[p], kraus, labels, [Leaf(identified=lab) for lab in s.labels])
             break
         nd["terminal"] = result
         return result
@@ -847,14 +849,7 @@ def _s1_recursion_tree():
     pb = _half_split(1, d, (0,), (1, 2, 3))
 
     def resolve(party, specs, labels, leaves):
-        ops = [_pvec(d, sp) for sp in specs]
-        rest = _rest(d, ops)
-        kraus, labs, ch = list(ops), list(labels), list(leaves)
-        if np.abs(rest).max() > 1e-10:
-            kraus.append(rest)
-            labs.append("rest")
-            ch.append(None)
-        return Measure(party, _meas(party, kraus, labs), ch)
+        return _with_rest(party, d, [_pvec(d, sp) for sp in specs], labels, leaves)
 
     b0 = resolve(
         1,

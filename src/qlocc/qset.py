@@ -27,6 +27,7 @@ import re
 
 import numpy as np
 
+from .linalg import NORM_TOL, TERM_TOL
 from .states import PartySpace, StateSet, row_norms
 
 
@@ -245,7 +246,7 @@ def parse_qset(text: str) -> StateSet:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} has no terms")
         if not math.isfinite(norm):
             raise QsetError("E_RANGE", line_no, col, f"state {label!r} has a norm outside float range")
-        if norm < 1e-12:
+        if norm < NORM_TOL:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} sums to zero")
     return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
 
@@ -263,7 +264,7 @@ def serialize_qset(s: StateSet) -> str:
     kets = ["|" + ",".join(str(i) for i in idx) + ">" for idx in np.ndindex(*s.space.party_dims)]
     m = s.matrix()
     # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on the array rounds differently
-    shown = np.hypot(m.real, m.imag) > 1e-14
+    shown = np.hypot(m.real, m.imag) > TERM_TOL
     for label, row, nz in zip(s.labels, m, shown):
         terms = [f"({_fmt(row[f].real)},{_fmt(row[f].imag)})*{kets[f]}" for f in np.flatnonzero(nz)]
         lines.append(f"state {label}: " + " + ".join(terms))

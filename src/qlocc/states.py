@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ORTHO_TOL, RANK_RTOL, as_carray
+from .linalg import INDEX_TOL, NORM_TOL, ORTHO_TOL, PHASE_TOL, RANK_RTOL, RELABEL_TOL, as_carray
 
 
 def party_letter(i: int) -> str:
@@ -140,9 +140,9 @@ class Ket:
         norm = math.sqrt(re @ re + im @ im)
         if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise ValueError("non-finite entries")
-        if norm < 1e-12:
+        if norm < NORM_TOL:
             raise ValueError("zero vector cannot be a Ket")
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > NORM_TOL:
             np.divide(amps, norm, out=amps)
         self.space = space
         self.amplitudes = amps
@@ -187,13 +187,13 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Check and normalize in place the rows of a C-contiguous complex
     (n, D) matrix the caller owns: reject non-finite entries and a row of
-    norm below 1e-12, divide a row by its norm unless that is within 1e-12
-    of 1. The one normalization rule of the state model; `Ket.__init__`
+    norm below NORM_TOL, divide a row by its norm unless that is within
+    NORM_TOL of 1. The one normalization rule of the state model; `Ket.__init__`
     applies it to its one row with scalar tests, to the same bits."""
     norms = row_norms(as_carray(m))
-    if (norms < 1e-12).any():
+    if (norms < NORM_TOL).any():
         raise ValueError("zero vector cannot be a Ket")
-    off = np.abs(norms - 1.0) > 1e-12
+    off = np.abs(norms - 1.0) > NORM_TOL
     if off.any():
         np.divide(m, norms[:, None], out=m, where=off[:, None])
     return m
@@ -355,15 +355,10 @@ def party_rows(space: PartySpace, party: int, mats: np.ndarray) -> np.ndarray:
 
 
 def occupied_indices(mats: np.ndarray) -> list[int]:
-    """Computational-basis indices of the party that some state occupies,
-    from its party matrices (n, d_party, d_rest)."""
+    """Computational-basis indices of the party on which some state has an
+    entry above INDEX_TOL, from its party matrices (n, d_party, d_rest)."""
     weight = np.abs(mats).max(axis=(0, 2))
-    return [i for i in range(mats.shape[1]) if weight[i] > 1e-9]
-
-
-# a projector is an index projector when every entry is within this of a
-# 0/1 diagonal
-INDEX_TOL = 1e-9
+    return [i for i in range(mats.shape[1]) if weight[i] > INDEX_TOL]
 
 
 def index_support(proj: np.ndarray) -> list[int] | None:
@@ -428,9 +423,9 @@ def local_vectors(s: StateSet, party: int) -> np.ndarray | None:
 
 
 def fixed_phases(m: np.ndarray) -> np.ndarray:
-    """A copy of the rows of `m`, each with its first entry above 1e-7 in
-    magnitude made real positive; a row without one is copied as is."""
-    big = np.abs(m) > 1e-7
+    """A copy of the rows of `m`, each with its first entry above PHASE_TOL
+    in magnitude made real positive; a row without one is copied as is."""
+    big = np.abs(m) > PHASE_TOL
     rows = np.flatnonzero(big.any(axis=1))
     out = m.copy()
     a = m[rows, big[rows].argmax(axis=1)]
@@ -567,9 +562,6 @@ def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
     arows = occupied_indices(mats)
     acols = occupied_indices(party_matrices(s, 1))
     return mats[:, arows][:, :, acols], len(arows), len(acols)
-
-
-RELABEL_TOL = 1e-6  # two states match when their overlap exceeds 1 - RELABEL_TOL
 
 
 def equal_up_to_local_relabeling(a: StateSet, b: StateSet) -> bool:

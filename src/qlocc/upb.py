@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import EXTENSION_TOL, SPAN_TOL, SWEEP_TOL, WITNESS_TOL
 from .states import Ket, StateSet, gram_check, local_factors, party_matrices, support_basis
 
 ASSIGNMENT_CAP = 10**7
 # The assignment search gives up after this many nodes.
 NODE_CAP = 5_000_000
-WITNESS_TOL = 1e-8
 # The largest number of restarts the numeric oracle runs as one stack. The
 # stack's memory grows with it (about 3 KB per restart on tiles33), so a
 # large restart budget runs block by block.
@@ -76,7 +76,7 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
     A depth-first search gives states 0, 1, ... to parties, trying parties
     in index order, and keeps each party's span of assigned local vectors
     proper. At each state it first looks for a free party: the lowest f
-    whose span already holds the state's local vector (residual <= 1e-8).
+    whose span already holds the state's local vector (residual <= SPAN_TOL).
     With no free party, it tries every party in order. Otherwise f's branch
     decides the state (dominance, see the module docstring), so it runs
     first: if it fails the state fails, and if f == 0 its result is the
@@ -118,7 +118,7 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             w = locals_[p][i]
             resid = w - spans[p] @ (spans[p].conj().T @ w)
             resids.append((resid, np.linalg.norm(resid)))
-        free = next((p for p, (_, rn) in enumerate(resids) if rn <= 1e-8), None)
+        free = next((p for p, (_, rn) in enumerate(resids) if rn <= SPAN_TOL), None)
         if free is None:
             return grow_into(i, range(n_parties), resids)
         at_entry = list(spans)
@@ -187,7 +187,7 @@ def numeric_extension_search(
     ambient space instead.
 
     ``restarts`` is a budget: the search stops at the first restart that
-    reaches an exact extension (residual < 1e-12), and at least one restart
+    reaches an exact extension (residual < EXTENSION_TOL), and at least one restart
     always runs. The result reports ``restarts`` as passed either way.
     Restart 0 runs alone; when it finds no exact extension, the others run
     as stacked batches of up to RESTART_BLOCK restarts. Each restart stops
@@ -210,7 +210,7 @@ def numeric_extension_search(
 
     best, best_vecs = np.inf, None
     done = 0
-    while done < max(1, restarts) and best >= 1e-12:
+    while done < max(1, restarts) and best >= EXTENSION_TOL:
         # an exact extension ends the search; later restarts cannot improve the verdict
         count = 1 if done == 0 else min(RESTART_BLOCK, restarts - done)
         res, vecs = _descend(tensors, _random_starts(rng, rdims, count))
@@ -218,7 +218,7 @@ def numeric_extension_search(
         for b, cur in enumerate(res):
             if best_vecs is None or cur < best:
                 best, best_vecs = cur, [v[b, :, 0].copy() for v in vecs]
-            if best < 1e-12:
+            if best < EXTENSION_TOL:
                 break
     amp = supports[0] @ best_vecs[0]
     for p in range(1, n_parties):
@@ -298,7 +298,7 @@ def _descend(tensors: np.ndarray, starts) -> tuple[np.ndarray, list[np.ndarray]]
 
     ``starts[p]`` holds party p's vector of restart b in ``starts[p][b, :, 0]``.
     A restart stops after a sweep that lowers its residual by less than
-    1e-15, or after 60 sweeps, and keeps the vectors of its last sweep.
+    SWEEP_TOL, or after 60 sweeps, and keeps the vectors of its last sweep.
     Returns the residual of each restart and the vectors, in the same form.
     """
     n_parties = tensors.ndim - 1
@@ -323,7 +323,7 @@ def _descend(tensors: np.ndarray, starts) -> tuple[np.ndarray, list[np.ndarray]]
         else:
             for v, w in zip(vecs, cur_vecs):
                 v[active] = w
-        stopped = res[active] - cur < 1e-15
+        stopped = res[active] - cur < SWEEP_TOL
         res[active] = cur
         active = active[~stopped]
         if active.size == 0:

@@ -15,10 +15,8 @@ import pytest
 
 from qlocc import oplm, partitions, protocol, qset, states, upb
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
-from qlocc.linalg import ORTHO_TOL, RANK_RTOL
+from qlocc.linalg import ELIM_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL, WITNESS_TOL
 from qlocc.oplm import (
-    ELIM_TOL,
-    SPAN_TOL,
     BlockStructure,
     LocalMeasurement,
     OplmSpace,
@@ -53,7 +51,6 @@ from qlocc.states import (
 from qlocc.upb import (
     ASSIGNMENT_CAP,
     NODE_CAP,
-    WITNESS_TOL,
     UpbVerdict,
     _local_support_vectors,
     _orth_complement_vector,

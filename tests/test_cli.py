@@ -264,7 +264,7 @@ def test_irreducible_names_the_atom_cap_at_desk_scale(capsys, tmp_path):
     assert code == 0 and rep["verdicts"]["projective_measurements"] is None
 
 
-def test_usage_errors(capsys, files, tmp_path):
+def test_usage_errors(capsys, files, tmp_path, monkeypatch):
     code, _, err = run(capsys, "check-ortho")
     assert code == 2 and "required" in err
     bad = tmp_path / "bad.qset"
@@ -300,6 +300,20 @@ def test_usage_errors(capsys, files, tmp_path):
     for spec, where in (("builtin:s3_activation:9", "root"), ("builtin:s3_activation:0/0/0", "root/0/0")):
         code, _, err = run(capsys, "render", "--set", files["s3"], "--overlay", spec)
         assert code == 2 and err.startswith("qlocc: error: overlay path") and f"{where} has no child" in err, (spec, err)
+    # a tolerance that is not a finite number >= 0: |<a|b>| = 0.707 would pass the gate
+    skew = tmp_path / "skew.qset"
+    skew.write_text("qset v1\ndims: 2 2\nstate a: |0,0>\nstate b: |0,0> + |1,1>\n")
+    for tol in ("nan", "inf", "-1"):
+        for command in ("check-ortho", "irreducible"):
+            code, out, err = run(capsys, command, "--set", str(skew), "--tol", tol)
+            assert code == 2 and not out and err.startswith("qlocc: error: --tol must be a finite number"), (command, tol, err)
+    for tol in ("nan", "inf", "-1e-9"):
+        monkeypatch.setenv("QLOCC_TOL", tol)
+        for command in ("check-ortho", "irreducible"):
+            code, out, err = run(capsys, command, "--set", str(skew))
+            assert code == 2 and not out and err.startswith("qlocc: error: QLOCC_TOL must be a finite number"), (command, tol, err)
+    monkeypatch.delenv("QLOCC_TOL")
+    assert run(capsys, "check-ortho", "--set", str(skew), "--tol", "0")[0] == 1
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from _helpers import (
     state_model_cases,
 )
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import RANK_RTOL
+from qlocc.linalg import INDEX_TOL, RANK_RTOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -34,7 +34,6 @@ from qlocc.oplm import (
 )
 from qlocc.partitions import _merge_for
 from qlocc.states import (
-    INDEX_TOL,
     PartySpace,
     StateSet,
     apply_local_unitaries,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from _helpers import random_orthogonal_product_set, reference_check_unextendible, upb_outcome, upb_run
 from qlocc.fixtures import build_fixture
+from qlocc.oplm import is_locally_irreducible
+from qlocc.protocol import SetAnalyzer
 from qlocc.states import (
     Ket,
     PartySpace,
@@ -240,6 +242,32 @@ def test_verdict_invariant_under_local_unitaries():
         for _ in range(3):
             rotated = apply_local_unitaries(s, random_local_unitaries(s.space, rng))
             assert check_unextendible(rotated).unextendible == before
+
+
+def test_irreducible_exact_invariant_under_local_unitaries():
+    """IRREDUCIBLE-EXACT is a rank decision on the OPLM spaces, which local
+    unitaries only conjugate, so no rotation of tiles33 moves it."""
+    rng = np.random.default_rng(11)
+    s = build_fixture("tiles33")
+    assert is_locally_irreducible(s).verdict == "IRREDUCIBLE-EXACT"
+    for _ in range(5):
+        rotated = apply_local_unitaries(s, random_local_unitaries(s.space, rng))
+        assert is_locally_irreducible(rotated).verdict == "IRREDUCIBLE-EXACT"
+
+
+def test_qubit_times_n_rule_invariant_under_local_unitaries():
+    """The C2 x Cn rule reads support ranks and product structure, which
+    local unitaries keep: it holds on random 2 x n orthogonal product sets
+    and on every rotation of them, and never on a rotated tiles33."""
+    rng = np.random.default_rng(12)
+    cases = [(random_orthogonal_product_set(rng, (2, n), n + 2), True) for n in (3, 4, 5)]
+    cases.append((build_fixture("tiles33"), False))
+    for s, rule in cases:
+        assert s is not None
+        for us in [None] + [random_local_unitaries(s.space, rng) for _ in range(3)]:
+            t = s if us is None else apply_local_unitaries(s, us)
+            an = SetAnalyzer()
+            assert an.exact_nonactivable(an.intern(t)) is rule
 
 
 def test_tripartite_assignment():
