@@ -14,6 +14,7 @@ Negative verdicts are class-relative and say so; certificates replay.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -166,18 +167,26 @@ def _node_from_json(obj, path: str):
 # applying measurements
 
 
+def _survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
+    """The post-measurement party-first matrices of every state of `s` under
+    the Kraus operator, from one batched product, and the mask of the states
+    that survive: a state is eliminated when its norm is at most ELIM_TOL.
+
+    The one survivor decision: `apply_outcome` builds the child from it and
+    `SetAnalyzer.moves` orders moves by it.
+    """
+    post = np.asarray(kraus, dtype=np.complex128) @ party_matrices(s, party)
+    return post, ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+
+
 def apply_outcome(s: StateSet, party: int, kraus, check: bool = True):
     """Project every state, drop the eliminated ones, renormalize survivors.
 
-    Works on the amplitude matrix: one batched product of the Kraus operator
-    with every state's party-first matrix, and a state is eliminated when
-    its post-measurement norm is at most ELIM_TOL. Returns (surviving
+    Works on the amplitude matrix (see `_survivors`). Returns (surviving
     StateSet, list of surviving original labels). Raises if the survivors
     are no longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome).
     """
-    kraus = np.asarray(kraus, dtype=np.complex128)
-    post = kraus @ party_matrices(s, party)
-    keep = ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+    post, keep = _survivors(s, party, kraus)
     full = party_rows(s.space, party, post[keep])
     labels = [lab for lab, k in zip(s.labels, keep) if k]
     out = StateSet.from_matrix(s.space, full, labels, s.name)
@@ -325,6 +334,18 @@ class _Rule(NamedTuple):
     build: bool  # a tree is built
 
 
+class _Move(NamedTuple):
+    """One candidate measurement at a node. Move ordering reads only the
+    survivors; an outcome's child is applied and interned when the search
+    first visits it, and its key is then kept here."""
+
+    party: int
+    measurement: LocalMeasurement
+    survivors: list  # per outcome, the labels it keeps ([] when it eliminates every state)
+    keys: list  # per outcome, the child's key, None until the search first visits it
+    start: int  # eager position of outcome 0; outcome oi is at start + oi
+
+
 class SetAnalyzer:
     """Shared memo of reached sets and their analyses.
 
@@ -350,19 +371,67 @@ class SetAnalyzer:
     larger budget.
 
     Reached sets are interned by `canonical_key`, so two sets with the same
-    amplitudes but different labels are two nodes. A node's moves are
-    expanded eagerly, every outcome of every candidate applied and
-    interned, because the activation transcript lists nodes in that order.
+    amplitudes but different labels are two nodes. Expanding a node keeps
+    only what move ordering needs: each outcome's surviving labels. A child
+    is applied, checked for orthogonality and interned only when the search
+    first visits it (`child_key`), so every node was either interned by
+    `intern` or visited.
+
+    Profile records and trees do not read the insertion order of `nodes`,
+    because moves sort on (eliminations, survivors, party, label). Two
+    things still follow eager expansion, in which every expansion interned
+    all its nonempty children at once: a key keeps the set of its first
+    producer in that order (equal keys agree only to 9 decimals, and trees
+    print reached sets in full), and the activation transcript lists nodes
+    by that eager position. A new node finds its first producer by forcing
+    (applying and keying, never interning) the unvisited children before it
+    whose labels are its own; no other child can share its key, as
+    `canonical_key` covers the labels (`_admit`).
     """
 
     def __init__(self):
         self.nodes: dict[bytes, dict] = {}
+        # eager positions handed out: one per intern call and per outcome of
+        # each expanded move, in eager order
+        self._clock = 0
+        # sorted labels -> (position, parent key, move, outcome) of the
+        # children with those labels that may be unkeyed, in eager order
+        self._unkeyed: dict[tuple, deque] = {}
+        # key -> (position, set) of the first forced child with that key,
+        # while the key is not a node
+        self._forced: dict[bytes, tuple] = {}
 
     def intern(self, s: StateSet) -> bytes:
         key = canonical_key(s)
-        if key not in self.nodes:
-            self.nodes[key] = {"set": s}
+        self._admit(key, s, self._clock)
+        self._clock += 1
         return key
+
+    def _admit(self, key: bytes, s: StateSet, pos: int) -> None:
+        """Make `key`, produced by `s` at eager position `pos`, a node unless
+        it is one. The node keeps the set and position of the key's first
+        producer: a forced child, or the first child before `pos` with these
+        labels that forcing finds, or else `s`. The children with one label
+        set are forced in eager order, so each forced one precedes every one
+        still queued."""
+        if key in self.nodes:
+            return
+        first = self._forced.pop(key, None)
+        queue = self._unkeyed.get(tuple(sorted(s.labels)), ()) if first is None else ()
+        while queue and queue[0][0] < pos:
+            cpos, parent, mv, oi = queue.popleft()
+            if mv.keys[oi] is not None:  # visited
+                continue
+            child, _ = apply_outcome(self.set_of(parent), mv.party, mv.measurement.kraus[oi], check=False)
+            ck = canonical_key(child)
+            if ck == key:
+                first = cpos, child
+                break
+            if ck not in self.nodes:
+                self._forced.setdefault(ck, (cpos, child))
+        if first is None or pos < first[0]:
+            first = pos, s
+        self.nodes[key] = {"set": first[1], "position": first[0]}
 
     def set_of(self, key: bytes) -> StateSet:
         return self.nodes[key]["set"]
@@ -453,23 +522,36 @@ class SetAnalyzer:
             if cands.capped:
                 nd["capped_in"] = set()
             for m in cands:
-                children = []
-                for oi, kraus in enumerate(m.kraus):
-                    child, labels = apply_outcome(s, p, kraus)
-                    children.append((oi, self.intern(child) if len(child) else None, labels))
-                out.append((p, m, children))
+                survivors = []
+                for kraus in m.kraus:
+                    keep = _survivors(s, p, kraus)[1]
+                    survivors.append([lab for lab, k in zip(s.labels, keep) if k])
+                mv = _Move(p, m, survivors, [None] * len(survivors), self._clock)
+                self._clock += len(survivors)
+                for oi, labels in enumerate(survivors):
+                    if labels:
+                        self._unkeyed.setdefault(tuple(sorted(labels)), deque()).append((mv.start + oi, key, mv, oi))
+                out.append(mv)
         nd["moves"] = out
         return out
 
+    def child_key(self, key: bytes, move: _Move, oi: int) -> bytes:
+        """The key of outcome `oi` of `move` at node `key`, a nonempty child;
+        applied, checked and interned on the first call."""
+        if move.keys[oi] is None:
+            child, _ = apply_outcome(self.set_of(key), move.party, move.measurement.kraus[oi])
+            ck = canonical_key(child)
+            self._admit(ck, child, move.start + oi)
+            move.keys[oi] = ck
+        return move.keys[oi]
+
     def _ordered_moves(self, key: bytes, mode: str):
-        s = self.set_of(key)
-        n = len(s)
+        n = len(self.set_of(key))
 
         def sort_key(mv):
-            p, m, children = mv
-            elim = sum(n - len(labels) for _, _, labels in children)
-            min_surv = min((len(labels) for _, ck, labels in children if ck is not None), default=0)
-            tie = (p, m.labels[0])
+            elim = sum(n - len(labels) for labels in mv.survivors)
+            min_surv = min((len(labels) for labels in mv.survivors if labels), default=0)
+            tie = (mv.party, mv.measurement.labels[0])
             if mode == "act":
                 return (elim, -min_surv) + tie
             return (-elim, -min_surv) + tie
@@ -557,14 +639,14 @@ class SetAnalyzer:
         moves = self._ordered_moves(key, rule.order)
         if nd["capped_in"] is not None:
             nd["capped_in"].add(rule.slot)
-        for p, m, children in moves:
+        for mv in moves:
             subtrees = []
             good = True
-            for _oi, ck, _labels in children:
-                if ck is None:
+            for oi, labels in enumerate(mv.survivors):
+                if not labels:
                     st, subtree = True, None
                 else:
-                    res = entry(ck, depth - 1)
+                    res = entry(self.child_key(key, mv, oi), depth - 1)
                     st, subtree = res if rule.build else (res, None)
                 subtrees.append(subtree)
                 if st is not True:
@@ -573,7 +655,7 @@ class SetAnalyzer:
                     if rule.stop_on_fail:
                         break
             if good:
-                tree = Measure(p, m, subtrees) if rule.build else None
+                tree = Measure(mv.party, mv.measurement, subtrees) if rule.build else None
                 nd[rule.slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
@@ -597,9 +679,9 @@ class SetAnalyzer:
 
     def activation_transcript(self, max_depth: int):
         entries = []
-        for key, nd in self.nodes.items():
-            if "act" not in nd:
-                continue
+        # in eager order; the status searches below may add nodes, so the list comes first
+        for key in sorted((k for k, nd in self.nodes.items() if "act" in nd), key=lambda k: self.nodes[k]["position"]):
+            nd = self.nodes[key]
             s = nd["set"]
             if len(s) <= 1:
                 dist, basis = True, "trivial"

@@ -22,9 +22,10 @@ from qlocc.oplm import (
     OplmSpace,
     _pair_tensors,
     block_structure,
+    measurement_candidates,
     oplm_space,
 )
-from qlocc.protocol import _replay, builtin_protocol
+from qlocc.protocol import Measure, SetAnalyzer, _replay, apply_outcome, builtin_protocol
 from qlocc.qset import QsetError
 from qlocc.states import (
     Bipartition,
@@ -596,6 +597,131 @@ class ReferenceCheck:
             for mod in (states, protocol, partitions, upb):
                 mp.setattr(mod, "local_factors", recorded_factors)
             yield self
+
+
+# ---------------------------------------------------------------------------
+# the eager AND-OR engine: every outcome of every move applied and interned
+# when a node is expanded, the activation transcript in insertion order
+
+
+class EagerSetAnalyzer(SetAnalyzer):
+    """`SetAnalyzer` with the eager move expansion it had before children
+    were keyed on first visit: `moves`, `_ordered_moves`, `_and_or` and
+    `activation_transcript` are that code, verbatim. Move entries are
+    (party, measurement, [(outcome, child key or None, labels)])."""
+
+    def moves(self, key: bytes):
+        nd = self.nodes[key]
+        if "moves" in nd:
+            return nd["moves"]
+        s = nd["set"]
+        out = []
+        # the memo slots that expanded this node, when ATOM_CAP bound at it
+        nd["capped_in"] = None
+        for p in range(s.space.n_parties):
+            cands = measurement_candidates(s, p, self.oplm(key, p))
+            if cands.capped:
+                nd["capped_in"] = set()
+            for m in cands:
+                children = []
+                for oi, kraus in enumerate(m.kraus):
+                    child, labels = apply_outcome(s, p, kraus)
+                    children.append((oi, self.intern(child) if len(child) else None, labels))
+                out.append((p, m, children))
+        nd["moves"] = out
+        return out
+
+    def _ordered_moves(self, key: bytes, mode: str):
+        s = self.set_of(key)
+        n = len(s)
+
+        def sort_key(mv):
+            p, m, children = mv
+            elim = sum(n - len(labels) for _, _, labels in children)
+            min_surv = min((len(labels) for _, ck, labels in children if ck is not None), default=0)
+            tie = (p, m.labels[0])
+            if mode == "act":
+                return (elim, -min_surv) + tie
+            return (-elim, -min_surv) + tie
+
+        return sorted(self.moves(key), key=sort_key)
+
+    def _and_or(self, rule: _Rule, key: bytes, depth: int):
+        """Tri-state memoized AND-OR search under one rule row.
+
+        Returns (True, tree) | (False, None) conclusive | (None, None) when
+        the depth cap truncated the exploration. Children are searched
+        through the row's entry point, which for a row that builds no tree
+        returns the bare status.
+        """
+        nd = self.nodes[key]
+        cached = nd.get(rule.slot)
+        if cached is not None:
+            status, tree, tried = cached
+            if status is not None or tried >= depth:
+                return status, tree
+        hit = rule.terminal(self, key)
+        if hit is not None:
+            nd[rule.slot] = (*hit, depth)
+            return hit
+        if depth <= 0:
+            nd[rule.slot] = (None, None, 0)
+            return None, None
+        entry = getattr(self, rule.entry)
+        incomplete = False
+        moves = self._ordered_moves(key, rule.order)
+        if nd["capped_in"] is not None:
+            nd["capped_in"].add(rule.slot)
+        for p, m, children in moves:
+            subtrees = []
+            good = True
+            for _oi, ck, _labels in children:
+                if ck is None:
+                    st, subtree = True, None
+                else:
+                    res = entry(ck, depth - 1)
+                    st, subtree = res if rule.build else (res, None)
+                subtrees.append(subtree)
+                if st is not True:
+                    good = False
+                    incomplete |= st is None
+                    if rule.stop_on_fail:
+                        break
+            if good:
+                tree = Measure(p, m, subtrees) if rule.build else None
+                nd[rule.slot] = (True, tree, depth)
+                return True, tree
+        status = None if incomplete else False
+        nd[rule.slot] = (status, None, depth)
+        return status, None
+
+    def activation_transcript(self, max_depth: int):
+        entries = []
+        for key, nd in self.nodes.items():
+            if "act" not in nd:
+                continue
+            s = nd["set"]
+            if len(s) <= 1:
+                dist, basis = True, "trivial"
+            elif self.exact_nonactivable(key):
+                dist, basis = True, "EXACT (C2xCn product rule)"
+            elif nd.get("cert"):
+                dist, basis = False, "certified locally indistinguishable"
+            else:
+                dist = self.distinguishable_status(key, max_depth)
+                basis = "search-in-class"
+            cert = nd.get("cert")
+            entries.append(
+                {
+                    "n_states": len(s),
+                    "labels": s.labels,
+                    "support_dims": list(self.support_dims(key)) if len(s) else [],
+                    "distinguishable": dist,
+                    "distinguishable_basis": basis,
+                    "certified_indistinguishable": cert["kind"] if cert else None,
+                }
+            )
+        return entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from _helpers import DIGESTS, ReferenceCheck, digest, product_structure_mismatches, upb_outcome
+from _helpers import DIGESTS, EagerSetAnalyzer, ReferenceCheck, digest, product_structure_mismatches, upb_outcome
+from qlocc import partitions
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
@@ -35,6 +38,14 @@ def s2_profile(s2_run):
 @pytest.fixture(scope="module")
 def s4_profile(s4_run):
     return s4_run[0]
+
+
+@pytest.mark.parametrize("name", ["s2", "s4"])
+def test_profile_bytes_match_the_eager_engine(name, request, monkeypatch):
+    lazy = request.getfixturevalue(f"{name}_profile")
+    monkeypatch.setattr(partitions, "SetAnalyzer", EagerSetAnalyzer)
+    eager = hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    assert json.dumps(lazy.to_json()) == json.dumps(eager.to_json())
 
 
 def test_rule_applies_to_s2_cuts():

@@ -20,7 +20,7 @@ from qlocc.protocol import (
     tree_to_json,
     verify_protocol,
 )
-from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, make_ket, merge_parties
+from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, gram_check, make_ket, merge_parties
 
 from _helpers import (
     ReferenceCheck,
@@ -356,15 +356,20 @@ def test_incomplete_marker():
 
 
 def test_orthogonality_asserted_during_search():
+    # visit every nonempty child of every move of s1: each is applied with
+    # its orthogonality check, and the node it lands on is orthogonal at 1e-8
     an = SetAnalyzer()
     s1 = build_fixture("s1")
     key = an.intern(s1)
-    for _p, _m, children in an.moves(key):
-        for _oi, ck, _labels in children:
-            if ck is not None:
-                from qlocc.states import gram_check
-
+    visited = 0
+    for mv in an.moves(key):
+        for oi, labels in enumerate(mv.survivors):
+            if labels:
+                ck = an.child_key(key, mv, oi)
+                assert sorted(an.set_of(ck).labels) == sorted(labels)
                 assert gram_check(an.set_of(ck), tol=1e-8).ok
+                visited += 1
+    assert visited == sum(1 for mv in an.moves(key) for labels in mv.survivors if labels) > 0
 
 
 # JSON `kraus` entries: well-formed ones, ints past 64 bits, booleans and
