@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
-from .states import StateSet, index_support, occupied_indices, party_letter, party_matrices, support_basis
+from .states import StateSet, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
 # many atoms; above it the family is skipped, and the skip is named
@@ -72,14 +72,11 @@ def _constraint_rows(g: np.ndarray) -> np.ndarray:
 def _coords_to_matrix(h: np.ndarray, r: int) -> np.ndarray:
     e = np.zeros((r, r), dtype=np.complex128)
     np.fill_diagonal(e, h[:r])
-    pos = r
+    a, b = np.triu_indices(r, 1)
+    x, y = h[r::2], h[r + 1 :: 2]
     rt2 = np.sqrt(2.0)
-    for a in range(r):
-        for b in range(a + 1, r):
-            x, y = h[pos], h[pos + 1]
-            e[a, b] += (x + 1j * y) / rt2
-            e[b, a] += (x - 1j * y) / rt2
-            pos += 2
+    e[a, b] += (x + 1j * y) / rt2
+    e[b, a] += (x - 1j * y) / rt2
     return e
 
 
@@ -126,7 +123,7 @@ class OplmSpace:
         party: int,
         dim_party: int,
         support: np.ndarray,
-        support_indices: list[int] | None,
+        support_indices: tuple[int, ...] | None,
         basis: list[np.ndarray] | None,
         pair_tensors: np.ndarray,
         space_dim: int | None = None,
@@ -176,9 +173,9 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     d = s.space.party_dims[party]
     mats = party_matrices(s, party)
     if on_support:
-        support, idx = support_basis(mats)
+        support, idx = support_basis(s, party)
     else:
-        support, idx = np.eye(d, dtype=np.complex128), list(range(d))
+        support, idx = np.eye(d, dtype=np.complex128), tuple(range(d))
     g = _pair_tensors(mats, support)
     r = support.shape[1]
     rows = _constraint_rows(g)
@@ -390,9 +387,7 @@ def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
     """Per outcome, the labels conclusively excluded (post-measurement norm 0)."""
     if not is_oplm(s, m):
         raise ValueError("measurement does not preserve orthogonality on this set")
-    mats = party_matrices(s, m.party)
-    norms = [np.linalg.norm(np.einsum("ab,nbr->nar", k, mats).reshape(len(s), -1), axis=1) for k in m.kraus]
-    return [[lab for lab, nrm in zip(s.labels, ns) if nrm <= ELIM_TOL] for ns in norms]
+    return [[lab for lab, kept in zip(s.labels, survivors(s, m.party, k)[1]) if not kept] for k in m.kraus]
 
 
 @dataclass

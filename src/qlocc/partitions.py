@@ -133,7 +133,7 @@ def _analyze_partition(merged: StateSet, max_depth: int, blocks) -> PartitionRec
     dist_cert = search_distinguishing_protocol(merged, max_depth, analyzer=an)
     act_cert = activation_search(merged, max_depth, analyzer=an)
     key = an.intern(merged)
-    dims = {party_letter(p): an.oplm(key, p).space_dim for p in range(merged.space.n_parties)}
+    dims = {party_letter(p): d for p, d in enumerate(an.space_dims(key))}
     if act_cert.kind == "Activation":
         activable, basis = True, "EXACT"
     elif act_cert.kind == "NonActivabilityInClass":

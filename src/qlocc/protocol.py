@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import ELIM_TOL, NOISE_TOL, ORTHO_TOL, SPAN_TOL
+from .linalg import NOISE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -36,10 +36,10 @@ from .states import (
     local_factors,
     local_vectors,
     party_letter,
-    party_matrices,
     party_rows,
     redundancy_check_whole_parties,
-    row_norms,
+    support_basis,
+    survivors,
 )
 from .upb import check_unextendible
 
@@ -167,26 +167,14 @@ def _node_from_json(obj, path: str):
 # applying measurements
 
 
-def _survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
-    """The post-measurement party-first matrices of every state of `s` under
-    the Kraus operator, from one batched product, and the mask of the states
-    that survive: a state is eliminated when its norm is at most ELIM_TOL.
-
-    The one survivor decision: `apply_outcome` builds the child from it and
-    `SetAnalyzer.moves` orders moves by it.
-    """
-    post = np.asarray(kraus, dtype=np.complex128) @ party_matrices(s, party)
-    return post, ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
-
-
 def apply_outcome(s: StateSet, party: int, kraus, check: bool = True):
     """Project every state, drop the eliminated ones, renormalize survivors.
 
-    Works on the amplitude matrix (see `_survivors`). Returns (surviving
+    Works on the amplitude matrix (see `states.survivors`). Returns (surviving
     StateSet, list of surviving original labels). Raises if the survivors
     are no longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome).
     """
-    post, keep = _survivors(s, party, kraus)
+    post, keep = survivors(s, party, kraus)
     full = party_rows(s.space, party, post[keep])
     labels = [lab for lab, k in zip(s.labels, keep) if k]
     out = StateSet.from_matrix(s.space, full, labels, s.name)
@@ -445,17 +433,12 @@ class SetAnalyzer:
             cache[party] = oplm_space(nd["set"], party, on_support=True)
         return cache[party]
 
-    def _per_party(self, key: bytes, attr: str) -> tuple[int, ...]:
-        nd = self.nodes[key]
-        if attr not in nd:
-            nd[attr] = tuple(getattr(self.oplm(key, p), attr) for p in range(nd["set"].space.n_parties))
-        return nd[attr]
-
     def support_dims(self, key: bytes) -> tuple[int, ...]:
-        return self._per_party(key, "support_dim")
+        s = self.set_of(key)
+        return tuple(support_basis(s, p)[0].shape[1] for p in range(s.space.n_parties))
 
     def space_dims(self, key: bytes) -> tuple[int, ...]:
-        return self._per_party(key, "space_dim")
+        return tuple(self.oplm(key, p).space_dim for p in range(self.set_of(key).space.n_parties))
 
     def is_product(self, key: bytes) -> bool:
         nd = self.nodes[key]
@@ -522,13 +505,13 @@ class SetAnalyzer:
             if cands.capped:
                 nd["capped_in"] = set()
             for m in cands:
-                survivors = []
+                kept = []
                 for kraus in m.kraus:
-                    keep = _survivors(s, p, kraus)[1]
-                    survivors.append([lab for lab, k in zip(s.labels, keep) if k])
-                mv = _Move(p, m, survivors, [None] * len(survivors), self._clock)
-                self._clock += len(survivors)
-                for oi, labels in enumerate(survivors):
+                    keep = survivors(s, p, kraus)[1]
+                    kept.append([lab for lab, k in zip(s.labels, keep) if k])
+                mv = _Move(p, m, kept, [None] * len(kept), self._clock)
+                self._clock += len(kept)
+                for oi, labels in enumerate(kept):
                     if labels:
                         self._unkeyed.setdefault(tuple(sorted(labels)), deque()).append((mv.start + oi, key, mv, oi))
                 out.append(mv)

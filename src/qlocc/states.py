@@ -12,12 +12,13 @@ partial trace: a batch of rows at a time, one row for `reduced_state`.
 This is the one module that knows how a set looks from one party:
 `party_matrices` is the party-first (n, d_p, rest) view of the amplitude
 matrix and `party_rows` its inverse, `occupied_indices` the party's
-occupied computational-basis indices, `support_basis` an orthonormal basis
-of its joint local support (index-aligned when `index_support` finds its
-projector to be a 0/1 diagonal), and `local_factors` decides with one stacked
-SVD per party which states are product across that party's cut and what
-their local vectors are. A set keeps that decision, so each (set, party)
-is decided once however many analyses ask. `schmidt_rank`,
+occupied computational-basis indices, `survivors` the states a local Kraus
+operator keeps, `support_basis` an orthonormal basis of the joint local
+support (index-aligned when `index_support` finds its projector to be a 0/1
+diagonal), and `local_factors` decides with one stacked SVD per party which
+states are product across that party's cut and what their local vectors
+are. A set keeps both decisions, the support and the product structure, so
+each (set, party) is decided once however many analyses ask. `schmidt_rank`,
 `coefficient_matrix` and `is_product_state` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import INDEX_TOL, NORM_TOL, ORTHO_TOL, PHASE_TOL, RANK_RTOL, RELABEL_TOL, as_carray
+from .linalg import ELIM_TOL, INDEX_TOL, NORM_TOL, ORTHO_TOL, PHASE_TOL, RANK_RTOL, RELABEL_TOL, as_carray
 
 
 def party_letter(i: int) -> str:
@@ -245,6 +246,7 @@ class StateSet:
         self._labels = labels
         self._states: list[Ket] | None = None
         self._factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # party -> local_factors
+        self._supports: dict[int, tuple[np.ndarray, tuple[int, ...] | None]] = {}  # party -> support_basis
 
     @property
     def states(self) -> list[Ket]:
@@ -354,6 +356,18 @@ def party_rows(space: PartySpace, party: int, mats: np.ndarray) -> np.ndarray:
     return t.transpose([0] + [1 + int(i) for i in np.argsort(order)]).reshape(len(t), space.total_dim)
 
 
+def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
+    """The post-measurement party-first matrices of every state of `s` under
+    the Kraus operator, from one batched product, and the mask of the states
+    that survive: a state is eliminated when its norm is at most ELIM_TOL.
+
+    The one survivor decision: outcome application, move ordering and
+    `eliminable_states` all read it.
+    """
+    post = np.asarray(kraus, dtype=np.complex128) @ party_matrices(s, party)
+    return post, ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+
+
 def occupied_indices(mats: np.ndarray) -> list[int]:
     """Computational-basis indices of the party on which some state has an
     entry above INDEX_TOL, from its party matrices (n, d_party, d_rest)."""
@@ -371,13 +385,8 @@ def index_support(proj: np.ndarray) -> list[int] | None:
     return None
 
 
-def support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Orthonormal basis (columns) of the joint local support of a party,
-    from its party matrices (n, d_party, d_rest).
-
-    Returns (U, indices) where indices lists the computational-basis labels
-    when the support projector is 0/1-diagonal (then U has identity columns).
-    """
+def _support_basis(mats: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """`support_basis` from the party matrices (n, d_party, d_rest)."""
     d = mats.shape[1]
     stacked = mats.transpose(1, 0, 2).reshape(d, -1)
     u, sv, _ = np.linalg.svd(stacked, full_matrices=True)
@@ -385,11 +394,25 @@ def support_basis(mats: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
     u = u[:, :r]
     idx = index_support(u @ u.conj().T)
     if idx is not None:
-        aligned = np.zeros((d, r), dtype=np.complex128)
-        for col, i in enumerate(idx):
-            aligned[i, col] = 1.0
-        return aligned, idx
+        u = np.zeros((d, r), dtype=np.complex128)
+        u[idx, range(len(idx))] = 1.0
+        return u, tuple(idx)
     return u, None
+
+
+def support_basis(s: StateSet, party: int) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """Orthonormal basis (columns) of the joint local support of `party`.
+
+    Returns (U, indices) where indices lists the computational-basis labels
+    when the support projector is 0/1-diagonal (then U has identity columns).
+    One full-matrices SVD of the stacked party matrices; the set keeps the
+    result, read-only, and later calls for the same party return it.
+    """
+    if party not in s._supports:
+        u, idx = _support_basis(party_matrices(s, party))
+        u.flags.writeable = False
+        s._supports[party] = (u, idx)
+    return s._supports[party]
 
 
 def local_factors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EXTENSION_TOL, SPAN_TOL, SWEEP_TOL, WITNESS_TOL
-from .states import Ket, StateSet, gram_check, local_factors, party_matrices, support_basis
+from .states import Ket, StateSet, gram_check, local_factors, support_basis
 
 ASSIGNMENT_CAP = 10**7
 # The assignment search gives up after this many nodes.
@@ -46,7 +46,7 @@ def _local_support_vectors(s: StateSet, factors):
     supports = []
     locals_ = []
     for p, (vecs, _) in enumerate(factors):
-        u, _ = support_basis(party_matrices(s, p))
+        u, _ = support_basis(s, p)
         supports.append(u)
         locals_.append(np.stack([u.conj().T @ v for v in vecs]))
     return supports, locals_
@@ -174,17 +174,14 @@ class ExtensionSearchResult:
     restarts: int
 
 
-def numeric_extension_search(
-    s: StateSet, restarts: int = 200, seed: int = 0, restrict_support: bool = True
-) -> ExtensionSearchResult:
+def numeric_extension_search(s: StateSet, restarts: int = 200, seed: int = 0) -> ExtensionSearchResult:
     """Alternating minimization of sum_i |<psi_i|a_1 x ... x a_N>|^2.
 
     With all but one party fixed, the free party's optimum is the minimal
     eigenvector of an accumulated PSD form; restarts from random product
-    states. Independent of the exact assignment procedure. By default the
-    candidate is restricted to the members' local supports (the same arena
-    check_unextendible decides on); restrict_support=False searches the
-    ambient space instead.
+    states. Independent of the exact assignment procedure. The candidate
+    lives on the members' local supports, the arena check_unextendible
+    decides on.
 
     ``restarts`` is a budget: the search stops at the first restart that
     reaches an exact extension (residual < EXTENSION_TOL), and at least one restart
@@ -196,15 +193,13 @@ def numeric_extension_search(
     """
     if len(s) == 0:
         raise ValueError("empty state set")
+    return _extension_search(s, [support_basis(s, p)[0] for p in range(s.space.n_parties)], restarts, seed)
+
+
+def _extension_search(s: StateSet, supports, restarts: int, seed: int) -> ExtensionSearchResult:
+    """`numeric_extension_search` with party p's candidate in the span of supports[p]."""
     rng = np.random.default_rng(seed)
     n_parties = s.space.n_parties
-    supports = []
-    for p in range(n_parties):
-        if restrict_support:
-            u, _ = support_basis(party_matrices(s, p))
-        else:
-            u = np.eye(s.space.party_dims[p], dtype=np.complex128)
-        supports.append(u)
     rdims = [u.shape[1] for u in supports]
     tensors = _compressed_states(s, supports)
 

@@ -47,7 +47,7 @@ from qlocc.states import (
     redundancy_check,
     redundancy_check_whole_parties,
     schmidt_rank,
-    support_basis,
+    _support_basis,
 )
 from qlocc.upb import (
     ASSIGNMENT_CAP,
@@ -414,7 +414,7 @@ def reference_local_support_vectors(s: StateSet):
     locals_ = []
     for p in range(s.space.n_parties):
         mats = party_matrices(s, p)
-        u, _ = support_basis(mats)
+        u, _ = _support_basis(mats)
         vecs = []
         for i in range(len(s)):
             uu, sv, _ = np.linalg.svd(mats[i])

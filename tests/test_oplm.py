@@ -33,6 +33,7 @@ from qlocc.oplm import (
     projective_oplms,
 )
 from qlocc.partitions import _merge_for
+from qlocc.protocol import apply_outcome
 from qlocc.states import (
     PartySpace,
     StateSet,
@@ -41,7 +42,7 @@ from qlocc.states import (
     occupied_indices,
     party_matrices,
     random_local_unitaries,
-    support_basis,
+    _support_basis,
 )
 
 
@@ -188,6 +189,15 @@ def test_eliminable_states_s1():
     support0 = {"0_X01+", "0_X01-", "0_X23+", "0_X23-"}
     assert set(elim[0]) == set(s1.labels) - support0  # P0 kills everything else
     assert set(elim[1]) == support0
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_eliminable_states_are_the_states_an_outcome_drops(s):
+    # irreducibility and the search read one survivor rule
+    for p in range(s.space.n_parties):
+        for m in measurement_candidates(s, p)[:8]:
+            kept = [apply_outcome(s, p, k, check=False)[1] for k in m.kraus]
+            assert eliminable_states(s, m) == [[lab for lab in s.labels if lab not in ks] for ks in kept]
 
 
 def test_eliminable_rejects_non_oplm():
@@ -339,7 +349,7 @@ def _constraint_rows_loop(g):
 
 def _pair_data(s, party, on_support):
     mats = party_matrices(s, party)
-    support = support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
+    support = _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
     return _pair_tensors(mats, support)
 
 

@@ -168,7 +168,7 @@ def test_verify_builtin_s1_recursion():
 def test_verify_bare_leaf_fails():
     vr = verify_protocol(pair_set(), Leaf())
     assert not vr.passed
-    assert any("leaf" in f for f in vr.failures)
+    assert vr.failures == ["root: leaf identifies nothing but 2 state(s) reach it", "states never identified: 00, 11"]
 
 
 def test_verify_party_out_of_range_fails():
@@ -215,6 +215,75 @@ def test_activation_s1_none():
 def test_activation_root_indistinguishable():
     cert = activation_search(build_fixture("tiles33"), max_depth=4)
     assert cert.kind == "Indistinguishability"
+
+
+def _split_on_a(first, second):
+    """A one-step tree: party A measures |0><0| and |1><1|, children as given."""
+    halves = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
+    return Measure(0, LocalMeasurement(0, halves, ["P0", "P1"]), [first, second])
+
+
+@pytest.mark.parametrize(
+    "tree, identified, failures",
+    [
+        (Leaf(identified="00"), {}, ["root: leaf holds 2 states", "states never identified: 00, 11"]),
+        (
+            _split_on_a(Leaf(identified="11"), Leaf(identified="00")),
+            {},
+            [
+                "root/0: leaf claims '11', reached by '00'",
+                "root/1: leaf claims '00', reached by '11'",
+                "states never identified: 00, 11",
+            ],
+        ),
+        (
+            _split_on_a(Leaf(identified="00"), Leaf()),
+            {"00": "root/0"},
+            ["root/1: leaf identifies nothing but 1 state(s) reach it", "states never identified: 11"],
+        ),
+    ],
+    ids=["holds-two", "claims-other", "never-identified"],
+)
+def test_verify_names_each_leaf_fault(tree, identified, failures):
+    vr = verify_protocol(pair_set(), tree)
+    assert not vr.passed and vr.verdict == "FAIL"
+    assert vr.identified == identified
+    assert vr.failures == failures
+
+
+@pytest.mark.parametrize(
+    "tree, notes",
+    [
+        (_split_on_a(Leaf(), Leaf()), "root/0: not an activation leaf; root/1: not an activation leaf"),
+        (Leaf(identified="00"), "root: not an activation leaf"),
+    ],
+    ids=["single-state", "identifying"],
+)
+def test_certify_rejects_non_activation_leaves(tree, notes):
+    cert = certify_activation_protocol(pair_set(), tree)
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert cert.notes == notes and cert.leaf_evidence == []
+
+
+def test_certify_rejects_locally_redundant_leaf():
+    # tiles33 with a third party in |0> for every state: certified (a UPB on
+    # the 3 x 3 x 1 supports), but discarding C leaves the states orthogonal
+    t = build_fixture("tiles33")
+    s = StateSet.from_matrix(PartySpace((3, 3, 2)), np.kron(t.matrix(), [1, 0]), t.labels, "tiles33-c0")
+    an = SetAnalyzer()
+    cert = certify_activation_protocol(s, Leaf(), an)
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert cert.notes == "root: leaf set is locally redundant"
+    assert an.certified_indistinguishable(an.intern(s)) is not None
+
+
+def test_certify_rejects_recorded_leaf_set_that_does_not_replay():
+    t = build_fixture("tiles33")
+    assert certify_activation_protocol(t, Leaf(reached=t)).kind == "Activation"
+    four = StateSet.from_matrix(t.space, t.matrix()[:4], t.labels[:4], "tiles33-minus-stopper")
+    cert = certify_activation_protocol(t, Leaf(reached=four))
+    assert cert.kind == "ProtocolFailure" and not cert.verified
+    assert cert.notes == "root: recorded leaf set does not replay"
 
 
 def test_certify_builtin_s3_activation():

@@ -38,8 +38,12 @@ from qlocc.states import (
     redundancy_check,
     redundancy_check_whole_parties,
     schmidt_rank,
+    support_basis,
 )
-from qlocc.upb import numeric_extension_search
+from qlocc import upb
+from qlocc.oplm import oplm_space
+from qlocc.protocol import SetAnalyzer
+from qlocc.upb import check_unextendible, numeric_extension_search
 
 
 def space44():
@@ -498,6 +502,38 @@ def test_local_factors_decided_once_per_set_and_party(monkeypatch):
     assert len(svds) == 3
     assert all(a is b for a, b in zip(first, again))
     assert not any(a.flags.writeable for pair in first for a in pair)
+
+
+@pytest.mark.parametrize("s", state_model_cases())
+def test_support_basis_decided_once_per_set_and_party(s):
+    for p in range(s.space.n_parties):
+        u, idx = support_basis(s, p)
+        again = support_basis(s, p)
+        assert again[0] is u and again[1] is idx
+        assert not u.flags.writeable
+        ref_u, ref_idx = states._support_basis(party_matrices(s, p))
+        assert same_bits(u, ref_u) and idx == ref_idx
+
+
+def test_support_basis_shared_by_every_analysis(monkeypatch):
+    calls = []
+    helper = states._support_basis
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return helper(mats)
+
+    monkeypatch.setattr(states, "_support_basis", counted)
+    t = build_fixture("tiles33")
+    spaces = [oplm_space(t, p, on_support=True) for p in range(2)]
+    supports, _ = upb._local_support_vectors(t, [local_factors(t, p) for p in range(2)])
+    assert check_unextendible(t).unextendible
+    numeric_extension_search(t, restarts=1)
+    an = SetAnalyzer()
+    assert an.support_dims(an.intern(t)) == (3, 3)
+    assert len(calls) == 2
+    for p in range(2):
+        assert spaces[p].support is supports[p] is support_basis(t, p)[0]
 
 
 def test_party_rows_inverts_party_matrices():
