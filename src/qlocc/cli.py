@@ -181,12 +181,13 @@ def cmd_oplm(args, report):
         ms = projective_oplms(sp, bs)
         # null when the blocks make more than ATOM_CAP atoms and are not enumerated
         payload["projective_measurements"] = None if ms is None else [m.labels[0] for m in ms]
-    human = (
-        f"{s.name}: party {party_letter(party)} OPLM space dim {sp.space_dim} "
-        f"(support {sp.support_dim}), " + ("commuting" if bs.commuting else "non-commuting")
-    )
-    if bs.commuting:
-        human += f"; blocks {payload['block_supports']}; measurements {payload.get('projective_measurements')}"
+    human = f"{s.name}: party {party_letter(party)} OPLM space dim {sp.space_dim} (support {sp.support_dim}), "
+    if sp.space_dim == 0:
+        human += "empty: no operator preserves orthogonality, not even I, so the set is not orthogonal"
+    elif not bs.commuting:
+        human += "non-commuting"
+    else:
+        human += f"commuting; blocks {payload['block_supports']}; measurements {payload['projective_measurements']}"
     return 0, payload, human
 
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
-from .states import StateSet, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors
+from .states import StateSet, gram_check, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
 # many atoms; above it the family is skipped, and the skip is named
@@ -251,9 +252,30 @@ class LocalMeasurement:
 
 class Candidates(list):
     """A party's candidate measurements; `capped` names the union families
-    skipped for having more than ATOM_CAP atoms."""
+    skipped for having more than ATOM_CAP atoms.
+
+    Every candidate's Kraus operators are sums of orthogonal parts: P is the
+    sum of its union's blocks or indices, and I - P the sum of the family's
+    other parts and its residual I - (sum of the family's parts), which
+    holds any weight outside the support or on unoccupied indices. `parts`
+    stacks the full-dimension parts of both families (at most 2(d+1)), and
+    `bits[c, o]` marks the parts of outcome o of candidate c, so that
+    ||K psi||^2 = bits[c, o] @ ||P_b psi||^2 exactly (`union_survivors`)."""
 
     capped: tuple[str, ...] = ()
+    parts: np.ndarray  # (n_parts, d, d)
+    bits: np.ndarray  # (len(self), 2, n_parts), 0/1
+
+
+class _Unions(NamedTuple):
+    """The passing unions of one family: measurements in ascending mask
+    order, each outcome's part bits over `parts` (the family's parts in full
+    dimension, then its residual), and each measurement's dedupe key."""
+
+    measurements: list[LocalMeasurement]
+    bits: np.ndarray  # (len(measurements), 2, len(parts))
+    keys: list[bytes]
+    parts: np.ndarray  # (n_family_parts + 1, d, d)
 
 
 def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
@@ -277,40 +299,69 @@ def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
     return len(tops) - 1 - owner, len(tops)
 
 
-def _union_measurements(party: int, support: np.ndarray, parts, index_sets, cols: np.ndarray) -> list[LocalMeasurement] | None:
+def _union_measurements(party: int, support: np.ndarray, parts: np.ndarray, index_sets, cols: np.ndarray) -> _Unions | None:
     """The measurements {P, I-P} for every union P of parts that passes a
     test linear in the union, in ascending mask order; None when the parts
     make more than ATOM_CAP atoms, the one bound on the candidate class.
 
-    `parts` are orthogonal projectors in the coordinates of `support`
-    (d, r); a union passes when every entry of the sum of its parts' columns
-    of `cols` is within SPAN_TOL. Only unions of `_atoms` can pass, and a
-    union and its complement are one measurement, so the unions of atoms
-    without the last are tried, one matrix product per MASK_CHUNK of them,
-    in ascending part-mask order. P is labelled by its indices, P[...], when
+    `parts` (k, r, r) are orthogonal projectors in the coordinates of
+    `support` (d, r); a union passes when every entry of the sum of its
+    parts' columns of `cols` is within SPAN_TOL. Only unions of `_atoms` can
+    pass, and a union and its complement are one measurement, so the unions
+    of atoms without the last are tried, one matrix product per MASK_CHUNK
+    of them, in ascending part-mask order. Each chunk's passing unions are
+    built as one stack: parts added in ascending order (the bits of adding
+    them one union at a time), embedded by one batched product, and their
+    dedupe keys rounded at once. P is labelled by its indices, P[...], when
     every member part has an index set, and by its parts, P[blocks ...].
     """
     owner, k = _atoms(cols)
     if k > ATOM_CAP:
         return None
+    d = support.shape[0]
+    ident = np.eye(d, dtype=np.complex128)
+    full = support @ parts @ support.conj().T
     n_masks = 1 << max(k - 1, 0)
-    out = []
+    out, keys, all_bits = [], [], []
     for lo in range(1, n_masks, MASK_CHUNK):
         masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
         bits = (masks[:, None] >> owner) & 1  # a part's bit is its atom's
-        passed = np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL
-        for row in bits[passed]:
+        bits = bits[np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL]
+        if not len(bits):
+            continue
+        p = np.zeros((len(bits),) + parts.shape[1:], dtype=np.complex128)
+        for b, part in enumerate(parts):
+            p[bits[:, b] == 1] += part
+        p_full = support @ p @ support.conj().T
+        q_full = ident - p_full
+        rp, rq = np.round(p_full, 9), np.round(q_full, 9)
+        for c, row in enumerate(bits):
             members = np.flatnonzero(row).tolist()
-            p = np.zeros((support.shape[1],) * 2, dtype=np.complex128)
-            for b in members:
-                p += parts[b]
             if all(index_sets[b] is not None for b in members):
                 label = "P[" + ",".join(str(i) for i in sorted(i for b in members for i in index_sets[b])) + "]"
             else:
                 label = f"P[blocks {members}]"
-            p_full = support @ p @ support.conj().T
-            out.append(LocalMeasurement(party, [p_full, np.eye(len(p_full), dtype=np.complex128) - p_full], [label, f"I-{label}"]))
-    return out
+            out.append(LocalMeasurement(party, [p_full[c], q_full[c]], [label, f"I-{label}"]))
+            keys.append(min(rp[c].tobytes(), rq[c].tobytes()))
+        # P holds the union's parts; I - P the others and the residual
+        all_bits.append(np.stack([np.c_[bits, np.zeros(len(bits))], np.c_[1 - bits, np.ones(len(bits))]], axis=1))
+    stack = np.concatenate([full, (ident - full.sum(axis=0))[None]])
+    return _Unions(out, np.concatenate(all_bits) if all_bits else np.zeros((0, 2, len(stack))), keys, stack)
+
+
+def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
+    """`projective_oplms` with each union's part bits and dedupe key."""
+    if not bs.commuting:
+        raise ValueError("operator space basis does not commute; no block structure")
+    r = sp.support_dim
+    blocks = np.array(bs.blocks).reshape(len(bs.blocks), r * r).T  # one column per block
+    # an empty space (space_dim 0) spans nothing, so no union passes its span test
+    basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
+    span = basis.T @ (basis.conj() @ blocks) - blocks
+    n = len(sp.pair_tensors)
+    i, j = np.triu_indices(n, 1)
+    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
+    return _union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
 
 def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement] | None:
@@ -323,17 +374,12 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     in-span projector is diagonal in the joint eigenbasis with 0/1
     eigenvalues constant on blocks, hence a block union. Both tests are
     linear in the union, so each block contributes its span residual
-    proj(B) - B and its off-diagonal constraint values as one column.
+    proj(B) - B and its off-diagonal constraint values as one column. An
+    empty space (no operator preserves orthogonality, not even I: the set is
+    not orthogonal) has none.
     """
-    if not bs.commuting:
-        raise ValueError("operator space basis does not commute; no block structure")
-    blocks = np.array(bs.blocks).reshape(len(bs.blocks), -1).T  # one column per block
-    basis = np.array(sp.basis).reshape(len(sp.basis), -1)
-    span = basis.T @ (basis.conj() @ blocks) - blocks
-    n = len(sp.pair_tensors)
-    i, j = np.triu_indices(n, 1)
-    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
-    return _union_measurements(sp.party, sp.support, bs.blocks, bs.index_supports, np.concatenate([span, vals]))
+    unions = _block_unions(sp, bs)
+    return None if unions is None else unions.measurements
 
 
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> Candidates:
@@ -352,6 +398,8 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
       no joint eigenstructure exists).
 
     A family with more than ATOM_CAP atoms is skipped and named in `capped`.
+    The result carries both families' parts and each kept candidate's part
+    bits (see `Candidates`).
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
@@ -359,20 +407,29 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     if sp.space_dim >= 2 and sp.support_dim >= 2:
         bs = block_structure(sp)
         if bs.commuting:
-            families.append(("block unions", projective_oplms(sp, bs)))
+            families.append(("block unions", _block_unions(sp, bs)))
     mats = party_matrices(s, party)
     occ = occupied_indices(mats)
     rows = mats[:, occ]
     diag = np.einsum("iar,jar->ija", rows.conj(), rows)
     support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
-    parts = [np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)]
+    parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
     families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])))
-    seen: dict[bytes, LocalMeasurement] = {}
-    for _, ms in families:
-        for m in ms or ():
-            seen.setdefault(min(np.round(k, 9).tobytes() for k in m.kraus), m)
-    out = Candidates(seen.values())
-    out.capped = tuple(name for name, ms in families if ms is None)
+    kept = [u for _, u in families if u is not None]
+    d = mats.shape[1]
+    parts = np.concatenate([u.parts for u in kept]) if kept else np.zeros((0, d, d), dtype=np.complex128)
+    seen: dict[bytes, tuple] = {}
+    lo = 0
+    for u in kept:
+        # a family's bits sit at its own offset in the stack of all parts
+        pad = [(0, 0), (0, 0), (lo, len(parts) - lo - len(u.parts))]
+        for m, b, key in zip(u.measurements, np.pad(u.bits, pad), u.keys):
+            seen.setdefault(key, (m, b))
+        lo += len(u.parts)
+    out = Candidates(m for m, _ in seen.values())
+    out.capped = tuple(name for name, u in families if u is None)
+    out.parts = parts
+    out.bits = np.array([b for _, b in seen.values()]).reshape(len(out), 2, len(parts))
     return out
 
 
@@ -415,10 +472,17 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     IRREDUCIBLE-EXACT means every party's operator space on the support is
     one-dimensional, so no nontrivial OPLM exists at all (measurement-class
     independent). Otherwise the enumerated candidate class decides between
-    REDUCIBLE (witness attached) and IRREDUCIBLE-IN-CLASS.
+    REDUCIBLE (witness attached) and IRREDUCIBLE-IN-CLASS. A set that is
+    not orthogonal at SPAN_TOL is refused with a ValueError.
     """
     if len(s) < 2:
         raise ValueError("irreducibility needs at least two states")
+    # every candidate is tested at SPAN_TOL, and on a set that is not
+    # orthogonal at it no measurement preserves orthogonality
+    rep = gram_check(s, tol=SPAN_TOL)
+    if not rep.ok:
+        a, b, v = rep.violations[0]
+        raise ValueError(f"input set is not orthogonal (|<{a}|{b}>| = {v:.4g} > {SPAN_TOL:g}); irreducibility is decided only for orthogonal sets")
     spaces = [oplm_space(s, p, on_support=True) for p in range(s.space.n_parties)]
     dims = {party_letter(p): sp.space_dim for p, sp in enumerate(spaces)}
     if all(v == 1 for v in dims.values()):

@@ -40,6 +40,7 @@ from .states import (
     redundancy_check_whole_parties,
     support_basis,
     survivors,
+    union_survivors,
 )
 from .upb import check_unextendible
 
@@ -324,8 +325,10 @@ class _Rule(NamedTuple):
 
 class _Move(NamedTuple):
     """One candidate measurement at a node. Move ordering reads only the
-    survivors; an outcome's child is applied and interned when the search
-    first visits it, and its key is then kept here."""
+    survivors, decided from part weights by `union_survivors` (equal to
+    `survivors` of the Kraus operator in exact arithmetic); an outcome's
+    child is applied and interned when the search first visits it, which
+    checks those survivors, and its key is then kept here."""
 
     party: int
     measurement: LocalMeasurement
@@ -360,10 +363,16 @@ class SetAnalyzer:
 
     Reached sets are interned by `canonical_key`, so two sets with the same
     amplitudes but different labels are two nodes. Expanding a node keeps
-    only what move ordering needs: each outcome's surviving labels. A child
-    is applied, checked for orthogonality and interned only when the search
-    first visits it (`child_key`), so every node was either interned by
-    `intern` or visited.
+    only what move ordering needs: each outcome's surviving labels. They
+    come from one `union_survivors` product per party, not one product per
+    Kraus operator: every candidate outcome is a sum of orthogonal parts
+    (`Candidates`), so ||K psi||^2 is the sum of its parts' weights
+    ||P_b psi||^2: equal in exact arithmetic, and within rounding far below
+    ELIM_TOL in floating point. A child is applied, checked for
+    orthogonality and interned only when the search first visits it
+    (`child_key`), which raises if its survivors are not the labels move
+    ordering read; so every node was either interned by `intern` or
+    visited.
 
     Profile records and trees do not read the insertion order of `nodes`,
     because moves sort on (eliminations, survivors, party, label). Two
@@ -504,11 +513,8 @@ class SetAnalyzer:
             cands = measurement_candidates(s, p, self.oplm(key, p))
             if cands.capped:
                 nd["capped_in"] = set()
-            for m in cands:
-                kept = []
-                for kraus in m.kraus:
-                    keep = survivors(s, p, kraus)[1]
-                    kept.append([lab for lab, k in zip(s.labels, keep) if k])
+            for m, mask in zip(cands, union_survivors(s, p, cands.parts, cands.bits)):
+                kept = [[lab for lab, k in zip(s.labels, keep) if k] for keep in mask]
                 mv = _Move(p, m, kept, [None] * len(kept), self._clock)
                 self._clock += len(kept)
                 for oi, labels in enumerate(kept):
@@ -522,7 +528,12 @@ class SetAnalyzer:
         """The key of outcome `oi` of `move` at node `key`, a nonempty child;
         applied, checked and interned on the first call."""
         if move.keys[oi] is None:
-            child, _ = apply_outcome(self.set_of(key), move.party, move.measurement.kraus[oi])
+            child, labels = apply_outcome(self.set_of(key), move.party, move.measurement.kraus[oi])
+            if labels != move.survivors[oi]:
+                raise RuntimeError(
+                    f"survivor mask of outcome {move.measurement.labels[oi]} on party {party_letter(move.party)} "
+                    f"keeps {move.survivors[oi]}, but applying it keeps {labels}"
+                )
             ck = canonical_key(child)
             self._admit(ck, child, move.start + oi)
             move.keys[oi] = ck

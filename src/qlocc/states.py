@@ -13,13 +13,15 @@ This is the one module that knows how a set looks from one party:
 `party_matrices` is the party-first (n, d_p, rest) view of the amplitude
 matrix and `party_rows` its inverse, `occupied_indices` the party's
 occupied computational-basis indices, `survivors` the states a local Kraus
-operator keeps, `support_basis` an orthonormal basis of the joint local
-support (index-aligned when `index_support` finds its projector to be a 0/1
-diagonal), and `local_factors` decides with one stacked SVD per party which
-states are product across that party's cut and what their local vectors
-are. A set keeps both decisions, the support and the product structure, so
-each (set, party) is decided once however many analyses ask. `schmidt_rank`,
-`coefficient_matrix` and `is_product_state` remain as the per-`Ket` API.
+operator keeps (`union_survivors` the same for many operators that are sums
+of a few orthogonal parts), `support_basis` an orthonormal basis of the
+joint local support (index-aligned when `index_support` finds its projector
+to be a 0/1 diagonal), and `local_factors` decides with one stacked SVD per
+party which states are product across that party's cut and what their
+local vectors are. A set keeps both decisions, the support and the product
+structure, so each (set, party) is decided once however many analyses ask.
+`schmidt_rank`, `coefficient_matrix` and `is_product_state` remain as the
+per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
 (orthogonal supports), which for PSD operators is equivalent.
@@ -361,11 +363,32 @@ def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     the Kraus operator, from one batched product, and the mask of the states
     that survive: a state is eliminated when its norm is at most ELIM_TOL.
 
-    The one survivor decision: outcome application, move ordering and
-    `eliminable_states` all read it.
+    The one survivor decision: outcome application, replay and
+    `eliminable_states` read it. Move ordering takes the same cut from part
+    weights (`union_survivors`): when K is a 0/1 sum of orthogonal
+    projectors P_b, the cross terms <P_b psi|P_c psi> vanish, so
+    ||K psi||^2 = sum_b ||P_b psi||^2 in exact arithmetic. The search checks
+    that the two agree on every child it visits.
     """
     post = np.asarray(kraus, dtype=np.complex128) @ party_matrices(s, party)
     return post, ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+
+
+def union_survivors(s: StateSet, party: int, parts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The `survivors` masks of every Kraus operator K = sum_b bits[..., b] P_b
+    over orthogonal projectors `parts` (k, d, d) of `party`, as a bool array
+    of shape bits.shape[:-1] + (len(s),), from one product for all of them.
+
+    With w[b, i] = ||P_b psi_i||^2, a state survives K when sqrt(bits @ w)
+    exceeds ELIM_TOL: for orthogonal projectors that is ||K psi|| in exact
+    arithmetic (see `survivors`). Every term is a nonnegative sum of
+    squares, so nothing cancels, and the two norms differ only by the
+    rounding of the products, near 1e-16, far below ELIM_TOL. Memory is one
+    (k, n, d, rest) stack, bounded by the number of parts, not of operators.
+    """
+    post = parts[:, None] @ party_matrices(s, party)
+    w = np.square(post.view(np.float64)).sum(axis=(2, 3))
+    return np.sqrt(bits @ w) > ELIM_TOL
 
 
 def occupied_indices(mats: np.ndarray) -> list[int]:

@@ -47,6 +47,8 @@ from qlocc.states import (
     redundancy_check,
     redundancy_check_whole_parties,
     schmidt_rank,
+    survivors,
+    union_survivors,
     _support_basis,
 )
 from qlocc.upb import (
@@ -382,6 +384,18 @@ def candidates_match_reference(got: list[LocalMeasurement], ref: list[LocalMeasu
     )
 
 
+def mask_mismatches(s: StateSet, party: int, cands) -> list[str]:
+    """The candidate outcomes whose `union_survivors` mask, read from the
+    part weights, differs from the `survivors` mask of their Kraus operator."""
+    masks = union_survivors(s, party, cands.parts, cands.bits)
+    return [
+        f"{m.labels[o]} on party {party} of {s.labels}"
+        for m, got in zip(cands, masks, strict=True)
+        for o, kraus in enumerate(m.kraus)
+        if not np.array_equal(got[o], survivors(s, party, kraus)[1])
+    ]
+
+
 def reference_leading_vectors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
     """`local_factors` one Ket at a time: the leading left singular vector of
     each state's coefficient matrix, and the `schmidt_rank` product test."""
@@ -534,7 +548,9 @@ class ReferenceCheck:
     """While installed, compares every `apply_outcome` and `canonical_key`
     call made through qlocc.protocol with the per-state references, every
     `measurement_candidates` call with the one-mask-per-iteration loops of
-    `reference_measurement_candidates`, and every `check_unextendible`
+    `reference_measurement_candidates` (and the masks of its candidates
+    with `survivors`, keeping each call's candidate count, part count and
+    party dimension in `part_stacks`), and every `check_unextendible`
     call with the unpruned search (keeping each
     set with both results, verdict or ValueError, in `upb_calls`), and
     keeps every distinct set whose product structure was asked for through
@@ -544,6 +560,7 @@ class ReferenceCheck:
         self.outcomes = 0
         self.keys = 0
         self.candidate_calls = 0
+        self.part_stacks: list[tuple[int, int, int]] = []
         self.mismatches: list[str] = []
         self.factor_sets: dict[int, StateSet] = {}
         self.upb_calls: list[tuple[StateSet, UpbVerdict | ValueError, UpbVerdict | ValueError]] = []
@@ -573,6 +590,8 @@ class ReferenceCheck:
             self.candidate_calls += 1
             if not candidates_match_reference(got, reference_measurement_candidates(s, party, sp)):
                 self.mismatches.append(f"measurement_candidates on {s.labels} at party {party}")
+            self.mismatches += mask_mismatches(s, party, got)
+            self.part_stacks.append((len(got), len(got.parts), s.space.party_dims[party]))
             return got
 
         def recorded_factors(s, party):

@@ -348,6 +348,22 @@ def test_force_allows_non_orthogonal_analysis(capsys, files):
     assert rep["verdicts"]["space_dim"] >= 1
 
 
+def test_oplm_reports_an_empty_operator_space(capsys, files):
+    code, out, err = run(capsys, "oplm", "--set", files["s6v"], "--party", "1", "--force")
+    assert code == 0 and err == ""
+    assert "OPLM space dim 0" in out and "empty: no operator preserves orthogonality, not even I" in out
+    code, rep = run_json(capsys, "oplm", "--set", files["s6v"], "--party", "1", "--force")
+    v = rep["verdicts"]
+    assert code == 0 and v["space_dim"] == 0 and v["basis"] == [] and v["projective_measurements"] == []
+
+
+def test_irreducible_force_says_the_input_is_not_orthogonal(capsys, files):
+    code, out, err = run(capsys, "irreducible", "--set", files["s6v"], "--force")
+    assert code == 2 and out == ""
+    assert err.startswith("qlocc: error: input set is not orthogonal (|<")
+    assert "measurement" not in err
+
+
 def test_oplm_on_support_flag(capsys, files):
     code, rep = run_json(capsys, "oplm", "--set", files["s3"], "--party", "1", "--on-support")
     assert code == 0

@@ -149,3 +149,15 @@ def test_s4_bipartition_interns_only_visited_children(monkeypatch):
     moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
     unkeyed = sum(1 for mv in moves for ck, labels in zip(mv.keys, mv.survivors) if labels and ck is None)
     assert unkeyed > len(an.nodes)
+
+
+def test_child_key_refuses_a_mask_that_applying_contradicts():
+    # move ordering reads masks from part weights; a visited child whose
+    # survivors differ from them stops the search
+    an = SetAnalyzer()
+    key = an.intern(build_fixture("s1"))
+    mv = next(mv for mv in an.moves(key) if all(mv.survivors))
+    mv.survivors[0] = mv.survivors[0][1:]
+    with pytest.raises(RuntimeError, match="survivor mask of outcome P.* keeps .*, but applying it keeps"):
+        an.child_key(key, mv, 0)
+    assert mv.keys[0] is None

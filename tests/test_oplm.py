@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from _helpers import (
     candidates_match_reference,
     constraint_residual,
+    mask_mismatches,
     random_orthogonal_product_set,
     random_orthonormal_set,
     reference_measurement_candidates,
     state_model_cases,
 )
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import INDEX_TOL, RANK_RTOL
+from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -41,7 +42,10 @@ from qlocc.states import (
     make_ket,
     occupied_indices,
     party_matrices,
+    party_rows,
     random_local_unitaries,
+    survivors,
+    union_survivors,
     _support_basis,
 )
 
@@ -688,3 +692,72 @@ def test_unaligned_support_keeps_block_labels():
     labels = [m.labels[0] for m in measurement_candidates(s, 1)]
     assert labels and all(label.startswith("P[blocks ") for label in labels)
     assert _index_label_mismatches(s) == []
+
+
+def _with_faint_index(s: StateSet, party: int, state: int, eps: float) -> StateSet:
+    """`s` with one more index on `party`, on which `state` has amplitude
+    `eps` at every other coordinate: below INDEX_TOL, so the index stays
+    unoccupied and outside the support, and only the residual parts of the
+    two candidate families hold that weight."""
+    mats = party_matrices(s, party)
+    faint = np.zeros((len(s), 1, mats.shape[2]), dtype=complex)
+    faint[state] = eps
+    dims = list(s.space.party_dims)
+    dims[party] += 1
+    space = PartySpace(tuple(dims))
+    return StateSet.from_matrix(space, party_rows(space, party, np.concatenate([mats, faint], axis=1)), s.labels, s.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["random", "product", "s1", "s2", "s3", "s5", "s6", "tiles33", "s1_general"]),
+    rotated=st.booleans(),
+    faint=st.one_of(st.none(), st.floats(1e-12, 0.9 * INDEX_TOL)),
+)
+def test_union_survivors_match_survivors_random(seed, source, rotated, faint):
+    # rotated sets have blocks that are not index-aligned; a faint index puts
+    # sub-INDEX_TOL weight where only a residual part sees it
+    s = _candidate_source(seed, source, rotated)
+    assume(s is not None)
+    if faint is not None:
+        party, state = seed % s.space.n_parties, seed % len(s)
+        rest = s.space.total_dim // s.space.party_dims[party]
+        # the two norms agree to rounding, so keep the faint norm off the cut
+        assume(not 0.5 < faint * np.sqrt(rest) / ELIM_TOL < 2)
+        s = _with_faint_index(s, party, state, faint)
+    for p in range(s.space.n_parties):
+        cands = measurement_candidates(s, p)
+        assert len(cands.parts) <= 2 * (s.space.party_dims[p] + 1)
+        assert mask_mismatches(s, p, cands) == [], p
+
+
+def test_residual_part_keeps_a_faint_state():
+    # s1 with a faint fourth index on A: a state that I - P[0] eliminates
+    # survives it once it has faint weight there, through the residual parts
+    s1 = build_fixture("s1")
+    (m,) = measurement_candidates(s1, 0)
+    state = next(i for i, keep in enumerate(survivors(s1, 0, m.kraus[1])[1]) if not keep)
+    s = _with_faint_index(s1, 0, state, 0.9 * INDEX_TOL)
+    cands = measurement_candidates(s, 0)
+    assert [c.labels for c in cands] == [m.labels] and mask_mismatches(s, 0, cands) == []
+    assert union_survivors(s, 0, cands.parts, cands.bits)[0, 1, state]
+    residual = cands.parts[:, -1, -1].real > 0.5
+    assert residual.sum() == 2
+    assert not union_survivors(s, 0, cands.parts, cands.bits * ~residual)[0, 1, state]
+
+
+def test_empty_operator_space_has_no_measurements():
+    # the s6 verbatim set is not orthogonal: on B not even I preserves its pairs
+    s = build_fixture("s6", "verbatim")
+    sp = oplm_space(s, 1)
+    assert sp.space_dim == 0 and sp.basis == []
+    assert projective_oplms(sp, block_structure(sp)) == []
+    assert oplm_space(s, 1, on_support=True).space_dim == 0
+    cands = measurement_candidates(s, 1)
+    assert cands == [] and cands.bits.shape == (0, 2, len(cands.parts))
+
+
+def test_irreducibility_refuses_a_non_orthogonal_set():
+    with pytest.raises(ValueError, match=r"input set is not orthogonal \(\|<.+\|.+>\| = 0\.7071 > 1e-08\)"):
+        is_locally_irreducible(build_fixture("s6", "verbatim"))

@@ -122,9 +122,21 @@ def test_s4_profile_bytes(s4_profile):
 
 @pytest.mark.parametrize("run", ["s2_run", "s4_run"])
 def test_profile_outcomes_and_keys_match_per_state_references(run, request):
+    # every expanded node's candidate masks, read from part weights, are
+    # compared with the survivors of each Kraus operator too
     _prof, check = request.getfixturevalue(run)
     assert check.outcomes > 0 and check.keys > 0 and check.candidate_calls > 0
+    assert sum(n for n, _, _ in check.part_stacks) > 0
     assert check.mismatches == []
+
+
+def test_s4_part_stack_is_bounded_at_its_largest_candidate_family(s4_run):
+    # one A|BC node has 2,047 unions on a 12-dim party; its masks come from
+    # one product with at most 2(d + 1) parts, not one per Kraus operator
+    _prof, check = s4_run
+    n, k, d = max(check.part_stacks)
+    assert (n, d) == (2047, 12) and k <= 2 * (d + 1)
+    assert all(k <= 2 * (d + 1) for _, k, d in check.part_stacks)
 
 
 @pytest.mark.parametrize("run", ["s2_run", "s4_run"])

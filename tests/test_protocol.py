@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qlocc import protocol
 from qlocc.fixtures import build_fixture
 from qlocc.oplm import LocalMeasurement, measurement_candidates
 from qlocc.protocol import (
@@ -26,6 +27,7 @@ from _helpers import (
     ReferenceCheck,
     _collect_leaves,
     childless_s3_activation_tree,
+    mask_mismatches,
     near_bell_leaves_tree,
     near_orthogonal_leaves_tree,
     outcome_matches_reference,
@@ -141,6 +143,21 @@ def test_s1_general_outcomes_and_keys_match_per_state_references(search):
         search(build_fixture("s1_general", d=4), max_depth=8)
     assert check.outcomes > 0 and check.keys > 0 and check.candidate_calls > 0
     assert check.mismatches == []
+
+
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
+def test_s1_general_masks_match_survivors_at_every_expanded_node(search, d, monkeypatch):
+    checked = []
+
+    def masked(s, party, sp=None):
+        got = measurement_candidates(s, party, sp)
+        checked.append(mask_mismatches(s, party, got))
+        return got
+
+    monkeypatch.setattr(protocol, "measurement_candidates", masked)
+    search(build_fixture("s1_general", d=d), max_depth=2 * d)
+    assert checked and not any(checked)
 
 
 def test_apply_outcome_count_conservation():
