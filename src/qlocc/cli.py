@@ -16,6 +16,8 @@ import math
 import os
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
@@ -42,6 +44,91 @@ from .upb import check_unextendible, numeric_extension_search
 
 class UsageError(Exception):
     pass
+
+
+# -- JSON text ----------------------------------------------------------------
+
+# float.__repr__ of the non-finite floats, and what json writes for them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(obj, indent: int) -> str:
+    """`json.dumps(obj, indent=indent, sort_keys=True)`, byte for byte.
+
+    json's indenting encoder is pure Python, one generator frame per token;
+    a report prints every Kraus entry. This one returns one string per
+    container and writes a list of floats, or a list of such lists (a Kraus
+    row of [re, im] pairs), with one `str.join` over `float.__repr__` per
+    list. A value outside JSON's types, a circular structure, or any other
+    error hands the whole object to `json.dumps`, so every error is json's.
+    """
+    try:
+        return _encode(obj, "\n", " " * indent)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=indent, sort_keys=True)
+
+
+def _float_text(x) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _key_text(k) -> str:
+    """A dict key as json converts it, before it is quoted."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(type(k).__name__)
+
+
+def _encode(o, nl: str, step: str) -> str:
+    """The JSON text of `o`, whose closing bracket goes after `nl`."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    inner = nl + step
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        body = ""
+        # a finite float's repr has no "n"; "nan" and "inf" take the general path
+        if kinds == {float}:
+            body = sep.join(map(float.__repr__, o))
+        elif kinds <= {list, tuple} and all(o) and set(map(type, chain.from_iterable(o))) == {float}:
+            deeper = inner + step
+            row_sep, head, tail = "," + deeper, "[" + deeper, inner + "]"
+            body = sep.join([head + row_sep.join(map(float.__repr__, v)) + tail for v in o])
+        if not body or "n" in body:
+            body = sep.join([_encode(v, inner, step) for v in o])
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join(
+            [encode_basestring_ascii(_key_text(k)) + ": " + _encode(v, inner, step) for k, v in sorted(o.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    raise TypeError(type(o).__name__)
 
 
 def _tol(args) -> float:
@@ -265,7 +352,7 @@ def cmd_protocol_search(args, report):
     payload = cert.to_json()
     if args.output and cert.tree is not None:
         with open(args.output, "w") as fh:
-            json.dump(tree_to_json(cert.tree), fh, indent=1, sort_keys=True)
+            fh.write(_dumps(tree_to_json(cert.tree), 1))
     found = cert.kind == "Distinguishability"
     human = (
         f"{s.name}: distinguishing protocol found and verified (depth <= {args.max_depth})"
@@ -442,7 +529,7 @@ def main(argv=None) -> int:
         report["verdicts"] = exc.payload
         report["timings"] = {"seconds": time.perf_counter() - t0}
         if getattr(args, "json", False):
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(_dumps(report, 2))
         else:
             print(exc.text)
         return 1
@@ -452,7 +539,7 @@ def main(argv=None) -> int:
     report["verdicts"] = payload
     report["timings"] = {"seconds": time.perf_counter() - t0}
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report, 2))
     else:
         print(human)
     return code

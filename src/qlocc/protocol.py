@@ -76,7 +76,8 @@ def _with_rest(party: int, d: int, kraus: list, labels: list[str], children: lis
 
 def matrix_json(m) -> list:
     """A complex matrix as nested [real, imag] pairs, row by row."""
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def tree_to_json(node):
@@ -785,7 +786,7 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
                     "locally_irredundant": True,
                 }
             )
-        if node.reached is not None and canonical_key(node.reached) != canonical_key(cur):
+        if node.reached is not None and canonical_key(node.reached) != key:
             failures.append(f"{path}: recorded leaf set does not replay")
     ok = not failures and bool(evidence)
     return Certificate(

@@ -874,6 +874,12 @@ def reference_parse_terms(expr: str, line_no: int, col0: int, space: PartySpace)
     return terms
 
 
+def reference_matrix_json(m) -> list:
+    """`matrix_json` one element at a time, as `protocol` built it before it
+    took one `tolist` of the stacked real and imaginary parts."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+
+
 def reference_kraus_from_json(entry) -> np.ndarray | None:
     """An outcome's `kraus` entry read one [re, im] pair at a time, as
     `protocol` did before it loaded the entry in one call: the matrix, or

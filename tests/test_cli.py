@@ -1,12 +1,16 @@
 import json
+import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocc import cli
 from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
-from qlocc.protocol import tree_to_json
+from qlocc.protocol import matrix_json, tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
 
@@ -408,3 +412,167 @@ def test_main_reuses_one_parser_and_nothing_else(capsys, files, monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+class _Count(int):
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+class _Amount(float):
+    def __repr__(self):
+        return f"_Amount({float(self)})"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]),
+    st.floats().map(np.float64),
+    st.floats().map(_Amount),
+)
+_INTS = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.integers().map(_Count),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    _FLOATS,
+    st.text(),
+    st.sampled_from(["", "é∂😀", '"\\/\b\f\n\r\t\x00\x1f\x7f', "\ud800", "NaN", "n"]),
+)
+# one kind of key per dict: json sorts the keys, and str does not order against int
+_KEYS = st.sampled_from([st.text(), _INTS | st.booleans(), _FLOATS | _INTS, st.none()])
+# lists of floats and lists of such lists take the writer's str.join path
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=4)
+_FLOAT_ROWS = st.lists(_FLOAT_LISTS | st.tuples(_FLOATS, _FLOATS), max_size=4)
+_JSON = st.recursive(
+    _SCALARS | _FLOAT_LISTS | _FLOAT_ROWS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        _KEYS.flatmap(lambda keys: st.dictionaries(keys, _SCALARS | _FLOAT_LISTS | _FLOAT_ROWS, max_size=4)),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=_JSON, indent=st.sampled_from([1, 2]))
+def test_json_text_is_json_dumps(obj, indent):
+    assert cli._dumps(obj, indent) == json.dumps(obj, indent=indent, sort_keys=True)
+
+
+def test_json_text_of_kraus_pairs_is_json_dumps():
+    rng = np.random.default_rng(3)
+    k = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    k[0, 0], k[1, 1], k[2, 2] = complex(-0.0, 0.0), complex(math.nan, 1.0), complex(math.inf, -math.inf)
+    for obj in (
+        [matrix_json(k)],
+        {"kraus": matrix_json(k), "empty": [[], [[]], {}], "ragged": [[1.0], [], [2.0, 3.0]]},
+        matrix_json(k)[0],
+        {1: "one", 0: "zero", -1: [True, False, None]},
+        {True: 1, False: 0},
+        {None: "null"},
+        {1.5: 1, -0.0: 2, math.inf: 3, -math.inf: 4, 2: 5},
+    ):
+        for indent in (1, 2):
+            assert cli._dumps(obj, indent) == json.dumps(obj, indent=indent, sort_keys=True)
+
+
+def _error(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001  (the test compares whichever error)
+        return type(exc), str(exc)
+    return None
+
+
+_circular_list = []
+_circular_list.append([1.0, _circular_list])
+_circular_dict = {"a": {}}
+_circular_dict["a"]["b"] = _circular_dict
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1: "a", "b": 2},
+        {"x": {None: 1, "y": 2}},
+        np.int64(3),
+        [1.0, np.int64(2)],
+        [[1.0, 2.0], [3.0, np.int64(4)]],
+        {"k": np.bool_(True)},
+        {(1, 2): 3},
+        {"s": {1.0}},
+        [[1.0], np.array([2.0])],
+        10**5000,
+        _circular_list,
+        _circular_dict,
+    ],
+    ids=["mixed-keys", "none-and-str-keys", "int64", "int64-in-floats", "int64-in-pairs", "bool_", "tuple-key", "set", "array", "huge-int", "circular-list", "circular-dict"],
+)
+def test_json_text_raises_as_json_dumps(obj):
+    got = _error(lambda: cli._dumps(obj, 2))
+    assert got is not None and got == _error(lambda: json.dumps(obj, indent=2, sort_keys=True))
+
+
+# every command's --json report, and the -o tree of `protocol search`
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixture", "--name", "s3"),
+        ("check-ortho", "--set", "{s6v}"),
+        ("redundancy", "--set", "{s3}"),
+        ("redundancy", "--set", "{s6v}"),
+        ("oplm", "--set", "{s1}", "--party", "0"),
+        ("irreducible", "--set", "{tiles33}"),
+        ("upb", "--set", "{minus}", "--oracle-restarts", "20", "--seed", "3"),
+        ("protocol", "verify", "--set", "{s3}", "--protocol", "builtin:s3_discrimination"),
+        ("protocol", "verify", "--set", "{s3}", "--protocol", "builtin:s3_activation", "--activation"),
+        ("protocol", "search", "--set", "{s1}", "--max-depth", "6", "-o", "{tree}"),
+        ("activate", "--set", "{s3}", "--max-depth", "4"),
+        ("profile", "--set", "{s2}", "--max-depth", "8"),
+        ("render", "--set", "{s3}", "--overlay", "builtin:s3_activation"),
+    ],
+    ids=[
+        "fixture",
+        "check-ortho",
+        "redundancy",
+        "redundancy-not-orthogonal",
+        "oplm",
+        "irreducible",
+        "upb-oracle",
+        "protocol-verify",
+        "protocol-verify-activation",
+        "protocol-search-o",
+        "activate",
+        "profile",
+        "render",
+    ],
+)
+def test_report_bytes_are_json_dumps_of_the_report(capsys, files, tmp_path, monkeypatch, argv):
+    written, real = [], cli._dumps
+
+    def spy(obj, indent):
+        written.append((obj, indent))
+        return real(obj, indent)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    tree = tmp_path / "tree.json"
+    main([a.format(tree=tree, **files) for a in argv] + ["--json"])
+    out = capsys.readouterr().out
+    *trees, (report, indent) = written
+    assert indent == 2 and out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert "command" in report and "verdicts" in report
+    if "-o" in argv:
+        [(obj, indent)] = trees
+        assert indent == 1 and tree.read_bytes() == json.dumps(obj, indent=1, sort_keys=True).encode()
+    else:
+        assert trees == []

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,17 +12,28 @@ from qlocc.protocol import (
     Measure,
     SetAnalyzer,
     _kraus_from_json,
+    _replay,
     activation_search,
     apply_outcome,
     builtin_protocol,
     canonical_key,
     certify_activation_protocol,
+    matrix_json,
     search_distinguishing_protocol,
     tree_from_json,
     tree_to_json,
     verify_protocol,
 )
-from qlocc.states import PartySpace, StateSet, equal_up_to_local_relabeling, gram_check, make_ket, merge_parties
+from qlocc.states import (
+    PartySpace,
+    StateSet,
+    apply_local_unitaries,
+    equal_up_to_local_relabeling,
+    gram_check,
+    make_ket,
+    merge_parties,
+    random_local_unitaries,
+)
 
 from _helpers import (
     ReferenceCheck,
@@ -35,6 +47,7 @@ from _helpers import (
     reference_apply_outcome,
     reference_canonical_key,
     reference_kraus_from_json,
+    reference_matrix_json,
     same_bits,
     truncated_s3_activation_tree,
 )
@@ -301,6 +314,57 @@ def test_certify_rejects_recorded_leaf_set_that_does_not_replay():
     cert = certify_activation_protocol(t, Leaf(reached=four))
     assert cert.kind == "ProtocolFailure" and not cert.verified
     assert cert.notes == "root: recorded leaf set does not replay"
+    # same labels, other states: only the amplitudes tell the recorded set apart
+    rotated = apply_local_unitaries(t, random_local_unitaries(t.space, np.random.default_rng(5)))
+    cert = certify_activation_protocol(t, Leaf(reached=rotated))
+    assert cert.notes == "root: recorded leaf set does not replay"
+
+
+def test_certify_checks_each_recorded_leaf_of_a_deeper_tree():
+    s3 = build_fixture("s3")
+    tree = builtin_protocol("s3_activation")
+    for _, reached, leaf in _replay(tree, s3, []):
+        leaf.reached = reached
+    assert certify_activation_protocol(s3, tree).kind == "Activation"
+    path, reached, leaf = list(_replay(tree, s3, []))[1]
+    leaf.reached = StateSet.from_matrix(reached.space, reached.matrix()[:-1], reached.labels[:-1], "tampered")
+    cert = certify_activation_protocol(s3, tree)
+    assert cert.kind == "ProtocolFailure" and cert.notes == f"{path}: recorded leaf set does not replay"
+
+
+def _float_bits(nested) -> list:
+    """Every float of a nested list as (type, 8 bytes): tells -0.0 and NaN
+    payloads apart, and a numpy scalar from a Python float."""
+    if isinstance(nested, list):
+        return [_float_bits(x) for x in nested]
+    return (type(nested), struct.pack("<d", nested))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1 + 2j, -0.0 - 0.0j], [complex(np.nan, -np.inf), complex(-0.0, np.inf)]]),
+        np.array([[-0.0, 1.5, np.nan], [np.inf, -np.inf, 2.0**-1074], [1e308, -1e-300, 0.0]]),
+        np.array([[1, -2], [3, 2**53 + 1]]),
+        np.array([[True, False]]),
+        np.eye(3, dtype=np.float32) * -1.0,
+        np.array([[0.1 + 0.2j]], dtype=np.complex64),
+        [[0.5, -1], [1j, 2]],
+        np.zeros((2, 0)),
+    ],
+    ids=["complex", "real", "int", "bool", "float32", "complex64", "list", "empty"],
+)
+def test_matrix_json_matches_the_elementwise_reference(m):
+    assert _float_bits(matrix_json(m)) == _float_bits(reference_matrix_json(m))
+
+
+def test_matrix_json_matches_the_reference_on_random_kraus():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 6, 12):
+        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        k[rng.random((d, d)) < 0.3] = 0.0
+        k.real[rng.random((d, d)) < 0.2] *= -0.0
+        assert _float_bits(matrix_json(k)) == _float_bits(reference_matrix_json(k))
 
 
 def test_certify_builtin_s3_activation():
