@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
-from .linalg import ORACLE_TOL, ORTHO_TOL
+from .linalg import ORACLE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import block_structure, is_locally_irreducible, oplm_space, projective_oplms
 from .partitions import hidden_nonlocality_profile
 from .protocol import (
@@ -275,6 +275,11 @@ def cmd_oplm(args, report):
         human += "non-commuting"
     else:
         human += f"commuting; blocks {payload['block_supports']}; measurements {payload['projective_measurements']}"
+        if (overlap := sp.worst_overlap()) > SPAN_TOL:
+            human += (
+                f" (the set is not orthogonal, |<psi_i|psi_j>| up to {overlap:.4g} > {SPAN_TOL:g}: "
+                "a complete measurement's outcomes sum to <psi_i|psi_j> on each pair, so none preserves every pair)"
+            )
     return 0, payload, human
 
 

@@ -156,6 +156,12 @@ class OplmSpace:
         proj = sum(np.trace(b.conj().T @ ident) * b for b in self.basis)
         return float(np.abs(proj - ident).max())
 
+    def worst_overlap(self) -> float:
+        """max |<psi_i|psi_j>| over pairs i != j: the identity's constraint
+        values, since every state lies in the support."""
+        n = len(self.pair_tensors)
+        return float(np.abs(np.einsum("ijaa->ij", self.pair_tensors)[np.triu_indices(n, 1)]).max(initial=0.0))
+
     def embed(self, e: np.ndarray) -> np.ndarray:
         """Lift a support-coordinate operator to the full party dimension."""
         return self.support @ e @ self.support.conj().T
@@ -374,10 +380,13 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     in-span projector is diagonal in the joint eigenbasis with 0/1
     eigenvalues constant on blocks, hence a block union. Both tests are
     linear in the union, so each block contributes its span residual
-    proj(B) - B and its off-diagonal constraint values as one column. An
-    empty space (no operator preserves orthogonality, not even I: the set is
-    not orthogonal) has none.
+    proj(B) - B and its off-diagonal constraint values as one column. A set
+    that is not orthogonal at SPAN_TOL has none: the values of P and I - P
+    on a pair sum to <psi_i|psi_j>, so the test of P alone does not decide
+    I - P, and no complete measurement preserves that pair.
     """
+    if sp.worst_overlap() > SPAN_TOL:
+        return []
     unions = _block_unions(sp, bs)
     return None if unions is None else unions.measurements
 

@@ -14,7 +14,6 @@ Negative verdicts are class-relative and say so; certificates replay.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -325,17 +324,15 @@ class _Rule(NamedTuple):
 
 
 class _Move(NamedTuple):
-    """One candidate measurement at a node. Move ordering reads only the
-    survivors, decided from part weights by `union_survivors` (equal to
-    `survivors` of the Kraus operator in exact arithmetic); an outcome's
-    child is applied and interned when the search first visits it, which
-    checks those survivors, and its key is then kept here."""
+    """One candidate measurement at a node: what move ordering reads, and
+    the keys of the children visited so far. The survivors come from part
+    weights (`union_survivors`); `child_key` applies an outcome on its first
+    visit, checks that it keeps exactly those labels, and stores its key."""
 
     party: int
     measurement: LocalMeasurement
     survivors: list  # per outcome, the labels it keeps ([] when it eliminates every state)
     keys: list  # per outcome, the child's key, None until the search first visits it
-    start: int  # eager position of outcome 0; outcome oi is at start + oi
 
 
 class SetAnalyzer:
@@ -363,73 +360,37 @@ class SetAnalyzer:
     larger budget.
 
     Reached sets are interned by `canonical_key`, so two sets with the same
-    amplitudes but different labels are two nodes. Expanding a node keeps
-    only what move ordering needs: each outcome's surviving labels. They
-    come from one `union_survivors` product per party, not one product per
-    Kraus operator: every candidate outcome is a sum of orthogonal parts
-    (`Candidates`), so ||K psi||^2 is the sum of its parts' weights
-    ||P_b psi||^2: equal in exact arithmetic, and within rounding far below
-    ELIM_TOL in floating point. A child is applied, checked for
-    orthogonality and interned only when the search first visits it
-    (`child_key`), which raises if its survivors are not the labels move
-    ordering read; so every node was either interned by `intern` or
-    visited.
+    amplitudes but different labels are two nodes. A key's node keeps the
+    first set that reached it; sets with equal keys agree to 9 decimals,
+    and trees print reached sets in full. `nodes` is in the order the sets
+    were first reached, and so is the activation transcript.
 
-    Profile records and trees do not read the insertion order of `nodes`,
-    because moves sort on (eliminations, survivors, party, label). Two
-    things still follow eager expansion, in which every expansion interned
-    all its nonempty children at once: a key keeps the set of its first
-    producer in that order (equal keys agree only to 9 decimals, and trees
-    print reached sets in full), and the activation transcript lists nodes
-    by that eager position. A new node finds its first producer by forcing
-    (applying and keying, never interning) the unvisited children before it
-    whose labels are its own; no other child can share its key, as
-    `canonical_key` covers the labels (`_admit`).
+    Expanding a node keeps only what move ordering needs: each outcome's
+    surviving labels. They come from one `union_survivors` product per
+    party, not one product per Kraus operator: every candidate outcome is a
+    sum of orthogonal parts (`Candidates`), so ||K psi||^2 is the sum of its
+    parts' weights ||P_b psi||^2: equal in exact arithmetic, and within
+    rounding far below ELIM_TOL in floating point. A child is applied,
+    checked for orthogonality and interned only when the search first
+    visits it (`child_key`), which raises if its survivors are not the
+    labels move ordering read; so every node was either interned by
+    `intern` or visited.
     """
 
     def __init__(self):
         self.nodes: dict[bytes, dict] = {}
-        # eager positions handed out: one per intern call and per outcome of
-        # each expanded move, in eager order
-        self._clock = 0
-        # sorted labels -> (position, parent key, move, outcome) of the
-        # children with those labels that may be unkeyed, in eager order
-        self._unkeyed: dict[tuple, deque] = {}
-        # key -> (position, set) of the first forced child with that key,
-        # while the key is not a node
-        self._forced: dict[bytes, tuple] = {}
 
     def intern(self, s: StateSet) -> bytes:
-        key = canonical_key(s)
-        self._admit(key, s, self._clock)
-        self._clock += 1
-        return key
+        """Node key of `s`, a set given from outside the search (a root or a
+        replayed leaf); the search reaches its children through `_reach`."""
+        return self._reach(s)
 
-    def _admit(self, key: bytes, s: StateSet, pos: int) -> None:
-        """Make `key`, produced by `s` at eager position `pos`, a node unless
-        it is one. The node keeps the set and position of the key's first
-        producer: a forced child, or the first child before `pos` with these
-        labels that forcing finds, or else `s`. The children with one label
-        set are forced in eager order, so each forced one precedes every one
-        still queued."""
-        if key in self.nodes:
-            return
-        first = self._forced.pop(key, None)
-        queue = self._unkeyed.get(tuple(sorted(s.labels)), ()) if first is None else ()
-        while queue and queue[0][0] < pos:
-            cpos, parent, mv, oi = queue.popleft()
-            if mv.keys[oi] is not None:  # visited
-                continue
-            child, _ = apply_outcome(self.set_of(parent), mv.party, mv.measurement.kraus[oi], check=False)
-            ck = canonical_key(child)
-            if ck == key:
-                first = cpos, child
-                break
-            if ck not in self.nodes:
-                self._forced.setdefault(ck, (cpos, child))
-        if first is None or pos < first[0]:
-            first = pos, s
-        self.nodes[key] = {"set": first[1], "position": first[0]}
+    def _reach(self, s: StateSet) -> bytes:
+        """The key of `s`; a new key becomes a node that keeps `s`."""
+        key = canonical_key(s)
+        if key not in self.nodes:
+            self.nodes[key] = {"set": s}
+        return key
 
     def set_of(self, key: bytes) -> StateSet:
         return self.nodes[key]["set"]
@@ -516,12 +477,7 @@ class SetAnalyzer:
                 nd["capped_in"] = set()
             for m, mask in zip(cands, union_survivors(s, p, cands.parts, cands.bits)):
                 kept = [[lab for lab, k in zip(s.labels, keep) if k] for keep in mask]
-                mv = _Move(p, m, kept, [None] * len(kept), self._clock)
-                self._clock += len(kept)
-                for oi, labels in enumerate(kept):
-                    if labels:
-                        self._unkeyed.setdefault(tuple(sorted(labels)), deque()).append((mv.start + oi, key, mv, oi))
-                out.append(mv)
+                out.append(_Move(p, m, kept, [None] * len(kept)))
         nd["moves"] = out
         return out
 
@@ -535,9 +491,7 @@ class SetAnalyzer:
                     f"survivor mask of outcome {move.measurement.labels[oi]} on party {party_letter(move.party)} "
                     f"keeps {move.survivors[oi]}, but applying it keeps {labels}"
                 )
-            ck = canonical_key(child)
-            self._admit(ck, child, move.start + oi)
-            move.keys[oi] = ck
+            move.keys[oi] = self._reach(child)
         return move.keys[oi]
 
     def _ordered_moves(self, key: bytes, mode: str):
@@ -674,8 +628,9 @@ class SetAnalyzer:
 
     def activation_transcript(self, max_depth: int):
         entries = []
-        # in eager order; the status searches below may add nodes, so the list comes first
-        for key in sorted((k for k, nd in self.nodes.items() if "act" in nd), key=lambda k: self.nodes[k]["position"]):
+        # in the order first reached; the status searches below may add
+        # nodes, so the list comes first
+        for key in [k for k, nd in self.nodes.items() if "act" in nd]:
             nd = self.nodes[key]
             s = nd["set"]
             if len(s) <= 1:

@@ -361,6 +361,17 @@ def test_oplm_reports_an_empty_operator_space(capsys, files):
     assert code == 0 and v["space_dim"] == 0 and v["basis"] == [] and v["projective_measurements"] == []
 
 
+def test_oplm_force_lists_no_measurement_on_a_non_orthogonal_set(capsys, files):
+    # on A the space is one-dimensional and P[0] passes its own pair test,
+    # but I - P[0] does not: their values on a pair sum to <psi_i|psi_j>
+    code, out, err = run(capsys, "oplm", "--set", files["s6v"], "--party", "0", "--force")
+    assert code == 0 and err == ""
+    assert "measurements [] (the set is not orthogonal, |<psi_i|psi_j>| up to 0.7071 > 1e-08: " in out
+    code, rep = run_json(capsys, "oplm", "--set", files["s6v"], "--party", "0", "--force")
+    v = rep["verdicts"]
+    assert code == 0 and v["space_dim"] == 1 and v["commuting"] and v["projective_measurements"] == []
+
+
 def test_irreducible_force_says_the_input_is_not_orthogonal(capsys, files):
     code, out, err = run(capsys, "irreducible", "--set", files["s6v"], "--force")
     assert code == 2 and out == ""

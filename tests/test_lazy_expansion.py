@@ -1,34 +1,48 @@
 """Lazy move expansion against the eager engine it replaced.
 
 `EagerSetAnalyzer` (in `_helpers`) applies and interns every outcome of
-every move when it expands a node, and lists the activation transcript in
-insertion order. `SetAnalyzer` keys a child only when the search visits it
-(or forces it to find a key's first producer); every certificate, profile
-and transcript must keep its bytes."""
+every move when it expands a node, so a key's node keeps its first producer
+in eager order, and it lists the activation transcript in insertion order.
+`SetAnalyzer` keys a child only when the search visits it, and a key's node
+keeps the first set the search reached. What is promised against the eager
+engine: the same verdicts, params, notes, leaf evidence and tree shapes,
+amplitudes within 1e-12, the same transcript entries, and the same bytes
+wherever the two engines reach each node first through the same set in the
+same order (every case but those in `DIFFERS`)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from _helpers import EagerSetAnalyzer
 from qlocc import partitions
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import _analyze_partition, _merge_for
-from qlocc.protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
+from qlocc.protocol import Leaf, Measure, SetAnalyzer, activation_search, canonical_key, search_distinguishing_protocol
 from qlocc.states import StateSet
 
 # case -> (fixture, d, search depth)
 CASES = {name: (name, None, 8) for name in ("s1", "s2", "s3", "s4", "s5", "s6", "tiles33")}
 CASES |= {f"s1_general-d{d}": ("s1_general", d, 2 * d) for d in (4, 6)}
 # s1 without its first state: the activation search visits its nodes in
-# an order other than eager interning order, so the transcript must sort;
-# s3 without its first state: a node's first producer in eager order is a
-# child forced while admitting an earlier node, so forced sets are kept
+# an order other than eager interning order; s3 without its first state: a
+# node's first producer in eager order is a child the search never visits
 CASES["s1-minus-first"] = ("s1", None, 8)
 CASES["s3-minus-first"] = ("s3", None, 8)
 SEARCHES = {"dist": search_distinguishing_protocol, "act": activation_search}
 # the memo slots a visit fills
 SLOTS = ("dist", "act", "dist_status")
+# (case, search) -> why its certificate bytes differ from the eager engine's
+DIFFERS = {
+    ("s2", "dist"): "39 Kraus floats, by at most 1.7e-15: a node keeps the first set the search reached, "
+    "which differs in the last bits from the eager engine's first producer, and terminal resolutions read it",
+    ("s4", "act"): "4 reached-set leaves, by at most 3.6e-16: a leaf prints the first set the search reached, "
+    "which differs in the last bits from the eager engine's first producer",
+    ("s1-minus-first", "act"): "transcript order: the search first reaches its nodes in an order other than eager interning",
+    ("s3-minus-first", "act"): "transcript order: the search first reaches its nodes in an order other than eager interning",
+}
+AMPLITUDE_TOL = 1e-12
 
 
 def _lines(payload) -> list[str]:
@@ -45,25 +59,58 @@ def _case(case: str):
     return s, depth
 
 
+def _assert_sets_close(a: StateSet, b: StateSet, where: str):
+    assert a.space.party_dims == b.space.party_dims and a.labels == b.labels, where
+    assert np.abs(a.matrix() - b.matrix()).max(initial=0.0) <= AMPLITUDE_TOL, where
+
+
+def _assert_trees_match(a, b, path="root"):
+    """The same shape (parties, outcome labels, identified labels, reached-set
+    labels), with Kraus operators and reached sets within AMPLITUDE_TOL."""
+    assert type(a) is type(b), path
+    if isinstance(a, Leaf):
+        assert a.identified == b.identified, path
+        assert (a.reached is None) == (b.reached is None), path
+        if a.reached is not None:
+            _assert_sets_close(a.reached, b.reached, path)
+    elif isinstance(a, Measure):
+        assert a.party == b.party and a.measurement.labels == b.measurement.labels, path
+        for lab, ka, kb, ca, cb in zip(a.measurement.labels, a.measurement.kraus, b.measurement.kraus, a.children, b.children):
+            assert np.abs(ka - kb).max() <= AMPLITUDE_TOL, f"{path}/{lab}"
+            _assert_trees_match(ca, cb, f"{path}/{lab}")
+
+
+def _assert_certificates_match(lazy, eager, declared: bool):
+    for field in ("kind", "class_note", "params", "notes", "verified", "leaf_evidence"):
+        assert getattr(lazy, field) == getattr(eager, field), field
+    _assert_trees_match(lazy.tree, eager.tree)
+    entries = sorted(json.dumps(e, sort_keys=True) for e in lazy.transcript)
+    assert entries == sorted(json.dumps(e, sort_keys=True) for e in eager.transcript)
+    # a declared case that matches again should leave DIFFERS
+    assert (_lines(lazy.to_json()) != _lines(eager.to_json())) == declared
+
+
 @pytest.mark.parametrize("search", SEARCHES)
 @pytest.mark.parametrize("case", CASES)
 def test_certificate_bytes_match_the_eager_engine(case, search):
     s, depth = _case(case)
     lazy = SEARCHES[search](s, depth, analyzer=SetAnalyzer())
     eager = SEARCHES[search](s, depth, analyzer=EagerSetAnalyzer())
-    assert _lines(lazy.to_json()) == _lines(eager.to_json())
+    _assert_certificates_match(lazy, eager, (case, search) in DIFFERS)
 
 
-def _assert_nodes_match_eager(lazy: SetAnalyzer, eager: EagerSetAnalyzer):
-    """Every lazy node is an eager node holding the same set bit for bit,
-    and the lazy nodes sorted by eager position are in eager insertion
-    order."""
+def _assert_nodes_match_eager(lazy: SetAnalyzer, eager: EagerSetAnalyzer, bits: bool):
+    """Every lazy node is an eager node holding the same labels and
+    amplitudes within AMPLITUDE_TOL, bit for bit when `bits`. In a declared
+    case the first set reached may differ from the eager engine's first
+    producer in the last bits, also at nodes that no certificate prints
+    (`s3-minus-first`: 261 of 1,184 nodes, by at most 2.1e-13)."""
     assert set(lazy.nodes) <= set(eager.nodes)
     for key, nd in lazy.nodes.items():
         a, b = nd["set"], eager.set_of(key)
-        assert a.labels == b.labels and a.matrix().tobytes() == b.matrix().tobytes()
-    by_position = sorted(lazy.nodes, key=lambda k: lazy.nodes[k]["position"])
-    assert by_position == [k for k in eager.nodes if k in lazy.nodes]
+        _assert_sets_close(a, b, key.hex())
+        if bits:
+            assert a.matrix().tobytes() == b.matrix().tobytes(), key.hex()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -75,10 +122,11 @@ def test_shared_analyzer_matches_the_eager_engine(case):
     runs = {}
     for cls in (SetAnalyzer, EagerSetAnalyzer):
         an = cls()
-        certs = [SEARCHES[k](s, depth, analyzer=an).to_json() for k in ("dist", "act")]
-        runs[cls] = _lines(certs), an
-    assert runs[SetAnalyzer][0] == runs[EagerSetAnalyzer][0]
-    _assert_nodes_match_eager(runs[SetAnalyzer][1], runs[EagerSetAnalyzer][1])
+        runs[cls] = [SEARCHES[k](s, depth, analyzer=an) for k in SEARCHES], an
+    for search, lazy, eager in zip(SEARCHES, runs[SetAnalyzer][0], runs[EagerSetAnalyzer][0]):
+        _assert_certificates_match(lazy, eager, (case, search) in DIFFERS)
+    declared = any(c == case for c, _ in DIFFERS)
+    _assert_nodes_match_eager(runs[SetAnalyzer][1], runs[EagerSetAnalyzer][1], bits=not declared)
 
 
 class _RecordingAnalyzer(SetAnalyzer):
@@ -98,20 +146,27 @@ class _RecordingAnalyzer(SetAnalyzer):
         return key
 
 
-def _assert_only_visited_or_external(an: _RecordingAnalyzer):
+def _assert_only_visited_or_external(an: _RecordingAnalyzer, root: StateSet):
+    # the search interns its children itself; from outside come only the
+    # root and the leaves an activation certificate replays
+    leaves = {k for k, nd in an.nodes.items() if nd.get("act_leaf_evidence")}
+    assert canonical_key(root) in an.external
+    assert an.external - {canonical_key(root)} <= leaves
     lazy = [k for k, nd in an.nodes.items() if k not in an.external and not any(slot in nd for slot in SLOTS)]
     assert lazy == []
 
 
-def test_transcript_follows_eager_order_not_visit_order():
+def test_transcript_follows_the_order_nodes_were_first_reached():
     s, depth = _case("s1-minus-first")
     an = SetAnalyzer()
     cert = activation_search(s, depth, analyzer=an)
     assert cert.kind == "NonActivabilityInClass"
-    visited = [k for k, nd in an.nodes.items() if "act" in nd]
-    eager = sorted(visited, key=lambda k: an.nodes[k]["position"])
-    assert visited != eager
-    assert [e["labels"] for e in cert.transcript] == [an.set_of(k).labels for k in eager]
+    reached = [an.set_of(k).labels for k, nd in an.nodes.items() if "act" in nd]
+    assert [e["labels"] for e in cert.transcript] == reached
+    # the eager engine lists the same entries (see DIFFERS) in its own
+    # interning order
+    eager = activation_search(s, depth, analyzer=EagerSetAnalyzer())
+    assert [e["labels"] for e in eager.transcript] != reached
 
 
 def test_transcript_outlives_status_searches_that_add_nodes():
@@ -126,25 +181,28 @@ def test_transcript_outlives_status_searches_that_add_nodes():
     search_distinguishing_protocol(s, 5, analyzer=an)
     cert = activation_search(s, 5, analyzer=an)
     assert cert.kind == "Incomplete"
-    act = sorted((k for k, nd in an.nodes.items() if "act" in nd), key=lambda k: an.nodes[k]["position"])
+    act = [k for k, nd in an.nodes.items() if "act" in nd]
     assert [e["labels"] for e in cert.transcript] == [an.set_of(k).labels for k in act]
 
 
 def test_s1_activation_interns_only_visited_children():
     an = _RecordingAnalyzer()
-    cert = activation_search(build_fixture("s1"), 8, analyzer=an)
+    s1 = build_fixture("s1")
+    cert = activation_search(s1, 8, analyzer=an)
     assert cert.kind == "NonActivabilityInClass"
-    _assert_only_visited_or_external(an)
+    assert len(an.nodes) > 1 and an.external == {canonical_key(s1)}
+    _assert_only_visited_or_external(an, s1)
 
 
 def test_s4_bipartition_interns_only_visited_children(monkeypatch):
     monkeypatch.setattr(partitions, "SetAnalyzer", _RecordingAnalyzer)
     monkeypatch.setattr(_RecordingAnalyzer, "made", [])
     blocks = ((0,), (1, 2))
-    rec = _analyze_partition(_merge_for(build_fixture("s4"), blocks), 8, blocks)
+    merged = _merge_for(build_fixture("s4"), blocks)
+    rec = _analyze_partition(merged, 8, blocks)
     assert rec.partition == "A|BC" and rec.activable is True
     (an,) = _RecordingAnalyzer.made
-    _assert_only_visited_or_external(an)
+    _assert_only_visited_or_external(an, merged)
     # the searches stopped at moves that worked, so most children stay unkeyed
     moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
     unkeyed = sum(1 for mv in moves for ck, labels in zip(mv.keys, mv.survivors) if labels and ck is None)

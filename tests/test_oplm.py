@@ -13,11 +13,12 @@ from _helpers import (
     state_model_cases,
 )
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL
+from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL, SPAN_TOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
     MASK_CHUNK,
+    LocalMeasurement,
     OplmSpace,
     _atoms,
     _constraint_rows,
@@ -756,6 +757,19 @@ def test_empty_operator_space_has_no_measurements():
     assert oplm_space(s, 1, on_support=True).space_dim == 0
     cands = measurement_candidates(s, 1)
     assert cands == [] and cands.bits.shape == (0, 2, len(cands.parts))
+
+
+def test_non_orthogonal_set_has_no_projective_measurements():
+    # the s6 verbatim set is not orthogonal; on A, P[0] preserves every pair
+    # but I - P[0] does not, so no complete measurement is listed
+    s = build_fixture("s6", "verbatim")
+    sp = oplm_space(s, 0)
+    bs = block_structure(sp)
+    assert sp.space_dim == 1 and bs.commuting and sp.worst_overlap() > SPAN_TOL
+    p = bs.blocks[0]
+    assert bs.index_supports[0] == [0] and is_oplm(s, LocalMeasurement(0, [p], ["P[0]"]))
+    assert not is_oplm(s, LocalMeasurement(0, [np.eye(6) - p], ["I-P[0]"]))
+    assert projective_oplms(sp, bs) == []
 
 
 def test_irreducibility_refuses_a_non_orthogonal_set():

@@ -493,6 +493,20 @@ def test_index_projector_cap_named_in_search_params(search):
     assert "atom_cap" not in search(narrow, max_depth=2).params
 
 
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_rotated_s4_verdicts_are_relative_to_the_computational_basis(seed):
+    # s4 is distinguishable and activable, and local unitaries keep both
+    # (LOCC is basis free). The searched class is not: on A the operator
+    # space does not commute, so only computational-basis index projectors
+    # are tried, and none passes after a rotation. A basis-free family or a
+    # class-relative kind would change these verdicts, as a declared change.
+    s4 = build_fixture("s4")
+    s = apply_local_unitaries(s4, random_local_unitaries(s4.space, np.random.default_rng(seed)))
+    assert search_distinguishing_protocol(s, 8).kind == "Exhaustion"
+    act = activation_search(s, 8)
+    assert act.kind == "Indistinguishability" and act.leaf_evidence == []
+
+
 def test_unknown_builtin():
     with pytest.raises(ValueError):
         builtin_protocol("nope")
