@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
 from .linalg import ORACLE_TOL, ORTHO_TOL, SPAN_TOL
-from .oplm import block_structure, is_locally_irreducible, oplm_space, projective_oplms
+from .oplm import block_structure, is_locally_irreducible, is_trivial, oplm_space, projective_oplms
 from .partitions import hidden_nonlocality_profile
 from .protocol import (
     BUILTIN_PROTOCOLS,
@@ -258,7 +258,7 @@ def cmd_oplm(args, report):
         "party": party_letter(party),
         "space_dim": sp.space_dim,
         "support_dim": sp.support_dim,
-        "trivial": sp.space_dim == 1,
+        "trivial": is_trivial(sp),
         "identity_residual": sp.identity_residual(),
         "basis": [matrix_json(sp.embed(b)) for b in sp.basis],
         "commuting": bs.commuting,

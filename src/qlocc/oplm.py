@@ -12,11 +12,13 @@ constraint matrix is exactly the operator space and SVD-orthonormal
 coordinate vectors give a trace-orthonormal basis.
 
 The dimension of the space comes from the singular values alone. If one
-of them lies within a decade of the rank cut (a guard band), the solve
-falls back to the full SVD and takes the rank from it. The basis needs
-the right singular vectors of the full-matrices SVD, so it is built the
-first time `OplmSpace.basis` is read; the search reads it only for spaces
-of dimension two or more.
+of them lies within a decade of the rank cut (a guard band), the rank is
+taken from the singular values of the SVD the basis is cut from instead.
+The basis is the tail of the right singular vectors `vh` of the
+constraint rows, built the first time `OplmSpace.basis` is read; the
+search reads it only for spaces of dimension two or more. Both come from
+`_tall_svd`, which gives the singular values and `vh` of the
+full-matrices SVD bit for bit without building its m x m `U`.
 """
 
 from __future__ import annotations
@@ -96,14 +98,38 @@ def _rank(sv: np.ndarray) -> tuple[int, bool]:
     return int(np.sum(sv > cut)), clear
 
 
-def _nullspace_basis(rows: np.ndarray, r: int, rank: int) -> list[np.ndarray]:
-    """Trace-orthonormal basis of the nullspace of the constraint rows, from
-    the full-matrices SVD.
+def _tall_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and `vh` of `np.linalg.svd(rows)`, bit for bit,
+    without its m x m `U` when rows (m, k) has more than 4k + 200 rows.
 
-    The full-matrices call is the one the pinned certificate bytes rest on:
-    a reduced SVD moves vh by a few ulps, which reaches the Kraus operators.
+    Such rows are replaced by [R; 0], R from their QR factorization and the
+    zero rows padding it to 4k + 200. For m >= 11k/6, LAPACK's dgesdd
+    QR-factors first and reads only R after that, and the QR of [R; 0] is R
+    itself (every Householder scalar is 0). dgesdd sees m otherwise only
+    through its workspace, and at 4k + 200 rows that already gives dormlq
+    its full block. The unpadded k x k SVD of R is not enough: its smaller
+    workspace changes bits of `vh` (12 of 144 seeded random tall matrices,
+    k = r^2 for r = 1..12).
     """
-    coords = np.linalg.svd(rows)[2][rank:] if rows.shape[0] else np.eye(r * r)
+    m, k = rows.shape
+    cap = 4 * k + 200
+    if m > cap:
+        padded = np.zeros((cap, k))
+        padded[:k] = np.linalg.qr(rows, mode="r")
+        rows = padded
+    _, sv, vh = np.linalg.svd(rows)
+    return sv, vh
+
+
+def _nullspace_basis(rows: np.ndarray, r: int, rank: int) -> list[np.ndarray]:
+    """Trace-orthonormal basis of the nullspace of the constraint rows: the
+    right singular vectors past `rank`, from `_tall_svd`.
+
+    These are the full-matrices SVD's vectors, bit for bit; a reduced SVD
+    moves them by a few ulps, which reaches the Kraus operators and the
+    pinned certificate bytes.
+    """
+    coords = _tall_svd(rows)[1][rank:] if rows.shape[0] else np.eye(r * r)
     return [_coords_to_matrix(h, r) for h in coords]
 
 
@@ -112,11 +138,12 @@ class OplmSpace:
 
     `space_dim` is r^2 minus the rank of the constraint rows, taken from the
     singular values alone; when one lies within a decade of the rank cut,
-    the rank comes from the full SVD instead. The trace-orthonormal `basis`
-    is built from the full SVD on first read, out of rows rebuilt from
-    `pair_tensors`; most spaces the search meets are one-dimensional and
-    their basis is never read. Passing an explicit basis (and no space_dim)
-    gives a space whose dimension is the length of that basis.
+    the rank comes from the `_tall_svd` the basis is cut from instead. The
+    trace-orthonormal `basis` is built by `_nullspace_basis` on first read,
+    out of rows rebuilt from `pair_tensors`; most spaces the search meets
+    are one-dimensional and their basis is never read. Passing an explicit
+    basis (and no space_dim) gives a space whose dimension is the length of
+    that basis.
     """
 
     def __init__(
@@ -188,14 +215,16 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     rows = _constraint_rows(g)
     rank, clear = _rank(np.linalg.svd(rows, compute_uv=False))
     if not clear:
-        # the basis is cut from the full SVD, so its rank decides
-        rank, _ = _rank(np.linalg.svd(rows)[1])
+        # the basis is cut from `_tall_svd`, so its rank decides
+        rank, _ = _rank(_tall_svd(rows)[0])
     return OplmSpace(party, d, support, idx, None, g, r * r - rank)
 
 
 def is_trivial(sp: OplmSpace) -> bool:
-    """True iff only scalar multiples of the identity preserve orthogonality."""
-    return sp.space_dim == 1
+    """True iff only scalar multiples of the identity preserve orthogonality:
+    the space is one-dimensional and holds I. On a set that is not
+    orthogonal, a one-dimensional space need not hold I."""
+    return sp.space_dim == 1 and sp.identity_residual() <= SPAN_TOL
 
 
 @dataclass

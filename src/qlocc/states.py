@@ -412,7 +412,7 @@ def _support_basis(mats: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None
     """`support_basis` from the party matrices (n, d_party, d_rest)."""
     d = mats.shape[1]
     stacked = mats.transpose(1, 0, 2).reshape(d, -1)
-    u, sv, _ = np.linalg.svd(stacked, full_matrices=True)
+    u, sv, _ = np.linalg.svd(stacked, full_matrices=False)
     r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     u = u[:, :r]
     idx = index_support(u @ u.conj().T)
@@ -428,8 +428,10 @@ def support_basis(s: StateSet, party: int) -> tuple[np.ndarray, tuple[int, ...] 
 
     Returns (U, indices) where indices lists the computational-basis labels
     when the support projector is 0/1-diagonal (then U has identity columns).
-    One full-matrices SVD of the stacked party matrices; the set keeps the
-    result, read-only, and later calls for the same party return it.
+    One reduced SVD of the stacked party matrices (d_party, n * d_rest),
+    whose left singular vectors are those of the full-matrices call bit for
+    bit; the set keeps the result, read-only, and later calls for the same
+    party return it.
     """
     if party not in s._supports:
         u, idx = _support_basis(party_matrices(s, party))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qlocc import cli
 from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
+from qlocc.linalg import SPAN_TOL
 from qlocc.protocol import matrix_json, tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
@@ -370,6 +371,18 @@ def test_oplm_force_lists_no_measurement_on_a_non_orthogonal_set(capsys, files):
     code, rep = run_json(capsys, "oplm", "--set", files["s6v"], "--party", "0", "--force")
     v = rep["verdicts"]
     assert code == 0 and v["space_dim"] == 1 and v["commuting"] and v["projective_measurements"] == []
+
+
+def test_oplm_trivial_needs_the_identity_in_the_space(capsys, files):
+    # on the non-orthogonal s6 set, A's one-dimensional space does not hold I
+    code, rep = run_json(capsys, "oplm", "--set", files["s6v"], "--party", "0", "--force")
+    v = rep["verdicts"]
+    assert code == 0 and v["space_dim"] == 1 and v["identity_residual"] == 1.0
+    assert v["trivial"] is False
+    code, rep = run_json(capsys, "oplm", "--set", files["s1"], "--party", "1")
+    v = rep["verdicts"]
+    assert code == 0 and v["space_dim"] == 1 and v["identity_residual"] <= SPAN_TOL
+    assert v["trivial"] is True
 
 
 def test_irreducible_force_says_the_input_is_not_orthogonal(capsys, files):

@@ -10,8 +10,10 @@ from _helpers import (
     random_orthogonal_product_set,
     random_orthonormal_set,
     reference_measurement_candidates,
+    same_bits,
     state_model_cases,
 )
+from qlocc import oplm
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL, SPAN_TOL
 from qlocc.oplm import (
@@ -25,6 +27,7 @@ from qlocc.oplm import (
     _coords_to_matrix,
     _pair_tensors,
     _rank,
+    _tall_svd,
     block_structure,
     eliminable_states,
     is_locally_irreducible,
@@ -35,7 +38,7 @@ from qlocc.oplm import (
     projective_oplms,
 )
 from qlocc.partitions import _merge_for
-from qlocc.protocol import apply_outcome
+from qlocc.protocol import activation_search, apply_outcome, search_distinguishing_protocol
 from qlocc.states import (
     PartySpace,
     StateSet,
@@ -400,6 +403,65 @@ def test_lazy_basis_matches_eager_full_svd():
         assert len(sp.basis) == len(basis), case
         for got, want in zip(sp.basis, basis):
             assert np.array_equal(got, want), case
+
+
+def _search_rows(monkeypatch):
+    """Every constraint matrix both searches on s1_general d = 4, 6 hand to
+    `_tall_svd`, then the rows of every party of s4, on and off support."""
+    seen = []
+
+    def recorded(rows):
+        seen.append(rows.copy())
+        return _tall_svd(rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(oplm, "_tall_svd", recorded)
+        for d in (4, 6):
+            search_distinguishing_protocol(build_fixture("s1_general", d=d), max_depth=2 * d)
+            activation_search(build_fixture("s1_general", d=d), max_depth=2 * d)
+    s4 = build_fixture("s4")
+    seen += [_constraint_rows(_pair_data(s4, p, on)) for p in range(s4.space.n_parties) for on in (False, True)]
+    return seen
+
+
+def _assert_full_svd_bits(rows, case):
+    sv, vh = _tall_svd(rows)
+    _, want_sv, want_vh = np.linalg.svd(rows)
+    assert same_bits(sv, want_sv), case
+    assert same_bits(vh, want_vh), case
+
+
+def test_tall_svd_matches_full_svd_on_search_rows(monkeypatch):
+    rows = _search_rows(monkeypatch)
+    shapes = {r.shape for r in rows}
+    # the QR route is taken: s1_general d=6 (1260 x 36) and s4 (380 x 36)
+    assert (1260, 36) in shapes and (380, 36) in shapes
+    for case, r in enumerate(rows):
+        _assert_full_svd_bits(r, (case, r.shape))
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_tall_svd_matches_full_svd_random(r):
+    k = r * r
+    rng = np.random.default_rng(r)
+    for m in (k, 11 * k // 6, 4 * k + 200, 4 * k + 201, 3 * (4 * k + 200)):
+        for rank in (k, k // 2):
+            rows = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+            _assert_full_svd_bits(rows, (m, rank))
+
+
+def test_no_full_matrices_svd_above_the_tall_cap(monkeypatch):
+    svd, shapes = np.linalg.svd, []
+
+    def recorded(a, full_matrices=True, compute_uv=True, **kwargs):
+        if full_matrices and compute_uv:
+            shapes.append(np.shape(a))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    _search_rows(monkeypatch)
+    assert shapes
+    assert all(s[-2] <= 4 * s[-1] + 200 for s in shapes), max(shapes, key=lambda s: s[-2] - 4 * s[-1])
 
 
 def test_singular_value_rank_is_clear_on_fixtures():

@@ -1,9 +1,13 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qlocc
 from qlocc import protocol
 from qlocc.fixtures import build_fixture
 from qlocc.oplm import LocalMeasurement, measurement_candidates
@@ -171,6 +175,32 @@ def test_s1_general_masks_match_survivors_at_every_expanded_node(search, d, monk
     monkeypatch.setattr(protocol, "measurement_candidates", masked)
     search(build_fixture("s1_general", d=d), max_depth=2 * d)
     assert checked and not any(checked)
+
+
+# both searches on s1_general d = 10 at depth 2d, in a fresh process: the
+# OPLM solves stay below this peak (about 165 MB measured)
+EDGE_RSS_MB = 300
+EDGE_RUN = """
+import json, resource
+from qlocc.fixtures import build_fixture
+from qlocc.protocol import activation_search, search_distinguishing_protocol
+dist = search_distinguishing_protocol(build_fixture("s1_general", d=10), max_depth=20)
+act = activation_search(build_fixture("s1_general", d=10), max_depth=20)
+print(json.dumps({
+    "dist": [dist.kind, dist.verified],
+    "act": [act.kind, act.params["complete"]],
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_s1_general_d10_searches_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlocc.__file__)))
+    out = subprocess.run([sys.executable, "-c", EDGE_RUN], env=env, capture_output=True, text=True, check=True, timeout=300)
+    got = json.loads(out.stdout)
+    assert got["dist"] == ["Distinguishability", True]
+    assert got["act"] == ["NonActivabilityInClass", True]
+    assert got["rss_mb"] < EDGE_RSS_MB, got
 
 
 def test_apply_outcome_count_conservation():

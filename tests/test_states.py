@@ -15,6 +15,7 @@ from _helpers import (
     state_model_cases,
 )
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
+from qlocc.linalg import RANK_RTOL
 from qlocc.partitions import _merge_for, _partition_label, _two_block_partitions
 from qlocc import states
 from qlocc.qset import parse_qset, serialize_qset
@@ -26,6 +27,7 @@ from qlocc.states import (
     apply_local_unitaries,
     equal_up_to_local_relabeling,
     gram_check,
+    index_support,
     inner_product,
     local_factors,
     make_ket,
@@ -504,6 +506,30 @@ def test_local_factors_decided_once_per_set_and_party(monkeypatch):
     assert not any(a.flags.writeable for pair in first for a in pair)
 
 
+def _full_support_basis(mats):
+    """Reference: `_support_basis` from the full-matrices SVD, and its
+    singular values."""
+    d = mats.shape[1]
+    u, sv, _ = np.linalg.svd(mats.transpose(1, 0, 2).reshape(d, -1), full_matrices=True)
+    r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    u = u[:, :r]
+    idx = index_support(u @ u.conj().T)
+    if idx is not None:
+        u = np.zeros((d, r), dtype=np.complex128)
+        u[idx, range(len(idx))] = 1.0
+        return u, tuple(idx), sv
+    return u, None, sv
+
+
+def _assert_support_basis_bits(mats, case):
+    u, idx = states._support_basis(mats)
+    want_u, want_idx, want_sv = _full_support_basis(mats)
+    d = mats.shape[1]
+    sv = np.linalg.svd(mats.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[1]
+    assert same_bits(u, want_u) and idx == want_idx, case
+    assert same_bits(sv, want_sv), case
+
+
 @pytest.mark.parametrize("s", state_model_cases())
 def test_support_basis_decided_once_per_set_and_party(s):
     for p in range(s.space.n_parties):
@@ -513,6 +539,19 @@ def test_support_basis_decided_once_per_set_and_party(s):
         assert not u.flags.writeable
         ref_u, ref_idx = states._support_basis(party_matrices(s, p))
         assert same_bits(u, ref_u) and idx == ref_idx
+        _assert_support_basis_bits(party_matrices(s, p), p)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_support_basis_matches_full_matrices_svd_random(d):
+    # wide (d < n * d_rest) and tall (d > n * d_rest) stacks, full and low rank
+    rng = np.random.default_rng(d)
+    for n, d_rest in ((1, 1), (2, 1), (1, 3), (3, 2), (4, 6), (20, 12)):
+        for rank in (min(d, n * d_rest), 1):
+            left = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            right = rng.standard_normal((rank, n * d_rest)) + 1j * rng.standard_normal((rank, n * d_rest))
+            mats = (left @ right).reshape(d, n, d_rest).transpose(1, 0, 2)
+            _assert_support_basis_bits(mats, (n, d_rest, rank))
 
 
 def test_support_basis_shared_by_every_analysis(monkeypatch):
