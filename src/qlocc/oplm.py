@@ -11,19 +11,17 @@ sqrt2-scaled real/imag off-diagonal pairs), so the nullspace of the
 constraint matrix is exactly the operator space and SVD-orthonormal
 coordinate vectors give a trace-orthonormal basis.
 
-The dimension of the space comes from the singular values alone. If one
-of them lies within a decade of the rank cut (a guard band), the rank is
-taken from the singular values of the SVD the basis is cut from instead.
-The basis is the tail of the right singular vectors `vh` of the
-constraint rows, built the first time `OplmSpace.basis` is read; the
-search reads it only for spaces of dimension two or more. Both come from
-`_tall_svd`, which gives the singular values and `vh` of the
-full-matrices SVD bit for bit without building its m x m `U`.
+One `_tall_svd` of the constraint rows gives rank and basis: the rank
+from its singular values, the basis from the tail of its right singular
+vectors `vh`. These are the full-matrices SVD's bit for bit, without its
+m x m `U`; a reduced SVD moves them by a few ulps, which reaches the Kraus
+operators and the pinned certificate bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -37,6 +35,16 @@ from .states import StateSet, gram_check, index_support, occupied_indices, party
 ATOM_CAP = 16
 # union masks tested per matrix product; bounds the test's memory at the cap
 MASK_CHUNK = 256
+
+
+@cache
+def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(r, 1)`, read-only: the off-diagonal coordinates
+    a < b of an r x r operator in row-major order. Each solve reads them
+    twice, and building them costs about as much as a small space's basis."""
+    a, b = np.triu_indices(r, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -55,7 +63,7 @@ def _constraint_rows(g: np.ndarray) -> np.ndarray:
     """
     n, _, r, _ = g.shape
     i, j = (k[:, None] for k in np.triu_indices(n, 1))
-    a, b = np.triu_indices(r, 1)
+    a, b = _upper(r)
     diag = g[i, j, np.arange(r), np.arange(r)]
     c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
     rt2 = np.sqrt(2.0)
@@ -73,29 +81,24 @@ def _constraint_rows(g: np.ndarray) -> np.ndarray:
 
 
 def _coords_to_matrix(h: np.ndarray, r: int) -> np.ndarray:
-    e = np.zeros((r, r), dtype=np.complex128)
-    np.fill_diagonal(e, h[:r])
-    a, b = np.triu_indices(r, 1)
-    x, y = h[r::2], h[r + 1 :: 2]
+    """The r x r Hermitian matrices of real coordinates h (..., r*r)."""
+    e = np.zeros(h.shape[:-1] + (r, r), dtype=np.complex128)
+    d = np.arange(r)
+    e[..., d, d] = h[..., :r]
+    a, b = _upper(r)
+    x, y = h[..., r::2], h[..., r + 1 :: 2]
     rt2 = np.sqrt(2.0)
-    e[a, b] += (x + 1j * y) / rt2
-    e[b, a] += (x - 1j * y) / rt2
+    e[..., a, b] += (x + 1j * y) / rt2
+    e[..., b, a] += (x - 1j * y) / rt2
     return e
 
 
-def _rank(sv: np.ndarray) -> tuple[int, bool]:
-    """Numerical rank of a constraint matrix from its singular values.
-
-    Returns (rank, clear): clear is False when some singular value lies
-    within a decade of the cut. Singular values from different LAPACK
-    drivers agree to rounding, so a clear rank is the same whichever
-    decomposition produced sv.
-    """
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank of a constraint matrix from its singular values."""
     # absolute floor: states are unit vectors, so rows from orthogonal
     # pairs are pure rounding noise and must not count as constraints
     cut = max(RANK_RTOL * sv[0], NOISE_TOL) if sv.size else NOISE_TOL
-    clear = not np.any((sv > cut / 10) & (sv < cut * 10))
-    return int(np.sum(sv > cut)), clear
+    return int(np.sum(sv > cut))
 
 
 def _tall_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,56 +124,22 @@ def _tall_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, vh
 
 
-def _nullspace_basis(rows: np.ndarray, r: int, rank: int) -> list[np.ndarray]:
-    """Trace-orthonormal basis of the nullspace of the constraint rows: the
-    right singular vectors past `rank`, from `_tall_svd`.
-
-    These are the full-matrices SVD's vectors, bit for bit; a reduced SVD
-    moves them by a few ulps, which reaches the Kraus operators and the
-    pinned certificate bytes.
-    """
-    coords = _tall_svd(rows)[1][rank:] if rows.shape[0] else np.eye(r * r)
-    return [_coords_to_matrix(h, r) for h in coords]
-
-
+@dataclass(eq=False)
 class OplmSpace:
-    """OPLM operator space of one party, in support coordinates.
+    """OPLM operator space of one party, in support coordinates: a
+    trace-orthonormal `basis` of r x r Hermitian operators, so that
+    `space_dim` is its length."""
 
-    `space_dim` is r^2 minus the rank of the constraint rows, taken from the
-    singular values alone; when one lies within a decade of the rank cut,
-    the rank comes from the `_tall_svd` the basis is cut from instead. The
-    trace-orthonormal `basis` is built by `_nullspace_basis` on first read,
-    out of rows rebuilt from `pair_tensors`; most spaces the search meets
-    are one-dimensional and their basis is never read. Passing an explicit
-    basis (and no space_dim) gives a space whose dimension is the length of
-    that basis.
-    """
-
-    def __init__(
-        self,
-        party: int,
-        dim_party: int,
-        support: np.ndarray,
-        support_indices: tuple[int, ...] | None,
-        basis: list[np.ndarray] | None,
-        pair_tensors: np.ndarray,
-        space_dim: int | None = None,
-    ):
-        self.party = party
-        self.dim_party = dim_party
-        self.support = support  # (d, r) orthonormal columns
-        self.support_indices = support_indices  # basis labels when coordinate-aligned
-        self.pair_tensors = pair_tensors  # constraint data
-        self._basis = basis
-        self.space_dim = len(basis) if space_dim is None else space_dim
+    party: int
+    dim_party: int
+    support: np.ndarray  # (d, r) orthonormal columns
+    support_indices: tuple[int, ...] | None  # basis labels when coordinate-aligned
+    basis: list[np.ndarray]
+    pair_tensors: np.ndarray  # constraint data
 
     @property
-    def basis(self) -> list[np.ndarray]:
-        """r x r Hermitian, trace-orthonormal; built on first read."""
-        if self._basis is None:
-            r = self.support_dim
-            self._basis = _nullspace_basis(_constraint_rows(self.pair_tensors), r, r * r - self.space_dim)
-        return self._basis
+    def space_dim(self) -> int:
+        return len(self.basis)
 
     @property
     def support_dim(self) -> int:
@@ -212,12 +181,9 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
         support, idx = np.eye(d, dtype=np.complex128), tuple(range(d))
     g = _pair_tensors(mats, support)
     r = support.shape[1]
-    rows = _constraint_rows(g)
-    rank, clear = _rank(np.linalg.svd(rows, compute_uv=False))
-    if not clear:
-        # the basis is cut from `_tall_svd`, so its rank decides
-        rank, _ = _rank(_tall_svd(rows)[0])
-    return OplmSpace(party, d, support, idx, None, g, r * r - rank)
+    # rows of no pair (one state) constrain nothing: `vh` is then the identity
+    sv, vh = _tall_svd(_constraint_rows(g))
+    return OplmSpace(party, d, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), g)
 
 
 def is_trivial(sp: OplmSpace) -> bool:

@@ -168,7 +168,7 @@ def _node_from_json(obj, path: str):
 # applying measurements
 
 
-def apply_outcome(s: StateSet, party: int, kraus, check: bool = True):
+def apply_outcome(s: StateSet, party: int, kraus):
     """Project every state, drop the eliminated ones, renormalize survivors.
 
     Works on the amplitude matrix (see `states.survivors`). Returns (surviving
@@ -179,7 +179,7 @@ def apply_outcome(s: StateSet, party: int, kraus, check: bool = True):
     full = party_rows(s.space, party, post[keep])
     labels = [lab for lab, k in zip(s.labels, keep) if k]
     out = StateSet.from_matrix(s.space, full, labels, s.name)
-    if check and len(out) > 1:
+    if len(out) > 1:
         rep = gram_check(out, tol=SPAN_TOL)
         if not rep.ok:
             a, b, v = rep.violations[0]

@@ -135,18 +135,7 @@ class Ket:
         amps = np.array(amplitudes, dtype=np.complex128, order="C").reshape(-1)
         if amps.shape[0] != space.total_dim:
             raise ValueError(f"amplitude length {amps.shape[0]} != total dim {space.total_dim}")
-        # `_unit_rows` on one row, with scalar tests: the same norm bits (the
-        # dot of the real parts plus that of the imaginary parts) and rule. A
-        # non-finite entry makes the norm non-finite, so only then are the
-        # entries scanned.
-        re, im = amps.real, amps.imag
-        norm = math.sqrt(re @ re + im @ im)
-        if not math.isfinite(norm) and not np.isfinite(amps).all():
-            raise ValueError("non-finite entries")
-        if norm < NORM_TOL:
-            raise ValueError("zero vector cannot be a Ket")
-        if abs(norm - 1.0) > NORM_TOL:
-            np.divide(amps, norm, out=amps)
+        _unit_rows(amps.reshape(1, -1))
         self.space = space
         self.amplitudes = amps
         self.label = label
@@ -192,7 +181,7 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     (n, D) matrix the caller owns: reject non-finite entries and a row of
     norm below NORM_TOL, divide a row by its norm unless that is within
     NORM_TOL of 1. The one normalization rule of the state model; `Ket.__init__`
-    applies it to its one row with scalar tests, to the same bits."""
+    applies it to its one row."""
     norms = row_norms(as_carray(m))
     if (norms < NORM_TOL).any():
         raise ValueError("zero vector cannot be a Ket")

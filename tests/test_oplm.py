@@ -204,8 +204,8 @@ def test_eliminable_states_are_the_states_an_outcome_drops(s):
     # irreducibility and the search read one survivor rule
     for p in range(s.space.n_parties):
         for m in measurement_candidates(s, p)[:8]:
-            kept = [apply_outcome(s, p, k, check=False)[1] for k in m.kraus]
-            assert eliminable_states(s, m) == [[lab for lab in s.labels if lab not in ks] for ks in kept]
+            kept = [survivors(s, p, k)[1] for k in m.kraus]
+            assert eliminable_states(s, m) == [[lab for lab, keep in zip(s.labels, ks) if not keep] for ks in kept]
 
 
 def test_eliminable_rejects_non_oplm():
@@ -394,15 +394,17 @@ def test_vectorized_rows_match_loop_bitwise():
         assert np.array_equal(np.signbit(got), np.signbit(want)), case
 
 
+def _assert_matches_eager(s, p, on_support, case):
+    rank, basis = _eager_solve(s, p, on_support)
+    sp = oplm_space(s, p, on_support=on_support)
+    assert sp.space_dim == sp.support_dim**2 - rank == len(basis), case
+    for got, want in zip(sp.basis, basis):
+        assert same_bits(got, want), case
+
+
 def test_lazy_basis_matches_eager_full_svd():
     for case, s, p, on_support in _fixture_cases():
-        rank, basis = _eager_solve(s, p, on_support)
-        sp = oplm_space(s, p, on_support=on_support)
-        r = sp.support_dim
-        assert sp.space_dim == r * r - rank == len(basis), case
-        assert len(sp.basis) == len(basis), case
-        for got, want in zip(sp.basis, basis):
-            assert np.array_equal(got, want), case
+        _assert_matches_eager(s, p, on_support, case)
 
 
 def _search_rows(monkeypatch):
@@ -465,11 +467,13 @@ def test_no_full_matrices_svd_above_the_tall_cap(monkeypatch):
 
 
 def test_singular_value_rank_is_clear_on_fixtures():
+    # no fixture puts a singular value within a decade of the rank cut, so
+    # no fixture's space dimension hangs on rounding; `oplm_space` against
+    # the reference is `test_lazy_basis_matches_eager_full_svd`
     for case, s, p, on_support in _fixture_cases():
-        rows = _constraint_rows(_pair_data(s, p, on_support))
-        rank, clear = _rank(np.linalg.svd(rows, compute_uv=False))
-        assert clear, case
-        assert rank == _rank(np.linalg.svd(rows)[1])[0] == _eager_solve(s, p, on_support)[0], case
+        sv = _tall_svd(_constraint_rows(_pair_data(s, p, on_support)))[0]
+        cut = max(RANK_RTOL * sv[0], 1e-10) if sv.size else 1e-10
+        assert not np.any((sv > cut / 10) & (sv < cut * 10)), case
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,74 +493,74 @@ def test_singular_value_rank_matches_full_svd_random(seed, dims, n, product):
         s = random_orthonormal_set(rng, dims, n)
     for p in range(len(dims)):
         for on_support in (False, True):
-            rows = _constraint_rows(_pair_data(s, p, on_support))
-            sv_rank, _ = _rank(np.linalg.svd(rows, compute_uv=False))
-            assert sv_rank == _eager_solve(s, p, on_support)[0]
-            assert oplm_space(s, p, on_support=on_support).space_dim == rows.shape[1] - sv_rank
+            _assert_matches_eager(s, p, on_support, (p, on_support))
 
 
 @pytest.mark.parametrize(
-    "sv, rank, clear",
+    "sv, rank",
     [
-        ([], 0, True),
-        ([1.0, 0.5, 1e-12], 2, True),
-        ([1.0, 0.5, 1e-7 * 1.01], 3, True),  # just above the band
-        ([1.0, 0.5, 1e-9 * 0.99], 2, True),  # just below the band
-        ([1.0, 0.5, 2e-9], 2, False),  # below the cut 1e-8, within a decade
-        ([1.0, 0.5, 5e-8], 3, False),  # above the cut, within a decade
-        ([1e-3, 5e-11], 1, False),  # the absolute floor 1e-10 sets the cut
-        ([1e-3, 1e-13], 1, True),
+        ([], 0),
+        ([1.0, 0.5, 1e-12], 2),
+        ([1.0, 0.5, 1e-7 * 1.01], 3),
+        ([1.0, 0.5, 1e-9 * 0.99], 2),
+        ([1.0, 0.5, 2e-9], 2),  # below the cut 1e-8
+        ([1.0, 0.5, 5e-8], 3),  # above the cut
+        ([1e-3, 5e-11], 1),  # the absolute floor 1e-10 sets the cut
+        ([1e-3, 1e-13], 1),
     ],
 )
-def test_rank_guard_band(sv, rank, clear):
-    assert _rank(np.array(sv, dtype=np.float64)) == (rank, clear)
+def test_rank_cut(sv, rank):
+    assert _rank(np.array(sv, dtype=np.float64)) == rank
 
 
-def _recording_svd(monkeypatch, nudge=None):
-    """Record the compute_uv flag of every np.linalg.svd call; optionally
-    rewrite the singular values of the values-only call."""
-    calls = []
+def test_one_tall_svd_per_space(monkeypatch):
+    tall, values_only = [], []
     svd = np.linalg.svd
 
-    def wrapper(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        out = svd(a, *args, **kwargs)
-        if nudge is not None and kwargs.get("compute_uv") is False:
-            out = nudge(out)
-        return out
+    def recorded_tall(rows):
+        tall.append(rows.shape)
+        return _tall_svd(rows)
 
-    monkeypatch.setattr(np.linalg, "svd", wrapper)
-    return calls
+    def recorded_svd(a, *args, **kwargs):
+        values_only.append(kwargs.get("compute_uv") is False or (len(args) > 1 and args[1] is False))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(oplm, "_tall_svd", recorded_tall)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    space = PartySpace((3, 2))
+    one = StateSet(space, [make_ket(space, [(1, (0, 0)), (1, (2, 1))], "v")], "one")
+    solved = 0
+    for case, s, p, on_support in [*_fixture_cases(), ("one", one, 1, True)]:
+        oplm_space(s, p, on_support=on_support)
+        solved += 1
+        assert len(tall) == solved, case
+    assert values_only and not any(values_only)
+    # a single state gives no constraint rows, and every Hermitian operator
+    assert tall[-1] == (0, 4)
+    _assert_matches_eager(one, 1, True, "one")
 
 
-def test_clear_rank_defers_the_full_svd(monkeypatch):
+@pytest.mark.parametrize("above", [False, True])
+def test_rank_and_basis_come_from_one_svd(monkeypatch, above):
+    # a zero singular value on the cut does not count toward the rank; just
+    # above it, it does, and the basis loses its vector with the dimension
     s = build_fixture("s1")
-    calls = _recording_svd(monkeypatch)
-    sp = oplm_space(s, 0)
-    assert calls == [False] and sp.space_dim == 2
-    sp.basis
-    sp.basis
-    assert calls == [False, True]
+    seen = []
 
-
-def test_value_in_guard_band_takes_full_svd_path(monkeypatch):
-    s = build_fixture("s1")
-    want = [b.copy() for b in oplm_space(s, 0).basis]
-
-    def nudge(sv):
-        # the smallest singular value (a zero one) is moved onto the cut
+    def nudged(rows):
+        sv, vh = _tall_svd(rows)
         sv = sv.copy()
-        sv[-1] = RANK_RTOL * sv[0]
-        return sv
+        sv[-1] = RANK_RTOL * sv[0] * (1 + 1e-6 if above else 1)
+        seen.append((sv, vh))
+        return sv, vh
 
-    calls = _recording_svd(monkeypatch, nudge)
+    monkeypatch.setattr(oplm, "_tall_svd", nudged)
     sp = oplm_space(s, 0)
-    # the rank came from the full SVD, not from the nudged values
-    assert calls == [False, True]
-    assert sp.space_dim == 2
-    assert len(sp.basis) == len(want)
-    for got, ref in zip(sp.basis, want):
-        assert np.array_equal(got, ref)
+    ((sv, vh),) = seen
+    r = sp.support_dim
+    assert sp.space_dim == len(sp.basis) == r * r - _rank(sv) == (1 if above else 2)
+    for got, h in zip(sp.basis, vh[_rank(sv) :]):
+        assert same_bits(got, _coords_to_matrix(h, r))
 
 
 def test_is_locally_irreducible_solves_each_party_once(monkeypatch):

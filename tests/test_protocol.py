@@ -140,17 +140,20 @@ def test_apply_outcome_one_party_space():
 
 
 def test_apply_outcome_renormalizes_as_the_reference_on_random_sets():
-    # generic Kraus operators leave survivors far from unit norm
+    # generic Kraus operators leave survivors far from unit norm; one state
+    # at a time, since they also break orthogonality between survivors
     rng = np.random.default_rng(7)
     for dims in ((2, 3), (3, 2, 2)):
         s = random_orthonormal_set(rng, dims, 5)
         for party, d in enumerate(dims):
             kraus = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            out, labels = apply_outcome(s, party, kraus, check=False)
-            ref, ref_labels = reference_apply_outcome(s, party, kraus, check=False)
-            assert labels == ref_labels == s.labels
-            assert out.matrix().tobytes() == ref.matrix().tobytes()
-            assert [k.amplitudes.tobytes() for k in out] == [k.amplitudes.tobytes() for k in ref]
+            for ket in s:
+                one = StateSet(s.space, [ket], s.name)
+                out, labels = apply_outcome(one, party, kraus)
+                ref, ref_labels = reference_apply_outcome(one, party, kraus)
+                assert labels == ref_labels == [ket.label]
+                assert out.matrix().tobytes() == ref.matrix().tobytes()
+                assert [k.amplitudes.tobytes() for k in out] == [k.amplitudes.tobytes() for k in ref]
 
 
 @pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
