@@ -48,9 +48,6 @@ class UsageError(Exception):
 
 # -- JSON text ----------------------------------------------------------------
 
-# float.__repr__ of the non-finite floats, and what json writes for them
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 
 def _dumps(obj, indent: int) -> str:
     """`json.dumps(obj, indent=indent, sort_keys=True)`, byte for byte.
@@ -59,35 +56,15 @@ def _dumps(obj, indent: int) -> str:
     a report prints every Kraus entry. This one returns one string per
     container and writes a list of floats, or a list of such lists (a Kraus
     row of [re, im] pairs), with one `str.join` over `float.__repr__` per
-    list. A value outside JSON's types, a circular structure, or any other
-    error hands the whole object to `json.dumps`, so every error is json's.
+    list. A key that is not a str, a float that is not finite (which json
+    writes as NaN or Infinity), a value outside JSON's types, a circular
+    structure, or any other error hands the whole object to `json.dumps`,
+    so those bytes and every error are json's.
     """
     try:
         return _encode(obj, "\n", " " * indent)
     except (TypeError, ValueError, RecursionError):
         return json.dumps(obj, indent=indent, sort_keys=True)
-
-
-def _float_text(x) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _key_text(k) -> str:
-    """A dict key as json converts it, before it is quoted."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(type(k).__name__)
 
 
 def _encode(o, nl: str, step: str) -> str:
@@ -103,7 +80,9 @@ def _encode(o, nl: str, step: str) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float_text(o)
+        if not math.isfinite(o):
+            raise ValueError("non-finite float")
+        return float.__repr__(o)
     inner = nl + step
     sep = "," + inner
     if isinstance(o, (list, tuple)):
@@ -125,7 +104,7 @@ def _encode(o, nl: str, step: str) -> str:
         if not o:
             return "{}"
         body = sep.join(
-            [encode_basestring_ascii(_key_text(k)) + ": " + _encode(v, inner, step) for k, v in sorted(o.items())]
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner, step) for k, v in sorted(o.items())]
         )
         return "{" + inner + body + nl + "}"
     raise TypeError(type(o).__name__)
@@ -427,6 +406,18 @@ def cmd_render(args, report):
     return 0, {"format": args.format, "document": text}, text
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: an int >= 0, and type=int's message
+    for a value that is not an int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qlocc", description=__doc__)
     ap.add_argument("--version", action="version", version=f"qlocc {__version__}")
@@ -439,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None, help=f"orthogonality tolerance (default {ORTHO_TOL:g} or QLOCC_TOL)")
         p.add_argument("--force", action="store_true", help="analyze even if the input fails the orthogonality check")
         if with_depth:
-            p.add_argument("--max-depth", type=int, default=8, help="protocol search depth cap")
+            p.add_argument("--max-depth", type=_count, default=8, help="protocol search depth cap")
 
     p = sub.add_parser("fixture", help="emit a built-in state set as qset text")
     p.add_argument("--name", required=True, choices=FIXTURE_NAMES)
@@ -469,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("upb", help="unextendibility of an orthogonal product set")
     common(p)
-    p.add_argument("--oracle-restarts", type=int, default=0)
+    p.add_argument("--oracle-restarts", type=_count, default=0)
     p.add_argument("--seed", type=int, default=None, help="seed for numeric oracle restarts")
     p.set_defaults(func=cmd_upb)
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
-from .states import StateSet, gram_check, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors
+from .states import StateSet, gram_check, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
 # many atoms; above it the family is skipped, and the skip is named
@@ -131,7 +131,6 @@ class OplmSpace:
     `space_dim` is its length."""
 
     party: int
-    dim_party: int
     support: np.ndarray  # (d, r) orthonormal columns
     support_indices: tuple[int, ...] | None  # basis labels when coordinate-aligned
     basis: list[np.ndarray]
@@ -183,7 +182,7 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
     r = support.shape[1]
     # rows of no pair (one state) constrain nothing: `vh` is then the identity
     sv, vh = _tall_svd(_constraint_rows(g))
-    return OplmSpace(party, d, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), g)
+    return OplmSpace(party, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), g)
 
 
 def is_trivial(sp: OplmSpace) -> bool:
@@ -253,19 +252,19 @@ class LocalMeasurement:
 
 class Candidates(list):
     """A party's candidate measurements; `capped` names the union families
-    skipped for having more than ATOM_CAP atoms.
+    skipped for having more than ATOM_CAP atoms, and `masks[c, o]` marks
+    the states that outcome o of candidate c keeps.
 
     Every candidate's Kraus operators are sums of orthogonal parts: P is the
     sum of its union's blocks or indices, and I - P the sum of the family's
     other parts and its residual I - (sum of the family's parts), which
-    holds any weight outside the support or on unoccupied indices. `parts`
-    stacks the full-dimension parts of both families (at most 2(d+1)), and
-    `bits[c, o]` marks the parts of outcome o of candidate c, so that
-    ||K psi||^2 = bits[c, o] @ ||P_b psi||^2 exactly (`union_survivors`)."""
+    holds any weight outside the support or on unoccupied indices. So each
+    family's masks come from one product with its at most d + 1 parts
+    (`union_survivors`); move ordering and `is_locally_irreducible` read
+    them."""
 
     capped: tuple[str, ...] = ()
-    parts: np.ndarray  # (n_parts, d, d)
-    bits: np.ndarray  # (len(self), 2, n_parts), 0/1
+    masks: np.ndarray  # (len(self), 2, n_states), bool
 
 
 class _Unions(NamedTuple):
@@ -402,8 +401,8 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
       no joint eigenstructure exists).
 
     A family with more than ATOM_CAP atoms is skipped and named in `capped`.
-    The result carries both families' parts and each kept candidate's part
-    bits (see `Candidates`).
+    The result carries each kept candidate's survivor masks, taken from its
+    own family's parts before deduplication (see `Candidates`).
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
@@ -419,21 +418,13 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
     parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
     families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])))
-    kept = [u for _, u in families if u is not None]
-    d = mats.shape[1]
-    parts = np.concatenate([u.parts for u in kept]) if kept else np.zeros((0, d, d), dtype=np.complex128)
     seen: dict[bytes, tuple] = {}
-    lo = 0
-    for u in kept:
-        # a family's bits sit at its own offset in the stack of all parts
-        pad = [(0, 0), (0, 0), (lo, len(parts) - lo - len(u.parts))]
-        for m, b, key in zip(u.measurements, np.pad(u.bits, pad), u.keys):
-            seen.setdefault(key, (m, b))
-        lo += len(u.parts)
+    for u in [u for _, u in families if u is not None]:
+        for m, mask, key in zip(u.measurements, union_survivors(s, party, u.parts, u.bits), u.keys):
+            seen.setdefault(key, (m, mask))
     out = Candidates(m for m, _ in seen.values())
     out.capped = tuple(name for name, u in families if u is None)
-    out.parts = parts
-    out.bits = np.array([b for _, b in seen.values()]).reshape(len(out), 2, len(parts))
+    out.masks = np.array([mask for _, mask in seen.values()], dtype=bool).reshape(len(out), 2, len(s))
     return out
 
 
@@ -476,7 +467,9 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     IRREDUCIBLE-EXACT means every party's operator space on the support is
     one-dimensional, so no nontrivial OPLM exists at all (measurement-class
     independent). Otherwise the enumerated candidate class decides between
-    REDUCIBLE (witness attached) and IRREDUCIBLE-IN-CLASS. A set that is
+    REDUCIBLE and IRREDUCIBLE-IN-CLASS: the witness is the first candidate
+    with an outcome whose survivor mask (`Candidates.masks`, the one the
+    search orders moves by) keeps some but not all states. A set that is
     not orthogonal at SPAN_TOL is refused with a ValueError.
     """
     if len(s) < 2:
@@ -497,10 +490,9 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
         cands = measurement_candidates(s, p, sp)
         if cands.capped:
             note += f"; {' and '.join(cands.capped)} not enumerated for party {party_letter(p)} (above {ATOM_CAP} atoms)"
-        for m in cands:
+        for m, mask in zip(cands, cands.masks):
             checked += 1
-            elim = eliminable_states(s, m)
-            for outcome in elim:
-                if outcome and len(outcome) < len(s):
-                    return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, note)
+            if any(0 < kept < len(s) for kept in mask.sum(axis=1)):
+                eliminable_states(s, m)  # the witness is checked as an OPLM
+                return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, note)
     return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, note)

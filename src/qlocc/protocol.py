@@ -39,7 +39,6 @@ from .states import (
     redundancy_check_whole_parties,
     support_basis,
     survivors,
-    union_survivors,
 )
 from .upb import check_unextendible
 
@@ -325,11 +324,11 @@ class _Rule(NamedTuple):
 
 class _Move(NamedTuple):
     """One candidate measurement at a node: what move ordering reads, and
-    the keys of the children visited so far. The survivors come from part
-    weights (`union_survivors`); `child_key` applies an outcome on its first
-    visit, checks that it keeps exactly those labels, and stores its key."""
+    the keys of the children visited so far. The survivors come from the
+    candidate's masks (`Candidates.masks`); `child_key` applies an outcome
+    on its first visit, checks that it keeps exactly those labels, and
+    stores its key."""
 
-    party: int
     measurement: LocalMeasurement
     survivors: list  # per outcome, the labels it keeps ([] when it eliminates every state)
     keys: list  # per outcome, the child's key, None until the search first visits it
@@ -366,13 +365,13 @@ class SetAnalyzer:
     were first reached, and so is the activation transcript.
 
     Expanding a node keeps only what move ordering needs: each outcome's
-    surviving labels. They come from one `union_survivors` product per
-    party, not one product per Kraus operator: every candidate outcome is a
-    sum of orthogonal parts (`Candidates`), so ||K psi||^2 is the sum of its
-    parts' weights ||P_b psi||^2: equal in exact arithmetic, and within
-    rounding far below ELIM_TOL in floating point. A child is applied,
-    checked for orthogonality and interned only when the search first
-    visits it (`child_key`), which raises if its survivors are not the
+    surviving labels. They come from the masks `measurement_candidates`
+    returns, not from one product per Kraus operator: every candidate
+    outcome is a sum of orthogonal parts (`Candidates`), so ||K psi||^2 is
+    the sum of its parts' weights ||P_b psi||^2: equal in exact arithmetic,
+    and within rounding far below ELIM_TOL in floating point. A child is
+    applied, checked for orthogonality and interned only when the search
+    first visits it (`child_key`), which raises if its survivors are not the
     labels move ordering read; so every node was either interned by
     `intern` or visited.
     """
@@ -475,9 +474,9 @@ class SetAnalyzer:
             cands = measurement_candidates(s, p, self.oplm(key, p))
             if cands.capped:
                 nd["capped_in"] = set()
-            for m, mask in zip(cands, union_survivors(s, p, cands.parts, cands.bits)):
+            for m, mask in zip(cands, cands.masks):
                 kept = [[lab for lab, k in zip(s.labels, keep) if k] for keep in mask]
-                out.append(_Move(p, m, kept, [None] * len(kept)))
+                out.append(_Move(m, kept, [None] * len(kept)))
         nd["moves"] = out
         return out
 
@@ -485,10 +484,10 @@ class SetAnalyzer:
         """The key of outcome `oi` of `move` at node `key`, a nonempty child;
         applied, checked and interned on the first call."""
         if move.keys[oi] is None:
-            child, labels = apply_outcome(self.set_of(key), move.party, move.measurement.kraus[oi])
+            child, labels = apply_outcome(self.set_of(key), move.measurement.party, move.measurement.kraus[oi])
             if labels != move.survivors[oi]:
                 raise RuntimeError(
-                    f"survivor mask of outcome {move.measurement.labels[oi]} on party {party_letter(move.party)} "
+                    f"survivor mask of outcome {move.measurement.labels[oi]} on party {party_letter(move.measurement.party)} "
                     f"keeps {move.survivors[oi]}, but applying it keeps {labels}"
                 )
             move.keys[oi] = self._reach(child)
@@ -500,7 +499,7 @@ class SetAnalyzer:
         def sort_key(mv):
             elim = sum(n - len(labels) for labels in mv.survivors)
             min_surv = min((len(labels) for labels in mv.survivors if labels), default=0)
-            tie = (mv.party, mv.measurement.labels[0])
+            tie = (mv.measurement.party, mv.measurement.labels[0])
             if mode == "act":
                 return (elim, -min_surv) + tie
             return (-elim, -min_surv) + tie
@@ -604,7 +603,7 @@ class SetAnalyzer:
                     if rule.stop_on_fail:
                         break
             if good:
-                tree = Measure(mv.party, mv.measurement, subtrees) if rule.build else None
+                tree = Measure(mv.measurement.party, mv.measurement, subtrees) if rule.build else None
                 nd[rule.slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False

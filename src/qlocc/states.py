@@ -14,14 +14,15 @@ This is the one module that knows how a set looks from one party:
 matrix and `party_rows` its inverse, `occupied_indices` the party's
 occupied computational-basis indices, `survivors` the states a local Kraus
 operator keeps (`union_survivors` the same for many operators that are sums
-of a few orthogonal parts), `support_basis` an orthonormal basis of the
-joint local support (index-aligned when `index_support` finds its projector
-to be a 0/1 diagonal), and `local_factors` decides with one stacked SVD per
-party which states are product across that party's cut and what their
-local vectors are. A set keeps both decisions, the support and the product
-structure, so each (set, party) is decided once however many analyses ask.
-`schmidt_rank`, `coefficient_matrix` and `is_product_state` remain as the
-per-`Ket` API.
+of a few orthogonal parts: `measurement_candidates` builds each candidate's
+survivor masks with it, and move ordering and irreducibility read those
+masks), `support_basis` an orthonormal basis of the joint local support
+(index-aligned when `index_support` finds its projector to be a 0/1
+diagonal), and `local_factors` decides with one stacked SVD per party which
+states are product across that party's cut and what their local vectors
+are. A set keeps both decisions, the support and the product structure, so
+each (set, party) is decided once however many analyses ask.
+`schmidt_rank` and `coefficient_matrix` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
 (orthogonal supports), which for PSD operators is equivalent.
@@ -319,14 +320,6 @@ def schmidt_rank(k: Ket, cut: Bipartition) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
 
 
-def is_product_state(k: Ket) -> bool:
-    """Product across every bipartition (equivalently across each single-party cut)."""
-    n = k.space.n_parties
-    if n == 1:
-        return True
-    return all(schmidt_rank(k, Bipartition.of({p}, n)) == 1 for p in range(n))
-
-
 def _party_first(dims, party: int) -> list[int]:
     return [party] + [q for q in range(len(dims)) if q != party]
 
@@ -353,7 +346,8 @@ def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     that survive: a state is eliminated when its norm is at most ELIM_TOL.
 
     The one survivor decision: outcome application, replay and
-    `eliminable_states` read it. Move ordering takes the same cut from part
+    `eliminable_states` read it. Candidate masks (`Candidates.masks`, which
+    move ordering and irreducibility read) take the same cut from part
     weights (`union_survivors`): when K is a 0/1 sum of orthogonal
     projectors P_b, the cross terms <P_b psi|P_c psi> vanish, so
     ||K psi||^2 = sum_b ||P_b psi||^2 in exact arithmetic. The search checks

@@ -17,11 +17,15 @@ from qlocc import oplm, partitions, protocol, qset, states, upb
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
 from qlocc.linalg import ELIM_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL, WITNESS_TOL
 from qlocc.oplm import (
+    ATOM_CAP,
+    CLASS_NOTE,
     BlockStructure,
+    IrreducibilityVerdict,
     LocalMeasurement,
     OplmSpace,
     _pair_tensors,
     block_structure,
+    eliminable_states,
     measurement_candidates,
     oplm_space,
 )
@@ -41,6 +45,7 @@ from qlocc.states import (
     local_vectors,
     merge_parties,
     occupied_indices,
+    party_letter,
     party_matrices,
     random_local_unitaries,
     reduced_state,
@@ -309,7 +314,7 @@ def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[Local
         else:
             label = f"P[blocks {members}]"
         p_full = sp.embed(p)
-        comp = np.eye(sp.dim_party, dtype=np.complex128) - p_full
+        comp = np.eye(sp.support.shape[0], dtype=np.complex128) - p_full
         out.append(LocalMeasurement(sp.party, [p_full, comp], [label, f"I-{label}"]))
     return out
 
@@ -385,15 +390,96 @@ def candidates_match_reference(got: list[LocalMeasurement], ref: list[LocalMeasu
 
 
 def mask_mismatches(s: StateSet, party: int, cands) -> list[str]:
-    """The candidate outcomes whose `union_survivors` mask, read from the
-    part weights, differs from the `survivors` mask of their Kraus operator."""
-    masks = union_survivors(s, party, cands.parts, cands.bits)
+    """The candidate outcomes whose mask in `cands.masks`, read from part
+    weights, differs from the `survivors` mask of their Kraus operator; a
+    mask stack of the wrong shape or type is one mismatch."""
+    if cands.masks.dtype != bool or cands.masks.shape != (len(cands), 2, len(s)):
+        return [f"masks {cands.masks.dtype}{cands.masks.shape} for {len(cands)} candidates on {s.labels}"]
     return [
         f"{m.labels[o]} on party {party} of {s.labels}"
-        for m, got in zip(cands, masks, strict=True)
+        for m, got in zip(cands, cands.masks, strict=True)
         for o, kraus in enumerate(m.kraus)
         if not np.array_equal(got[o], survivors(s, party, kraus)[1])
     ]
+
+
+@contextmanager
+def recorded_part_stacks():
+    """While open, appends to the yielded list the number of parts of every
+    `union_survivors` product that `measurement_candidates` makes."""
+    stacks: list[int] = []
+
+    def recorded(s, party, parts, bits):
+        stacks.append(len(parts))
+        return union_survivors(s, party, parts, bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oplm, "union_survivors", recorded)
+        yield stacks
+
+
+def reference_is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
+    """`is_locally_irreducible` deciding every candidate by `eliminable_states`
+    on its Kraus operators, one candidate at a time, instead of by the
+    candidates' survivor masks."""
+    if len(s) < 2:
+        raise ValueError("irreducibility needs at least two states")
+    # every candidate is tested at SPAN_TOL, and on a set that is not
+    # orthogonal at it no measurement preserves orthogonality
+    rep = gram_check(s, tol=SPAN_TOL)
+    if not rep.ok:
+        a, b, v = rep.violations[0]
+        raise ValueError(f"input set is not orthogonal (|<{a}|{b}>| = {v:.4g} > {SPAN_TOL:g}); irreducibility is decided only for orthogonal sets")
+    spaces = [oplm_space(s, p, on_support=True) for p in range(s.space.n_parties)]
+    dims = {party_letter(p): sp.space_dim for p, sp in enumerate(spaces)}
+    if all(v == 1 for v in dims.values()):
+        return IrreducibilityVerdict("IRREDUCIBLE-EXACT", dims, None, 0, CLASS_NOTE)
+    checked = 0
+    note = CLASS_NOTE
+    for p, sp in enumerate(spaces):
+        cands = measurement_candidates(s, p, sp)
+        if cands.capped:
+            note += f"; {' and '.join(cands.capped)} not enumerated for party {party_letter(p)} (above {ATOM_CAP} atoms)"
+        for m in cands:
+            checked += 1
+            elim = eliminable_states(s, m)
+            for outcome in elim:
+                if outcome and len(outcome) < len(s):
+                    return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, note)
+    return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, note)
+
+
+def irreducibility_cases() -> list:
+    """Sets for comparing `is_locally_irreducible` with its reference, as
+    pytest params: every fixture but s1_general and s1_general at d = 4, 6,
+    8, each with a seeded local-unitary image and three subsets (without the
+    first state, without the last, every other state); s4 as A|BC;
+    |i,0> on 24 x 2, where ATOM_CAP skips both families of party A; and two
+    qubit pairs whose first candidate, P[0] on A, eliminates nothing:
+    {|+,0>, |-,1>}, which P[0] on B reduces, and {|+,+>, |-,->}, which no
+    index projector reduces."""
+    sets = {name: build_fixture(name) for name in FIXTURE_NAMES if name != "s1_general"}
+    sets |= {f"s1_general-d{d}": build_fixture("s1_general", d=d) for d in (4, 6, 8)}
+    rng = np.random.default_rng(29)
+    for tag, s in list(sets.items()):
+        sets[f"{tag}-rotated"] = apply_local_unitaries(s, random_local_unitaries(s.space, rng))
+        m = s.matrix()
+        for sub, rows in (("tail", slice(1, None)), ("head", slice(None, -1)), ("even", slice(None, None, 2))):
+            sets[f"{tag}-{sub}"] = StateSet.from_matrix(s.space, m[rows], s.labels[rows], s.name)
+    sets["s4-A|BC"] = merge_parties(build_fixture("s4"), [(0,), (1, 2)])
+    wide = PartySpace((24, 2))
+    sets["e24x2"] = StateSet.from_matrix(wide, np.eye(48)[::2], [f"e{i}" for i in range(24)], "e24x2")
+    sets |= qubit_pairs()
+    return [pytest.param(s, id=tag) for tag, s in sets.items()]
+
+
+def qubit_pairs() -> dict[str, StateSet]:
+    """{|+,0>, |-,1>} and {|+,+>, |-,->}: on each party every pair is
+    orthogonal on the other, so P[0] preserves orthogonality and keeps
+    both states."""
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    pairs = {"+0,-1": [np.kron(plus, [1, 0]), np.kron(minus, [0, 1])], "++,--": [np.kron(plus, plus), np.kron(minus, minus)]}
+    return {tag: StateSet.from_matrix(PartySpace((2, 2)), np.array(rows), ["a", "b"], tag) for tag, rows in pairs.items()}
 
 
 def reference_leading_vectors(s: StateSet, party: int) -> tuple[np.ndarray, np.ndarray]:
@@ -549,8 +635,9 @@ class ReferenceCheck:
     call made through qlocc.protocol with the per-state references, every
     `measurement_candidates` call with the one-mask-per-iteration loops of
     `reference_measurement_candidates` (and the masks of its candidates
-    with `survivors`, keeping each call's candidate count, part count and
-    party dimension in `part_stacks`), and every `check_unextendible`
+    with `survivors`, keeping each call's candidate count, the part count
+    of its largest `union_survivors` product and the party dimension in
+    `part_stacks`), and every `check_unextendible`
     call with the unpruned search (keeping each
     set with both results, verdict or ValueError, in `upb_calls`), and
     keeps every distinct set whose product structure was asked for through
@@ -586,12 +673,13 @@ class ReferenceCheck:
             return key
 
         def checked_candidates(s, party, sp=None):
+            stacks.clear()
             got = measurement_candidates(s, party, sp)
+            self.part_stacks.append((len(got), max(stacks, default=0), s.space.party_dims[party]))
             self.candidate_calls += 1
             if not candidates_match_reference(got, reference_measurement_candidates(s, party, sp)):
                 self.mismatches.append(f"measurement_candidates on {s.labels} at party {party}")
             self.mismatches += mask_mismatches(s, party, got)
-            self.part_stacks.append((len(got), len(got.parts), s.space.party_dims[party]))
             return got
 
         def recorded_factors(s, party):
@@ -607,7 +695,7 @@ class ReferenceCheck:
                 raise got
             return got
 
-        with pytest.MonkeyPatch.context() as mp:
+        with recorded_part_stacks() as stacks, pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "apply_outcome", checked_apply)
             mp.setattr(protocol, "canonical_key", checked_key)
             mp.setattr(protocol, "check_unextendible", checked_upb)

@@ -336,6 +336,27 @@ def test_options_only_where_read(capsys, files, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("protocol", "search", "--max-depth", "-3"),
+        ("activate", "--max-depth", "-1"),
+        ("profile", "--max-depth", "-2"),
+        ("upb", "--oracle-restarts", "-5"),
+    ],
+    ids=["protocol-search", "activate", "profile", "upb"],
+)
+def test_negative_counts_are_usage_errors(capsys, files, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--set", files["s1"]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qlocc") and f"argument {argv[-2]}: must be >= 0, not {argv[-1]}" in err, err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:-1], "2.5", "--set", files["s1"]])
+    assert exc.value.code == 2 and f"argument {argv[-2]}: invalid int value: '2.5'" in capsys.readouterr().err
+
+
 def test_non_orthogonal_input_negative_verdict(capsys, files):
     code, out, _ = run(capsys, "redundancy", "--set", files["s6v"])
     assert code == 1 and "not pairwise orthogonal" in out

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from _helpers import (
     candidates_match_reference,
     constraint_residual,
+    irreducibility_cases,
     mask_mismatches,
+    qubit_pairs,
     random_orthogonal_product_set,
     random_orthonormal_set,
+    recorded_part_stacks,
+    reference_is_locally_irreducible,
     reference_measurement_candidates,
     same_bits,
     state_model_cases,
@@ -154,7 +158,7 @@ def test_random_span_samples_satisfy_constraints():
 def test_block_structure_synthetic_span():
     # span{I, diag(1,1,0,0)} has blocks {0,1} and {2,3} and one measurement
     basis = [np.eye(4, dtype=complex) / 2, np.diag([1, 1, -1, -1]).astype(complex) / 2]
-    sp = OplmSpace(0, 4, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
+    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
     bs = block_structure(sp)
     assert bs.commuting
     assert bs.index_supports == [[0, 1], [2, 3]]
@@ -165,7 +169,7 @@ def test_block_structure_synthetic_span():
 
 def test_block_structure_identity_span():
     basis = [np.eye(4, dtype=complex) / 2]
-    sp = OplmSpace(0, 4, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
+    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
     bs = block_structure(sp)
     assert bs.commuting and len(bs.blocks) == 1
     assert bs.index_supports == [[0, 1, 2, 3]]
@@ -182,7 +186,7 @@ def test_trivial_measurement_eliminates_nothing():
 def test_block_structure_nondiagonal_blocks():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     basis = [np.eye(2, dtype=complex) / np.sqrt(2), x / np.sqrt(2)]
-    sp = OplmSpace(0, 2, np.eye(2, dtype=complex), [0, 1], basis, np.zeros((1, 1, 2, 2)))
+    sp = OplmSpace(0, np.eye(2, dtype=complex), [0, 1], basis, np.zeros((1, 1, 2, 2)))
     bs = block_structure(sp)
     assert bs.commuting
     assert len(bs.blocks) == 2
@@ -579,6 +583,41 @@ def test_is_locally_irreducible_solves_each_party_once(monkeypatch):
     assert solved == [0, 1]
 
 
+@pytest.mark.parametrize("s", irreducibility_cases())
+def test_irreducibility_matches_the_per_candidate_reference(s):
+    # the survivor masks decide as `eliminable_states` on every candidate did
+    got, ref = is_locally_irreducible(s), reference_is_locally_irreducible(s)
+    assert (got.verdict, got.space_dims, got.candidates_checked, got.class_note) == (
+        ref.verdict,
+        ref.space_dims,
+        ref.candidates_checked,
+        ref.class_note,
+    )
+    assert (got.witness is None) == (ref.witness is None)
+    if got.witness is not None:
+        assert candidates_match_reference([got.witness], [ref.witness])
+
+
+def test_irreducibility_checks_only_its_witness(monkeypatch):
+    # one `eliminable_states` call, on the witness: s3 is reduced by its
+    # first candidate, {|+,0>, |-,1>} only by its second (P[0] on B), and
+    # {|+,+>, |-,->} by none of its two
+    calls = []
+    real = oplm.eliminable_states
+
+    def counted(s, m):
+        calls.append(id(m))
+        return real(s, m)
+
+    monkeypatch.setattr(oplm, "eliminable_states", counted)
+    want = {"s3": ("REDUCIBLE", 1), "+0,-1": ("REDUCIBLE", 2), "++,--": ("IRREDUCIBLE-IN-CLASS", 2)}
+    for name, s in ({"s3": build_fixture("s3")} | qubit_pairs()).items():
+        calls.clear()
+        v = is_locally_irreducible(s)
+        assert (v.verdict, v.candidates_checked) == want[name]
+        assert calls == ([id(v.witness)] if v.witness is not None else []), name
+
+
 def test_index_projector_cap_named_in_class_note():
     # the atom bound, where it binds on the index projectors only
     rng = np.random.default_rng(3)
@@ -794,8 +833,10 @@ def test_union_survivors_match_survivors_random(seed, source, rotated, faint):
         assume(not 0.5 < faint * np.sqrt(rest) / ELIM_TOL < 2)
         s = _with_faint_index(s, party, state, faint)
     for p in range(s.space.n_parties):
-        cands = measurement_candidates(s, p)
-        assert len(cands.parts) <= 2 * (s.space.party_dims[p] + 1)
+        # one product per union family, each with at most d + 1 parts
+        with recorded_part_stacks() as stacks:
+            cands = measurement_candidates(s, p)
+        assert 0 < len(stacks) <= 2 and max(stacks) <= s.space.party_dims[p] + 1
         assert mask_mismatches(s, p, cands) == [], p
 
 
@@ -808,10 +849,17 @@ def test_residual_part_keeps_a_faint_state():
     s = _with_faint_index(s1, 0, state, 0.9 * INDEX_TOL)
     cands = measurement_candidates(s, 0)
     assert [c.labels for c in cands] == [m.labels] and mask_mismatches(s, 0, cands) == []
-    assert union_survivors(s, 0, cands.parts, cands.bits)[0, 1, state]
-    residual = cands.parts[:, -1, -1].real > 0.5
-    assert residual.sum() == 2
-    assert not union_survivors(s, 0, cands.parts, cands.bits * ~residual)[0, 1, state]
+    assert cands.masks[0, 1, state]
+    # the faint index, A's last, is in no occupied index's part: only the
+    # residual holds it, and without it I - P[0] eliminates the state
+    assert occupied_indices(party_matrices(s, 0)) == [0, 1, 2, 3]
+    kraus = cands[0].kraus[1].copy()
+    assert kraus[-1, -1] == 1
+    kraus[-1, -1] = 0
+    assert not survivors(s, 0, kraus)[1][state]
+    parts = np.array([np.diag(e) for e in np.eye(5)])
+    assert not union_survivors(s, 0, parts, np.array([0, 1, 1, 1, 0]))[state]
+    assert union_survivors(s, 0, parts, np.array([0, 1, 1, 1, 1]))[state]
 
 
 def test_empty_operator_space_has_no_measurements():
@@ -822,7 +870,7 @@ def test_empty_operator_space_has_no_measurements():
     assert projective_oplms(sp, block_structure(sp)) == []
     assert oplm_space(s, 1, on_support=True).space_dim == 0
     cands = measurement_candidates(s, 1)
-    assert cands == [] and cands.bits.shape == (0, 2, len(cands.parts))
+    assert cands == [] and cands.masks.dtype == bool and cands.masks.shape == (0, 2, len(s))
 
 
 def test_non_orthogonal_set_has_no_projective_measurements():

@@ -132,11 +132,12 @@ def test_profile_outcomes_and_keys_match_per_state_references(run, request):
 
 def test_s4_part_stack_is_bounded_at_its_largest_candidate_family(s4_run):
     # one A|BC node has 2,047 unions on a 12-dim party; its masks come from
-    # one product with at most 2(d + 1) parts, not one per Kraus operator
+    # one product per union family with at most d + 1 parts, not one per
+    # Kraus operator
     _prof, check = s4_run
     n, k, d = max(check.part_stacks)
-    assert (n, d) == (2047, 12) and k <= 2 * (d + 1)
-    assert all(k <= 2 * (d + 1) for _, k, d in check.part_stacks)
+    assert (n, d) == (2047, 12) and 0 < k <= d + 1
+    assert all(k <= d + 1 for _, k, d in check.part_stacks)
 
 
 @pytest.mark.parametrize("run", ["s2_run", "s4_run"])

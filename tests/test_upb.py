@@ -15,7 +15,7 @@ from qlocc.states import (
     PartySpace,
     StateSet,
     apply_local_unitaries,
-    is_product_state,
+    local_factors,
     make_ket,
     party_matrices,
     random_local_unitaries,
@@ -53,7 +53,8 @@ def test_tiles33_minus_stopper_extendible():
     w = v.witness
     assert w is not None
     assert np.abs(s.matrix().conj() @ w.amplitudes).max() <= 1e-8
-    assert is_product_state(w)
+    witness = StateSet(w.space, [w])
+    assert all(local_factors(witness, p)[1].all() for p in range(w.space.n_parties))
 
 
 def test_complete_bases_trivially_unextendible():
