@@ -11,10 +11,18 @@ sqrt2-scaled real/imag off-diagonal pairs), so the nullspace of the
 constraint matrix is exactly the operator space and SVD-orthonormal
 coordinate vectors give a trace-orthonormal basis.
 
-One `_tall_svd` of the constraint rows gives rank and basis: the rank
-from its singular values, the basis from the tail of its right singular
-vectors `vh`. These are the full-matrices SVD's bit for bit, without its
-m x m `U`; a reduced SVD moves them by a few ulps, which reaches the Kraus
+In a set built on the computational basis most state pairs constrain
+nothing: the pair tensor of (i, j) is exactly zero when no index of the
+other parties is occupied by both states. One boolean product over the
+exact zero pattern finds the pairs that share one, and only their tensors
+and constraint rows are computed; every other row is the constant row the
+arithmetic gives a zero tensor.
+
+One `_tall_svd` of all constraint rows, those constant rows included,
+gives rank and basis: the rank from its singular values, the basis from
+the tail of its right singular vectors `vh`. These are the full-matrices
+SVD's bit for bit, without its m x m `U`; a reduced SVD, or one of the
+computed rows only, moves them by a few ulps, which reaches the Kraus
 operators and the pinned certificate bytes.
 """
 
@@ -35,49 +43,83 @@ from .states import StateSet, gram_check, index_support, occupied_indices, party
 ATOM_CAP = 16
 # union masks tested per matrix product; bounds the test's memory at the cap
 MASK_CHUNK = 256
+# state pairs per pair-tensor product; bounds the gathered copies of a set
+# whose pairs all share an index (a set rotated off the computational basis)
+PAIR_CHUNK = 512
 
 
 @cache
 def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(r, 1)`, read-only: the off-diagonal coordinates
-    a < b of an r x r operator in row-major order. Each solve reads them
-    twice, and building them costs about as much as a small space's basis."""
+    """`np.triu_indices(r, 1)`, read-only: the pairs a < b of r items in
+    row-major order, as the off-diagonal coordinates of an r x r operator
+    or the state pairs of a set of r states. Building them costs about as
+    much as a small space's basis."""
     a, b = np.triu_indices(r, 1)
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
-def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G[i,j,a,b] with <psi_i|(E on p)|psi_j> = sum_ab E[a,b] G[i,j,a,b]
-    for E expressed in the support basis."""
-    comp = np.einsum("da,ndr->nar", support.conj(), mats)
-    return np.einsum("iar,jbr->ijab", comp.conj(), comp)
+    for E expressed in the support basis, and the (n, n) mask of the pairs
+    whose G is computed.
+
+    G[i,j] sums over the other parties' index t, and each term is zero where
+    state i or state j has no weight at t. So only the pairs that share an
+    occupied t are computed (one boolean product of the exact zero pattern
+    finds them), PAIR_CHUNK at a time and in both orders: G[j,i] is not
+    taken as the conjugate transpose of G[i,j], whose zeros carry other
+    signs. Every other entry is +0, as the full sum of signed zero terms
+    gives it.
+    """
+    # C order keeps each state's block contiguous for the gathers below
+    comp = np.einsum("da,ndt->nat", support.conj(), mats, order="C")
+    n, r = comp.shape[:2]
+    occ = (comp != 0).any(axis=1)  # (n, t): the indices each state occupies
+    live = occ @ occ.T
+    g = np.zeros((n, n, r, r), dtype=np.complex128)
+    flat, left = g.reshape(n * n, r, r), comp.conj()
+    pairs = np.flatnonzero(live)
+    for lo in range(0, len(pairs), PAIR_CHUNK):
+        p = pairs[lo : lo + PAIR_CHUNK]
+        flat[p] = np.einsum("pat,pbt->pab", left[p // n], comp[p % n])
+    return g, live
 
 
-def _constraint_rows(g: np.ndarray) -> np.ndarray:
+def _constraint_rows(g: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Real constraint matrix over Hermitian coordinates from pair tensors.
 
     Two rows (real, imaginary part) per state pair i<j in row-major order.
     Coordinate layout: [e_0..e_{r-1}, then for a<b in row-major order:
-    x_ab, y_ab].
+    x_ab, y_ab]. Only the rows of `live` pairs are computed; a pair whose G
+    is zero gets the rows its arithmetic gives, +0 everywhere but -0 at the
+    y_ab of the real-part row (from -imag(d_ab)).
     """
     n, _, r, _ = g.shape
-    i, j = (k[:, None] for k in np.triu_indices(n, 1))
+    iu, ju = _upper(n)
+    keep = np.flatnonzero(live[iu, ju])
     a, b = _upper(r)
-    diag = g[i, j, np.arange(r), np.arange(r)]
-    c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
+    d = np.arange(r)
     rt2 = np.sqrt(2.0)
-    s_ab = (c_ab + c_ba) / rt2
-    d_ab = (c_ab - c_ba) / rt2
-    rows = np.zeros((2 * len(i), r * r), dtype=np.float64)
-    re, im = rows[0::2], rows[1::2]
-    re[:, :r] = np.real(diag)
-    im[:, :r] = np.imag(diag)
-    re[:, r::2] = np.real(s_ab)
-    re[:, r + 1 :: 2] = -np.imag(d_ab)
-    im[:, r::2] = np.imag(s_ab)
-    im[:, r + 1 :: 2] = np.real(d_ab)
-    return rows
+    rows = np.zeros((len(iu), 2, r * r), dtype=np.float64)
+    rows[:, 0, r + 1 :: 2] = -0.0
+    for lo in range(0, len(keep), PAIR_CHUNK):
+        k = keep[lo : lo + PAIR_CHUNK]
+        i, j = iu[k, None], ju[k, None]
+        diag = g[i, j, d, d]
+        c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
+        s_ab = (c_ab + c_ba) / rt2
+        d_ab = (c_ab - c_ba) / rt2
+        part = np.empty((len(k), 2, r * r), dtype=np.float64)
+        re, im = part[:, 0], part[:, 1]
+        re[:, :r] = np.real(diag)
+        im[:, :r] = np.imag(diag)
+        re[:, r::2] = np.real(s_ab)
+        re[:, r + 1 :: 2] = -np.imag(d_ab)
+        im[:, r::2] = np.imag(s_ab)
+        im[:, r + 1 :: 2] = np.real(d_ab)
+        rows[k] = part
+    return rows.reshape(2 * len(iu), r * r)
 
 
 def _coords_to_matrix(h: np.ndarray, r: int) -> np.ndarray:
@@ -154,8 +196,7 @@ class OplmSpace:
     def worst_overlap(self) -> float:
         """max |<psi_i|psi_j>| over pairs i != j: the identity's constraint
         values, since every state lies in the support."""
-        n = len(self.pair_tensors)
-        return float(np.abs(np.einsum("ijaa->ij", self.pair_tensors)[np.triu_indices(n, 1)]).max(initial=0.0))
+        return float(np.abs(np.einsum("ijaa->ij", self.pair_tensors)[_upper(len(self.pair_tensors))]).max(initial=0.0))
 
     def embed(self, e: np.ndarray) -> np.ndarray:
         """Lift a support-coordinate operator to the full party dimension."""
@@ -178,10 +219,10 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
         support, idx = support_basis(s, party)
     else:
         support, idx = np.eye(d, dtype=np.complex128), tuple(range(d))
-    g = _pair_tensors(mats, support)
+    g, live = _pair_tensors(mats, support)
     r = support.shape[1]
     # rows of no pair (one state) constrain nothing: `vh` is then the identity
-    sv, vh = _tall_svd(_constraint_rows(g))
+    sv, vh = _tall_svd(_constraint_rows(g, live))
     return OplmSpace(party, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), g)
 
 
@@ -359,7 +400,7 @@ def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
     basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
     span = basis.T @ (basis.conj() @ blocks) - blocks
     n = len(sp.pair_tensors)
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper(n)
     vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
     return _union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
@@ -417,7 +458,7 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     diag = np.einsum("iar,jar->ija", rows.conj(), rows)
     support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
     parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
-    families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[np.triu_indices(len(s), 1)])))
+    families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[_upper(len(s))])))
     seen: dict[bytes, tuple] = {}
     for u in [u for _, u in families if u is not None]:
         for m, mask, key in zip(u.measurements, union_survivors(s, party, u.parts, u.bits), u.keys):
@@ -430,7 +471,7 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
 
 def is_oplm(s: StateSet, m: LocalMeasurement) -> bool:
     """Check every outcome of m against the pairwise constraints, at SPAN_TOL."""
-    g = _pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
+    g, _ = _pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
     off = ~np.eye(len(s), dtype=bool)
     return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > SPAN_TOL for k in m.kraus)
 

@@ -23,7 +23,7 @@ from qlocc.oplm import (
     IrreducibilityVerdict,
     LocalMeasurement,
     OplmSpace,
-    _pair_tensors,
+    _upper,
     block_structure,
     eliminable_states,
     measurement_candidates,
@@ -70,6 +70,17 @@ DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.j
 def digest(payload) -> str:
     """sha256 of json.dumps(payload, sort_keys=True), as pinned in bench/digests.json."""
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+# Python source defining peak_rss_mb(), for code run in a fresh process: the
+# process's own peak resident memory in MB. ru_maxrss does not do there: after
+# exec it still holds the peak of the process that forked the child, which is
+# the test run itself
+PEAK_RSS_SOURCE = """
+def peak_rss_mb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+"""
 
 
 def random_unit(rng, d: int) -> np.ndarray:
@@ -319,6 +330,34 @@ def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[Local
     return out
 
 
+def reference_pair_tensors(mats: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """`oplm._pair_tensors` before the pair screen: G of every pair, dense."""
+    comp = np.einsum("da,ndr->nar", support.conj(), mats)
+    return np.einsum("iar,jbr->ijab", comp.conj(), comp)
+
+
+def reference_constraint_rows(g: np.ndarray) -> np.ndarray:
+    """`oplm._constraint_rows` before the pair screen: the rows of every
+    pair, computed from its G."""
+    n, _, r, _ = g.shape
+    i, j = (k[:, None] for k in np.triu_indices(n, 1))
+    a, b = _upper(r)
+    diag = g[i, j, np.arange(r), np.arange(r)]
+    c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
+    rt2 = np.sqrt(2.0)
+    s_ab = (c_ab + c_ba) / rt2
+    d_ab = (c_ab - c_ba) / rt2
+    rows = np.zeros((2 * len(i), r * r), dtype=np.float64)
+    re, im = rows[0::2], rows[1::2]
+    re[:, :r] = np.real(diag)
+    im[:, :r] = np.imag(diag)
+    re[:, r::2] = np.real(s_ab)
+    re[:, r + 1 :: 2] = -np.imag(d_ab)
+    im[:, r::2] = np.imag(s_ab)
+    im[:, r + 1 :: 2] = np.real(d_ab)
+    return rows
+
+
 def constraint_residual(sp: OplmSpace, e: np.ndarray) -> float:
     """Largest |<psi_i|(E on p)|psi_j>| over pairs, E in support coords."""
     vals = np.einsum("ijab,ab->ij", sp.pair_tensors, e)
@@ -359,7 +398,7 @@ def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | No
         u_occ = np.zeros((d, r), dtype=np.complex128)
         for col, i in enumerate(occ):
             u_occ[i, col] = 1.0
-        g = _pair_tensors(mats, u_occ)
+        g = reference_pair_tensors(mats, u_occ)
         n = len(s)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         diag = np.array([np.diagonal(g[i, j]) for i, j in pairs])

@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    PEAK_RSS_SOURCE,
     candidates_match_reference,
     constraint_residual,
     irreducibility_cases,
@@ -12,11 +18,14 @@ from _helpers import (
     random_orthogonal_product_set,
     random_orthonormal_set,
     recorded_part_stacks,
+    reference_constraint_rows,
     reference_is_locally_irreducible,
     reference_measurement_candidates,
+    reference_pair_tensors,
     same_bits,
     state_model_cases,
 )
+import qlocc
 from qlocc import oplm
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL, SPAN_TOL
@@ -359,15 +368,19 @@ def _constraint_rows_loop(g):
     return rows
 
 
-def _pair_data(s, party, on_support):
+def _pair_inputs(s, party, on_support):
     mats = party_matrices(s, party)
-    support = _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
-    return _pair_tensors(mats, support)
+    return mats, _support_basis(mats)[0] if on_support else np.eye(mats.shape[1], dtype=complex)
+
+
+def _pair_data(s, party, on_support):
+    """The screened pair tensors and their live-pair mask."""
+    return _pair_tensors(*_pair_inputs(s, party, on_support))
 
 
 def _eager_solve(s, party, on_support):
     """Reference: rank and basis from one full-matrices SVD of the loop rows."""
-    g = _pair_data(s, party, on_support)
+    g = reference_pair_tensors(*_pair_inputs(s, party, on_support))
     r = g.shape[2]
     rows = _constraint_rows_loop(g)
     if rows.shape[0] == 0:
@@ -391,11 +404,148 @@ def _fixture_cases():
 
 def test_vectorized_rows_match_loop_bitwise():
     for case, s, p, on_support in _fixture_cases():
-        g = _pair_data(s, p, on_support)
-        got, want = _constraint_rows(g), _constraint_rows_loop(g)
+        g, live = _pair_data(s, p, on_support)
+        got, want = _constraint_rows(g, live), _constraint_rows_loop(g)
         assert got.shape == want.shape, case
         assert np.array_equal(got, want), case
         assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
+# -- the pair screen against the dense pair tensors and rows --------------------
+
+
+def _assert_screen_matches_reference(s, p, on_support, case):
+    """G and the constraint rows equal the dense reference's bytes, signed
+    zeros included, and every pair the screen drops has an all-zero
+    reference row. Returns the screen's (n, n) mask of computed pairs."""
+    mats, support = _pair_inputs(s, p, on_support)
+    g, live = _pair_tensors(mats, support)
+    want_g = reference_pair_tensors(mats, support)
+    assert same_bits(g, want_g), case
+    rows, want_rows = _constraint_rows(g, live), reference_constraint_rows(want_g)
+    assert same_bits(rows, want_rows), case
+    assert np.array_equal(live, live.T), case
+    computed = np.repeat(live[np.triu_indices(len(s), 1)], 2)
+    assert not want_rows[~computed].any(), case
+    return live
+
+
+def _rotated(s, seed, parties=None):
+    """`s` under seeded local unitaries on `parties` (every party by default)."""
+    us = random_local_unitaries(s.space, np.random.default_rng(seed))
+    if parties is not None:
+        us = [u if q in parties else np.eye(len(u)) for q, u in enumerate(us)]
+    return apply_local_unitaries(s, us)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("s1_general",))
+def test_screened_pair_data_matches_the_dense_reference(name):
+    s = build_fixture(name, d=6) if name == "s1_general" else build_fixture(name)
+    for variant, v in (("plain", s), ("rotated", _rotated(s, 7))):
+        for p in range(s.space.n_parties):
+            for on_support in (False, True):
+                _assert_screen_matches_reference(v, p, on_support, (variant, p, on_support))
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10, 12])
+def test_screened_pair_data_matches_the_dense_reference_on_s1_general(d):
+    s = build_fixture("s1_general", d=d)
+    for p in range(s.space.n_parties):
+        for on_support in (False, True):
+            _assert_screen_matches_reference(s, p, on_support, (p, on_support))
+
+
+def test_screened_pair_data_on_one_and_two_states():
+    space = PartySpace((3, 3))
+    one = StateSet(space, [make_ket(space, [(1, (0, 0))], "00")], "one")
+    apart = StateSet(space, [make_ket(space, [(1, (0, 0))], "00"), make_ket(space, [(1, (1, 1))], "11")], "apart")
+    shared = StateSet(space, [make_ket(space, [(1, (0, 0))], "00"), make_ket(space, [(1, (1, 0))], "10")], "shared")
+    for s, pairs in ((one, 0), (apart, 0), (shared, 1)):
+        live = _assert_screen_matches_reference(s, 0, False, s.name)
+        assert np.array_equal(np.diagonal(live), np.ones(len(s), dtype=bool)), s.name
+        assert live[np.triu_indices(len(s), 1)].sum() == pairs, s.name
+        for p in range(2):
+            for on_support in (False, True):
+                _assert_screen_matches_reference(s, p, on_support, (s.name, p, on_support))
+                _assert_screen_matches_reference(_rotated(s, 3), p, on_support, (s.name, p, on_support))
+
+
+def test_screen_keeps_few_rows_at_the_s1_general_d8_root():
+    s = build_fixture("s1_general", d=8)
+    for p in range(s.space.n_parties):
+        for on_support in (False, True):
+            live = _assert_screen_matches_reference(s, p, on_support, (p, on_support))
+            kept = 2 * int(live[np.triu_indices(len(s), 1)].sum())
+            assert 0 < kept <= len(s) * (len(s) - 1) // 4, (p, on_support, kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(3, 4), (4, 4), (2, 6), (6, 2), (2, 2, 3), (3, 2, 2)]),
+    keep=st.floats(0.3, 1.0),
+)
+def test_screened_pair_data_matches_on_product_bases_rotated_on_one_party(seed, dims, keep):
+    # a subset of the computational basis, rotated on one party only: G is
+    # generic, and the screen keeps exactly the pairs that agree on every
+    # index outside the solved and the rotated party, so it still drops pairs
+    rng = np.random.default_rng(seed)
+    space = PartySpace(dims)
+    total = int(np.prod(dims))
+    rows = np.sort(rng.choice(total, size=max(2, int(keep * total)), replace=False))
+    s = StateSet.from_matrix(space, np.eye(total, dtype=complex)[rows], [f"b{i}" for i in rows], "basis")
+    rotated = int(rng.integers(len(dims)))
+    s = _rotated(s, seed, parties={rotated})
+    index = np.array(np.unravel_index(rows, dims)).T
+    for p in range(len(dims)):
+        others = [q for q in range(len(dims)) if q not in (p, rotated)]
+        shared = (index[:, None, others] == index[None, :, others]).all(axis=2)
+        for on_support in (False, True):
+            live = _assert_screen_matches_reference(s, p, on_support, (rotated, p, on_support))
+            assert np.array_equal(live, shared), (rotated, p, on_support)
+
+
+def test_state_pair_lists_are_built_once_per_size(monkeypatch):
+    sizes, triu = [], np.triu_indices
+
+    def recorded(n, k=0, m=None):
+        sizes.append(n)
+        return triu(n, k, m)
+
+    monkeypatch.setattr(np, "triu_indices", recorded)
+    oplm._upper.cache_clear()
+    s = build_fixture("s1_general", d=6)
+    search_distinguishing_protocol(s, max_depth=12)
+    activation_search(s, max_depth=12)
+    for p in range(s.space.n_parties):
+        sp = oplm_space(s, p, on_support=True)
+        assert sp.worst_overlap() == sp.worst_overlap() <= SPAN_TOL
+    assert sizes and len(sizes) == len(set(sizes)), sorted(sizes)
+
+
+# party A of a rotated s1_general d=12 keeps all 20,736 ordered pairs; the
+# process peaked at 154.9 MB before the pair screen, and may take 10% more
+ROTATED_D12_RSS_MB = 170
+ROTATED_D12_RUN = PEAK_RSS_SOURCE + """
+import json
+import numpy as np
+from qlocc.fixtures import build_fixture
+from qlocc.oplm import oplm_space
+from qlocc.states import apply_local_unitaries, random_local_unitaries
+s = build_fixture("s1_general", d=12)
+s = apply_local_unitaries(s, random_local_unitaries(s.space, np.random.default_rng(12)))
+sp = oplm_space(s, 0)
+print(json.dumps({"space_dim": sp.space_dim, "rss_mb": peak_rss_mb()}))
+"""
+
+
+def test_rotated_s1_general_d12_solve_memory_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlocc.__file__)))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", ROTATED_D12_RUN], env=env, capture_output=True, text=True, check=True, timeout=300)
+    got = json.loads(out.stdout)
+    assert got["space_dim"] == 2
+    assert got["rss_mb"] < ROTATED_D12_RSS_MB, got
 
 
 def _assert_matches_eager(s, p, on_support, case):
@@ -426,7 +576,7 @@ def _search_rows(monkeypatch):
             search_distinguishing_protocol(build_fixture("s1_general", d=d), max_depth=2 * d)
             activation_search(build_fixture("s1_general", d=d), max_depth=2 * d)
     s4 = build_fixture("s4")
-    seen += [_constraint_rows(_pair_data(s4, p, on)) for p in range(s4.space.n_parties) for on in (False, True)]
+    seen += [_constraint_rows(*_pair_data(s4, p, on)) for p in range(s4.space.n_parties) for on in (False, True)]
     return seen
 
 
@@ -475,7 +625,7 @@ def test_singular_value_rank_is_clear_on_fixtures():
     # no fixture's space dimension hangs on rounding; `oplm_space` against
     # the reference is `test_lazy_basis_matches_eager_full_svd`
     for case, s, p, on_support in _fixture_cases():
-        sv = _tall_svd(_constraint_rows(_pair_data(s, p, on_support)))[0]
+        sv = _tall_svd(_constraint_rows(*_pair_data(s, p, on_support)))[0]
         cut = max(RANK_RTOL * sv[0], 1e-10) if sv.size else 1e-10
         assert not np.any((sv > cut / 10) & (sv < cut * 10)), case
 

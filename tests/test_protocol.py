@@ -40,6 +40,7 @@ from qlocc.states import (
 )
 
 from _helpers import (
+    PEAK_RSS_SOURCE,
     ReferenceCheck,
     _collect_leaves,
     childless_s3_activation_tree,
@@ -183,8 +184,8 @@ def test_s1_general_masks_match_survivors_at_every_expanded_node(search, d, monk
 # both searches on s1_general d = 10 at depth 2d, in a fresh process: the
 # OPLM solves stay below this peak (about 165 MB measured)
 EDGE_RSS_MB = 300
-EDGE_RUN = """
-import json, resource
+EDGE_RUN = PEAK_RSS_SOURCE + """
+import json
 from qlocc.fixtures import build_fixture
 from qlocc.protocol import activation_search, search_distinguishing_protocol
 dist = search_distinguishing_protocol(build_fixture("s1_general", d=10), max_depth=20)
@@ -192,7 +193,7 @@ act = activation_search(build_fixture("s1_general", d=10), max_depth=20)
 print(json.dumps({
     "dist": [dist.kind, dist.verified],
     "act": [act.kind, act.params["complete"]],
-    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "rss_mb": peak_rss_mb(),
 }))
 """
 
