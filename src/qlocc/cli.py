@@ -39,7 +39,7 @@ from .protocol import (
 from .qset import QsetError, parse_qset, serialize_qset
 from .render import overlay_from_kraus, render
 from .states import gram_check, party_letter, redundancy_check
-from .upb import check_unextendible, numeric_extension_search
+from .upb import CapExceeded, check_unextendible, numeric_extension_search
 
 
 class UsageError(Exception):
@@ -283,27 +283,34 @@ def cmd_irreducible(args, report):
 def cmd_upb(args, report):
     s = _load_set(args, report)
     _require_orthogonal(s, _tol(args), args.force)
-    v = check_unextendible(s)
-    payload = {
-        "verdict": "UNEXTENDIBLE" if v.unextendible else "EXTENDIBLE",
-        "support_note": v.support_note,
-        "nodes_explored": v.nodes_explored,
-    }
-    if v.witness is not None:
-        payload["extension_witness"] = serialize_qset(
-            type(s)(s.space, [v.witness], "extension")
-        )
+    try:
+        v = check_unextendible(s)
+    except CapExceeded as exc:
+        if not args.oracle_restarts:
+            raise
+        # the oracle still runs; the exit code stays the refusal's
+        v = None
+        payload = {"verdict": "REFUSED", "refusal": exc.refusal}
+        human = f"{s.name}: exact check refused ({exc.refusal})"
+    else:
+        payload = {
+            "verdict": "UNEXTENDIBLE" if v.unextendible else "EXTENDIBLE",
+            "support_note": v.support_note,
+            "nodes_explored": v.nodes_explored,
+        }
+        if v.witness is not None:
+            payload["extension_witness"] = serialize_qset(
+                type(s)(s.space, [v.witness], "extension")
+            )
+        human = f"{s.name}: {payload['verdict']} ({v.support_note})"
     if args.oracle_restarts:
         res = numeric_extension_search(s, restarts=args.oracle_restarts, seed=args.seed or 0)
-        payload["oracle"] = {
-            "residual": res.residual,
-            "restarts": res.restarts,
-            "agrees": (res.residual <= ORACLE_TOL) == (not v.unextendible),
-        }
-    human = f"{s.name}: {payload['verdict']} ({v.support_note})"
-    if "oracle" in payload:
-        human += f"; oracle residual {payload['oracle']['residual']:.3g} ({'agrees' if payload['oracle']['agrees'] else 'DISAGREES'})"
-    return (0 if v.unextendible else 1), payload, human
+        agrees = None if v is None else (res.residual <= ORACLE_TOL) == (not v.unextendible)
+        payload["oracle"] = {"residual": res.residual, "restarts": res.restarts, "agrees": agrees}
+        human += f"; oracle residual {res.residual:.3g}"
+        if v is not None:
+            human += f" ({'agrees' if agrees else 'DISAGREES'})"
+    return (2 if v is None else 0 if v.unextendible else 1), payload, human
 
 
 def _load_protocol(spec: str):

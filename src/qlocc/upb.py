@@ -23,6 +23,7 @@ plain party-order search finds first; see `check_unextendible`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,15 @@ def _local_support_vectors(s: StateSet, factors):
         supports.append(u)
         locals_.append(np.stack([u.conj().T @ v for v in vecs]))
     return supports, locals_
+
+
+class CapExceeded(ValueError):
+    """The exact search refuses an input beyond one of its caps; `refusal`
+    says which cap, with its value."""
+
+    def __init__(self, message: str, refusal: str):
+        super().__init__(message)
+        self.refusal = refusal
 
 
 @dataclass
@@ -97,30 +107,40 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
         raise ValueError(f"state {s.labels[int(np.argmin(product))]} is not a product state")
     k = len(s)
     if n_parties**k > ASSIGNMENT_CAP:
-        raise ValueError(f"{n_parties}^{k} assignments exceed cap; use numeric_extension_search")
+        raise CapExceeded(
+            f"{n_parties}^{k} assignments exceed cap; use numeric_extension_search",
+            f"{n_parties}^{k} assignments exceed ASSIGNMENT_CAP = {ASSIGNMENT_CAP}",
+        )
     supports, locals_ = _local_support_vectors(s, factors)
     rdims = [u.shape[1] for u in supports]
     note = "supports: " + " x ".join(str(r) for r in rdims) + f" (ambient {'x'.join(str(d) for d in s.space.party_dims)})"
 
     nodes = 0
-    spans = [np.zeros((r, 0), dtype=np.complex128) for r in rdims]
+    # each party's span of assigned local vectors, with its conjugate transpose
+    spans = [(z, z.conj().T) for z in (np.zeros((r, 0), dtype=np.complex128) for r in rdims)]
     assignment: list[int] = []
 
     def dfs(i: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > NODE_CAP:
-            raise ValueError("assignment search exceeded node cap")
+            raise CapExceeded("assignment search exceeded node cap", f"assignment search exceeded NODE_CAP = {NODE_CAP} nodes")
         if i == k:
             return True
+        # residuals up to the first free party: only the parties before it
+        # are tried besides it
         resids = []
-        for p in range(n_parties):
+        for p, (span, span_h) in enumerate(spans):
             w = locals_[p][i]
-            resid = w - spans[p] @ (spans[p].conj().T @ w)
-            resids.append((resid, np.linalg.norm(resid)))
-        free = next((p for p, (_, rn) in enumerate(resids) if rn <= SPAN_TOL), None)
-        if free is None:
+            resid = w - span @ (span_h @ w)
+            re, im = resid.real, resid.imag
+            rn = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(resid), bit for bit
+            if rn <= SPAN_TOL:
+                break
+            resids.append((resid, rn))
+        else:
             return grow_into(i, range(n_parties), resids)
+        free = len(resids)
         at_entry = list(spans)
         assignment.append(free)
         if not dfs(i + 1):
@@ -141,20 +161,22 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
         residual, until the rest of the search succeeds."""
         for p in parties:
             resid, rn = resids[p]
-            if spans[p].shape[1] + 1 >= rdims[p]:
+            span, span_h = spans[p]
+            if span.shape[1] + 1 >= rdims[p]:
                 continue  # party span would become full: no room for a witness
-            spans[p] = np.hstack([spans[p], (resid / rn)[:, None]])
+            grown = np.hstack([span, (resid / rn)[:, None]])
+            spans[p] = grown, grown.conj().T
             assignment.append(p)
             if dfs(i + 1):
                 return True
             assignment.pop()
-            spans[p] = spans[p][:, :-1]
+            spans[p] = span, span_h
         return False
 
     if dfs(0):
         parts = []
         for p in range(n_parties):
-            v = _orth_complement_vector(spans[p], rdims[p])
+            v = _orth_complement_vector(spans[p][0], rdims[p])
             parts.append(supports[p] @ v)
         amp = parts[0]
         for v in parts[1:]:
@@ -222,12 +244,25 @@ def _extension_search(s: StateSet, supports, restarts: int, seed: int) -> Extens
 
 
 # The descent below runs many restarts at once but must return, bit for bit,
-# what one restart at a time returns. Each batched numpy call therefore
-# performs, item by item, the same BLAS or ufunc kernel on operands with the
-# same strides as the per-state call it replaces: np.matmul runs the gemv or
-# dot that np.dot runs inside np.tensordot, sums over states run strictly in
-# state order (np.add.accumulate, never a pairwise reduce), and |z|**2 is
-# libm pow, as on a numpy scalar.
+# what one restart at a time returns. This bit contract fixes:
+# - Contractions. np.matmul runs, item by item, the gemv or dot that np.dot
+#   runs inside np.tensordot, and the operand strides pick the kernel, so
+#   every matmul operand keeps the strides of the per-state call. A party's
+#   vector is read as column 0 of eigh's full (r, r) eigenvector matrix, a
+#   view with row stride r. Storing the eigenvectors sliced to [:, :, :1]
+#   changes bits on 2x2x2: the per-sweep copy of the active restarts then
+#   gives the column unit stride. Broadcasting over restarts or states
+#   leaves the strides of each item as they are.
+# - Outer products. They are array products, as in np.outer; numpy's
+#   scalar complex multiply rounds differently.
+# - Sums over states. They run strictly in state order with in-place adds,
+#   starting from +0.0 as the loop does (never a pairwise reduce).
+# - |z|**2. It is libm pow, as on a numpy scalar, not z * z.
+# - The residual. For N = 2 it reuses the last party's contraction; for
+#   N > 2 the party update contracts in descending and the residual in
+#   ascending party order, which round differently, so it is recomputed.
+# - The eigensolver. The batched np.linalg.eigh solves each matrix as eigh
+#   of that matrix alone; it is about half the oracle's time.
 
 
 def _compressed_states(s: StateSet, supports) -> np.ndarray:
@@ -267,25 +302,43 @@ def _random_starts(rng, rdims, count: int) -> list[np.ndarray]:
 
 def _contract(t: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
     """``np.tensordot(t[b, i], vecs[b, :, 0], axes=([axis], [0]))`` for every
-    restart b and state i of a (B, n, ...) stack."""
-    moved = np.moveaxis(t, 2 + axis, -1)
+    restart b and state i of a (B, n, ...) stack, where B may be 1 for a
+    stack all restarts share."""
+    order = list(range(t.ndim))
+    order.append(order.pop(2 + axis))
+    moved = t.transpose(order)
     rest = moved.shape[2:-1]
-    mats = moved.reshape(moved.shape[:2] + (int(np.prod(rest)), moved.shape[-1]))
-    cols = np.broadcast_to(vecs[:, None, :, :1], mats.shape[:2] + (mats.shape[-1], 1))
-    return np.matmul(mats, cols).reshape(moved.shape[:2] + rest)
+    mats = moved.reshape(moved.shape[:2] + (math.prod(rest), moved.shape[-1]))
+    return np.matmul(mats, vecs[:, None, :, :1]).reshape((len(vecs), t.shape[1]) + rest)
 
 
-def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
-    """``total = 0; for x in a: total += x`` along ``axis``, rounding included."""
-    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
+def _sum_in_order(terms) -> np.ndarray:
+    """``total = 0; for x in terms: total += x``, rounding included."""
+    terms = iter(terms)
+    total = next(terms) + 0.0
+    for x in terms:
+        total += x
+    return total
+
+
+def _outer_sum(u: np.ndarray) -> np.ndarray:
+    """sum_i outer(conj(u[b, i]), u[b, i]) over the states i of a (B, n, r)
+    stack, one state at a time."""
+    cols, rows = np.conj(u)[..., :, None], u[..., None, :]
+    return _sum_in_order(cols[:, i] * rows[:, i] for i in range(u.shape[1]))
+
+
+def _squared_sum(val: np.ndarray) -> np.ndarray:
+    """sum_i |val[b, i]|^2 for each restart b of a (B, n) stack."""
+    return _sum_in_order(np.float_power(np.abs(val), 2).T)
 
 
 def _residuals(tensors: np.ndarray, vecs) -> np.ndarray:
     """sum_i |<psi_i|a_1 x ... x a_N>|^2 for each restart."""
-    val = np.broadcast_to(tensors, (vecs[0].shape[0],) + tensors.shape)
+    val = tensors[None]
     for v in vecs:
         val = _contract(val, v, 0)
-    return _sum_in_order(np.float_power(np.abs(val), 2), axis=1)
+    return _squared_sum(val)
 
 
 def _descend(tensors: np.ndarray, starts) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -310,9 +363,13 @@ def _descend(tensors: np.ndarray, starts) -> tuple[np.ndarray, list[np.ndarray]]
             for q in range(n_parties - 1, -1, -1):
                 if q != p:
                     u = _contract(u, cur_vecs[q], q)
-            f = _sum_in_order(np.conj(u)[..., :, None] * u[..., None, :], axis=1)
-            cur_vecs[p] = np.linalg.eigh(f)[1]
-        cur = _residuals(tensors, cur_vecs)
+            cur_vecs[p] = np.linalg.eigh(_outer_sum(u))[1]
+        if n_parties == 2:
+            # the last party's u is the residual's first contraction; for
+            # N > 2 the two contract in opposite orders
+            cur = _squared_sum(_contract(u, cur_vecs[1], 0))
+        else:
+            cur = _residuals(tensors, cur_vecs)
         if sweep == 0:  # every restart is active in the first sweep
             vecs = cur_vecs
         else:

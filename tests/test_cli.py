@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlocc import cli
+from qlocc import cli, upb
 from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import SPAN_TOL
@@ -164,6 +164,38 @@ def test_upb_oracle_json_pinned(capsys, files, name, oracle):
     got = dict(rep["verdicts"]["oracle"])
     got["residual"] = repr(got["residual"])
     assert got == oracle
+
+
+def test_upb_oracle_runs_past_the_assignment_cap(capsys, tmp_path):
+    # s1_general d=6: 36 product states on 6x6, 2^36 assignments; the exact
+    # check refuses them, and --oracle-restarts still runs the oracle
+    path = tmp_path / "s1g6.qset"
+    path.write_text(serialize_qset(build_fixture("s1_general", d=6)))
+    code, out, err = run(capsys, "upb", "--set", str(path))
+    assert (code, out) == (2, "")
+    assert err == "qlocc: error: 2^36 assignments exceed cap; use numeric_extension_search\n"
+    code, rep = run_json(capsys, "upb", "--set", str(path), "--oracle-restarts", "20")
+    assert code == 2
+    v = rep["verdicts"]
+    assert v["verdict"] == "REFUSED"
+    assert v["refusal"] == "2^36 assignments exceed ASSIGNMENT_CAP = 10000000"
+    assert v["oracle"]["restarts"] == 20 and v["oracle"]["agrees"] is None
+    # a unit vector's squared overlaps with a complete basis sum to 1
+    assert v["oracle"]["residual"] == pytest.approx(1.0)
+    code, out, _ = run(capsys, "upb", "--set", str(path), "--oracle-restarts", "20")
+    assert code == 2
+    assert out.startswith("s1_general(6): exact check refused (2^36 assignments exceed ASSIGNMENT_CAP = 10000000); oracle residual ")
+
+
+def test_upb_oracle_runs_past_the_node_cap(capsys, files, monkeypatch):
+    # the node cap refuses the same way: tiles33 takes 19 nodes
+    monkeypatch.setattr(upb, "NODE_CAP", 5)
+    code, _, err = run(capsys, "upb", "--set", files["tiles33"])
+    assert code == 2 and err == "qlocc: error: assignment search exceeded node cap\n"
+    code, rep = run_json(capsys, "upb", "--set", files["tiles33"], "--oracle-restarts", "3")
+    assert code == 2
+    assert rep["verdicts"]["refusal"] == "assignment search exceeded NODE_CAP = 5 nodes"
+    assert rep["verdicts"]["oracle"]["restarts"] == 3 and rep["verdicts"]["oracle"]["agrees"] is None
 
 
 def test_protocol_verify_builtin(capsys, files):

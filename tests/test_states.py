@@ -15,7 +15,7 @@ from _helpers import (
     state_model_cases,
 )
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture
-from qlocc.linalg import RANK_RTOL
+from qlocc.linalg import RANK_RTOL, as_carray
 from qlocc.partitions import _merge_for, _partition_label, _two_block_partitions
 from qlocc import states
 from qlocc.qset import parse_qset, serialize_qset
@@ -415,6 +415,32 @@ def _ket_matches_unit_rows(space, row) -> bool:
 def test_ket_normalizes_rows_as_unit_rows(s):
     m = s.matrix()
     assert all(_ket_matches_unit_rows(s.space, row) for row in np.concatenate([m, 3 * m, m / 7]))
+
+
+def test_unit_rows_scans_entries_only_when_a_norm_is_not_finite(monkeypatch):
+    row = build_fixture("s1_general", d=4).matrix()[5] * (1 + 1j)
+    scans = []
+
+    def counting_as_carray(m):
+        scans.append(m.shape)
+        return as_carray(m)
+
+    monkeypatch.setattr(states, "as_carray", counting_as_carray)
+    states._unit_rows(row.reshape(1, -1).copy())
+    assert scans == []
+    # a non-finite entry makes the norm non-finite: the scan names it
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        odd = row.copy()
+        odd[3] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            states._unit_rows(odd.reshape(1, -1))
+    # a finite row whose norm overflows passes the scan, as it always did
+    scans.clear()
+    odd = row.copy()
+    odd[3] = 1e200
+    with np.errstate(over="ignore"):
+        states._unit_rows(odd.reshape(1, -1))
+    assert scans == [(1, odd.size)]
 
 
 def test_ket_normalization_thresholds_match_unit_rows():

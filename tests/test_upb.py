@@ -387,6 +387,9 @@ ORACLE_INPUTS = {
     "random222-3": lambda: _random_product_set(41, (2, 2, 2), 3),
     "random222-6": lambda: _random_product_set(42, (2, 2, 2), 6),
     "random222-8": lambda: _random_product_set(43, (2, 2, 2), 8),
+    # four parties: both extendible
+    "random2222-4": lambda: _random_product_set(51, (2, 2, 2, 2), 4),
+    "random2222-8": lambda: _random_product_set(52, (2, 2, 2, 2), 8),
 }
 
 
@@ -428,6 +431,73 @@ def test_oracle_blocks_match_reference_loop_bit_for_bit(name, monkeypatch):
     monkeypatch.setattr(upb, "RESTART_BLOCK", 7)
     s = _oracle_input(name)
     assert _same_bits(numeric_extension_search(s, 60, 7), _reference_extension_search(s, 60, 7))
+
+
+def shifts_x_flag():
+    """Shifts (x) {|0>, |1>} on C2 x C2 x C2 x C2: unextendible, since the
+    fourth factor of a product extension cannot be orthogonal to both flags."""
+    shifts = shifts_upb()
+    space = PartySpace((2, 2, 2, 2))
+    states = [Ket(space, np.kron(k.amplitudes, np.eye(2)[c]), f"{k.label}_{c}") for k in shifts.states for c in (0, 1)]
+    return StateSet(space, states, "shifts-x-flag")
+
+
+@pytest.mark.parametrize("restarts", [1, 20])
+@pytest.mark.parametrize("restrict_support", [True, False], ids=["support", "ambient"])
+def test_oracle_matches_reference_loop_on_a_four_party_upb(restrict_support, restarts):
+    # every restart runs: the stacked block contracts three parties per party update
+    s = shifts_x_flag()
+    assert check_unextendible(s).unextendible
+    ref = _reference_extension_search(s, restarts, 7, restrict_support)
+    if restrict_support:
+        got = numeric_extension_search(s, restarts, 7)
+    else:
+        got = _ambient_extension_search(s, restarts, 7)
+    assert ref.residual > 1e-3
+    assert _same_bits(got, ref), (got.residual, ref.residual)
+
+
+@pytest.mark.parametrize("name, seed", [("tiles33", 5), ("shifts", 3)])
+def test_oracle_block_that_shrinks_to_one_restart_matches_reference(name, seed, monkeypatch):
+    # restart 0, then one block of 4: all but one of the block's restarts
+    # stop early, so its last sweeps run on a stack of one
+    s = _oracle_input(name)
+    ref = _reference_extension_search(s, 5, seed)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(f):
+        sizes.append(f.shape[0])
+        return eigh(f)
+
+    monkeypatch.setattr(upb, "RESTART_BLOCK", 4)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    got = numeric_extension_search(s, 5, seed)
+    monkeypatch.undo()
+    block = sizes[sizes.index(4) :]
+    assert block[-1] == 1 and set(block) >= {4, 1}, sizes
+    assert _same_bits(got, ref), (got.residual, ref.residual)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    r0=st.integers(2, 4),
+    r1=st.integers(2, 4),
+    count=st.integers(1, 9),
+)
+def test_two_party_descent_residual_equals_residuals(seed, n, r0, r1, count):
+    # for N = 2 the descent takes each sweep's residual from the last party's
+    # contraction; it must equal `_residuals` of the vectors it returns, byte
+    # for byte, including the stride order `_compressed_states` leaves
+    rng = np.random.default_rng(seed)
+    space = PartySpace((r0, r1))
+    rows = rng.normal(size=(n, r0 * r1)) + 1j * rng.normal(size=(n, r0 * r1))
+    s = StateSet.from_matrix(space, rows, [f"v{i}" for i in range(n)])
+    tensors = upb._compressed_states(s, [np.eye(r, dtype=np.complex128) for r in (r0, r1)])
+    res, vecs = upb._descend(tensors, upb._random_starts(rng, [r0, r1], count))
+    assert res.tobytes() == _residuals(tensors, vecs).tobytes()
 
 
 def test_residual_squares_as_numpy_scalars_do():
