@@ -28,6 +28,8 @@ operators and the pinned certificate bytes.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -291,32 +293,84 @@ class LocalMeasurement:
         return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
-class Candidates(list):
-    """A party's candidate measurements; `capped` names the union families
-    skipped for having more than ATOM_CAP atoms, and `masks[c, o]` marks
-    the states that outcome o of candidate c keeps.
+def _union_kraus(support: np.ndarray, parts: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and I - P, in full dimension, of each union of `parts` (k, r, r) in
+    the coordinates of `support` (d, r) that a row of `members` (m, k), 0/1,
+    marks: its parts added in ascending order, each to the rows it is a
+    member of, embedded by one batched product, then Q = I - P. The one
+    construction of candidate Kraus operators: a MASK_CHUNK of unions for
+    their dedupe keys, and a stack of one on a candidate's first read, with
+    the same bits."""
+    p = np.zeros((len(members),) + parts.shape[1:], dtype=np.complex128)
+    for b in np.flatnonzero(members.any(axis=0)):
+        np.add(p, parts[b], out=p, where=members[:, b, None, None] == 1)
+    p_full = support @ p @ support.conj().T
+    return p_full, np.eye(len(support), dtype=np.complex128) - p_full
+
+
+class _Unions(NamedTuple):
+    """The passing unions of one family, in ascending mask order: each one's
+    member parts, P label and dedupe key, and the family's parts in the
+    coordinates of `support`, from which `_union_kraus` builds any union."""
+
+    members: np.ndarray  # (n_unions, len(parts)), bool
+    labels: list[str]
+    keys: list[bytes]
+    support: np.ndarray  # (d, r)
+    parts: np.ndarray  # (k, r, r)
+
+    def measurement(self, party: int, c: int) -> LocalMeasurement:
+        """Union c as the measurement {P, I - P}."""
+        p, q = _union_kraus(self.support, self.parts, self.members[c : c + 1])
+        return LocalMeasurement(party, [p[0], q[0]], [self.labels[c], f"I-{self.labels[c]}"])
+
+    def outcome_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The family's parts in full dimension, then its residual I - (sum
+        of its parts), and each union's outcome bits over them: P holds the
+        union's parts, I - P the others and the residual."""
+        full = self.support @ self.parts @ self.support.conj().T
+        stack = np.concatenate([full, (np.eye(len(self.support), dtype=np.complex128) - full.sum(axis=0))[None]])
+        m, n = self.members.astype(np.float64), len(self.members)
+        return stack, np.stack([np.c_[m, np.zeros(n)], np.c_[1 - m, np.ones(n)]], axis=1)
+
+
+class Candidates(Sequence):
+    """A party's candidate measurements, each built on first read (by index
+    or iteration) and kept; `capped` names the union families skipped for
+    having more than ATOM_CAP atoms, and `masks[c, o]` marks the states
+    that outcome o of candidate c keeps.
 
     Every candidate's Kraus operators are sums of orthogonal parts: P is the
     sum of its union's blocks or indices, and I - P the sum of the family's
     other parts and its residual I - (sum of the family's parts), which
     holds any weight outside the support or on unoccupied indices. So each
     family's masks come from one product with its at most d + 1 parts
-    (`union_survivors`); move ordering and `is_locally_irreducible` read
-    them."""
+    (`union_survivors`). Move ordering and `is_locally_irreducible` read
+    them, and `label`, without building any operator; a search builds only
+    the candidates whose outcomes it applies."""
 
-    capped: tuple[str, ...] = ()
-    masks: np.ndarray  # (len(self), 2, n_states), bool
+    def __init__(self, party: int, unions: list[tuple[_Unions, int]], masks: np.ndarray, capped: tuple[str, ...]):
+        self.party = party
+        self.masks = masks  # (len(self), 2, n_states), bool
+        self.capped = capped
+        self._unions = unions  # per candidate, its family and its index there
+        self._built: list[LocalMeasurement | None] = [None] * len(unions)
 
+    def __len__(self) -> int:
+        return len(self._unions)
 
-class _Unions(NamedTuple):
-    """The passing unions of one family: measurements in ascending mask
-    order, each outcome's part bits over `parts` (the family's parts in full
-    dimension, then its residual), and each measurement's dedupe key."""
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._built[i] is None:
+            u, c = self._unions[i]
+            self._built[i] = u.measurement(self.party, c)
+        return self._built[i]
 
-    measurements: list[LocalMeasurement]
-    bits: np.ndarray  # (len(measurements), 2, len(parts))
-    keys: list[bytes]
-    parts: np.ndarray  # (n_family_parts + 1, d, d)
+    def label(self, i: int) -> str:
+        """The P label of candidate i, read without building it."""
+        u, c = self._unions[i]
+        return u.labels[c]
 
 
 def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
@@ -340,9 +394,9 @@ def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
     return len(tops) - 1 - owner, len(tops)
 
 
-def _union_measurements(party: int, support: np.ndarray, parts: np.ndarray, index_sets, cols: np.ndarray) -> _Unions | None:
-    """The measurements {P, I-P} for every union P of parts that passes a
-    test linear in the union, in ascending mask order; None when the parts
+def _union_measurements(support: np.ndarray, parts: np.ndarray, index_sets, cols: np.ndarray) -> _Unions | None:
+    """Every union P of parts that passes a test linear in the union, each
+    the measurement {P, I-P}, in ascending mask order; None when the parts
     make more than ATOM_CAP atoms, the one bound on the candidate class.
 
     `parts` (k, r, r) are orthogonal projectors in the coordinates of
@@ -351,47 +405,38 @@ def _union_measurements(party: int, support: np.ndarray, parts: np.ndarray, inde
     pass, and a union and its complement are one measurement, so the unions
     of atoms without the last are tried, one matrix product per MASK_CHUNK
     of them, in ascending part-mask order. Each chunk's passing unions are
-    built as one stack: parts added in ascending order (the bits of adding
-    them one union at a time), embedded by one batched product, and their
-    dedupe keys rounded at once. P is labelled by its indices, P[...], when
-    every member part has an index set, and by its parts, P[blocks ...].
+    built as one `_union_kraus` stack for their dedupe keys, the sha256
+    digests of min(rounded P bytes, rounded I - P bytes), and the stack is
+    dropped: a union keeps its members, label and key. P is labelled by its
+    indices, P[...], when every member part has an index set, and by its
+    parts, P[blocks ...].
     """
     owner, k = _atoms(cols)
     if k > ATOM_CAP:
         return None
-    d = support.shape[0]
-    ident = np.eye(d, dtype=np.complex128)
-    full = support @ parts @ support.conj().T
     n_masks = 1 << max(k - 1, 0)
-    out, keys, all_bits = [], [], []
+    labels, keys, members = [], [], [np.zeros((0, len(parts)), dtype=bool)]
     for lo in range(1, n_masks, MASK_CHUNK):
         masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
         bits = (masks[:, None] >> owner) & 1  # a part's bit is its atom's
         bits = bits[np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL]
         if not len(bits):
             continue
-        p = np.zeros((len(bits),) + parts.shape[1:], dtype=np.complex128)
-        for b, part in enumerate(parts):
-            p[bits[:, b] == 1] += part
-        p_full = support @ p @ support.conj().T
-        q_full = ident - p_full
+        p_full, q_full = _union_kraus(support, parts, bits)
         rp, rq = np.round(p_full, 9), np.round(q_full, 9)
         for c, row in enumerate(bits):
-            members = np.flatnonzero(row).tolist()
-            if all(index_sets[b] is not None for b in members):
-                label = "P[" + ",".join(str(i) for i in sorted(i for b in members for i in index_sets[b])) + "]"
+            union = np.flatnonzero(row).tolist()
+            if all(index_sets[b] is not None for b in union):
+                labels.append("P[" + ",".join(str(i) for i in sorted(i for b in union for i in index_sets[b])) + "]")
             else:
-                label = f"P[blocks {members}]"
-            out.append(LocalMeasurement(party, [p_full[c], q_full[c]], [label, f"I-{label}"]))
-            keys.append(min(rp[c].tobytes(), rq[c].tobytes()))
-        # P holds the union's parts; I - P the others and the residual
-        all_bits.append(np.stack([np.c_[bits, np.zeros(len(bits))], np.c_[1 - bits, np.ones(len(bits))]], axis=1))
-    stack = np.concatenate([full, (ident - full.sum(axis=0))[None]])
-    return _Unions(out, np.concatenate(all_bits) if all_bits else np.zeros((0, 2, len(stack))), keys, stack)
+                labels.append(f"P[blocks {union}]")
+            keys.append(hashlib.sha256(min(rp[c].tobytes(), rq[c].tobytes())).digest())
+        members.append(bits == 1)
+    return _Unions(np.concatenate(members), labels, keys, support, parts)
 
 
 def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
-    """`projective_oplms` with each union's part bits and dedupe key."""
+    """The block unions of `projective_oplms`, unbuilt."""
     if not bs.commuting:
         raise ValueError("operator space basis does not commute; no block structure")
     r = sp.support_dim
@@ -402,7 +447,7 @@ def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
     n = len(sp.pair_tensors)
     i, j = _upper(n)
     vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
-    return _union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
+    return _union_measurements(sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
 
 def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement] | None:
@@ -423,14 +468,15 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     if sp.worst_overlap() > SPAN_TOL:
         return []
     unions = _block_unions(sp, bs)
-    return None if unions is None else unions.measurements
+    return None if unions is None else [unions.measurement(sp.party, c) for c in range(len(unions.keys))]
 
 
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> Candidates:
     """Two-outcome projective OPLM candidates for one party.
 
     Two families of unions, enumerated by `_union_measurements` and
-    deduplicated on their rounded Kraus operators, the first found kept:
+    deduplicated on the digests of their rounded Kraus operators, the first
+    found kept:
 
     * If the operator space restricted to the joint local support commutes,
       `projective_oplms`: the unions of joint eigenblocks (complete for
@@ -443,7 +489,8 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
 
     A family with more than ATOM_CAP atoms is skipped and named in `capped`.
     The result carries each kept candidate's survivor masks, taken from its
-    own family's parts before deduplication (see `Candidates`).
+    own family's parts before deduplication, and builds a candidate's Kraus
+    operators when it is first read (see `Candidates`).
     """
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
@@ -458,15 +505,14 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     diag = np.einsum("iar,jar->ija", rows.conj(), rows)
     support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
     parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
-    families.append(("index projectors", _union_measurements(party, support, parts, [[i] for i in occ], diag[_upper(len(s))])))
+    families.append(("index projectors", _union_measurements(support, parts, [[i] for i in occ], diag[_upper(len(s))])))
     seen: dict[bytes, tuple] = {}
     for u in [u for _, u in families if u is not None]:
-        for m, mask, key in zip(u.measurements, union_survivors(s, party, u.parts, u.bits), u.keys):
-            seen.setdefault(key, (m, mask))
-    out = Candidates(m for m, _ in seen.values())
-    out.capped = tuple(name for name, u in families if u is None)
-    out.masks = np.array([mask for _, mask in seen.values()], dtype=bool).reshape(len(out), 2, len(s))
-    return out
+        for c, (mask, key) in enumerate(zip(union_survivors(s, party, *u.outcome_parts()), u.keys)):
+            seen.setdefault(key, (u, c, mask))
+    masks = np.array([mask for *_, mask in seen.values()], dtype=bool).reshape(len(seen), 2, len(s))
+    capped = tuple(name for name, u in families if u is None)
+    return Candidates(party, [(u, c) for u, c, _ in seen.values()], masks, capped)
 
 
 def is_oplm(s: StateSet, m: LocalMeasurement) -> bool:
@@ -531,9 +577,9 @@ def is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
         cands = measurement_candidates(s, p, sp)
         if cands.capped:
             note += f"; {' and '.join(cands.capped)} not enumerated for party {party_letter(p)} (above {ATOM_CAP} atoms)"
-        for m, mask in zip(cands, cands.masks):
+        for c, mask in enumerate(cands.masks):
             checked += 1
             if any(0 < kept < len(s) for kept in mask.sum(axis=1)):
-                eliminable_states(s, m)  # the witness is checked as an OPLM
-                return IrreducibilityVerdict("REDUCIBLE", dims, m, checked, note)
+                eliminable_states(s, cands[c])  # the witness is checked as an OPLM
+                return IrreducibilityVerdict("REDUCIBLE", dims, cands[c], checked, note)
     return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, note)

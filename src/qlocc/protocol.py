@@ -23,6 +23,7 @@ from .linalg import NOISE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import (
     ATOM_CAP,
     CLASS_NOTE,
+    Candidates,
     LocalMeasurement,
     measurement_candidates,
     oplm_space,
@@ -326,12 +327,18 @@ class _Move(NamedTuple):
     """One candidate measurement at a node: what move ordering reads, and
     the keys of the children visited so far. The survivors come from the
     candidate's masks (`Candidates.masks`); `child_key` applies an outcome
-    on its first visit, checks that it keeps exactly those labels, and
-    stores its key."""
+    on its first visit, which builds the candidate's Kraus operators, checks
+    that it keeps exactly those labels, and stores its key."""
 
-    measurement: LocalMeasurement
+    candidates: Candidates
+    index: int  # the candidate's index in `candidates`
     survivors: list  # per outcome, the labels it keeps ([] when it eliminates every state)
     keys: list  # per outcome, the child's key, None until the search first visits it
+
+    @property
+    def measurement(self) -> LocalMeasurement:
+        """The candidate, its Kraus operators built on first read."""
+        return self.candidates[self.index]
 
 
 class SetAnalyzer:
@@ -460,6 +467,15 @@ class SetAnalyzer:
                             nd["cert"] = {"kind": "UPB", "support_note": v.support_note}
         return nd["cert"]
 
+    def leaf_redundant(self, key: bytes) -> bool | None:
+        """`_leaf_redundant` of the node's set, decided once per node: the
+        search asks it of every certified leaf it reaches, and certifying
+        the tree asks it again of each leaf the tree reaches."""
+        nd = self.nodes[key]
+        if "redundant" not in nd:
+            nd["redundant"] = _leaf_redundant(nd["set"])
+        return nd["redundant"]
+
     # -- moves ---------------------------------------------------------------
 
     def moves(self, key: bytes):
@@ -474,9 +490,9 @@ class SetAnalyzer:
             cands = measurement_candidates(s, p, self.oplm(key, p))
             if cands.capped:
                 nd["capped_in"] = set()
-            for m, mask in zip(cands, cands.masks):
+            for c, mask in enumerate(cands.masks):
                 kept = [[lab for lab, k in zip(s.labels, keep) if k] for keep in mask]
-                out.append(_Move(m, kept, [None] * len(kept)))
+                out.append(_Move(cands, c, kept, [None] * len(kept)))
         nd["moves"] = out
         return out
 
@@ -499,7 +515,7 @@ class SetAnalyzer:
         def sort_key(mv):
             elim = sum(n - len(labels) for labels in mv.survivors)
             min_surv = min((len(labels) for labels in mv.survivors if labels), default=0)
-            tie = (mv.measurement.party, mv.measurement.labels[0])
+            tie = (mv.candidates.party, mv.candidates.label(mv.index))
             if mode == "act":
                 return (elim, -min_surv) + tie
             return (-elim, -min_surv) + tie
@@ -543,7 +559,7 @@ class SetAnalyzer:
         if len(s) < 2:
             return False, None
         cert = self.certified_indistinguishable(key)
-        if cert is not None and _leaf_redundant(s) is False:
+        if cert is not None and self.leaf_redundant(key) is False:
             self.nodes[key]["act_leaf_evidence"] = cert
             return True, Leaf(reached=s)
         return (False, None) if self.exact_nonactivable(key) else None
@@ -725,7 +741,7 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
         cert = an.certified_indistinguishable(key)
         if cert is None:
             failures.append(f"{path}: leaf set not certified locally indistinguishable")
-        elif (redundant := _leaf_redundant(cur)) is None:
+        elif (redundant := an.leaf_redundant(key)) is None:
             failures.append(f"{path}: leaf set not orthogonal at ORTHO_TOL")
         elif redundant:
             failures.append(f"{path}: leaf set is locally redundant")

@@ -179,15 +179,16 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Check and normalize in place the rows of a C-contiguous complex
-    (n, D) matrix the caller owns: reject non-finite entries and a row of
-    norm below NORM_TOL, divide a row by its norm unless that is within
-    NORM_TOL of 1. The one normalization rule of the state model; `Ket.__init__`
-    applies it to its one row. A non-finite entry makes its row's norm
-    non-finite, so only then are the entries scanned, to tell it from a
-    finite row whose norm overflows."""
+    (n, D) matrix the caller owns: reject non-finite entries, a finite row
+    whose norm overflows and a row of norm below NORM_TOL, divide a row by
+    its norm unless that is within NORM_TOL of 1. The one normalization rule
+    of the state model; `Ket.__init__` applies it to its one row. A
+    non-finite entry makes its row's norm non-finite, so only then are the
+    entries scanned, to tell it from a finite row whose norm overflows."""
     norms = row_norms(m)
     if not np.isfinite(norms).all():
         as_carray(m)
+        raise ValueError("state norm overflows the float range")
     if (norms < NORM_TOL).any():
         raise ValueError("zero vector cannot be a Ket")
     off = np.abs(norms - 1.0) > NORM_TOL

@@ -9,6 +9,7 @@ import json
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from qlocc.linalg import ELIM_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL, WITNESS_TOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
+    MASK_CHUNK,
     BlockStructure,
     IrreducibilityVerdict,
     LocalMeasurement,
     OplmSpace,
+    _atoms,
     _upper,
     block_structure,
     eliminable_states,
@@ -419,6 +422,115 @@ def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | No
     return list(seen.values())
 
 
+# ---------------------------------------------------------------------------
+# the eager candidate build: every passing union's Kraus pair built with its
+# MASK_CHUNK stack and kept, deduplicated on the full rounded bytes. The
+# union code is `oplm`'s before candidates built their operators on first
+# read, verbatim.
+
+
+class ReferenceUnions(NamedTuple):
+    """The passing unions of one family: measurements in ascending mask
+    order, each outcome's part bits over `parts` (the family's parts in full
+    dimension, then its residual), and each measurement's dedupe key."""
+
+    measurements: list[LocalMeasurement]
+    bits: np.ndarray  # (len(measurements), 2, len(parts))
+    keys: list[bytes]
+    parts: np.ndarray  # (n_family_parts + 1, d, d)
+
+
+def reference_union_measurements(party: int, support: np.ndarray, parts: np.ndarray, index_sets, cols: np.ndarray) -> ReferenceUnions | None:
+    """The measurements {P, I-P} for every union P of parts that passes a
+    test linear in the union, in ascending mask order; None when the parts
+    make more than ATOM_CAP atoms, the one bound on the candidate class.
+
+    `parts` (k, r, r) are orthogonal projectors in the coordinates of
+    `support` (d, r); a union passes when every entry of the sum of its
+    parts' columns of `cols` is within SPAN_TOL. Only unions of `_atoms` can
+    pass, and a union and its complement are one measurement, so the unions
+    of atoms without the last are tried, one matrix product per MASK_CHUNK
+    of them, in ascending part-mask order. Each chunk's passing unions are
+    built as one stack: parts added in ascending order (the bits of adding
+    them one union at a time), embedded by one batched product, and their
+    dedupe keys rounded at once. P is labelled by its indices, P[...], when
+    every member part has an index set, and by its parts, P[blocks ...].
+    """
+    owner, k = _atoms(cols)
+    if k > ATOM_CAP:
+        return None
+    d = support.shape[0]
+    ident = np.eye(d, dtype=np.complex128)
+    full = support @ parts @ support.conj().T
+    n_masks = 1 << max(k - 1, 0)
+    out, keys, all_bits = [], [], []
+    for lo in range(1, n_masks, MASK_CHUNK):
+        masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
+        bits = (masks[:, None] >> owner) & 1  # a part's bit is its atom's
+        bits = bits[np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL]
+        if not len(bits):
+            continue
+        p = np.zeros((len(bits),) + parts.shape[1:], dtype=np.complex128)
+        for b, part in enumerate(parts):
+            p[bits[:, b] == 1] += part
+        p_full = support @ p @ support.conj().T
+        q_full = ident - p_full
+        rp, rq = np.round(p_full, 9), np.round(q_full, 9)
+        for c, row in enumerate(bits):
+            members = np.flatnonzero(row).tolist()
+            if all(index_sets[b] is not None for b in members):
+                label = "P[" + ",".join(str(i) for i in sorted(i for b in members for i in index_sets[b])) + "]"
+            else:
+                label = f"P[blocks {members}]"
+            out.append(LocalMeasurement(party, [p_full[c], q_full[c]], [label, f"I-{label}"]))
+            keys.append(min(rp[c].tobytes(), rq[c].tobytes()))
+        # P holds the union's parts; I - P the others and the residual
+        all_bits.append(np.stack([np.c_[bits, np.zeros(len(bits))], np.c_[1 - bits, np.ones(len(bits))]], axis=1))
+    stack = np.concatenate([full, (ident - full.sum(axis=0))[None]])
+    return ReferenceUnions(out, np.concatenate(all_bits) if all_bits else np.zeros((0, 2, len(stack))), keys, stack)
+
+
+def reference_block_unions(sp: OplmSpace, bs: BlockStructure) -> ReferenceUnions | None:
+    """`projective_oplms` with each union's part bits and dedupe key."""
+    if not bs.commuting:
+        raise ValueError("operator space basis does not commute; no block structure")
+    r = sp.support_dim
+    blocks = np.array(bs.blocks).reshape(len(bs.blocks), r * r).T  # one column per block
+    # an empty space (space_dim 0) spans nothing, so no union passes its span test
+    basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
+    span = basis.T @ (basis.conj() @ blocks) - blocks
+    n = len(sp.pair_tensors)
+    i, j = _upper(n)
+    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
+    return reference_union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
+
+
+def reference_eager_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
+    """The measurements of `measurement_candidates` as the eager chunk build
+    made them, in order: the body of that function before candidates built
+    their operators on first read, verbatim up to its last two lines, which
+    made the `Candidates` list."""
+    if sp is None:
+        sp = oplm_space(s, party, on_support=True)
+    families = []
+    if sp.space_dim >= 2 and sp.support_dim >= 2:
+        bs = block_structure(sp)
+        if bs.commuting:
+            families.append(("block unions", reference_block_unions(sp, bs)))
+    mats = party_matrices(s, party)
+    occ = occupied_indices(mats)
+    rows = mats[:, occ]
+    diag = np.einsum("iar,jar->ija", rows.conj(), rows)
+    support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
+    parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
+    families.append(("index projectors", reference_union_measurements(party, support, parts, [[i] for i in occ], diag[_upper(len(s))])))
+    seen: dict[bytes, tuple] = {}
+    for u in [u for _, u in families if u is not None]:
+        for m, mask, key in zip(u.measurements, union_survivors(s, party, u.parts, u.bits), u.keys):
+            seen.setdefault(key, (m, mask))
+    return [m for m, _ in seen.values()]
+
+
 def candidates_match_reference(got: list[LocalMeasurement], ref: list[LocalMeasurement]) -> bool:
     """Same candidates in the same order: party, labels and Kraus bytes,
     sign bits of zeros included."""
@@ -455,6 +567,22 @@ def recorded_part_stacks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oplm, "union_survivors", recorded)
         yield stacks
+
+
+@contextmanager
+def recorded_candidates():
+    """While open, appends to the yielded list (set, party, space, result)
+    of every `measurement_candidates` call the search makes."""
+    calls: list[tuple] = []
+
+    def recorded(s, party, sp=None):
+        got = measurement_candidates(s, party, sp)
+        calls.append((s, party, sp, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "measurement_candidates", recorded)
+        yield calls
 
 
 def reference_is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:

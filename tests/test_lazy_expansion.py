@@ -15,10 +15,10 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import EagerSetAnalyzer
+from _helpers import EagerSetAnalyzer, candidates_match_reference, recorded_candidates, reference_eager_candidates
 from qlocc import partitions
 from qlocc.fixtures import build_fixture
-from qlocc.partitions import _analyze_partition, _merge_for
+from qlocc.partitions import _analyze_partition, _merge_for, hidden_nonlocality_profile
 from qlocc.protocol import Leaf, Measure, SetAnalyzer, activation_search, canonical_key, search_distinguishing_protocol
 from qlocc.states import StateSet
 
@@ -219,3 +219,37 @@ def test_child_key_refuses_a_mask_that_applying_contradicts():
     with pytest.raises(RuntimeError, match="survivor mask of outcome P.* keeps .*, but applying it keeps"):
         an.child_key(key, mv, 0)
     assert mv.keys[0] is None
+
+
+@pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6"])
+def test_first_read_kraus_pairs_match_the_eager_chunk_build(run):
+    # every candidate of every expanded node: those the search applied were
+    # built when it first read them, the others are built here
+    with recorded_candidates() as calls:
+        if run.endswith("-profile"):
+            hidden_nonlocality_profile(build_fixture(run.removesuffix("-profile")), max_depth=8)
+        else:
+            s, depth = _case(run)
+            an = SetAnalyzer()
+            search_distinguishing_protocol(s, depth, analyzer=an)
+            activation_search(s, depth, analyzer=an)
+    assert calls and sum(len(got) for *_, got in calls) > 0
+    for s, party, sp, got in calls:
+        assert candidates_match_reference(list(got), reference_eager_candidates(s, party, sp)), (s.labels, party)
+
+
+def test_search_builds_only_the_candidates_it_reads():
+    # move ordering reads masks and labels; a candidate's Kraus operators are
+    # built when the search applies one of its outcomes, and only then
+    merged = _merge_for(build_fixture("s4"), ((0,), (1, 2)))
+    an = SetAnalyzer()
+    search_distinguishing_protocol(merged, 8, analyzer=an)
+    assert activation_search(merged, 8, analyzer=an).kind == "Activation"
+    moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
+    built = [mv.candidates._built[mv.index] is not None for mv in moves]
+    assert built == [any(ck is not None for ck in mv.keys) for mv in moves]
+    assert 0 < 10 * sum(built) < len(moves)
+    assert all(mv.measurement.labels[0] == mv.candidates.label(mv.index) for mv, b in zip(moves, built) if b)
+    # a built candidate is kept: a second read returns the same object
+    mv = moves[built.index(True)]
+    assert mv.candidates[mv.index] is mv.measurement

@@ -880,7 +880,7 @@ def test_candidates_capped_above_the_cap():
     # |i,0> for i < 17: no constraint at all, so 17 atoms in both families
     s = StateSet.from_matrix(PartySpace((17, 2)), np.eye(34)[::2], [f"e{i}" for i in range(17)], "wide")
     got = measurement_candidates(s, 0)
-    assert got == [] and got.capped == ("block unions", "index projectors")
+    assert len(got) == 0 and got.capped == ("block unions", "index projectors")
     assert projective_oplms(oplm_space(s, 0, on_support=True), block_structure(oplm_space(s, 0, on_support=True))) is None
 
 
@@ -1020,7 +1020,7 @@ def test_empty_operator_space_has_no_measurements():
     assert projective_oplms(sp, block_structure(sp)) == []
     assert oplm_space(s, 1, on_support=True).space_dim == 0
     cands = measurement_candidates(s, 1)
-    assert cands == [] and cands.masks.dtype == bool and cands.masks.shape == (0, 2, len(s))
+    assert len(cands) == 0 and cands.masks.dtype == bool and cands.masks.shape == (0, 2, len(s))
 
 
 def test_non_orthogonal_set_has_no_projective_measurements():

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _helpers import DIGESTS, EagerSetAnalyzer, ReferenceCheck, digest, product_structure_mismatches, upb_outcome
-from qlocc import partitions
+from qlocc import partitions, protocol
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
-from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties
+from qlocc.protocol import canonical_key
+from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties, redundancy_check_whole_parties
 
 
 def _checked_profile(name: str):
@@ -197,3 +199,32 @@ def test_profile_invariant_under_bc_swap(s2_profile):
     assert {k: v["value"] for k, v in a.h_flags.items()} == {k: v["value"] for k, v in b.h_flags.items()}
     assert a.record("A|BC").activable == b.record("A|BC").activable
     assert a.record("B|AC").activable == b.record("C|AB").activable
+
+
+def test_each_activation_leaf_is_checked_for_redundancy_once(monkeypatch):
+    # the search checks a certified leaf, and certifying its tree asks again
+    # of the same node: the node keeps the answer
+    checked = []
+
+    def recorded(s):
+        checked.append(canonical_key(s))
+        return redundancy_check_whole_parties(s)
+
+    monkeypatch.setattr(protocol, "redundancy_check_whole_parties", recorded)
+    for name in ("s4", "s2"):
+        hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    assert len(checked) == len(set(checked)) == 8
+
+
+def test_s4_profile_traced_peak_is_bounded():
+    # candidates build their Kraus operators on first read and dedupe on
+    # digests: kept eagerly with full-byte keys, the operators and keys of
+    # the 2,047 unions at the A|BC node alone take about 13.6 MB
+    s4 = build_fixture("s4")
+    tracemalloc.start()
+    try:
+        hidden_nonlocality_profile(s4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

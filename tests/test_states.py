@@ -434,11 +434,11 @@ def test_unit_rows_scans_entries_only_when_a_norm_is_not_finite(monkeypatch):
         odd[3] = bad
         with pytest.raises(ValueError, match="non-finite entries"):
             states._unit_rows(odd.reshape(1, -1))
-    # a finite row whose norm overflows passes the scan, as it always did
+    # a finite row whose norm overflows passes the scan, and is refused
     scans.clear()
     odd = row.copy()
     odd[3] = 1e200
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
         states._unit_rows(odd.reshape(1, -1))
     assert scans == [(1, odd.size)]
 
@@ -457,11 +457,16 @@ def test_ket_normalization_thresholds_match_unit_rows():
             divided.add(not isinstance(out, str) and not same_bits(out, scaled))
     # the scan reaches both sides of the zero test and of the divide test
     assert zero == {True, False} and divided == {True, False}
-    for bad in (np.nan, np.inf, 1e200):  # 1e200 overflows the norm to inf
+    # 1e200 is finite, but overflows the norm to inf
+    for bad, error in ((np.nan, "non-finite entries"), (np.inf, "non-finite entries"), (1e200, "norm overflows")):
         odd = row.copy()
         odd[3] = bad
         with np.errstate(over="ignore"):
             assert _ket_matches_unit_rows(s.space, odd), bad
+            with pytest.raises(ValueError, match=error):
+                Ket(s.space, odd)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+        Ket(PartySpace((2, 2)), [1e200, 1, 0, 0])
 
 
 def test_matrix_paths_build_no_kets():
