@@ -11,12 +11,14 @@ sqrt2-scaled real/imag off-diagonal pairs), so the nullspace of the
 constraint matrix is exactly the operator space and SVD-orthonormal
 coordinate vectors give a trace-orthonormal basis.
 
-In a set built on the computational basis most state pairs constrain
-nothing: the pair tensor of (i, j) is exactly zero when no index of the
-other parties is occupied by both states. One boolean product over the
-exact zero pattern finds the pairs that share one, and only their tensors
-and constraint rows are computed; every other row is the constant row the
-arithmetic gives a zero tensor.
+The constraints of a pair (i, j) are those of (j, i) conjugated, so only
+the pairs i < j are kept. In a set built on the computational basis most
+of them constrain nothing: the pair tensor of (i, j) is exactly zero when
+no index of the other parties is occupied by both states. One boolean
+product over the exact zero pattern finds the pairs that share one, and
+only their tensors and constraint rows are computed; every other row is
+the constant row the arithmetic gives a zero tensor. A solved space keeps
+the tensors of these live pairs only.
 
 One `_tall_svd` of all constraint rows, those constant rows included,
 gives rank and basis: the rank from its singular values, the basis from
@@ -62,57 +64,53 @@ def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_tensors(mats: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G[i,j,a,b] with <psi_i|(E on p)|psi_j> = sum_ab E[a,b] G[i,j,a,b]
-    for E expressed in the support basis, and the (n, n) mask of the pairs
-    whose G is computed.
+    """The pair tensors of the live pairs i < j, as an (m, r, r) stack, and
+    each one's index into `_upper(n)`: G with <psi_i|(E on p)|psi_j> =
+    sum_ab E[a,b] G[a,b] for E expressed in the support basis.
 
-    G[i,j] sums over the other parties' index t, and each term is zero where
+    G sums over the other parties' index t, and each term is zero where
     state i or state j has no weight at t. So only the pairs that share an
-    occupied t are computed (one boolean product of the exact zero pattern
-    finds them), PAIR_CHUNK at a time and in both orders: G[j,i] is not
-    taken as the conjugate transpose of G[i,j], whose zeros carry other
-    signs. Every other entry is +0, as the full sum of signed zero terms
-    gives it.
+    occupied t are live (one boolean product of the exact zero pattern
+    finds them), and they are computed PAIR_CHUNK at a time; every other
+    pair's G is +0, as the full sum of signed zero terms gives it.
     """
     # C order keeps each state's block contiguous for the gathers below
     comp = np.einsum("da,ndt->nat", support.conj(), mats, order="C")
     n, r = comp.shape[:2]
     occ = (comp != 0).any(axis=1)  # (n, t): the indices each state occupies
-    live = occ @ occ.T
-    g = np.zeros((n, n, r, r), dtype=np.complex128)
-    flat, left = g.reshape(n * n, r, r), comp.conj()
-    pairs = np.flatnonzero(live)
+    iu, ju = _upper(n)
+    pairs = np.flatnonzero((occ @ occ.T)[iu, ju])
+    g = np.empty((len(pairs), r, r), dtype=np.complex128)
+    left = comp.conj()
     for lo in range(0, len(pairs), PAIR_CHUNK):
         p = pairs[lo : lo + PAIR_CHUNK]
-        flat[p] = np.einsum("pat,pbt->pab", left[p // n], comp[p % n])
-    return g, live
+        g[lo : lo + len(p)] = np.einsum("pat,pbt->pab", left[iu[p]], comp[ju[p]])
+    return g, pairs
 
 
-def _constraint_rows(g: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Real constraint matrix over Hermitian coordinates from pair tensors.
+def _constraint_rows(g: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
+    """Real constraint matrix over Hermitian coordinates from the pair
+    tensors `g` of the live `pairs` of n states (see `_pair_tensors`).
 
     Two rows (real, imaginary part) per state pair i<j in row-major order.
     Coordinate layout: [e_0..e_{r-1}, then for a<b in row-major order:
-    x_ab, y_ab]. Only the rows of `live` pairs are computed; a pair whose G
-    is zero gets the rows its arithmetic gives, +0 everywhere but -0 at the
-    y_ab of the real-part row (from -imag(d_ab)).
+    x_ab, y_ab]. Only the rows of live pairs are computed; any other pair
+    gets the rows its zero G gives, +0 everywhere but -0 at the y_ab of the
+    real-part row (from -imag(d_ab)).
     """
-    n, _, r, _ = g.shape
-    iu, ju = _upper(n)
-    keep = np.flatnonzero(live[iu, ju])
+    r = g.shape[-1]
     a, b = _upper(r)
     d = np.arange(r)
     rt2 = np.sqrt(2.0)
-    rows = np.zeros((len(iu), 2, r * r), dtype=np.float64)
+    rows = np.zeros((n * (n - 1) // 2, 2, r * r), dtype=np.float64)
     rows[:, 0, r + 1 :: 2] = -0.0
-    for lo in range(0, len(keep), PAIR_CHUNK):
-        k = keep[lo : lo + PAIR_CHUNK]
-        i, j = iu[k, None], ju[k, None]
-        diag = g[i, j, d, d]
-        c_ab, c_ba = g[i, j, a, b], g[i, j, b, a]
+    for lo in range(0, len(pairs), PAIR_CHUNK):
+        c = g[lo : lo + PAIR_CHUNK]
+        diag = c[:, d, d]
+        c_ab, c_ba = c[:, a, b], c[:, b, a]
         s_ab = (c_ab + c_ba) / rt2
         d_ab = (c_ab - c_ba) / rt2
-        part = np.empty((len(k), 2, r * r), dtype=np.float64)
+        part = np.empty((len(c), 2, r * r), dtype=np.float64)
         re, im = part[:, 0], part[:, 1]
         re[:, :r] = np.real(diag)
         im[:, :r] = np.imag(diag)
@@ -120,8 +118,8 @@ def _constraint_rows(g: np.ndarray, live: np.ndarray) -> np.ndarray:
         re[:, r + 1 :: 2] = -np.imag(d_ab)
         im[:, r::2] = np.imag(s_ab)
         im[:, r + 1 :: 2] = np.real(d_ab)
-        rows[k] = part
-    return rows.reshape(2 * len(iu), r * r)
+        rows[pairs[lo : lo + PAIR_CHUNK]] = part
+    return rows.reshape(-1, r * r)
 
 
 def _coords_to_matrix(h: np.ndarray, r: int) -> np.ndarray:
@@ -178,7 +176,9 @@ class OplmSpace:
     support: np.ndarray  # (d, r) orthonormal columns
     support_indices: tuple[int, ...] | None  # basis labels when coordinate-aligned
     basis: list[np.ndarray]
-    pair_tensors: np.ndarray  # constraint data
+    n_states: int
+    pair_tensors: np.ndarray  # (m, r, r): G of the live pairs i < j (`_pair_tensors`)
+    pairs: np.ndarray  # (m,): each one's index into `_upper(n_states)`
 
     @property
     def space_dim(self) -> int:
@@ -197,8 +197,9 @@ class OplmSpace:
 
     def worst_overlap(self) -> float:
         """max |<psi_i|psi_j>| over pairs i != j: the identity's constraint
-        values, since every state lies in the support."""
-        return float(np.abs(np.einsum("ijaa->ij", self.pair_tensors)[_upper(len(self.pair_tensors))]).max(initial=0.0))
+        values, since every state lies in the support; a pair that is not
+        live has none."""
+        return float(np.abs(np.einsum("maa->m", self.pair_tensors)).max(initial=0.0))
 
     def embed(self, e: np.ndarray) -> np.ndarray:
         """Lift a support-coordinate operator to the full party dimension."""
@@ -221,11 +222,11 @@ def oplm_space(s: StateSet, party: int, on_support: bool = False) -> OplmSpace:
         support, idx = support_basis(s, party)
     else:
         support, idx = np.eye(d, dtype=np.complex128), tuple(range(d))
-    g, live = _pair_tensors(mats, support)
+    g, pairs = _pair_tensors(mats, support)
     r = support.shape[1]
     # rows of no pair (one state) constrain nothing: `vh` is then the identity
-    sv, vh = _tall_svd(_constraint_rows(g, live))
-    return OplmSpace(party, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), g)
+    sv, vh = _tall_svd(_constraint_rows(g, pairs, len(s)))
+    return OplmSpace(party, support, idx, list(_coords_to_matrix(vh[_rank(sv) :], r)), len(s), g, pairs)
 
 
 def is_trivial(sp: OplmSpace) -> bool:
@@ -444,9 +445,14 @@ def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
     # an empty space (space_dim 0) spans nothing, so no union passes its span test
     basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
     span = basis.T @ (basis.conj() @ blocks) - blocks
-    n = len(sp.pair_tensors)
-    i, j = _upper(n)
-    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
+    # a pair that is not live has zero values; numpy multiplies one row by
+    # another BLAS routine, whose bits differ from a product of more rows
+    g = sp.pair_tensors.reshape(len(sp.pairs), r * r)
+    if len(g) == 1:
+        g = np.concatenate([g, np.zeros_like(g)])
+    n = sp.n_states
+    vals = np.zeros((n * (n - 1) // 2, len(bs.blocks)), dtype=np.complex128)
+    vals[sp.pairs] = (g @ blocks)[: len(sp.pairs)]
     return _union_measurements(sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
 
@@ -516,10 +522,11 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
 
 
 def is_oplm(s: StateSet, m: LocalMeasurement) -> bool:
-    """Check every outcome of m against the pairwise constraints, at SPAN_TOL."""
+    """Check every outcome of m against the pairwise constraints, at SPAN_TOL.
+    The value of K^dag K on (j, i) is the conjugate of its value on (i, j),
+    so the live pairs i < j decide it."""
     g, _ = _pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
-    off = ~np.eye(len(s), dtype=bool)
-    return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > SPAN_TOL for k in m.kraus)
+    return not any(np.abs(np.einsum("mab,ab->m", g, k.conj().T @ k)).max(initial=0.0) > SPAN_TOL for k in m.kraus)
 
 
 def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:

@@ -325,14 +325,16 @@ class _Rule(NamedTuple):
 
 class _Move(NamedTuple):
     """One candidate measurement at a node: what move ordering reads, and
-    the keys of the children visited so far. The survivors come from the
-    candidate's masks (`Candidates.masks`); `child_key` applies an outcome
-    on its first visit, which builds the candidate's Kraus operators, checks
-    that it keeps exactly those labels, and stores its key."""
+    the keys of the children visited so far. The survivors are the
+    candidate's mask row (`Candidates.masks`); `child_key` applies an
+    outcome on its first visit, which builds the candidate's Kraus
+    operators, checks that it keeps exactly the labels of its mask, and
+    stores its key."""
 
     candidates: Candidates
     index: int  # the candidate's index in `candidates`
-    survivors: list  # per outcome, the labels it keeps ([] when it eliminates every state)
+    mask: np.ndarray  # (outcomes, states), bool: the states each outcome keeps
+    kept: tuple  # per outcome, how many states it keeps (0 when it eliminates every state)
     keys: list  # per outcome, the child's key, None until the search first visits it
 
     @property
@@ -372,15 +374,16 @@ class SetAnalyzer:
     were first reached, and so is the activation transcript.
 
     Expanding a node keeps only what move ordering needs: each outcome's
-    surviving labels. They come from the masks `measurement_candidates`
-    returns, not from one product per Kraus operator: every candidate
-    outcome is a sum of orthogonal parts (`Candidates`), so ||K psi||^2 is
-    the sum of its parts' weights ||P_b psi||^2: equal in exact arithmetic,
-    and within rounding far below ELIM_TOL in floating point. A child is
-    applied, checked for orthogonality and interned only when the search
-    first visits it (`child_key`), which raises if its survivors are not the
-    labels move ordering read; so every node was either interned by
-    `intern` or visited.
+    survivor mask and count. They come from the masks
+    `measurement_candidates` returns, not from one product per Kraus
+    operator: every candidate outcome is a sum of orthogonal parts
+    (`Candidates`), so ||K psi||^2 is the sum of its parts' weights
+    ||P_b psi||^2: equal in exact arithmetic, and within rounding far below
+    ELIM_TOL in floating point. A child is applied, checked for
+    orthogonality and interned only when the search first visits it
+    (`child_key`), which raises if its survivors are not the labels of the
+    mask move ordering read; so every node was either interned by `intern`
+    or visited.
     """
 
     def __init__(self):
@@ -490,9 +493,8 @@ class SetAnalyzer:
             cands = measurement_candidates(s, p, self.oplm(key, p))
             if cands.capped:
                 nd["capped_in"] = set()
-            for c, mask in enumerate(cands.masks):
-                kept = [[lab for lab, k in zip(s.labels, keep) if k] for keep in mask]
-                out.append(_Move(cands, c, kept, [None] * len(kept)))
+            for c, (mask, kept) in enumerate(zip(cands.masks, cands.masks.sum(axis=2).tolist())):
+                out.append(_Move(cands, c, mask, tuple(kept), [None] * len(kept)))
         nd["moves"] = out
         return out
 
@@ -500,11 +502,13 @@ class SetAnalyzer:
         """The key of outcome `oi` of `move` at node `key`, a nonempty child;
         applied, checked and interned on the first call."""
         if move.keys[oi] is None:
-            child, labels = apply_outcome(self.set_of(key), move.measurement.party, move.measurement.kraus[oi])
-            if labels != move.survivors[oi]:
+            s = self.set_of(key)
+            child, labels = apply_outcome(s, move.measurement.party, move.measurement.kraus[oi])
+            want = [lab for lab, k in zip(s.labels, move.mask[oi]) if k]
+            if labels != want:
                 raise RuntimeError(
                     f"survivor mask of outcome {move.measurement.labels[oi]} on party {party_letter(move.measurement.party)} "
-                    f"keeps {move.survivors[oi]}, but applying it keeps {labels}"
+                    f"keeps {want}, but applying it keeps {labels}"
                 )
             move.keys[oi] = self._reach(child)
         return move.keys[oi]
@@ -513,8 +517,8 @@ class SetAnalyzer:
         n = len(self.set_of(key))
 
         def sort_key(mv):
-            elim = sum(n - len(labels) for labels in mv.survivors)
-            min_surv = min((len(labels) for labels in mv.survivors if labels), default=0)
+            elim = sum(n - kept for kept in mv.kept)
+            min_surv = min((kept for kept in mv.kept if kept), default=0)
             tie = (mv.candidates.party, mv.candidates.label(mv.index))
             if mode == "act":
                 return (elim, -min_surv) + tie
@@ -606,8 +610,8 @@ class SetAnalyzer:
         for mv in moves:
             subtrees = []
             good = True
-            for oi, labels in enumerate(mv.survivors):
-                if not labels:
+            for oi, kept in enumerate(mv.kept):
+                if not kept:
                     st, subtree = True, None
                 else:
                     res = entry(self.child_key(key, mv, oi), depth - 1)

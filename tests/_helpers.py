@@ -362,9 +362,43 @@ def reference_constraint_rows(g: np.ndarray) -> np.ndarray:
 
 
 def constraint_residual(sp: OplmSpace, e: np.ndarray) -> float:
-    """Largest |<psi_i|(E on p)|psi_j>| over pairs, E in support coords."""
-    vals = np.einsum("ijab,ab->ij", sp.pair_tensors, e)
-    return float(np.abs(vals[~np.eye(len(vals), dtype=bool)]).max(initial=0.0))
+    """Largest |<psi_i|(E on p)|psi_j>| over the live pairs i < j, E in
+    support coords: the value on (j, i) is the conjugate of that on (i, j)
+    for Hermitian E, and a pair that is not live has none."""
+    return float(np.abs(np.einsum("mab,ab->m", sp.pair_tensors, e)).max(initial=0.0))
+
+
+def dense_pair_tensors(sp: OplmSpace) -> np.ndarray:
+    """`sp`'s compact pair tensors scattered into the (n, n, r, r) layout
+    the solver kept before: G of each live pair i < j in place, zeros
+    elsewhere (the lower half included, which nothing reads)."""
+    n, r = sp.n_states, sp.support_dim
+    g = np.zeros((n, n, r, r), dtype=np.complex128)
+    i, j = _upper(n)
+    g[i[sp.pairs], j[sp.pairs]] = sp.pair_tensors
+    return g
+
+
+def reference_block_columns(s: StateSet, party: int, sp: OplmSpace, bs: BlockStructure) -> np.ndarray:
+    """The columns `_block_unions` hands `_union_measurements`, as they were
+    made from dense pair tensors: the blocks' span residuals, then their
+    values on every pair i < j, taken from one product of the dense
+    reference G (n^2 rows, both orders computed) with the blocks."""
+    r, n = sp.support_dim, len(s)
+    blocks = np.array(bs.blocks).reshape(len(bs.blocks), r * r).T
+    basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
+    span = basis.T @ (basis.conj() @ blocks) - blocks
+    g = reference_pair_tensors(party_matrices(s, party), sp.support)
+    i, j = _upper(n)
+    return np.concatenate([span, (g.reshape(n * n, -1) @ blocks)[i * n + j]])
+
+
+def reference_is_oplm(s: StateSet, m: LocalMeasurement) -> bool:
+    """`is_oplm` on the dense pair tensors: every outcome's value on every
+    ordered pair i != j, both orders computed, at SPAN_TOL."""
+    g = reference_pair_tensors(party_matrices(s, m.party), np.eye(s.space.party_dims[m.party], dtype=np.complex128))
+    off = ~np.eye(len(s), dtype=bool)
+    return not any(np.abs(np.einsum("ijab,ab->ij", g, k.conj().T @ k)[off]).max(initial=0.0) > SPAN_TOL for k in m.kraus)
 
 
 # the reference loops over the 2^(r-1) index masks only while r <= this
@@ -499,9 +533,9 @@ def reference_block_unions(sp: OplmSpace, bs: BlockStructure) -> ReferenceUnions
     # an empty space (space_dim 0) spans nothing, so no union passes its span test
     basis = np.array(sp.basis).reshape(len(sp.basis), r * r)
     span = basis.T @ (basis.conj() @ blocks) - blocks
-    n = len(sp.pair_tensors)
+    n = sp.n_states
     i, j = _upper(n)
-    vals = (sp.pair_tensors.reshape(n * n, -1) @ blocks)[i * n + j]
+    vals = (dense_pair_tensors(sp).reshape(n * n, -1) @ blocks)[i * n + j]
     return reference_union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
 

@@ -205,7 +205,7 @@ def test_s4_bipartition_interns_only_visited_children(monkeypatch):
     _assert_only_visited_or_external(an, merged)
     # the searches stopped at moves that worked, so most children stay unkeyed
     moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
-    unkeyed = sum(1 for mv in moves for ck, labels in zip(mv.keys, mv.survivors) if labels and ck is None)
+    unkeyed = sum(1 for mv in moves for ck, kept in zip(mv.keys, mv.kept) if kept and ck is None)
     assert unkeyed > len(an.nodes)
 
 
@@ -214,11 +214,16 @@ def test_child_key_refuses_a_mask_that_applying_contradicts():
     # survivors differ from them stops the search
     an = SetAnalyzer()
     key = an.intern(build_fixture("s1"))
-    mv = next(mv for mv in an.moves(key) if all(mv.survivors))
-    mv.survivors[0] = mv.survivors[0][1:]
+    mv = next(mv for mv in an.moves(key) if all(mv.kept))
+    mask = mv.mask.copy()
+    mask[0, np.flatnonzero(mask[0])[0]] = False
+    tampered = mv._replace(mask=mask)
     with pytest.raises(RuntimeError, match="survivor mask of outcome P.* keeps .*, but applying it keeps"):
-        an.child_key(key, mv, 0)
+        an.child_key(key, tampered, 0)
     assert mv.keys[0] is None
+    # the candidate's own masks are untouched, and the true mask passes
+    assert mv.mask is not mask and mv.mask[0].sum() == mv.kept[0]
+    assert an.child_key(key, mv, 0) == mv.keys[0] is not None
 
 
 @pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6"])

@@ -17,9 +17,12 @@ from _helpers import (
     qubit_pairs,
     random_orthogonal_product_set,
     random_orthonormal_set,
+    recorded_candidates,
     recorded_part_stacks,
+    reference_block_columns,
     reference_constraint_rows,
     reference_is_locally_irreducible,
+    reference_is_oplm,
     reference_measurement_candidates,
     reference_pair_tensors,
     same_bits,
@@ -50,7 +53,7 @@ from qlocc.oplm import (
     oplm_space,
     projective_oplms,
 )
-from qlocc.partitions import _merge_for
+from qlocc.partitions import _merge_for, hidden_nonlocality_profile
 from qlocc.protocol import activation_search, apply_outcome, search_distinguishing_protocol
 from qlocc.states import (
     PartySpace,
@@ -167,7 +170,7 @@ def test_random_span_samples_satisfy_constraints():
 def test_block_structure_synthetic_span():
     # span{I, diag(1,1,0,0)} has blocks {0,1} and {2,3} and one measurement
     basis = [np.eye(4, dtype=complex) / 2, np.diag([1, 1, -1, -1]).astype(complex) / 2]
-    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
+    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, 1, np.zeros((0, 4, 4)), np.zeros(0, dtype=np.intp))
     bs = block_structure(sp)
     assert bs.commuting
     assert bs.index_supports == [[0, 1], [2, 3]]
@@ -178,7 +181,7 @@ def test_block_structure_synthetic_span():
 
 def test_block_structure_identity_span():
     basis = [np.eye(4, dtype=complex) / 2]
-    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, np.zeros((1, 1, 4, 4)))
+    sp = OplmSpace(0, np.eye(4, dtype=complex), [0, 1, 2, 3], basis, 1, np.zeros((0, 4, 4)), np.zeros(0, dtype=np.intp))
     bs = block_structure(sp)
     assert bs.commuting and len(bs.blocks) == 1
     assert bs.index_supports == [[0, 1, 2, 3]]
@@ -195,7 +198,7 @@ def test_trivial_measurement_eliminates_nothing():
 def test_block_structure_nondiagonal_blocks():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     basis = [np.eye(2, dtype=complex) / np.sqrt(2), x / np.sqrt(2)]
-    sp = OplmSpace(0, np.eye(2, dtype=complex), [0, 1], basis, np.zeros((1, 1, 2, 2)))
+    sp = OplmSpace(0, np.eye(2, dtype=complex), [0, 1], basis, 1, np.zeros((0, 2, 2)), np.zeros(0, dtype=np.intp))
     bs = block_structure(sp)
     assert bs.commuting
     assert len(bs.blocks) == 2
@@ -374,8 +377,9 @@ def _pair_inputs(s, party, on_support):
 
 
 def _pair_data(s, party, on_support):
-    """The screened pair tensors and their live-pair mask."""
-    return _pair_tensors(*_pair_inputs(s, party, on_support))
+    """The live pairs' tensors, their indices and the state count: the
+    arguments of `_constraint_rows`."""
+    return *_pair_tensors(*_pair_inputs(s, party, on_support)), len(s)
 
 
 def _eager_solve(s, party, on_support):
@@ -404,8 +408,8 @@ def _fixture_cases():
 
 def test_vectorized_rows_match_loop_bitwise():
     for case, s, p, on_support in _fixture_cases():
-        g, live = _pair_data(s, p, on_support)
-        got, want = _constraint_rows(g, live), _constraint_rows_loop(g)
+        got = _constraint_rows(*_pair_data(s, p, on_support))
+        want = _constraint_rows_loop(reference_pair_tensors(*_pair_inputs(s, p, on_support)))
         assert got.shape == want.shape, case
         assert np.array_equal(got, want), case
         assert np.array_equal(np.signbit(got), np.signbit(want)), case
@@ -415,18 +419,23 @@ def test_vectorized_rows_match_loop_bitwise():
 
 
 def _assert_screen_matches_reference(s, p, on_support, case):
-    """G and the constraint rows equal the dense reference's bytes, signed
-    zeros included, and every pair the screen drops has an all-zero
-    reference row. Returns the screen's (n, n) mask of computed pairs."""
+    """The compact G equals the dense reference's upper live entries and the
+    constraint rows equal the reference rows, bytes and signed zeros
+    included; every upper pair the screen drops has an exactly zero
+    reference G and all-zero reference rows. Returns the screen's mask over
+    the pairs i < j, in `np.triu_indices` order."""
     mats, support = _pair_inputs(s, p, on_support)
-    g, live = _pair_tensors(mats, support)
+    g, pairs = _pair_tensors(mats, support)
     want_g = reference_pair_tensors(mats, support)
-    assert same_bits(g, want_g), case
-    rows, want_rows = _constraint_rows(g, live), reference_constraint_rows(want_g)
+    iu, ju = np.triu_indices(len(s), 1)
+    assert pairs.dtype == np.intp and np.all(np.diff(pairs) > 0), case
+    assert same_bits(g, want_g[iu[pairs], ju[pairs]]), case
+    live = np.zeros(len(iu), dtype=bool)
+    live[pairs] = True
+    assert not want_g[iu[~live], ju[~live]].any(), case
+    rows, want_rows = _constraint_rows(g, pairs, len(s)), reference_constraint_rows(want_g)
     assert same_bits(rows, want_rows), case
-    assert np.array_equal(live, live.T), case
-    computed = np.repeat(live[np.triu_indices(len(s), 1)], 2)
-    assert not want_rows[~computed].any(), case
+    assert not want_rows[~np.repeat(live, 2)].any(), case
     return live
 
 
@@ -455,15 +464,20 @@ def test_screened_pair_data_matches_the_dense_reference_on_s1_general(d):
             _assert_screen_matches_reference(s, p, on_support, (p, on_support))
 
 
+def _two_states():
+    # |00> and |10> share B's index 0: party A's one pair is live, and its
+    # space (the diagonal operators on span{|0>, |1>}) has two blocks
+    space = PartySpace((3, 3))
+    return StateSet(space, [make_ket(space, [(1, (0, 0))], "00"), make_ket(space, [(1, (1, 0))], "10")], "two")
+
+
 def test_screened_pair_data_on_one_and_two_states():
     space = PartySpace((3, 3))
     one = StateSet(space, [make_ket(space, [(1, (0, 0))], "00")], "one")
     apart = StateSet(space, [make_ket(space, [(1, (0, 0))], "00"), make_ket(space, [(1, (1, 1))], "11")], "apart")
-    shared = StateSet(space, [make_ket(space, [(1, (0, 0))], "00"), make_ket(space, [(1, (1, 0))], "10")], "shared")
-    for s, pairs in ((one, 0), (apart, 0), (shared, 1)):
+    for s, pairs in ((one, 0), (apart, 0), (_two_states(), 1)):
         live = _assert_screen_matches_reference(s, 0, False, s.name)
-        assert np.array_equal(np.diagonal(live), np.ones(len(s), dtype=bool)), s.name
-        assert live[np.triu_indices(len(s), 1)].sum() == pairs, s.name
+        assert len(live) == len(s) * (len(s) - 1) // 2 and live.sum() == pairs, s.name
         for p in range(2):
             for on_support in (False, True):
                 _assert_screen_matches_reference(s, p, on_support, (s.name, p, on_support))
@@ -475,7 +489,7 @@ def test_screen_keeps_few_rows_at_the_s1_general_d8_root():
     for p in range(s.space.n_parties):
         for on_support in (False, True):
             live = _assert_screen_matches_reference(s, p, on_support, (p, on_support))
-            kept = 2 * int(live[np.triu_indices(len(s), 1)].sum())
+            kept = 2 * int(live.sum())
             assert 0 < kept <= len(s) * (len(s) - 1) // 4, (p, on_support, kept)
 
 
@@ -502,7 +516,69 @@ def test_screened_pair_data_matches_on_product_bases_rotated_on_one_party(seed, 
         shared = (index[:, None, others] == index[None, :, others]).all(axis=2)
         for on_support in (False, True):
             live = _assert_screen_matches_reference(s, p, on_support, (rotated, p, on_support))
-            assert np.array_equal(live, shared), (rotated, p, on_support)
+            assert np.array_equal(live, shared[np.triu_indices(len(rows), 1)]), (rotated, p, on_support)
+
+
+@pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6", "two-states"])
+def test_block_union_columns_match_the_dense_product(monkeypatch, run):
+    # every `_block_unions` call hands `_union_measurements` the bytes of the
+    # dense product, a node with one live pair included: numpy multiplies a
+    # single row by another BLAS routine, whose bits differ
+    calls, current = [], []
+    block_unions, union_measurements = oplm._block_unions, oplm._union_measurements
+
+    def recorded_block_unions(sp, bs):
+        current.append((sp, bs))
+        try:
+            return block_unions(sp, bs)
+        finally:
+            current.pop()
+
+    def recorded_union_measurements(support, parts, index_sets, cols):
+        if current:
+            calls.append((*current[-1], cols.copy()))
+        return union_measurements(support, parts, index_sets, cols)
+
+    monkeypatch.setattr(oplm, "_block_unions", recorded_block_unions)
+    monkeypatch.setattr(oplm, "_union_measurements", recorded_union_measurements)
+    with recorded_candidates() as solved:
+        if run.endswith("-profile"):
+            hidden_nonlocality_profile(build_fixture(run.removesuffix("-profile")), max_depth=8)
+        elif run == "two-states":
+            s = _two_states()
+            sp = oplm_space(s, 0, on_support=True)
+            solved.append((s, 0, sp, measurement_candidates(s, 0, sp)))
+        else:
+            d = int(run.removeprefix("s1_general-d"))
+            search_distinguishing_protocol(build_fixture("s1_general", d=d), max_depth=2 * d)
+            activation_search(build_fixture("s1_general", d=d), max_depth=2 * d)
+    assert calls
+    # the solved spaces are kept in `solved`, so no id is reused
+    sets = {id(sp): (s, party) for s, party, sp, _ in solved}
+    for sp, bs, cols in calls:
+        s, party = sets[id(sp)]
+        assert same_bits(cols, reference_block_columns(s, party, sp, bs)), (s.labels, party)
+    if run in ("s2-profile", "two-states"):
+        assert any(len(sp.pairs) == 1 for sp, _, _ in calls)
+
+
+def test_is_oplm_matches_the_dense_both_order_check():
+    # every candidate of every party of the fixtures, plain and rotated, and
+    # seeded rank-one projectors, which mostly break orthogonality
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for name in FIXTURES + ("s1_general",):
+        s = build_fixture(name, d=6) if name == "s1_general" else build_fixture(name)
+        for v in (s, _rotated(s, 11)):
+            for p in range(v.space.n_parties):
+                d = v.space.party_dims[p]
+                x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                proj = np.outer(x, x.conj()) / np.vdot(x, x).real
+                extra = LocalMeasurement(p, [proj, np.eye(d) - proj], ["x", "I-x"])
+                for m in [*measurement_candidates(v, p), extra]:
+                    verdicts.append(is_oplm(v, m))
+                    assert verdicts[-1] == reference_is_oplm(v, m), (name, p, m.labels)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_state_pair_lists_are_built_once_per_size(monkeypatch):
@@ -523,9 +599,11 @@ def test_state_pair_lists_are_built_once_per_size(monkeypatch):
     assert sizes and len(sizes) == len(set(sizes)), sorted(sizes)
 
 
-# party A of a rotated s1_general d=12 keeps all 20,736 ordered pairs; the
-# process peaked at 154.9 MB before the pair screen, and may take 10% more
-ROTATED_D12_RSS_MB = 170
+# party A of a rotated s1_general d=12 keeps all 10,296 pairs i < j; the
+# process peaks at 129.7 MB computing and keeping only those, and at 152.7
+# MB with the dense pair tensors of all 20,736 ordered pairs (2-core Xeon,
+# OpenBLAS 0.3.31, one thread)
+ROTATED_D12_RSS_MB = 145
 ROTATED_D12_RUN = PEAK_RSS_SOURCE + """
 import json
 import numpy as np

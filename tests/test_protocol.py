@@ -181,9 +181,12 @@ def test_s1_general_masks_match_survivors_at_every_expanded_node(search, d, monk
     assert checked and not any(checked)
 
 
-# both searches on s1_general d = 10 at depth 2d, in a fresh process: the
-# OPLM solves stay below this peak (about 165 MB measured)
-EDGE_RSS_MB = 300
+# both searches on s1_general d = 10 at depth 2d, in a fresh process with
+# one BLAS thread (each further OpenBLAS thread adds about 13 MB): the OPLM
+# solves stay below this peak. With solved spaces keeping only the tensors
+# of their live pairs i < j the process peaks at 75.4 MB, and at 144.3 MB
+# with dense pair tensors (2-core Xeon, OpenBLAS 0.3.31)
+EDGE_RSS_MB = 110
 EDGE_RUN = PEAK_RSS_SOURCE + """
 import json
 from qlocc.fixtures import build_fixture
@@ -200,6 +203,7 @@ print(json.dumps({
 
 def test_s1_general_d10_searches_in_a_fresh_process():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlocc.__file__)))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", EDGE_RUN], env=env, capture_output=True, text=True, check=True, timeout=300)
     got = json.loads(out.stdout)
     assert got["dist"] == ["Distinguishability", True]
@@ -561,13 +565,14 @@ def test_orthogonality_asserted_during_search():
     key = an.intern(s1)
     visited = 0
     for mv in an.moves(key):
-        for oi, labels in enumerate(mv.survivors):
-            if labels:
+        for oi, keep in enumerate(mv.mask):
+            assert mv.kept[oi] == keep.sum()
+            if keep.any():
                 ck = an.child_key(key, mv, oi)
-                assert sorted(an.set_of(ck).labels) == sorted(labels)
+                assert sorted(an.set_of(ck).labels) == sorted(np.array(s1.labels)[keep].tolist())
                 assert gram_check(an.set_of(ck), tol=1e-8).ok
                 visited += 1
-    assert visited == sum(1 for mv in an.moves(key) for labels in mv.survivors if labels) > 0
+    assert visited == sum(1 for mv in an.moves(key) for kept in mv.kept if kept) > 0
 
 
 # JSON `kraus` entries: well-formed ones, ints past 64 bits, booleans and
