@@ -300,8 +300,8 @@ def _union_kraus(support: np.ndarray, parts: np.ndarray, members: np.ndarray) ->
     marks: its parts added in ascending order, each to the rows it is a
     member of, embedded by one batched product, then Q = I - P. The one
     construction of candidate Kraus operators: a MASK_CHUNK of unions for
-    their dedupe keys, and a stack of one on a candidate's first read, with
-    the same bits."""
+    their dedupe keys (`_Unions.keys`), and a stack of one on a candidate's
+    first read, with the same bits."""
     p = np.zeros((len(members),) + parts.shape[1:], dtype=np.complex128)
     for b in np.flatnonzero(members.any(axis=0)):
         np.add(p, parts[b], out=p, where=members[:, b, None, None] == 1)
@@ -311,14 +311,31 @@ def _union_kraus(support: np.ndarray, parts: np.ndarray, members: np.ndarray) ->
 
 class _Unions(NamedTuple):
     """The passing unions of one family, in ascending mask order: each one's
-    member parts, P label and dedupe key, and the family's parts in the
-    coordinates of `support`, from which `_union_kraus` builds any union."""
+    member parts and P label, and the family's parts in the coordinates of
+    `support`, from which `_union_kraus` builds any union.
+
+    No two unions of one family are one measurement: two distinct member
+    sets differ by at least one orthogonal projector part, so their P
+    differ, and P of one is never I - P of another, since every union leaves
+    out the family's last atom, which I - P holds. So a family carries no
+    dedupe keys; `measurement_candidates` asks for `keys` only where a
+    second family meets it."""
 
     members: np.ndarray  # (n_unions, len(parts)), bool
     labels: list[str]
-    keys: list[bytes]
     support: np.ndarray  # (d, r)
     parts: np.ndarray  # (k, r, r)
+
+    def keys(self) -> list[bytes]:
+        """Each union's dedupe key: the sha256 digest of min(rounded P
+        bytes, rounded I - P bytes), from one `_union_kraus` stack per
+        MASK_CHUNK of unions."""
+        keys = []
+        for lo in range(0, len(self.members), MASK_CHUNK):
+            p_full, q_full = _union_kraus(self.support, self.parts, self.members[lo : lo + MASK_CHUNK])
+            rp, rq = np.round(p_full, 9), np.round(q_full, 9)
+            keys += [hashlib.sha256(min(a.tobytes(), b.tobytes())).digest() for a, b in zip(rp, rq)]
+        return keys
 
     def measurement(self, party: int, c: int) -> LocalMeasurement:
         """Union c as the measurement {P, I - P}."""
@@ -405,35 +422,28 @@ def _union_measurements(support: np.ndarray, parts: np.ndarray, index_sets, cols
     parts' columns of `cols` is within SPAN_TOL. Only unions of `_atoms` can
     pass, and a union and its complement are one measurement, so the unions
     of atoms without the last are tried, one matrix product per MASK_CHUNK
-    of them, in ascending part-mask order. Each chunk's passing unions are
-    built as one `_union_kraus` stack for their dedupe keys, the sha256
-    digests of min(rounded P bytes, rounded I - P bytes), and the stack is
-    dropped: a union keeps its members, label and key. P is labelled by its
-    indices, P[...], when every member part has an index set, and by its
-    parts, P[blocks ...].
+    of them, in ascending part-mask order. A union keeps its members and
+    label: P is labelled by its indices, P[...], when every member part has
+    an index set, and by its parts, P[blocks ...]. No Kraus operator is
+    built here (see `_Unions`).
     """
     owner, k = _atoms(cols)
     if k > ATOM_CAP:
         return None
     n_masks = 1 << max(k - 1, 0)
-    labels, keys, members = [], [], [np.zeros((0, len(parts)), dtype=bool)]
+    labels, members = [], [np.zeros((0, len(parts)), dtype=bool)]
     for lo in range(1, n_masks, MASK_CHUNK):
         masks = np.arange(lo, min(lo + MASK_CHUNK, n_masks))
         bits = (masks[:, None] >> owner) & 1  # a part's bit is its atom's
         bits = bits[np.abs(bits @ cols.T).max(axis=1, initial=0.0) <= SPAN_TOL]
-        if not len(bits):
-            continue
-        p_full, q_full = _union_kraus(support, parts, bits)
-        rp, rq = np.round(p_full, 9), np.round(q_full, 9)
-        for c, row in enumerate(bits):
-            union = np.flatnonzero(row).tolist()
+        for row in bits.tolist():
+            union = [b for b, x in enumerate(row) if x]
             if all(index_sets[b] is not None for b in union):
                 labels.append("P[" + ",".join(str(i) for i in sorted(i for b in union for i in index_sets[b])) + "]")
             else:
                 labels.append(f"P[blocks {union}]")
-            keys.append(hashlib.sha256(min(rp[c].tobytes(), rq[c].tobytes())).digest())
         members.append(bits == 1)
-    return _Unions(np.concatenate(members), labels, keys, support, parts)
+    return _Unions(np.concatenate(members), labels, support, parts)
 
 
 def _block_unions(sp: OplmSpace, bs: BlockStructure) -> _Unions | None:
@@ -474,15 +484,17 @@ def projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[LocalMeasurement
     if sp.worst_overlap() > SPAN_TOL:
         return []
     unions = _block_unions(sp, bs)
-    return None if unions is None else [unions.measurement(sp.party, c) for c in range(len(unions.keys))]
+    return None if unions is None else [unions.measurement(sp.party, c) for c in range(len(unions.labels))]
 
 
 def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> Candidates:
     """Two-outcome projective OPLM candidates for one party.
 
-    Two families of unions, enumerated by `_union_measurements` and
-    deduplicated on the digests of their rounded Kraus operators, the first
-    found kept:
+    Two families of unions, enumerated by `_union_measurements`; where both
+    are present, deduplicated on the digests of their rounded Kraus
+    operators (`_Unions.keys`), the first found kept. One family alone
+    repeats no measurement (see `_Unions`), so it is kept whole, and no
+    Kraus operator is built for a key:
 
     * If the operator space restricted to the joint local support commutes,
       `projective_oplms`: the unions of joint eigenblocks (complete for
@@ -512,13 +524,16 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     support = np.eye(mats.shape[1], dtype=np.complex128)[:, occ]
     parts = np.array([np.diag(e) for e in np.eye(len(occ), dtype=np.complex128)])
     families.append(("index projectors", _union_measurements(support, parts, [[i] for i in occ], diag[_upper(len(s))])))
-    seen: dict[bytes, tuple] = {}
-    for u in [u for _, u in families if u is not None]:
-        for c, (mask, key) in enumerate(zip(union_survivors(s, party, *u.outcome_parts()), u.keys)):
-            seen.setdefault(key, (u, c, mask))
-    masks = np.array([mask for *_, mask in seen.values()], dtype=bool).reshape(len(seen), 2, len(s))
+    unions = [u for _, u in families if u is not None]
+    kept = [(u, c, mask) for u in unions for c, mask in enumerate(union_survivors(s, party, *u.outcome_parts()))]
+    if len(unions) == 2:  # only a second family can repeat a measurement
+        seen: dict[bytes, tuple] = {}
+        for key, cand in zip(unions[0].keys() + unions[1].keys(), kept):
+            seen.setdefault(key, cand)
+        kept = list(seen.values())
+    masks = np.array([mask for *_, mask in kept], dtype=bool).reshape(len(kept), 2, len(s))
     capped = tuple(name for name, u in families if u is None)
-    return Candidates(party, [(u, c) for u, c, _ in seen.values()], masks, capped)
+    return Candidates(party, [(u, c) for u, c, _ in kept], masks, capped)
 
 
 def is_oplm(s: StateSet, m: LocalMeasurement) -> bool:

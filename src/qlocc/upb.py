@@ -19,6 +19,16 @@ works with i on f: if f's branch fails, every branch fails (the partition
 characterization of Bennett et al., PRL 82, 5385 (1999), and DiVincenzo et
 al., CMP 238, 379 (2003)). The pruned search returns the assignment the
 plain party-order search finds first; see `check_unextendible`.
+
+It also remembers the subproblems that failed. Whether the search from
+state i succeeds depends only on i and on the spans as subspaces, and a
+span is the span of the local vectors it was grown from. Each state has a
+direction class per party, the first state whose local vector holds its
+own, so spans grown from the same classes are the same subspace, and a
+failed (i, class masks) fails wherever it recurs. Only failures are kept,
+so the first successful path, and with it the assignment and witness,
+stays the plain search's. Sets whose states share local vectors, as the
+tiles of a tiling do, reach the same subproblem along many paths.
 """
 
 from __future__ import annotations
@@ -49,8 +59,19 @@ def _local_support_vectors(s: StateSet, factors):
     for p, (vecs, _) in enumerate(factors):
         u, _ = support_basis(s, p)
         supports.append(u)
-        locals_.append(np.stack([u.conj().T @ v for v in vecs]))
+        # one gemv per state, as `u.conj().T @ v` runs it
+        locals_.append(np.matmul(u.conj().T, vecs[:, :, None])[:, :, 0])
     return supports, locals_
+
+
+def _direction_classes(w: np.ndarray) -> list[int]:
+    """Each state's direction class on one party, from its unit local
+    vectors w (n, r): the first state i whose vector holds w[j] by the
+    assignment search's test, ||w_j - w_i <w_i|w_j>|| <= SPAN_TOL, taken on
+    squared norms. Every unit vector holds itself, so i <= j."""
+    resid = w[None, :, :] - w[:, None, :] * (w.conj() @ w.T)[:, :, None]
+    parts = resid.view(np.float64)
+    return (np.einsum("ijk,ijk->ij", parts, parts) <= SPAN_TOL**2).argmax(axis=0).tolist()
 
 
 class CapExceeded(ValueError):
@@ -68,6 +89,8 @@ class UpbVerdict:
     witness: Ket | None  # a product extension, when one exists
     assignment: list[int] | None  # party handling each state, for the witness
     support_note: str
+    # nodes of the pruned, memoized assignment search, a memo hit counted
+    # as one; not the plain search's count
     nodes_explored: int
 
 
@@ -93,8 +116,10 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
     answer. For f > 0 the plain search would have tried parties 0..f-1
     before f, so these run next, from the spans the state started with,
     and the first that succeeds is the answer; if none does, the answer is
-    f's kept result. f's branch runs once. Verdict, assignment and witness
-    are those of the plain search; only `nodes_explored` is smaller.
+    f's kept result. f's branch runs once. A state whose (index, per-party
+    direction class masks) already failed fails at once (see the module
+    docstring). Verdict, assignment and witness are those of the plain
+    search; only `nodes_explored` differs.
     """
     if len(s) == 0:
         raise ValueError("empty state set")
@@ -115,10 +140,13 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
     rdims = [u.shape[1] for u in supports]
     note = "supports: " + " x ".join(str(r) for r in rdims) + f" (ambient {'x'.join(str(d) for d in s.space.party_dims)})"
 
+    classes = [_direction_classes(w) for w in locals_]
     nodes = 0
-    # each party's span of assigned local vectors, with its conjugate transpose
-    spans = [(z, z.conj().T) for z in (np.zeros((r, 0), dtype=np.complex128) for r in rdims)]
+    # each party's span of assigned local vectors, with its conjugate
+    # transpose and the bitmask of the direction classes it was grown from
+    spans = [(z, z.conj().T, 0) for z in (np.zeros((r, 0), dtype=np.complex128) for r in rdims)]
     assignment: list[int] = []
+    failed: set[tuple[int, ...]] = set()  # (i, class masks) whose search failed
 
     def dfs(i: int) -> bool:
         nonlocal nodes
@@ -127,10 +155,19 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             raise CapExceeded("assignment search exceeded node cap", f"assignment search exceeded NODE_CAP = {NODE_CAP} nodes")
         if i == k:
             return True
+        if failed and (i, *(m for _, _, m in spans)) in failed:
+            return False
+        if search(i):
+            return True
+        # a failed search leaves the spans as it found them
+        failed.add((i, *(m for _, _, m in spans)))
+        return False
+
+    def search(i: int) -> bool:
         # residuals up to the first free party: only the parties before it
         # are tried besides it
         resids = []
-        for p, (span, span_h) in enumerate(spans):
+        for p, (span, span_h, _) in enumerate(spans):
             w = locals_[p][i]
             resid = w - span @ (span_h @ w)
             re, im = resid.real, resid.imag
@@ -161,16 +198,17 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
         residual, until the rest of the search succeeds."""
         for p in parties:
             resid, rn = resids[p]
-            span, span_h = spans[p]
+            held = spans[p]
+            span, _, mask = held
             if span.shape[1] + 1 >= rdims[p]:
                 continue  # party span would become full: no room for a witness
             grown = np.hstack([span, (resid / rn)[:, None]])
-            spans[p] = grown, grown.conj().T
+            spans[p] = grown, grown.conj().T, mask | 1 << classes[p][i]
             assignment.append(p)
             if dfs(i + 1):
                 return True
             assignment.pop()
-            spans[p] = span, span_h
+            spans[p] = held
         return False
 
     if dfs(0):

@@ -539,11 +539,12 @@ def reference_block_unions(sp: OplmSpace, bs: BlockStructure) -> ReferenceUnions
     return reference_union_measurements(sp.party, sp.support, np.array(bs.blocks), bs.index_supports, np.concatenate([span, vals]))
 
 
-def reference_eager_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[LocalMeasurement]:
+def reference_eager_candidates(s: StateSet, party: int, sp: OplmSpace | None = None) -> list[tuple[LocalMeasurement, np.ndarray]]:
     """The measurements of `measurement_candidates` as the eager chunk build
-    made them, in order: the body of that function before candidates built
-    their operators on first read, verbatim up to its last two lines, which
-    made the `Candidates` list."""
+    made them, in order, each with its survivor masks: the body of that
+    function before candidates built their operators on first read, with
+    every union keyed in every family, verbatim up to the lines that made
+    the `Candidates` list."""
     if sp is None:
         sp = oplm_space(s, party, on_support=True)
     families = []
@@ -562,7 +563,7 @@ def reference_eager_candidates(s: StateSet, party: int, sp: OplmSpace | None = N
     for u in [u for _, u in families if u is not None]:
         for m, mask, key in zip(u.measurements, union_survivors(s, party, u.parts, u.bits), u.keys):
             seen.setdefault(key, (m, mask))
-    return [m for m, _ in seen.values()]
+    return list(seen.values())
 
 
 def candidates_match_reference(got: list[LocalMeasurement], ref: list[LocalMeasurement]) -> bool:

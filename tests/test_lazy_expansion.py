@@ -226,21 +226,28 @@ def test_child_key_refuses_a_mask_that_applying_contradicts():
     assert an.child_key(key, mv, 0) == mv.keys[0] is not None
 
 
-@pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6"])
+@pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6", "s1_general-d8"])
 def test_first_read_kraus_pairs_match_the_eager_chunk_build(run):
-    # every candidate of every expanded node: those the search applied were
-    # built when it first read them, the others are built here
+    # every candidate of every expanded node, in order, with its labels,
+    # survivor masks and Kraus bits: those the search applied were built when
+    # it first read them, the others are built here. The reference keys
+    # every union, and `measurement_candidates` only those where two
+    # families meet
     with recorded_candidates() as calls:
         if run.endswith("-profile"):
             hidden_nonlocality_profile(build_fixture(run.removesuffix("-profile")), max_depth=8)
         else:
-            s, depth = _case(run)
-            an = SetAnalyzer()
-            search_distinguishing_protocol(s, depth, analyzer=an)
-            activation_search(s, depth, analyzer=an)
+            d = int(run.removeprefix("s1_general-d"))
+            s, an = build_fixture("s1_general", d=d), SetAnalyzer()
+            search_distinguishing_protocol(s, 2 * d, analyzer=an)
+            activation_search(s, 2 * d, analyzer=an)
     assert calls and sum(len(got) for *_, got in calls) > 0
+    if run == "s4-profile":  # the B|AC root: 2,047 unions of one family on the 12-dim party
+        assert any(len(got) == 2047 and s.space.party_dims[party] == 12 for s, party, _, got in calls)
     for s, party, sp, got in calls:
-        assert candidates_match_reference(list(got), reference_eager_candidates(s, party, sp)), (s.labels, party)
+        ref = reference_eager_candidates(s, party, sp)
+        assert candidates_match_reference(list(got), [m for m, _ in ref]), (s.labels, party)
+        assert np.array_equal(got.masks, np.array([mask for _, mask in ref], dtype=bool).reshape(got.masks.shape)), (s.labels, party)
 
 
 def test_search_builds_only_the_candidates_it_reads():

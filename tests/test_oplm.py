@@ -970,6 +970,26 @@ def test_atom_cap_binds_on_the_s4_ab_index_projectors():
     assert measurement_candidates(s, 0).capped == ()
 
 
+def test_only_a_second_family_keys_the_unions(monkeypatch):
+    # a union repeats a measurement only of another family, so a party with
+    # one union family builds no Kraus operator for a dedupe key
+    stacks = []
+    union_kraus = oplm._union_kraus
+
+    def recorded(support, parts, members):
+        stacks.append(len(members))
+        return union_kraus(support, parts, members)
+
+    monkeypatch.setattr(oplm, "_union_kraus", recorded)
+    # the B|AC root of s4: 2,047 index-projector unions on the 12-dim AC party
+    merged = _merge_for(build_fixture("s4"), [(1,), (0, 2)])
+    got = measurement_candidates(merged, 1)
+    assert len(got) == 2047 and stacks == []
+    # party A of s1 has both families, one union each, and they are one measurement
+    got = measurement_candidates(build_fixture("s1"), 0)
+    assert len(got) == 1 and stacks == [1, 1]
+
+
 def _candidate_source(seed: int, source: str, rotated: bool) -> StateSet | None:
     rng = np.random.default_rng(seed)
     dims = [(3, 4), (4, 4), (2, 6), (12, 2), (2, 2, 3)][seed % 5]

@@ -164,7 +164,7 @@ def test_upb_prune_bounds_s4_abc_node(s4_run):
     _prof, check = s4_run
     hard = [(got, ref) for s, got, ref in check.upb_calls if len(s) == 20 and s.space.party_dims == (6, 12) and ref.unextendible]
     assert max(ref.nodes_explored for _, ref in hard) == 58_352
-    assert all(got.unextendible and got.nodes_explored <= 2_000 for got, _ in hard)
+    assert all(got.unextendible and got.nodes_explored <= 1_100 for got, _ in hard)
 
 
 def test_s2_s4_profiles_differ(s2_profile, s4_profile):

@@ -145,8 +145,9 @@ UPB_PINS = {
 }
 
 
-# nodes_explored of check_unextendible, whose dominance prune skips the
-# branches that cannot change the outcome; every other field is UPB_PINS's
+# nodes_explored of check_unextendible, whose dominance prune and memo of
+# failed subproblems skip the branches that cannot change the outcome; a
+# memo hit counts as a node. Every other field is UPB_PINS's
 UPB_NODES = {
     "tiles33": 19,
     "tiles33-minus-0": 5,
@@ -159,7 +160,7 @@ UPB_NODES = {
     "3x3-9": 29,
     "2x2x2-5": 6,
     "2x2x2-7": 22,
-    "2x2x2-8": 30,
+    "2x2x2-8": 27,
     "2x4-5": 6,
     "2x4-7": 8,
     "2x4-8": 20,
@@ -566,3 +567,55 @@ def test_exact_upb_matches_brute_force_and_oracle(seed, dims, k):
     assert unextendible == (not _brute_force_extendible(s))
     oracle = numeric_extension_search(s, restarts=60, seed=seed % 1000)
     assert unextendible == (oracle.residual > 1e-8), oracle.residual
+
+
+def _tiled_product_set(rng, dims, n, rotated):
+    """A greedy orthogonal product set of at most n states whose local
+    vectors come from a small pool per party: the columns u_a of a random
+    unitary (the identity unless `rotated`) and (u_a +- u_b)/sqrt2, so
+    states share local vectors as the tiles of a tiling do. None when fewer
+    than two states fit."""
+    pools = []
+    for d in dims:
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] if rotated else np.eye(d, dtype=complex)
+        extra = [(u[:, a] + sign * u[:, b]) / np.sqrt(2) for a, b in itertools.combinations(range(d), 2) for sign in (1, -1)]
+        pools.append(np.array(list(u.T) + extra))
+    picks = []
+    for _ in range(50 * n):
+        pick = [int(rng.integers(len(pool))) for pool in pools]
+        if all(any(abs(np.vdot(pool[a], pool[b])) <= 1e-12 for pool, a, b in zip(pools, pick, other)) for other in picks):
+            picks.append(pick)
+            if len(picks) == n:
+                break
+    if len(picks) < 2:
+        return None
+    space = PartySpace(tuple(dims))
+    amps = [functools.reduce(np.kron, [pool[a] for pool, a in zip(pools, pick)]) for pick in picks]
+    return StateSet(space, [Ket(space, amp, f"t{i}") for i, amp in enumerate(amps)], "tiled")
+
+
+def test_memoized_search_matches_the_plain_search_on_repeated_local_vectors():
+    # spans grown from the same direction classes are one subspace, so a
+    # failed (state, class masks) subproblem fails wherever it recurs; the
+    # memo of failures keeps the plain search's first successful path. With
+    # every state its own class the memo keys are finer, so shared classes
+    # must save nodes somewhere
+    rng = np.random.default_rng(25)
+    checked = unextendible = saved = 0
+    for case in range(40):
+        dims = [(3, 3), (4, 4), (2, 2, 2), (3, 3, 2), (4, 5)][case % 5]
+        s = _tiled_product_set(rng, dims, int(rng.integers(8, 21 if len(dims) == 2 else 13)), rotated=case % 2 == 1)
+        if s is None:
+            continue
+        _, locals_ = upb._local_support_vectors(s, [local_factors(s, p) for p in range(len(dims))])
+        assert any(len(set(upb._direction_classes(w))) < len(s) for w in locals_), case
+        got = check_unextendible(s)
+        assert upb_outcome(got) == upb_outcome(upb_run(reference_check_unextendible, s)), case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upb, "_direction_classes", lambda w: list(range(len(w))))
+            finer = check_unextendible(s)
+        assert upb_outcome(finer) == upb_outcome(got) and finer.nodes_explored >= got.nodes_explored, case
+        saved += finer.nodes_explored - got.nodes_explored
+        checked += 1
+        unextendible += got.unextendible
+    assert checked >= 35 and 0 < unextendible < checked and saved > 0
