@@ -125,8 +125,9 @@ def _tol(args) -> float:
     return tol
 
 
-def _load_set(args, report):
-    path = getattr(args, "set", None)
+def _load_set(path, inputs: dict):
+    """The set in file `path`, whose sha256 goes into `inputs` under its
+    file name."""
     if not path:
         raise UsageError("--set FILE is required")
     try:
@@ -134,36 +135,29 @@ def _load_set(args, report):
             raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    report["inputs"][os.path.basename(path)] = hashlib.sha256(raw).hexdigest()
-    s = parse_qset(raw.decode("utf-8"))
-    return s
+    inputs[os.path.basename(path)] = hashlib.sha256(raw).hexdigest()
+    return parse_qset(raw.decode("utf-8"))
 
 
-def _require_orthogonal(s, tol, force: bool):
+def _refusal(s, tol):
+    """The gate's (exit_code, verdict_payload, human_text) for a set that is
+    not pairwise orthogonal at `tol`, else None: OP-LOCC is defined on
+    orthogonal sets only."""
     rep = gram_check(s, tol=tol)
-    if not rep.ok and not force:
-        worst = rep.violations[0]
-        raise NegativeVerdict(
-            {
-                "verdict": "non-orthogonal input",
-                "worst_pair": {"labels": [worst[0], worst[1]], "magnitude": worst[2]},
-            },
-            f"input set is not pairwise orthogonal (|<{worst[0]}|{worst[1]}>| = {worst[2]:.4g}); "
-            "rerun with --force to analyze anyway",
-        )
-    return rep
+    if rep.ok:
+        return None
+    a, b, magnitude = rep.violations[0]
+    return (
+        1,
+        {"verdict": "non-orthogonal input", "worst_pair": {"labels": [a, b], "magnitude": magnitude}},
+        f"input set is not pairwise orthogonal (|<{a}|{b}>| = {magnitude:.4g}); rerun with --force to analyze anyway",
+    )
 
 
-class NegativeVerdict(Exception):
-    def __init__(self, payload: dict, text: str):
-        self.payload = payload
-        self.text = text
+# -- command handlers: (args, set) -> (exit_code, verdict_payload, human_text)
 
 
-# -- command handlers: return (exit_code, verdict_payload, human_text) -------
-
-
-def cmd_fixture(args, report):
+def cmd_fixture(args, _):
     s = build_fixture(args.name, args.variant, d=args.d)
     text = serialize_qset(s)
     if args.output:
@@ -184,9 +178,8 @@ def cmd_fixture(args, report):
     return 0, payload, human
 
 
-def cmd_check_ortho(args, report):
-    s = _load_set(args, report)
-    tol = _tol(args)
+def cmd_check_ortho(args, s):
+    tol = args.tol
     rep = gram_check(s, tol=tol)
     payload = {
         "verdict": "orthogonal" if rep.ok else "non-orthogonal",
@@ -205,11 +198,8 @@ def cmd_check_ortho(args, report):
     return (0 if rep.ok else 1), payload, human
 
 
-def cmd_redundancy(args, report):
-    s = _load_set(args, report)
-    tol = _tol(args)
-    _require_orthogonal(s, tol, args.force)
-    rep = redundancy_check(s, tol=tol)
+def cmd_redundancy(args, s):
+    rep = redundancy_check(s, tol=args.tol)
     payload = {
         "verdict": rep.verdict,
         "witness_discard": list(rep.witness_discard) if rep.witness_discard else None,
@@ -225,9 +215,7 @@ def cmd_redundancy(args, report):
     return 0, payload, human
 
 
-def cmd_oplm(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_oplm(args, s):
     party = args.party
     if party is None or not 0 <= party < s.space.n_parties:
         raise UsageError("--party INDEX is required and must be in range")
@@ -262,9 +250,7 @@ def cmd_oplm(args, report):
     return 0, payload, human
 
 
-def cmd_irreducible(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_irreducible(args, s):
     v = is_locally_irreducible(s)
     payload = {
         "verdict": v.verdict,
@@ -280,9 +266,7 @@ def cmd_irreducible(args, report):
     return (0 if v.irreducible else 1), payload, human
 
 
-def cmd_upb(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_upb(args, s):
     try:
         v = check_unextendible(s)
     except CapExceeded as exc:
@@ -320,9 +304,7 @@ def _load_protocol(spec: str):
         return tree_from_json(json.load(fh))
 
 
-def cmd_protocol_verify(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_protocol_verify(args, s):
     tree = _load_protocol(args.protocol)
     if args.activation:
         cert = certify_activation_protocol(s, tree)
@@ -336,9 +318,7 @@ def cmd_protocol_verify(args, report):
     return (0 if vr.passed else 1), payload, human
 
 
-def cmd_protocol_search(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_protocol_search(args, s):
     cert = search_distinguishing_protocol(s, max_depth=args.max_depth)
     payload = cert.to_json()
     if args.output and cert.tree is not None:
@@ -353,9 +333,7 @@ def cmd_protocol_search(args, report):
     return (0 if found else 1), payload, human
 
 
-def cmd_activate(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_activate(args, s):
     if args.protocol:
         cert = certify_activation_protocol(s, _load_protocol(args.protocol))
     else:
@@ -369,9 +347,7 @@ def cmd_activate(args, report):
     return (0 if ok else 1), payload, human
 
 
-def cmd_profile(args, report):
-    s = _load_set(args, report)
-    _require_orthogonal(s, _tol(args), args.force)
+def cmd_profile(args, s):
     prof = hidden_nonlocality_profile(s, max_depth=args.max_depth)
     payload = prof.to_json()
     lines = [f"{s.name}: hidden-nonlocality profile"]
@@ -402,8 +378,7 @@ def _parse_overlay(spec: str):
     return node.party, overlay_from_kraus(node.measurement.kraus[0])
 
 
-def cmd_render(args, report):
-    s = _load_set(args, report)
+def cmd_render(args, s):
     overlay = _parse_overlay(args.overlay) if args.overlay else None
     text = render(s, fmt=args.format, overlay=overlay)
     if args.output:
@@ -430,12 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"qlocc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_depth=False, with_tol=True):
+    def common(p, with_depth=False, with_tol=True, gated=True):
         p.add_argument("--set", help="input .qset file")
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
         if with_tol:
             p.add_argument("--tol", type=float, default=None, help=f"orthogonality tolerance (default {ORTHO_TOL:g} or QLOCC_TOL)")
-        p.add_argument("--force", action="store_true", help="analyze even if the input fails the orthogonality check")
+        if gated:
+            p.add_argument("--force", action="store_true", help="analyze even if the input fails the orthogonality check")
         if with_depth:
             p.add_argument("--max-depth", type=_count, default=8, help="protocol search depth cap")
 
@@ -448,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixture)
 
     p = sub.add_parser("check-ortho", help="pairwise orthogonality report")
-    common(p)
+    common(p, gated=False)
     p.set_defaults(func=cmd_check_ortho)
 
     p = sub.add_parser("redundancy", help="local redundancy check (sub-splits honored)")
@@ -493,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("render", help="domino-tiling diagram (ascii or svg)")
-    common(p, with_tol=False)
+    common(p, with_tol=False, gated=False)
     p.add_argument("--format", default="ascii", choices=("ascii", "svg"))
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--overlay", default=None, help="PROTOCOL.json[:path] or builtin:NAME[:path]")
@@ -509,42 +485,38 @@ _shared_parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    opts = vars(args)
     report = {
         "command": args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),
         "tool": {"name": "qlocc", "version": __version__},
         "inputs": {},
         "params": {
             k: v
-            for k, v in vars(args).items()
+            for k, v in opts.items()
             if k not in ("func", "command", "subcommand", "json") and v is not None
         },
     }
     t0 = time.perf_counter()
     try:
-        code, payload, human = args.func(args, report)
+        # the set, then the tolerance (checked under --force too; params keep
+        # the --tol given), then the gate, for the commands that take --force
+        s = _load_set(args.set, report["inputs"]) if "set" in opts else None
+        if "tol" in opts:
+            args.tol = _tol(args)
+        refusal = _refusal(s, args.tol) if opts.get("force") is False else None
+        code, payload, human = refusal or args.func(args, s)
     except UsageError as exc:
         print(f"qlocc: error: {exc}", file=sys.stderr)
         return 2
     except QsetError as exc:
         print(f"qlocc: parse error: {exc}", file=sys.stderr)
         return 2
-    except NegativeVerdict as exc:
-        report["verdicts"] = exc.payload
-        report["timings"] = {"seconds": time.perf_counter() - t0}
-        if getattr(args, "json", False):
-            print(_dumps(report, 2))
-        else:
-            print(exc.text)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"qlocc: error: {exc}", file=sys.stderr)
         return 2
     report["verdicts"] = payload
     report["timings"] = {"seconds": time.perf_counter() - t0}
-    if getattr(args, "json", False):
-        print(_dumps(report, 2))
-    else:
-        print(human)
+    print(_dumps(report, 2) if args.json else human)
     return code
 
 

@@ -52,6 +52,8 @@ SWEEP_TOL = 1e-15
 TERM_TOL = 1e-14
 # The numeric oracle agrees with the exact UPB check when (residual <= ORACLE_TOL) == extendible.
 ORACLE_TOL = 1e-8
+# Interning and dedupe keys round entries to this many decimals: reached sets (`canonical_key`) and union measurements.
+KEY_DECIMALS = 9
 
 
 def as_carray(a) -> np.ndarray:

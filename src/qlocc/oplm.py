@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
+from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, KEY_DECIMALS, NOISE_TOL, RANK_RTOL, SPAN_TOL
 from .states import StateSet, gram_check, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
@@ -333,7 +333,7 @@ class _Unions(NamedTuple):
         keys = []
         for lo in range(0, len(self.members), MASK_CHUNK):
             p_full, q_full = _union_kraus(self.support, self.parts, self.members[lo : lo + MASK_CHUNK])
-            rp, rq = np.round(p_full, 9), np.round(q_full, 9)
+            rp, rq = np.round(p_full, KEY_DECIMALS), np.round(q_full, KEY_DECIMALS)
             keys += [hashlib.sha256(min(a.tobytes(), b.tobytes())).digest() for a, b in zip(rp, rq)]
         return keys
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import NOISE_TOL, ORTHO_TOL, SPAN_TOL
+from .linalg import KEY_DECIMALS, NOISE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -295,13 +295,14 @@ def canonical_key(s: StateSet) -> bytes:
     """Interning key: the sha256 digest of the party dims and one item per
     state, sorted.
 
-    Each row gets its phase fixed by `fixed_phases` and is rounded to 9
-    decimals; its item is the row's bytes followed by its label, so sets that
-    differ only in labels get different keys. The memo keeps the digest, not
-    the items, which are as large as the amplitude matrix itself.
+    Each row gets its phase fixed by `fixed_phases` and is rounded to
+    KEY_DECIMALS decimals; its item is the row's bytes followed by its
+    label, so sets that differ only in labels get different keys. The memo
+    keeps the digest, not the items, which are as large as the amplitude
+    matrix itself.
     """
     m = fixed_phases(s.matrix())
-    buf = (np.round(m, 9) + 0.0).tobytes()
+    buf = (np.round(m, KEY_DECIMALS) + 0.0).tobytes()
     width = m.shape[1] * m.itemsize
     items = []
     for i, lab in enumerate(s.labels):
@@ -369,9 +370,9 @@ class SetAnalyzer:
 
     Reached sets are interned by `canonical_key`, so two sets with the same
     amplitudes but different labels are two nodes. A key's node keeps the
-    first set that reached it; sets with equal keys agree to 9 decimals,
-    and trees print reached sets in full. `nodes` is in the order the sets
-    were first reached, and so is the activation transcript.
+    first set that reached it; sets with equal keys agree to KEY_DECIMALS
+    decimals, and trees print reached sets in full. `nodes` is in the order
+    the sets were first reached, and so is the activation transcript.
 
     Expanding a node keeps only what move ordering needs: each outcome's
     survivor mask and count. They come from the masks
@@ -559,14 +560,15 @@ class SetAnalyzer:
         return (True, tr) if tr is not None else None
 
     def _act_terminal(self, key: bytes):
-        s = self.set_of(key)
-        if len(s) < 2:
+        # the exact rule reads support dims only; a set it closes is locally
+        # distinguishable, so it is never certified indistinguishable
+        if self.exact_nonactivable(key):
             return False, None
         cert = self.certified_indistinguishable(key)
         if cert is not None and self.leaf_redundant(key) is False:
             self.nodes[key]["act_leaf_evidence"] = cert
-            return True, Leaf(reached=s)
-        return (False, None) if self.exact_nonactivable(key) else None
+            return True, Leaf(reached=self.set_of(key))
+        return None
 
     def _status_terminal(self, key: bytes):
         if len(self.set_of(key)) <= 1 or self.exact_nonactivable(key) or self.terminal_resolution(key) is not None:

@@ -340,14 +340,16 @@ def test_usage_errors(capsys, files, tmp_path, monkeypatch):
     # a tolerance that is not a finite number >= 0: |<a|b>| = 0.707 would pass the gate
     skew = tmp_path / "skew.qset"
     skew.write_text("qset v1\ndims: 2 2\nstate a: |0,0>\nstate b: |0,0> + |1,1>\n")
+    # (--force skips the gate, not the tolerance check)
+    commands = (("check-ortho",), ("irreducible",), ("irreducible", "--force"))
     for tol in ("nan", "inf", "-1"):
-        for command in ("check-ortho", "irreducible"):
-            code, out, err = run(capsys, command, "--set", str(skew), "--tol", tol)
+        for command in commands:
+            code, out, err = run(capsys, *command, "--set", str(skew), "--tol", tol)
             assert code == 2 and not out and err.startswith("qlocc: error: --tol must be a finite number"), (command, tol, err)
     for tol in ("nan", "inf", "-1e-9"):
         monkeypatch.setenv("QLOCC_TOL", tol)
-        for command in ("check-ortho", "irreducible"):
-            code, out, err = run(capsys, command, "--set", str(skew))
+        for command in commands:
+            code, out, err = run(capsys, *command, "--set", str(skew))
             assert code == 2 and not out and err.startswith("qlocc: error: QLOCC_TOL must be a finite number"), (command, tol, err)
     monkeypatch.delenv("QLOCC_TOL")
     assert run(capsys, "check-ortho", "--set", str(skew), "--tol", "0")[0] == 1
@@ -359,6 +361,8 @@ def test_usage_errors(capsys, files, tmp_path, monkeypatch):
         ("activate", "--seed", "1"),
         ("check-ortho", "--seed", "1"),
         ("render", "--tol", "1e-9"),
+        ("check-ortho", "--force"),
+        ("render", "--force"),
     ],
 )
 def test_options_only_where_read(capsys, files, argv):
@@ -392,6 +396,38 @@ def test_negative_counts_are_usage_errors(capsys, files, argv):
 def test_non_orthogonal_input_negative_verdict(capsys, files):
     code, out, _ = run(capsys, "redundancy", "--set", files["s6v"])
     assert code == 1 and "not pairwise orthogonal" in out
+
+
+@pytest.mark.parametrize(
+    "argv, pin",
+    [
+        (("redundancy",), "44bf7f82f5a58ffaea5722eb416e9c6668463c5f6fe0c98b208d194d11db468e"),
+        (("oplm", "--party", "0"), "f750b006c76bbc68cb83dafa9e9b16e86f19a604cfb9157f1f9357f6b1f7c8e7"),
+        (("irreducible",), "71cc4d45fa4f8292967d95eb9f1d256cd6e8bf6e2bee050975707cc92828f290"),
+        (("upb",), "1476045ad2d09bff45cbaa4a7a262093ca72fe11c8914d11a8e7e362349ebf84"),
+        (("protocol", "verify", "--protocol", "builtin:s3_activation"), "a67ac9a2725ca6154d7d2ba750398c898c99f9871d47c4c5d19ff88db4513afd"),
+        (("protocol", "search"), "3bb2050f591e4f56fe45972e10e92fa9421e63a6f69b1b837b221b2c2e2b5090"),
+        (("activate",), "760bc0b743b486afd60eda41be3fe4424209e052c87a4403a35ee0dcd481d7df"),
+        (("profile",), "1bf5a8fe30919e650cc9c9a47cfc28b3a7195286531a1ca98c0782ba40cd355f"),
+    ],
+    ids=["redundancy", "oplm", "irreducible", "upb", "protocol-verify", "protocol-search", "activate", "profile"],
+)
+def test_gate_refusal_pinned(capsys, files, argv, pin):
+    """Every command that takes --force refuses verbatim s6 the same way:
+    exit 1, one human line, and a JSON report whose sha256 (without
+    `timings`, the set's path cut to its file name) was recorded while each
+    command still ran the gate itself."""
+    code, out, err = run(capsys, *argv, "--set", files["s6v"])
+    assert (code, out, err) == (
+        1,
+        "input set is not pairwise orthogonal (|<xi5_0|xi45+_0>| = 0.7071); rerun with --force to analyze anyway\n",
+        "",
+    )
+    code, rep = run_json(capsys, *argv, "--set", files["s6v"])
+    del rep["timings"]
+    rep["params"]["set"] = "s6v.qset"
+    assert code == 1 and rep["verdicts"]["verdict"] == "non-orthogonal input"
+    assert digest(rep) == pin
 
 
 def test_tol_env_override(capsys, files, monkeypatch):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import qlocc
-from qlocc import protocol
+from qlocc import partitions, protocol
 from qlocc.fixtures import build_fixture
 from qlocc.oplm import LocalMeasurement, measurement_candidates
+from qlocc.partitions import hidden_nonlocality_profile
 from qlocc.protocol import (
     Leaf,
     Measure,
@@ -624,3 +625,29 @@ def test_kraus_entries_load_as_the_per_pair_reference(entry):
         with pytest.raises(ValueError) as exc:
             tree_from_json(doc)
         assert str(exc.value) == "malformed protocol at root: outcome 0: 'kraus' must be a square matrix of [re, im] pairs"
+
+
+def test_exact_rule_nodes_are_never_certified(monkeypatch):
+    """The activation search closes a node by the exact C2 x Cn rule before
+    it asks for a certificate. A set that rule closes is locally
+    distinguishable, so asking anyway must find no certificate: checked on
+    every node of both s2/s4 profiles, of both searches on the other
+    fixtures, and of both searches on s1_general d = 4, 6, 8 at depth 2d."""
+    made = []
+
+    class Recorded(SetAnalyzer):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(partitions, "SetAnalyzer", Recorded)
+    for name in ("s2", "s4"):
+        hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    runs = [(build_fixture(name), 8) for name in ("s1", "s3", "s5", "s6", "tiles33")]
+    runs += [(build_fixture("s1_general", d=d), 2 * d) for d in (4, 6, 8)]
+    for s, depth in runs:
+        for search in (search_distinguishing_protocol, activation_search):
+            search(s, max_depth=depth, analyzer=Recorded())
+    exact = [(an, key) for an in made for key in an.nodes if len(an.set_of(key)) >= 2 and an.exact_nonactivable(key)]
+    assert len(exact) > 100
+    assert [an.set_of(key).labels for an, key in exact if an.certified_indistinguishable(key) is not None] == []
