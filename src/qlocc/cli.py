@@ -119,8 +119,12 @@ def _tol(args) -> float:
         env = os.environ.get("QLOCC_TOL")
         if not env:
             return ORTHO_TOL
-        tol, source = float(env), "QLOCC_TOL"
-    if not (math.isfinite(tol) and tol >= 0):
+        try:
+            tol = float(env)
+        except ValueError:
+            tol = env  # not a number: refused below, by its text
+        source = "QLOCC_TOL"
+    if not (isinstance(tol, float) and math.isfinite(tol) and tol >= 0):
         raise UsageError(f"{source} must be a finite number >= 0, not {tol!r}")
     return tol
 

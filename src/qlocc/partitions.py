@@ -12,7 +12,7 @@ set becomes activable (k = 1 means all parties separated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .protocol import Certificate, SetAnalyzer, activation_search, search_distinguishing_protocol
@@ -47,7 +47,6 @@ def qubit_times_n_rule(s: StateSet) -> RuleVerdict:
 @dataclass
 class PartitionRecord:
     partition: str
-    blocks: tuple[tuple[int, ...], ...]
     distinguishable: bool | None
     activable: bool | None
     basis: str  # EXACT | IN-CLASS | INCOMPLETE
@@ -73,18 +72,7 @@ class PartitionProfile:
         return {
             "set": self.set_name,
             "n_parties": self.n_parties,
-            "partitions": [
-                {
-                    "partition": r.partition,
-                    "distinguishable": r.distinguishable,
-                    "activable": r.activable,
-                    "basis": r.basis,
-                    "rule": r.rule,
-                    "evidence": r.evidence,
-                    "first_round_space_dims": r.first_round_space_dims,
-                }
-                for r in self.records
-            ],
+            "partitions": [asdict(r) for r in self.records],
             "h_flags": {
                 str(k): v for k, v in self.h_flags.items()
             },
@@ -126,14 +114,12 @@ def _analyze_partition(merged: StateSet, max_depth: int, blocks) -> PartitionRec
     label = _partition_label(blocks)
     rule = qubit_times_n_rule(merged)
     if rule.applicable:
-        return PartitionRecord(
-            label, blocks, rule.distinguishable, rule.activable, "EXACT", "qubit_times_n", {"reason": rule.reason}
-        )
+        return PartitionRecord(label, rule.distinguishable, rule.activable, "EXACT", "qubit_times_n", {"reason": rule.reason})
     an = SetAnalyzer()
     dist_cert = search_distinguishing_protocol(merged, max_depth, analyzer=an)
     act_cert = activation_search(merged, max_depth, analyzer=an)
     key = an.intern(merged)
-    dims = {party_letter(p): d for p, d in enumerate(an.space_dims(key))}
+    dims = {party_letter(p): d for p, d in enumerate(an.nodes[key].space_dims)}
     if act_cert.kind == "Activation":
         activable, basis = True, "EXACT"
     elif act_cert.kind == "NonActivabilityInClass":
@@ -145,7 +131,6 @@ def _analyze_partition(merged: StateSet, max_depth: int, blocks) -> PartitionRec
     dist = True if dist_cert.kind == "Distinguishability" else (False if dist_cert.kind == "Exhaustion" else None)
     return PartitionRecord(
         label,
-        blocks,
         dist,
         activable,
         basis,
@@ -180,7 +165,6 @@ def hidden_nonlocality_profile(s: StateSet, max_depth: int = 8) -> PartitionProf
         dist_cert = search_distinguishing_protocol(s, max_depth, analyzer=an)
         finest = PartitionRecord(
             finest_label,
-            finest_blocks,
             True if dist_cert.kind == "Distinguishability" else None,
             False,
             basis,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -315,13 +316,145 @@ def canonical_key(s: StateSet) -> bytes:
 # the memoized analysis graph
 
 
+class _Node:
+    """One reached set and what the analysis decided about it.
+
+    The search writes its own state into named fields; each fact about the
+    set itself is decided on first read and kept (`cached_property`).
+    """
+
+    def __init__(self, s: StateSet):
+        self.set = s
+        self.spaces: dict = {}  # party -> its OPLM space on the support
+        self.slots: dict[str, tuple] = {}  # rule slot -> (status, tree, depth tried)
+        self.moves: list | None = None
+        # the rule slots that expanded this node, when ATOM_CAP bound at it
+        self.capped_in: set[str] | None = None
+        self.leaf_evidence: dict | None = None  # the certificate of an activation leaf
+
+    def oplm(self, party: int):
+        if party not in self.spaces:
+            self.spaces[party] = oplm_space(self.set, party, on_support=True)
+        return self.spaces[party]
+
+    @cached_property
+    def support_dims(self) -> tuple[int, ...]:
+        return tuple(support_basis(self.set, p)[0].shape[1] for p in range(self.set.space.n_parties))
+
+    @cached_property
+    def space_dims(self) -> tuple[int, ...]:
+        return tuple(self.oplm(p).space_dim for p in range(self.set.space.n_parties))
+
+    @cached_property
+    def is_product(self) -> bool:
+        return all(local_factors(self.set, p)[1].all() for p in range(self.set.space.n_parties))
+
+    @cached_property
+    def exact_nonactivable(self) -> bool:
+        """C2 x Cn product rule on local supports (plus degenerate cases).
+
+        A product set whose effective structure is (<=2) x n is always
+        locally distinguishable, and OPLM images stay in that class, so no
+        descendant can become locally indistinguishable.
+        """
+        eff = [] if len(self.set) <= 1 else [r for r in self.support_dims if r >= 2]
+        return len(eff) <= 1 or (len(eff) == 2 and min(eff) <= 2 and self.is_product)
+
+    @cached_property
+    def cert(self) -> dict | None:
+        """IRREDUCIBLE-EXACT or support-restricted UPB evidence, else None.
+
+        A complete product basis of the support space is never certified
+        this way: the UPB route requires a proper span.
+        """
+        s = self.set
+        if len(s) < 2:
+            return None
+        if all(d == 1 for d in self.space_dims):
+            return {"kind": "IRREDUCIBLE-EXACT", "space_dims": {party_letter(p): d for p, d in enumerate(self.space_dims)}}
+        if not self.is_product:
+            return None
+        full = int(np.prod(self.support_dims))
+        lower = sum(r - 1 for r in self.support_dims) + 1
+        if not lower <= len(s) < full:
+            return None
+        try:
+            v = check_unextendible(s)
+        except ValueError:
+            return None
+        return {"kind": "UPB", "support_note": v.support_note} if v.unextendible else None
+
+    @cached_property
+    def redundant(self) -> bool | None:
+        """Whole-party redundancy of the set, or None when it is not
+        orthogonal at ORTHO_TOL and so has no redundancy verdict: the search
+        and replay keep survivors orthogonal only to SPAN_TOL. The search
+        asks it of every certified leaf it reaches, and certifying the tree
+        asks it again of each leaf the tree reaches."""
+        try:
+            return redundancy_check_whole_parties(self.set)
+        except ValueError:
+            return None
+
+    @cached_property
+    def terminal(self) -> Measure | None:
+        """Terminal one-party resolution: a measurement of the first party
+        whose local vectors are pairwise orthogonal, one projector per state."""
+        s = self.set
+        for p in range(s.space.n_parties):
+            locs = local_vectors(s, p)
+            if locs is None:
+                continue
+            g = locs.conj() @ locs.T
+            off = np.abs(g - np.diag(np.diagonal(g)))
+            if off.max(initial=0.0) > ORTHO_TOL:
+                continue
+            kraus = [np.outer(v, v.conj()) for v in locs]
+            labels = [f"P[{lab}]" for lab in s.labels]
+            return _with_rest(p, s.space.party_dims[p], kraus, labels, [Leaf(identified=lab) for lab in s.labels])
+        return None
+
+
+def _dist_terminal(nd: _Node):
+    s = nd.set
+    if len(s) <= 1:
+        return True, Leaf(identified=s.labels[0]) if len(s) == 1 else Leaf()
+    return (True, nd.terminal) if nd.terminal is not None else None
+
+
+def _act_terminal(nd: _Node):
+    # the exact rule reads support dims only; a set it closes is locally
+    # distinguishable, so it is never certified indistinguishable
+    if nd.exact_nonactivable:
+        return False, None
+    if nd.cert is not None and nd.redundant is False:
+        nd.leaf_evidence = nd.cert
+        return True, Leaf(reached=nd.set)
+    return None
+
+
+def _status_terminal(nd: _Node):
+    if len(nd.set) <= 1 or nd.exact_nonactivable or nd.terminal is not None:
+        return True, None
+    return (False, None) if nd.cert is not None else None
+
+
 class _Rule(NamedTuple):
-    slot: str  # memo key in the node dict
+    slot: str  # key in `_Node.slots`
     entry: str  # SetAnalyzer method that children are searched through
-    terminal: Callable  # (analyzer, key) -> (status, tree) closing the node, or None
+    terminal: Callable  # (node) -> (status, tree) closing the node, or None
     order: str  # move order for _ordered_moves: "dist" or "act"
     stop_on_fail: bool  # a move stops at its first failing outcome
     build: bool  # a tree is built
+
+
+_RULES = {
+    "dist": _Rule("dist", "distinguishable", _dist_terminal, "dist", True, True),
+    # on failure keep expanding the remaining outcomes: the negative
+    # verdict promises that every reachable set was analyzed
+    "act": _Rule("act", "activation", _act_terminal, "act", False, True),
+    "status": _Rule("dist_status", "distinguishable_status", _status_terminal, "dist", True, False),
+}
 
 
 class _Move(NamedTuple):
@@ -368,8 +501,9 @@ class SetAnalyzer:
     results are final; truncated ones are retried when asked again with a
     larger budget.
 
-    Reached sets are interned by `canonical_key`, so two sets with the same
-    amplitudes but different labels are two nodes. A key's node keeps the
+    Reached sets are interned by `canonical_key` into `nodes` (key ->
+    `_Node`), so two sets with the same amplitudes but different labels are
+    two nodes. A key's node keeps the
     first set that reached it; sets with equal keys agree to KEY_DECIMALS
     decimals, and trees print reached sets in full. `nodes` is in the order
     the sets were first reached, and so is the activation transcript.
@@ -388,7 +522,7 @@ class SetAnalyzer:
     """
 
     def __init__(self):
-        self.nodes: dict[bytes, dict] = {}
+        self.nodes: dict[bytes, _Node] = {}
 
     def intern(self, s: StateSet) -> bytes:
         """Node key of `s`, a set given from outside the search (a root or a
@@ -399,111 +533,28 @@ class SetAnalyzer:
         """The key of `s`; a new key becomes a node that keeps `s`."""
         key = canonical_key(s)
         if key not in self.nodes:
-            self.nodes[key] = {"set": s}
+            self.nodes[key] = _Node(s)
         return key
-
-    def set_of(self, key: bytes) -> StateSet:
-        return self.nodes[key]["set"]
-
-    # -- per-node structural facts ------------------------------------------
-
-    def oplm(self, key: bytes, party: int):
-        nd = self.nodes[key]
-        cache = nd.setdefault("oplm", {})
-        if party not in cache:
-            cache[party] = oplm_space(nd["set"], party, on_support=True)
-        return cache[party]
-
-    def support_dims(self, key: bytes) -> tuple[int, ...]:
-        s = self.set_of(key)
-        return tuple(support_basis(s, p)[0].shape[1] for p in range(s.space.n_parties))
-
-    def space_dims(self, key: bytes) -> tuple[int, ...]:
-        return tuple(self.oplm(key, p).space_dim for p in range(self.set_of(key).space.n_parties))
-
-    def is_product(self, key: bytes) -> bool:
-        nd = self.nodes[key]
-        if "is_product" not in nd:
-            s = nd["set"]
-            nd["is_product"] = all(local_factors(s, p)[1].all() for p in range(s.space.n_parties))
-        return nd["is_product"]
-
-    def exact_nonactivable(self, key: bytes) -> bool:
-        """C2 x Cn product rule on local supports (plus degenerate cases).
-
-        A product set whose effective structure is (<=2) x n is always
-        locally distinguishable, and OPLM images stay in that class, so no
-        descendant can become locally indistinguishable.
-        """
-        nd = self.nodes[key]
-        if "exact_nonactivable" not in nd:
-            eff = [] if len(nd["set"]) <= 1 else [r for r in self.support_dims(key) if r >= 2]
-            nd["exact_nonactivable"] = len(eff) <= 1 or (len(eff) == 2 and min(eff) <= 2 and self.is_product(key))
-        return nd["exact_nonactivable"]
-
-    def certified_indistinguishable(self, key: bytes):
-        """IRREDUCIBLE-EXACT or support-restricted UPB evidence, else None.
-
-        A complete product basis of the support space is never certified
-        this way: the UPB route requires a proper span.
-        """
-        nd = self.nodes[key]
-        if "cert" not in nd:
-            nd["cert"] = None
-            s = nd["set"]
-            if len(s) >= 2:
-                dims = self.space_dims(key)
-                if all(d == 1 for d in dims):
-                    nd["cert"] = {
-                        "kind": "IRREDUCIBLE-EXACT",
-                        "space_dims": {party_letter(p): d for p, d in enumerate(dims)},
-                    }
-                elif self.is_product(key):
-                    rdims = self.support_dims(key)
-                    full = int(np.prod(rdims))
-                    lower = sum(r - 1 for r in rdims) + 1
-                    if lower <= len(s) < full:
-                        try:
-                            v = check_unextendible(s)
-                        except ValueError:
-                            v = None
-                        if v is not None and v.unextendible:
-                            nd["cert"] = {"kind": "UPB", "support_note": v.support_note}
-        return nd["cert"]
-
-    def leaf_redundant(self, key: bytes) -> bool | None:
-        """`_leaf_redundant` of the node's set, decided once per node: the
-        search asks it of every certified leaf it reaches, and certifying
-        the tree asks it again of each leaf the tree reaches."""
-        nd = self.nodes[key]
-        if "redundant" not in nd:
-            nd["redundant"] = _leaf_redundant(nd["set"])
-        return nd["redundant"]
 
     # -- moves ---------------------------------------------------------------
 
     def moves(self, key: bytes):
         nd = self.nodes[key]
-        if "moves" in nd:
-            return nd["moves"]
-        s = nd["set"]
-        out = []
-        # the memo slots that expanded this node, when ATOM_CAP bound at it
-        nd["capped_in"] = None
-        for p in range(s.space.n_parties):
-            cands = measurement_candidates(s, p, self.oplm(key, p))
-            if cands.capped:
-                nd["capped_in"] = set()
-            for c, (mask, kept) in enumerate(zip(cands.masks, cands.masks.sum(axis=2).tolist())):
-                out.append(_Move(cands, c, mask, tuple(kept), [None] * len(kept)))
-        nd["moves"] = out
-        return out
+        if nd.moves is None:
+            nd.moves = []
+            for p in range(nd.set.space.n_parties):
+                cands = measurement_candidates(nd.set, p, nd.oplm(p))
+                if cands.capped:
+                    nd.capped_in = set()
+                for c, (mask, kept) in enumerate(zip(cands.masks, cands.masks.sum(axis=2).tolist())):
+                    nd.moves.append(_Move(cands, c, mask, tuple(kept), [None] * len(kept)))
+        return nd.moves
 
     def child_key(self, key: bytes, move: _Move, oi: int) -> bytes:
         """The key of outcome `oi` of `move` at node `key`, a nonempty child;
         applied, checked and interned on the first call."""
         if move.keys[oi] is None:
-            s = self.set_of(key)
+            s = self.nodes[key].set
             child, labels = apply_outcome(s, move.measurement.party, move.measurement.kraus[oi])
             want = [lab for lab, k in zip(s.labels, move.mask[oi]) if k]
             if labels != want:
@@ -515,7 +566,7 @@ class SetAnalyzer:
         return move.keys[oi]
 
     def _ordered_moves(self, key: bytes, mode: str):
-        n = len(self.set_of(key))
+        n = len(self.nodes[key].set)
 
         def sort_key(mv):
             elim = sum(n - kept for kept in mv.kept)
@@ -527,61 +578,7 @@ class SetAnalyzer:
 
         return sorted(self.moves(key), key=sort_key)
 
-    # -- terminal one-party resolution ---------------------------------------
-
-    def terminal_resolution(self, key: bytes):
-        nd = self.nodes[key]
-        if "terminal" in nd:
-            return nd["terminal"]
-        s = nd["set"]
-        result = None
-        for p in range(s.space.n_parties):
-            locs = local_vectors(s, p)
-            if locs is None:
-                continue
-            g = locs.conj() @ locs.T
-            off = np.abs(g - np.diag(np.diagonal(g)))
-            if off.max(initial=0.0) > ORTHO_TOL:
-                continue
-            kraus = [np.outer(v, v.conj()) for v in locs]
-            labels = [f"P[{lab}]" for lab in s.labels]
-            result = _with_rest(p, s.space.party_dims[p], kraus, labels, [Leaf(identified=lab) for lab in s.labels])
-            break
-        nd["terminal"] = result
-        return result
-
     # -- the AND-OR search ------------------------------------------------------
-
-    def _dist_terminal(self, key: bytes):
-        s = self.set_of(key)
-        if len(s) <= 1:
-            return True, Leaf(identified=s.labels[0]) if len(s) == 1 else Leaf()
-        tr = self.terminal_resolution(key)
-        return (True, tr) if tr is not None else None
-
-    def _act_terminal(self, key: bytes):
-        # the exact rule reads support dims only; a set it closes is locally
-        # distinguishable, so it is never certified indistinguishable
-        if self.exact_nonactivable(key):
-            return False, None
-        cert = self.certified_indistinguishable(key)
-        if cert is not None and self.leaf_redundant(key) is False:
-            self.nodes[key]["act_leaf_evidence"] = cert
-            return True, Leaf(reached=self.set_of(key))
-        return None
-
-    def _status_terminal(self, key: bytes):
-        if len(self.set_of(key)) <= 1 or self.exact_nonactivable(key) or self.terminal_resolution(key) is not None:
-            return True, None
-        return (False, None) if self.certified_indistinguishable(key) is not None else None
-
-    _RULES = {
-        "dist": _Rule("dist", "distinguishable", _dist_terminal, "dist", True, True),
-        # on failure keep expanding the remaining outcomes: the negative
-        # verdict promises that every reachable set was analyzed
-        "act": _Rule("act", "activation", _act_terminal, "act", False, True),
-        "status": _Rule("dist_status", "distinguishable_status", _status_terminal, "dist", True, False),
-    }
 
     def _and_or(self, rule: _Rule, key: bytes, depth: int):
         """Tri-state memoized AND-OR search under one rule row.
@@ -592,23 +589,23 @@ class SetAnalyzer:
         returns the bare status.
         """
         nd = self.nodes[key]
-        cached = nd.get(rule.slot)
+        cached = nd.slots.get(rule.slot)
         if cached is not None:
             status, tree, tried = cached
             if status is not None or tried >= depth:
                 return status, tree
-        hit = rule.terminal(self, key)
+        hit = rule.terminal(nd)
         if hit is not None:
-            nd[rule.slot] = (*hit, depth)
+            nd.slots[rule.slot] = (*hit, depth)
             return hit
         if depth <= 0:
-            nd[rule.slot] = (None, None, 0)
+            nd.slots[rule.slot] = (None, None, 0)
             return None, None
         entry = getattr(self, rule.entry)
         incomplete = False
         moves = self._ordered_moves(key, rule.order)
-        if nd["capped_in"] is not None:
-            nd["capped_in"].add(rule.slot)
+        if nd.capped_in is not None:
+            nd.capped_in.add(rule.slot)
         for mv in moves:
             subtrees = []
             good = True
@@ -626,24 +623,24 @@ class SetAnalyzer:
                         break
             if good:
                 tree = Measure(mv.measurement.party, mv.measurement, subtrees) if rule.build else None
-                nd[rule.slot] = (True, tree, depth)
+                nd.slots[rule.slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
-        nd[rule.slot] = (status, None, depth)
+        nd.slots[rule.slot] = (status, None, depth)
         return status, None
 
     def distinguishable(self, key: bytes, depth: int):
         """Tri-state: (True, tree) | (False, None) conclusive | (None, None)."""
-        return self._and_or(self._RULES["dist"], key, depth)
+        return self._and_or(_RULES["dist"], key, depth)
 
     def activation(self, key: bytes, depth: int):
         """Tri-state search for a deterministic activation tree, as (status, tree)."""
-        return self._and_or(self._RULES["act"], key, depth)
+        return self._and_or(_RULES["act"], key, depth)
 
     def distinguishable_status(self, key: bytes, depth: int):
         """Tri-state distinguishability that may close branches with exact
         dimension rules; no tree is built, only the status is returned."""
-        return self._and_or(self._RULES["status"], key, depth)[0]
+        return self._and_or(_RULES["status"], key, depth)[0]
 
     # -- transcripts ------------------------------------------------------------
 
@@ -651,24 +648,24 @@ class SetAnalyzer:
         entries = []
         # in the order first reached; the status searches below may add
         # nodes, so the list comes first
-        for key in [k for k, nd in self.nodes.items() if "act" in nd]:
-            nd = self.nodes[key]
-            s = nd["set"]
+        for key, nd in [(k, nd) for k, nd in self.nodes.items() if "act" in nd.slots]:
+            s = nd.set
+            # `_act_terminal` decided `cert` at every act node the exact rule did not close
+            cert = None if nd.exact_nonactivable else nd.cert
             if len(s) <= 1:
                 dist, basis = True, "trivial"
-            elif self.exact_nonactivable(key):
+            elif nd.exact_nonactivable:
                 dist, basis = True, "EXACT (C2xCn product rule)"
-            elif nd.get("cert"):
+            elif cert:
                 dist, basis = False, "certified locally indistinguishable"
             else:
                 dist = self.distinguishable_status(key, max_depth)
                 basis = "search-in-class"
-            cert = nd.get("cert")
             entries.append(
                 {
                     "n_states": len(s),
                     "labels": s.labels,
-                    "support_dims": list(self.support_dims(key)) if len(s) else [],
+                    "support_dims": list(nd.support_dims) if len(s) else [],
                     "distinguishable": dist,
                     "distinguishable_basis": basis,
                     "certified_indistinguishable": cert["kind"] if cert else None,
@@ -688,7 +685,7 @@ def _search_params(an: SetAnalyzer, max_depth: int, *slots: str) -> dict:
     slots, i.e. when the searched class lacked a union family there.
     """
     params = {"max_depth": max_depth, "tolerance": SPAN_TOL}
-    capped = sum(1 for nd in an.nodes.values() if nd.get("capped_in") and not nd["capped_in"].isdisjoint(slots))
+    capped = sum(1 for nd in an.nodes.values() if nd.capped_in and not nd.capped_in.isdisjoint(slots))
     if capped:
         params["atom_cap"] = {"cap": ATOM_CAP, "capped_nodes": capped}
     return params
@@ -716,16 +713,6 @@ def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: Se
     return Certificate(kind, SEARCH_CLASS_NOTE, params | {"complete": status is False}, notes=note)
 
 
-def _leaf_redundant(s: StateSet) -> bool | None:
-    """Whole-party redundancy of a certified activation leaf, or None when the
-    set is not orthogonal at ORTHO_TOL and so has no redundancy verdict: the
-    search and replay keep survivors orthogonal only to SPAN_TOL."""
-    try:
-        return redundancy_check_whole_parties(s)
-    except ValueError:
-        return None
-
-
 def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Replay an activation tree and certify every reachable leaf set.
 
@@ -744,12 +731,12 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
             failures.append(f"{path}: not an activation leaf")
             continue
         key = an.intern(cur)
-        cert = an.certified_indistinguishable(key)
-        if cert is None:
+        nd = an.nodes[key]
+        if nd.cert is None:
             failures.append(f"{path}: leaf set not certified locally indistinguishable")
-        elif (redundant := an.leaf_redundant(key)) is None:
+        elif nd.redundant is None:
             failures.append(f"{path}: leaf set not orthogonal at ORTHO_TOL")
-        elif redundant:
+        elif nd.redundant:
             failures.append(f"{path}: leaf set is locally redundant")
         else:
             evidence.append(
@@ -757,8 +744,8 @@ def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None 
                     "path": path,
                     "n_states": len(cur),
                     "labels": cur.labels,
-                    "support_dims": list(an.support_dims(key)),
-                    "certificate": cert,
+                    "support_dims": list(nd.support_dims),
+                    "certificate": nd.cert,
                     "locally_irredundant": True,
                 }
             )
@@ -788,7 +775,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     dstat = an.distinguishable_status(key, max_depth)
     params = _search_params(an, max_depth, "dist_status")
     if dstat is False:
-        cert = an.certified_indistinguishable(key)
+        cert = an.nodes[key].cert
         return Certificate(
             "Indistinguishability",
             SEARCH_CLASS_NOTE,
@@ -811,7 +798,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     transcript = an.activation_transcript(max_depth)
     params = _search_params(an, max_depth, "act", "dist_status")
     # weaker some-branch flag: did any branch alone reach a certified leaf?
-    probabilistic = any(nd.get("act_leaf_evidence") for nd in an.nodes.values())
+    probabilistic = any(nd.leaf_evidence for nd in an.nodes.values())
     complete = status is False
     return Certificate(
         "NonActivabilityInClass" if complete else "Incomplete",

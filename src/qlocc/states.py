@@ -95,13 +95,7 @@ class PartySpace:
                 out.extend(f"{party_letter(p).lower()}{k + 1}" for k in range(len(split)))
         return tuple(out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartySpace)
-            and self.party_dims == other.party_dims
-            and self.sub_splits == other.sub_splits
-        )
-
+    # written out: the generated hash would hash the sub_splits dict
     def __hash__(self):
         return hash((self.party_dims, tuple(sorted(self.sub_splits.items()))))
 

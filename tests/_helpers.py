@@ -916,32 +916,33 @@ class ReferenceCheck:
 class EagerSetAnalyzer(SetAnalyzer):
     """`SetAnalyzer` with the eager move expansion it had before children
     were keyed on first visit: `moves`, `_ordered_moves`, `_and_or` and
-    `activation_transcript` are that code, verbatim. Move entries are
+    `activation_transcript` are that code, reading the node's fields
+    (`_Node`) where it read string keys. Move entries are
     (party, measurement, [(outcome, child key or None, labels)])."""
 
     def moves(self, key: bytes):
         nd = self.nodes[key]
-        if "moves" in nd:
-            return nd["moves"]
-        s = nd["set"]
+        if nd.moves is not None:
+            return nd.moves
+        s = nd.set
         out = []
         # the memo slots that expanded this node, when ATOM_CAP bound at it
-        nd["capped_in"] = None
+        nd.capped_in = None
         for p in range(s.space.n_parties):
-            cands = measurement_candidates(s, p, self.oplm(key, p))
+            cands = measurement_candidates(s, p, nd.oplm(p))
             if cands.capped:
-                nd["capped_in"] = set()
+                nd.capped_in = set()
             for m in cands:
                 children = []
                 for oi, kraus in enumerate(m.kraus):
                     child, labels = apply_outcome(s, p, kraus)
                     children.append((oi, self.intern(child) if len(child) else None, labels))
                 out.append((p, m, children))
-        nd["moves"] = out
+        nd.moves = out
         return out
 
     def _ordered_moves(self, key: bytes, mode: str):
-        s = self.set_of(key)
+        s = self.nodes[key].set
         n = len(s)
 
         def sort_key(mv):
@@ -964,23 +965,23 @@ class EagerSetAnalyzer(SetAnalyzer):
         returns the bare status.
         """
         nd = self.nodes[key]
-        cached = nd.get(rule.slot)
+        cached = nd.slots.get(rule.slot)
         if cached is not None:
             status, tree, tried = cached
             if status is not None or tried >= depth:
                 return status, tree
-        hit = rule.terminal(self, key)
+        hit = rule.terminal(nd)
         if hit is not None:
-            nd[rule.slot] = (*hit, depth)
+            nd.slots[rule.slot] = (*hit, depth)
             return hit
         if depth <= 0:
-            nd[rule.slot] = (None, None, 0)
+            nd.slots[rule.slot] = (None, None, 0)
             return None, None
         entry = getattr(self, rule.entry)
         incomplete = False
         moves = self._ordered_moves(key, rule.order)
-        if nd["capped_in"] is not None:
-            nd["capped_in"].add(rule.slot)
+        if nd.capped_in is not None:
+            nd.capped_in.add(rule.slot)
         for p, m, children in moves:
             subtrees = []
             good = True
@@ -998,33 +999,33 @@ class EagerSetAnalyzer(SetAnalyzer):
                         break
             if good:
                 tree = Measure(p, m, subtrees) if rule.build else None
-                nd[rule.slot] = (True, tree, depth)
+                nd.slots[rule.slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
-        nd[rule.slot] = (status, None, depth)
+        nd.slots[rule.slot] = (status, None, depth)
         return status, None
 
     def activation_transcript(self, max_depth: int):
         entries = []
         for key, nd in self.nodes.items():
-            if "act" not in nd:
+            if "act" not in nd.slots:
                 continue
-            s = nd["set"]
+            s = nd.set
+            cert = None if nd.exact_nonactivable else nd.cert
             if len(s) <= 1:
                 dist, basis = True, "trivial"
-            elif self.exact_nonactivable(key):
+            elif nd.exact_nonactivable:
                 dist, basis = True, "EXACT (C2xCn product rule)"
-            elif nd.get("cert"):
+            elif cert:
                 dist, basis = False, "certified locally indistinguishable"
             else:
                 dist = self.distinguishable_status(key, max_depth)
                 basis = "search-in-class"
-            cert = nd.get("cert")
             entries.append(
                 {
                     "n_states": len(s),
                     "labels": s.labels,
-                    "support_dims": list(self.support_dims(key)) if len(s) else [],
+                    "support_dims": list(nd.support_dims) if len(s) else [],
                     "distinguishable": dist,
                     "distinguishable_basis": basis,
                     "certified_indistinguishable": cert["kind"] if cert else None,

@@ -346,11 +346,12 @@ def test_usage_errors(capsys, files, tmp_path, monkeypatch):
         for command in commands:
             code, out, err = run(capsys, *command, "--set", str(skew), "--tol", tol)
             assert code == 2 and not out and err.startswith("qlocc: error: --tol must be a finite number"), (command, tol, err)
-    for tol in ("nan", "inf", "-1e-9"):
+    for tol in ("nan", "inf", "-1e-9", "abc"):
         monkeypatch.setenv("QLOCC_TOL", tol)
         for command in commands:
             code, out, err = run(capsys, *command, "--set", str(skew))
             assert code == 2 and not out and err.startswith("qlocc: error: QLOCC_TOL must be a finite number"), (command, tol, err)
+    assert err == "qlocc: error: QLOCC_TOL must be a finite number >= 0, not 'abc'\n"
     monkeypatch.delenv("QLOCC_TOL")
     assert run(capsys, "check-ortho", "--set", str(skew), "--tol", "0")[0] == 1
 

@@ -107,7 +107,7 @@ def _assert_nodes_match_eager(lazy: SetAnalyzer, eager: EagerSetAnalyzer, bits: 
     (`s3-minus-first`: 261 of 1,184 nodes, by at most 2.1e-13)."""
     assert set(lazy.nodes) <= set(eager.nodes)
     for key, nd in lazy.nodes.items():
-        a, b = nd["set"], eager.set_of(key)
+        a, b = nd.set, eager.nodes[key].set
         _assert_sets_close(a, b, key.hex())
         if bits:
             assert a.matrix().tobytes() == b.matrix().tobytes(), key.hex()
@@ -149,10 +149,10 @@ class _RecordingAnalyzer(SetAnalyzer):
 def _assert_only_visited_or_external(an: _RecordingAnalyzer, root: StateSet):
     # the search interns its children itself; from outside come only the
     # root and the leaves an activation certificate replays
-    leaves = {k for k, nd in an.nodes.items() if nd.get("act_leaf_evidence")}
+    leaves = {k for k, nd in an.nodes.items() if nd.leaf_evidence}
     assert canonical_key(root) in an.external
     assert an.external - {canonical_key(root)} <= leaves
-    lazy = [k for k, nd in an.nodes.items() if k not in an.external and not any(slot in nd for slot in SLOTS)]
+    lazy = [k for k, nd in an.nodes.items() if k not in an.external and not any(slot in nd.slots for slot in SLOTS)]
     assert lazy == []
 
 
@@ -161,7 +161,7 @@ def test_transcript_follows_the_order_nodes_were_first_reached():
     an = SetAnalyzer()
     cert = activation_search(s, depth, analyzer=an)
     assert cert.kind == "NonActivabilityInClass"
-    reached = [an.set_of(k).labels for k, nd in an.nodes.items() if "act" in nd]
+    reached = [nd.set.labels for nd in an.nodes.values() if "act" in nd.slots]
     assert [e["labels"] for e in cert.transcript] == reached
     # the eager engine lists the same entries (see DIFFERS) in its own
     # interning order
@@ -181,8 +181,8 @@ def test_transcript_outlives_status_searches_that_add_nodes():
     search_distinguishing_protocol(s, 5, analyzer=an)
     cert = activation_search(s, 5, analyzer=an)
     assert cert.kind == "Incomplete"
-    act = [k for k, nd in an.nodes.items() if "act" in nd]
-    assert [e["labels"] for e in cert.transcript] == [an.set_of(k).labels for k in act]
+    act = [nd for nd in an.nodes.values() if "act" in nd.slots]
+    assert [e["labels"] for e in cert.transcript] == [nd.set.labels for nd in act]
 
 
 def test_s1_activation_interns_only_visited_children():
@@ -204,7 +204,7 @@ def test_s4_bipartition_interns_only_visited_children(monkeypatch):
     (an,) = _RecordingAnalyzer.made
     _assert_only_visited_or_external(an, merged)
     # the searches stopped at moves that worked, so most children stay unkeyed
-    moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
+    moves = [mv for nd in an.nodes.values() for mv in nd.moves or ()]
     unkeyed = sum(1 for mv in moves for ck, kept in zip(mv.keys, mv.kept) if kept and ck is None)
     assert unkeyed > len(an.nodes)
 
@@ -257,7 +257,7 @@ def test_search_builds_only_the_candidates_it_reads():
     an = SetAnalyzer()
     search_distinguishing_protocol(merged, 8, analyzer=an)
     assert activation_search(merged, 8, analyzer=an).kind == "Activation"
-    moves = [mv for nd in an.nodes.values() for mv in nd.get("moves", ())]
+    moves = [mv for nd in an.nodes.values() for mv in nd.moves or ()]
     built = [mv.candidates._built[mv.index] is not None for mv in moves]
     assert built == [any(ck is not None for ck in mv.keys) for mv in moves]
     assert 0 < 10 * sum(built) < len(moves)

@@ -10,7 +10,7 @@ import pytest
 import qlocc
 from qlocc import partitions, protocol
 from qlocc.fixtures import build_fixture
-from qlocc.oplm import LocalMeasurement, measurement_candidates
+from qlocc.oplm import LocalMeasurement, measurement_candidates, oplm_space
 from qlocc.partitions import hidden_nonlocality_profile
 from qlocc.protocol import (
     Leaf,
@@ -39,6 +39,7 @@ from qlocc.states import (
     merge_parties,
     random_local_unitaries,
 )
+from qlocc.upb import check_unextendible
 
 from _helpers import (
     PEAK_RSS_SOURCE,
@@ -343,7 +344,7 @@ def test_certify_rejects_locally_redundant_leaf():
     cert = certify_activation_protocol(s, Leaf(), an)
     assert cert.kind == "ProtocolFailure" and not cert.verified
     assert cert.notes == "root: leaf set is locally redundant"
-    assert an.certified_indistinguishable(an.intern(s)) is not None
+    assert an.nodes[an.intern(s)].cert is not None
 
 
 def test_certify_rejects_recorded_leaf_set_that_does_not_replay():
@@ -454,7 +455,7 @@ def test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol():
     assert cert.notes == "root/0: leaf set not orthogonal at ORTHO_TOL; root/1: leaf set not orthogonal at ORTHO_TOL"
     for _, leaf, _ in _collect_leaves(s, tree):
         key = an.intern(leaf)
-        assert an.certified_indistinguishable(key)["kind"] == "IRREDUCIBLE-EXACT"
+        assert an.nodes[key].cert["kind"] == "IRREDUCIBLE-EXACT"
         # the search does not take such a set as an activation leaf either
         assert an.activation(key, 0)[0] is not True
 
@@ -464,6 +465,32 @@ def test_certify_builtin_s4_abc():
     cert = certify_activation_protocol(s4, builtin_protocol("s4_abc_activation"))
     assert cert.kind == "Activation" and cert.verified
     assert len(cert.leaf_evidence) == 8
+
+
+def test_node_facts_are_decided_once_per_node(monkeypatch):
+    # the status and activation searches both ask a node for its OPLM spaces
+    # and its certificate, and certifying the tree asks each leaf again: the
+    # node keeps every answer
+    spaces, upb_checks = [], []
+
+    def recorded_space(s, party, **kw):
+        spaces.append((canonical_key(s), party))
+        return oplm_space(s, party, **kw)
+
+    def recorded_upb(s):
+        upb_checks.append(canonical_key(s))
+        return check_unextendible(s)
+
+    monkeypatch.setattr(protocol, "oplm_space", recorded_space)
+    monkeypatch.setattr(protocol, "check_unextendible", recorded_upb)
+    s4 = merge_parties(build_fixture("s4"), [(0,), (1, 2)])
+    an = SetAnalyzer()
+    found = activation_search(s4, 8, analyzer=an)
+    assert found.kind == "Activation" and found.verified
+    cert = certify_activation_protocol(s4, found.tree, an)
+    assert cert.kind == "Activation" and cert.leaf_evidence == found.leaf_evidence
+    assert len(spaces) == len(set(spaces)) > 0
+    assert len(upb_checks) == len(set(upb_checks)) > 0
 
 
 def test_dist_implies_not_indistinguishable_at_root():
@@ -570,8 +597,8 @@ def test_orthogonality_asserted_during_search():
             assert mv.kept[oi] == keep.sum()
             if keep.any():
                 ck = an.child_key(key, mv, oi)
-                assert sorted(an.set_of(ck).labels) == sorted(np.array(s1.labels)[keep].tolist())
-                assert gram_check(an.set_of(ck), tol=1e-8).ok
+                assert sorted(an.nodes[ck].set.labels) == sorted(np.array(s1.labels)[keep].tolist())
+                assert gram_check(an.nodes[ck].set, tol=1e-8).ok
                 visited += 1
     assert visited == sum(1 for mv in an.moves(key) for kept in mv.kept if kept) > 0
 
@@ -648,6 +675,6 @@ def test_exact_rule_nodes_are_never_certified(monkeypatch):
     for s, depth in runs:
         for search in (search_distinguishing_protocol, activation_search):
             search(s, max_depth=depth, analyzer=Recorded())
-    exact = [(an, key) for an in made for key in an.nodes if len(an.set_of(key)) >= 2 and an.exact_nonactivable(key)]
+    exact = [nd for an in made for nd in an.nodes.values() if len(nd.set) >= 2 and nd.exact_nonactivable]
     assert len(exact) > 100
-    assert [an.set_of(key).labels for an, key in exact if an.certified_indistinguishable(key) is not None] == []
+    assert [nd.set.labels for nd in exact if nd.cert is not None] == []

@@ -109,6 +109,25 @@ def test_inner_product_space_mismatch():
         inner_product(a, b)
 
 
+def test_party_space_equality_and_hash():
+    # the dataclass equality compares dims and sub-splits; the explicit hash
+    # (sub_splits is a dict) agrees with it
+    split = PartySpace((4, 2), {0: (2, 2)})
+    assert split == PartySpace((4, 2), {0: [2, 2]}) and hash(split) == hash(PartySpace((4, 2), {0: [2, 2]}))
+    assert PartySpace((4, 2)) == PartySpace([4, 2]) and hash(PartySpace((4, 2))) == hash(PartySpace([4, 2]))
+    assert split != PartySpace((4, 2))
+    assert PartySpace((6, 2), {0: (2, 3)}) != PartySpace((6, 2), {0: (3, 2)})
+    assert PartySpace((4, 2)) != PartySpace((2, 4)) and PartySpace((4, 2)) != PartySpace((4, 2, 2))
+    assert PartySpace((4, 2)) != (4, 2)
+    assert len({split, PartySpace((4, 2), {0: (2, 2)}), PartySpace((4, 2))}) == 2
+    # a set still refuses a ket of another space, sub-splits included
+    ket = make_ket(PartySpace((4, 2)), [(1, (0, 0))], "k")
+    for other in (split, PartySpace((2, 4)), PartySpace((8,))):
+        with pytest.raises(ValueError, match="all states must share the set's PartySpace"):
+            StateSet(other, [ket])
+    assert StateSet(PartySpace((4, 2)), [ket]).space == ket.space
+
+
 def test_gram_check_s1():
     rep = gram_check(build_fixture("s1"), tol=1e-12)
     assert rep.ok
@@ -600,7 +619,7 @@ def test_support_basis_shared_by_every_analysis(monkeypatch):
     assert check_unextendible(t).unextendible
     numeric_extension_search(t, restarts=1)
     an = SetAnalyzer()
-    assert an.support_dims(an.intern(t)) == (3, 3)
+    assert an.nodes[an.intern(t)].support_dims == (3, 3)
     assert len(calls) == 2
     for p in range(2):
         assert spaces[p].support is supports[p] is support_basis(t, p)[0]

@@ -269,7 +269,7 @@ def test_qubit_times_n_rule_invariant_under_local_unitaries():
         for us in [None] + [random_local_unitaries(s.space, rng) for _ in range(3)]:
             t = s if us is None else apply_local_unitaries(s, us)
             an = SetAnalyzer()
-            assert an.exact_nonactivable(an.intern(t)) is rule
+            assert an.nodes[an.intern(t)].exact_nonactivable is rule
 
 
 def test_tripartite_assignment():
