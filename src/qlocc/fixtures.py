@@ -209,6 +209,10 @@ def build_fixture(name: str, variant: str = "corrected", d: int | None = None) -
     """Construct a named fixture. `variant` is 'corrected' or 'verbatim'."""
     if variant not in ("corrected", "verbatim"):
         raise ValueError(f"unknown variant {variant!r}")
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture {name!r}")
+    if d is not None and name != "s1_general":
+        raise ValueError(f"fixture {name} takes no d; only s1_general does")
     if name == "s1":
         # the printed subscript typos do not change amplitudes under the
         # positional reading, so both variants coincide
@@ -230,11 +234,11 @@ def build_fixture(name: str, variant: str = "corrected", d: int | None = None) -
         return _build(PartySpace((6, 6)), _s6_states(col), f"s6[{variant}]")
     if name == "tiles33":
         return _build(PartySpace((3, 3)), _tiles33_states(), f"tiles33[{variant}]")
-    if name == "s1_general":
-        if d is None:
-            raise ValueError("s1_general requires d")
-        return _build(PartySpace((d, d)), _s1_general_states(d), f"s1_general({d})")
-    raise ValueError(f"unknown fixture {name!r}")
+    if d is None:
+        raise ValueError("s1_general requires d")
+    # before the space: a d that is not even and >= 4 gets that rule's error
+    states = _s1_general_states(d)
+    return _build(PartySpace((d, d)), states, f"s1_general({d})")
 
 
 def fixture_corrections(name: str) -> list[tuple[str, str, str]]:

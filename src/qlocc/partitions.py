@@ -141,8 +141,11 @@ def _analyze_partition(merged: StateSet, max_depth: int, blocks) -> PartitionRec
 
 
 def hidden_nonlocality_profile(s: StateSet, max_depth: int = 8) -> PartitionProfile:
-    """Scan the finest partition and all bipartitions; derive H_k flags."""
+    """Scan the finest partition and all bipartitions; derive H_k flags.
+    A set of one party has no bipartition and is refused (ValueError)."""
     n = s.space.n_parties
+    if n < 2:
+        raise ValueError("a profile needs at least two parties")
     records: list[PartitionRecord] = []
 
     if n == 2:

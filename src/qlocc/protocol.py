@@ -205,9 +205,9 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
 
     Faults of the tree itself are appended to `failures` as the walk meets
     them, never raised: a reachable branch without a child, a party the set
-    does not have, an incomplete measurement, a child count that differs
-    from the outcome count, and an outcome that breaks orthogonality.
-    Branches no state reaches are skipped.
+    does not have, Kraus operators not of that party's size, an incomplete
+    measurement, a child count that differs from the outcome count, and an
+    outcome that breaks orthogonality. Branches no state reaches are skipped.
     """
     if len(cur) == 0:
         return
@@ -220,7 +220,11 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     if not 0 <= node.party < cur.space.n_parties:
         failures.append(f"{path}: measures party {node.party} of a {cur.space.n_parties}-party set")
         return
-    m = node.measurement
+    m, d = node.measurement, cur.space.party_dims[node.party]
+    bad = [k.shape for k in m.kraus if k.shape != (d, d)]
+    if bad:
+        failures.append(f"{path}: kraus is {bad[0][0]}x{bad[0][1]}, party {party_letter(node.party)} has dimension {d}")
+        return
     if m.completeness_residual() > SPAN_TOL:
         failures.append(f"{path}: measurement completeness violated")
     if len(node.children) != len(m.kraus):
@@ -266,7 +270,8 @@ def verify_protocol(s: StateSet, tree) -> VerifyReport:
 
 @dataclass
 class Certificate:
-    kind: str  # Distinguishability | Activation | NonActivabilityInClass | Indistinguishability | Exhaustion | Incomplete
+    # Distinguishability | Activation | ProtocolFailure | NonActivabilityInClass | Indistinguishability | Exhaustion | Incomplete
+    kind: str
     class_note: str
     params: dict
     tree: object | None = None
@@ -440,20 +445,19 @@ def _status_terminal(nd: _Node):
 
 
 class _Rule(NamedTuple):
-    slot: str  # key in `_Node.slots`
-    entry: str  # SetAnalyzer method that children are searched through
     terminal: Callable  # (node) -> (status, tree) closing the node, or None
-    order: str  # move order for _ordered_moves: "dist" or "act"
-    stop_on_fail: bool  # a move stops at its first failing outcome
-    build: bool  # a tree is built
+    # moves with the fewest eliminations first, each expanding every outcome;
+    # else the most eliminations first, each stopping at its first failure
+    exhaustive: bool
 
 
+# keyed by the memo slot each row fills in `_Node.slots`
 _RULES = {
-    "dist": _Rule("dist", "distinguishable", _dist_terminal, "dist", True, True),
+    "dist": _Rule(_dist_terminal, False),
     # on failure keep expanding the remaining outcomes: the negative
     # verdict promises that every reachable set was analyzed
-    "act": _Rule("act", "activation", _act_terminal, "act", False, True),
-    "status": _Rule("dist_status", "distinguishable_status", _status_terminal, "dist", True, False),
+    "act": _Rule(_act_terminal, True),
+    "dist_status": _Rule(_status_terminal, False),
 }
 
 
@@ -480,21 +484,21 @@ class _Move(NamedTuple):
 class SetAnalyzer:
     """Shared memo of reached sets and their analyses.
 
-    One memoized AND-OR search serves three questions, each a row of
-    `_RULES`: a node is True if its terminal test closes it so, or if some
-    candidate measurement sends every nonempty outcome to a True node.
+    One memoized AND-OR search, `search(slot, key, depth)`, serves three
+    questions, each a row of `_RULES` keyed by its memo slot: a node is True
+    if its terminal test closes it so, or if some candidate measurement
+    sends every nonempty outcome to a True node.
 
-    - `distinguishable` ("dist"): at most one state gets an identifying
-      leaf, else terminal one-party resolution; moves with the most
-      eliminations first; builds the discrimination tree.
-    - `activation` ("act"): fewer than 2 states is False; a certified
-      locally indistinguishable, whole-party irredundant set is a reached
-      leaf; the C2 x Cn product rule is False; moves with the fewest
-      eliminations first, each expanding every outcome; builds the
-      activation tree.
-    - `distinguishable_status` ("status"): the C2 x Cn product rule or
-      terminal resolution gives True, a certified locally indistinguishable
-      set False; "dist" move order; no tree.
+    - "dist": at most one state gets an identifying leaf, else terminal
+      one-party resolution; moves with the most eliminations first; the
+      discrimination tree.
+    - "act": fewer than 2 states is False; a certified locally
+      indistinguishable, whole-party irredundant set is a reached leaf; the
+      C2 x Cn product rule is False; moves with the fewest eliminations
+      first, each expanding every outcome; the activation tree.
+    - "dist_status": the C2 x Cn product rule or terminal resolution gives
+      True, a certified locally indistinguishable set False; "dist" move
+      order; read for its status only.
 
     Statuses are tri-state: True, False (conclusive for the searched
     class), or None (depth cap truncated the exploration). Conclusive
@@ -565,82 +569,59 @@ class SetAnalyzer:
             move.keys[oi] = self._reach(child)
         return move.keys[oi]
 
-    def _ordered_moves(self, key: bytes, mode: str):
+    def _ordered_moves(self, key: bytes, exhaustive: bool):
         n = len(self.nodes[key].set)
 
         def sort_key(mv):
             elim = sum(n - kept for kept in mv.kept)
             min_surv = min((kept for kept in mv.kept if kept), default=0)
-            tie = (mv.candidates.party, mv.candidates.label(mv.index))
-            if mode == "act":
-                return (elim, -min_surv) + tie
-            return (-elim, -min_surv) + tie
+            return (elim if exhaustive else -elim, -min_surv, mv.candidates.party, mv.candidates.label(mv.index))
 
         return sorted(self.moves(key), key=sort_key)
 
     # -- the AND-OR search ------------------------------------------------------
 
-    def _and_or(self, rule: _Rule, key: bytes, depth: int):
-        """Tri-state memoized AND-OR search under one rule row.
+    def search(self, slot: str, key: bytes, depth: int):
+        """Tri-state memoized AND-OR search under the rule row `slot`.
 
         Returns (True, tree) | (False, None) conclusive | (None, None) when
-        the depth cap truncated the exploration. Children are searched
-        through the row's entry point, which for a row that builds no tree
-        returns the bare status.
+        the depth cap truncated the exploration.
         """
         nd = self.nodes[key]
-        cached = nd.slots.get(rule.slot)
+        cached = nd.slots.get(slot)
         if cached is not None:
             status, tree, tried = cached
             if status is not None or tried >= depth:
                 return status, tree
+        rule = _RULES[slot]
         hit = rule.terminal(nd)
         if hit is not None:
-            nd.slots[rule.slot] = (*hit, depth)
+            nd.slots[slot] = (*hit, depth)
             return hit
         if depth <= 0:
-            nd.slots[rule.slot] = (None, None, 0)
+            nd.slots[slot] = (None, None, 0)
             return None, None
-        entry = getattr(self, rule.entry)
         incomplete = False
-        moves = self._ordered_moves(key, rule.order)
+        moves = self._ordered_moves(key, rule.exhaustive)
         if nd.capped_in is not None:
-            nd.capped_in.add(rule.slot)
+            nd.capped_in.add(slot)
         for mv in moves:
             subtrees = []
             good = True
             for oi, kept in enumerate(mv.kept):
-                if not kept:
-                    st, subtree = True, None
-                else:
-                    res = entry(self.child_key(key, mv, oi), depth - 1)
-                    st, subtree = res if rule.build else (res, None)
+                st, subtree = self.search(slot, self.child_key(key, mv, oi), depth - 1) if kept else (True, None)
                 subtrees.append(subtree)
-                if st is not True:
-                    good = False
-                    incomplete |= st is None
-                    if rule.stop_on_fail:
-                        break
+                good &= st is True
+                incomplete |= st is None
+                if not (good or rule.exhaustive):
+                    break
             if good:
-                tree = Measure(mv.measurement.party, mv.measurement, subtrees) if rule.build else None
-                nd.slots[rule.slot] = (True, tree, depth)
+                tree = Measure(mv.measurement.party, mv.measurement, subtrees)
+                nd.slots[slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
-        nd.slots[rule.slot] = (status, None, depth)
+        nd.slots[slot] = (status, None, depth)
         return status, None
-
-    def distinguishable(self, key: bytes, depth: int):
-        """Tri-state: (True, tree) | (False, None) conclusive | (None, None)."""
-        return self._and_or(_RULES["dist"], key, depth)
-
-    def activation(self, key: bytes, depth: int):
-        """Tri-state search for a deterministic activation tree, as (status, tree)."""
-        return self._and_or(_RULES["act"], key, depth)
-
-    def distinguishable_status(self, key: bytes, depth: int):
-        """Tri-state distinguishability that may close branches with exact
-        dimension rules; no tree is built, only the status is returned."""
-        return self._and_or(_RULES["status"], key, depth)[0]
 
     # -- transcripts ------------------------------------------------------------
 
@@ -659,8 +640,7 @@ class SetAnalyzer:
             elif cert:
                 dist, basis = False, "certified locally indistinguishable"
             else:
-                dist = self.distinguishable_status(key, max_depth)
-                basis = "search-in-class"
+                dist, basis = self.search("dist_status", key, max_depth)[0], "search-in-class"
             entries.append(
                 {
                     "n_states": len(s),
@@ -701,7 +681,7 @@ def _intern_root(s: StateSet, analyzer: SetAnalyzer | None):
 def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Find and verify a perfect-discrimination protocol, or report exhaustion."""
     an, key = _intern_root(s, analyzer)
-    status, tree = an.distinguishable(key, max_depth)
+    status, tree = an.search("dist", key, max_depth)
     params = _search_params(an, max_depth, "dist")
     if status is True:
         vr = verify_protocol(s, tree)
@@ -772,7 +752,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     returns kind Incomplete, never a negative verdict.
     """
     an, key = _intern_root(s, analyzer)
-    dstat = an.distinguishable_status(key, max_depth)
+    dstat = an.search("dist_status", key, max_depth)[0]
     params = _search_params(an, max_depth, "dist_status")
     if dstat is False:
         cert = an.nodes[key].cert
@@ -790,7 +770,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
             params | {"complete": False},
             notes="depth cap too small to establish root distinguishability; verdict INCOMPLETE",
         )
-    status, tree = an.activation(key, max_depth)
+    status, tree = an.search("act", key, max_depth)
     if status is True:
         cert = certify_activation_protocol(s, tree, analyzer=an)
         cert.params.update(_search_params(an, max_depth, "act", "dist_status"))

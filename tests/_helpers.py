@@ -32,7 +32,7 @@ from qlocc.oplm import (
     measurement_candidates,
     oplm_space,
 )
-from qlocc.protocol import Measure, SetAnalyzer, _replay, apply_outcome, builtin_protocol
+from qlocc.protocol import _RULES, Measure, SetAnalyzer, _replay, apply_outcome, builtin_protocol
 from qlocc.qset import QsetError
 from qlocc.states import (
     Bipartition,
@@ -915,7 +915,7 @@ class ReferenceCheck:
 
 class EagerSetAnalyzer(SetAnalyzer):
     """`SetAnalyzer` with the eager move expansion it had before children
-    were keyed on first visit: `moves`, `_ordered_moves`, `_and_or` and
+    were keyed on first visit: `moves`, `_ordered_moves`, `search` and
     `activation_transcript` are that code, reading the node's fields
     (`_Node`) where it read string keys. Move entries are
     (party, measurement, [(outcome, child key or None, labels)])."""
@@ -941,7 +941,7 @@ class EagerSetAnalyzer(SetAnalyzer):
         nd.moves = out
         return out
 
-    def _ordered_moves(self, key: bytes, mode: str):
+    def _ordered_moves(self, key: bytes, exhaustive: bool):
         s = self.nodes[key].set
         n = len(s)
 
@@ -949,60 +949,50 @@ class EagerSetAnalyzer(SetAnalyzer):
             p, m, children = mv
             elim = sum(n - len(labels) for _, _, labels in children)
             min_surv = min((len(labels) for _, ck, labels in children if ck is not None), default=0)
-            tie = (p, m.labels[0])
-            if mode == "act":
-                return (elim, -min_surv) + tie
-            return (-elim, -min_surv) + tie
+            return (elim if exhaustive else -elim, -min_surv, p, m.labels[0])
 
         return sorted(self.moves(key), key=sort_key)
 
-    def _and_or(self, rule: _Rule, key: bytes, depth: int):
-        """Tri-state memoized AND-OR search under one rule row.
+    def search(self, slot: str, key: bytes, depth: int):
+        """Tri-state memoized AND-OR search under the rule row `slot`.
 
         Returns (True, tree) | (False, None) conclusive | (None, None) when
-        the depth cap truncated the exploration. Children are searched
-        through the row's entry point, which for a row that builds no tree
-        returns the bare status.
+        the depth cap truncated the exploration.
         """
         nd = self.nodes[key]
-        cached = nd.slots.get(rule.slot)
+        cached = nd.slots.get(slot)
         if cached is not None:
             status, tree, tried = cached
             if status is not None or tried >= depth:
                 return status, tree
+        rule = _RULES[slot]
         hit = rule.terminal(nd)
         if hit is not None:
-            nd.slots[rule.slot] = (*hit, depth)
+            nd.slots[slot] = (*hit, depth)
             return hit
         if depth <= 0:
-            nd.slots[rule.slot] = (None, None, 0)
+            nd.slots[slot] = (None, None, 0)
             return None, None
-        entry = getattr(self, rule.entry)
         incomplete = False
-        moves = self._ordered_moves(key, rule.order)
+        moves = self._ordered_moves(key, rule.exhaustive)
         if nd.capped_in is not None:
-            nd.capped_in.add(rule.slot)
+            nd.capped_in.add(slot)
         for p, m, children in moves:
             subtrees = []
             good = True
             for _oi, ck, _labels in children:
-                if ck is None:
-                    st, subtree = True, None
-                else:
-                    res = entry(ck, depth - 1)
-                    st, subtree = res if rule.build else (res, None)
+                st, subtree = self.search(slot, ck, depth - 1) if ck is not None else (True, None)
                 subtrees.append(subtree)
-                if st is not True:
-                    good = False
-                    incomplete |= st is None
-                    if rule.stop_on_fail:
-                        break
+                good &= st is True
+                incomplete |= st is None
+                if not (good or rule.exhaustive):
+                    break
             if good:
-                tree = Measure(p, m, subtrees) if rule.build else None
-                nd.slots[rule.slot] = (True, tree, depth)
+                tree = Measure(p, m, subtrees)
+                nd.slots[slot] = (True, tree, depth)
                 return True, tree
         status = None if incomplete else False
-        nd.slots[rule.slot] = (status, None, depth)
+        nd.slots[slot] = (status, None, depth)
         return status, None
 
     def activation_transcript(self, max_depth: int):
@@ -1019,7 +1009,7 @@ class EagerSetAnalyzer(SetAnalyzer):
             elif cert:
                 dist, basis = False, "certified locally indistinguishable"
             else:
-                dist = self.distinguishable_status(key, max_depth)
+                dist = self.search("dist_status", key, max_depth)[0]
                 basis = "search-in-class"
             entries.append(
                 {

@@ -217,6 +217,26 @@ def test_truncated_activation_protocol_fails(capsys, files, tmp_path):
     assert rep["verdicts"]["kind"] == "ProtocolFailure"
 
 
+def test_kraus_of_the_wrong_size_fails_replay(capsys, files, tmp_path):
+    proto = tmp_path / "k2.json"
+    outcome = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    proto.write_text(json.dumps({"party": 0, "outcomes": [{"kraus": outcome, "child": None}, {"kraus": outcome[::-1], "child": None}]}))
+    code, out, _ = run(capsys, "protocol", "verify", "--set", files["s3"], "--protocol", str(proto))
+    assert code == 1 and "root: kraus is 2x2, party A has dimension 6;" in out and "matmul" not in out
+    code, rep = run_json(capsys, "activate", "--set", files["s3"], "--protocol", str(proto))
+    assert code == 1
+    assert (rep["verdicts"]["kind"], rep["verdicts"]["notes"]) == ("ProtocolFailure", "root: kraus is 2x2, party A has dimension 6")
+
+
+def test_one_party_profile_and_stray_d_exit_2(capsys, tmp_path):
+    path = tmp_path / "one.qset"
+    path.write_text("qset v1\ndims: 4\nstate a: |0>\nstate b: |1>\n")
+    code, out, err = run(capsys, "profile", "--set", str(path))
+    assert (code, out, err) == (2, "", "qlocc: error: a profile needs at least two parties\n")
+    code, out, err = run(capsys, "fixture", "--name", "s1", "--d", "6")
+    assert (code, out, err) == (2, "", "qlocc: error: fixture s1 takes no d; only s1_general does\n")
+
+
 def test_protocol_search_and_reuse(capsys, files, tmp_path):
     proto = tmp_path / "s1_found.json"
     code, _, _ = run(capsys, "protocol", "search", "--set", files["s1"], "--max-depth", "6", "-o", str(proto))

@@ -105,6 +105,19 @@ def test_s1_general_rejects_odd():
         s1_general_tiles(3)
 
 
+def test_d_is_checked_before_the_space_and_refused_where_unused():
+    for d in (-2, 0, 2, 3):
+        with pytest.raises(ValueError, match="s1_general requires even d >= 4"):
+            build_fixture("s1_general", d=d)
+    with pytest.raises(ValueError, match="s1_general requires d"):
+        build_fixture("s1_general")
+    for name in set(FIXTURE_NAMES) - {"s1_general"}:
+        with pytest.raises(ValueError, match=f"fixture {name} takes no d; only s1_general does"):
+            build_fixture(name, d=6)
+    with pytest.raises(ValueError, match="unknown fixture 's99'"):
+        build_fixture("s99", d=6)
+
+
 def test_unknown_fixture():
     with pytest.raises(ValueError):
         build_fixture("s99")

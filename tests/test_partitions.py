@@ -187,6 +187,15 @@ def test_bipartite_profile_only_k1():
     assert len(prof.records) == 1
 
 
+def test_one_party_profile_is_refused():
+    # one party has no bipartition, so "all bipartitions non-activable"
+    # would hold vacuously
+    space = PartySpace((4,))
+    s = StateSet(space, [make_ket(space, [(1, (i,))], f"v{i}") for i in (0, 1)], "one-party")
+    with pytest.raises(ValueError, match="a profile needs at least two parties"):
+        hidden_nonlocality_profile(s)
+
+
 def test_profile_invariant_under_bc_swap(s2_profile):
     s2 = build_fixture("s2")
     # swap parties B and C (both qubits): profile content must be unchanged

@@ -248,6 +248,23 @@ def test_verify_party_out_of_range_fails():
     assert vr.failures[0] == "root: measures party 7 of a 2-party set"
 
 
+def test_replay_names_a_kraus_size_that_is_not_the_partys():
+    # a 2x2 tree on s3's 6-dim party A: one failure per node, naming both
+    # sizes, found before completeness, and the node's children are skipped
+    s3 = build_fixture("s3")
+    tree = Measure(0, LocalMeasurement(0, [np.diag([1, 0]), np.diag([0, 1])], ["P0", "P1"]), [Leaf(), Leaf()])
+    vr = verify_protocol(s3, tree)
+    assert vr.failures == ["root: kraus is 2x2, party A has dimension 6", "states never identified: " + ", ".join(s3.labels)]
+    cert = certify_activation_protocol(s3, tree)
+    assert (cert.kind, cert.notes) == ("ProtocolFailure", "root: kraus is 2x2, party A has dimension 6")
+    # deeper, on B: the path names the node, and its sibling still replays
+    half = builtin_protocol("s3_activation")
+    half.children[1] = Measure(1, tree.measurement, [Leaf(), Leaf()])
+    cert = certify_activation_protocol(s3, half)
+    assert cert.notes == "root/1: kraus is 2x2, party B has dimension 6"
+    assert [e["path"] for e in cert.leaf_evidence] == ["root/0/0", "root/0/1"]
+
+
 def test_search_pair_depth_one():
     cert = search_distinguishing_protocol(pair_set(), max_depth=1)
     assert cert.kind == "Distinguishability" and cert.verified
@@ -457,7 +474,7 @@ def test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol():
         key = an.intern(leaf)
         assert an.nodes[key].cert["kind"] == "IRREDUCIBLE-EXACT"
         # the search does not take such a set as an activation leaf either
-        assert an.activation(key, 0)[0] is not True
+        assert an.search("act", key, 0)[0] is not True
 
 
 def test_certify_builtin_s4_abc():
