@@ -457,6 +457,7 @@ _RULES = {
     # on failure keep expanding the remaining outcomes: the negative
     # verdict promises that every reachable set was analyzed
     "act": _Rule(_act_terminal, True),
+    # its trees are evidence only: a child it closed without one is None
     "dist_status": _Rule(_status_terminal, False),
 }
 
@@ -487,18 +488,21 @@ class SetAnalyzer:
     One memoized AND-OR search, `search(slot, key, depth)`, serves three
     questions, each a row of `_RULES` keyed by its memo slot: a node is True
     if its terminal test closes it so, or if some candidate measurement
-    sends every nonempty outcome to a True node.
+    sends every nonempty outcome to a True node. Each row has a named entry
+    method that roots and children alike enter through, so a wrapper around
+    the three sees every node the search visits (the traced benchmark
+    counts their keys as `protocol.nodes_visited`).
 
-    - "dist": at most one state gets an identifying leaf, else terminal
-      one-party resolution; moves with the most eliminations first; the
-      discrimination tree.
-    - "act": fewer than 2 states is False; a certified locally
-      indistinguishable, whole-party irredundant set is a reached leaf; the
-      C2 x Cn product rule is False; moves with the fewest eliminations
-      first, each expanding every outcome; the activation tree.
-    - "dist_status": the C2 x Cn product rule or terminal resolution gives
-      True, a certified locally indistinguishable set False; "dist" move
-      order; read for its status only.
+    - "dist" (`distinguishable`): at most one state gets an identifying
+      leaf, else terminal one-party resolution; moves with the most
+      eliminations first; the discrimination tree.
+    - "act" (`activation`): fewer than 2 states is False; a certified
+      locally indistinguishable, whole-party irredundant set is a reached
+      leaf; the C2 x Cn product rule is False; moves with the fewest
+      eliminations first, each expanding every outcome; the activation tree.
+    - "dist_status" (`distinguishable_status`): the C2 x Cn product rule or
+      terminal resolution gives True, a certified locally indistinguishable
+      set False; "dist" move order; read for its status only.
 
     Statuses are tri-state: True, False (conclusive for the searched
     class), or None (depth cap truncated the exploration). Conclusive
@@ -585,7 +589,9 @@ class SetAnalyzer:
         """Tri-state memoized AND-OR search under the rule row `slot`.
 
         Returns (True, tree) | (False, None) conclusive | (None, None) when
-        the depth cap truncated the exploration.
+        the depth cap truncated the exploration. A "dist_status" tree has
+        None where a child was closed without a tree, so it cannot be
+        replayed; callers read that row's status only.
         """
         nd = self.nodes[key]
         cached = nd.slots.get(slot)
@@ -601,6 +607,7 @@ class SetAnalyzer:
         if depth <= 0:
             nd.slots[slot] = (None, None, 0)
             return None, None
+        enter = {"dist": self.distinguishable, "act": self.activation, "dist_status": self.distinguishable_status}[slot]
         incomplete = False
         moves = self._ordered_moves(key, rule.exhaustive)
         if nd.capped_in is not None:
@@ -609,7 +616,7 @@ class SetAnalyzer:
             subtrees = []
             good = True
             for oi, kept in enumerate(mv.kept):
-                st, subtree = self.search(slot, self.child_key(key, mv, oi), depth - 1) if kept else (True, None)
+                st, subtree = enter(self.child_key(key, mv, oi), depth - 1) if kept else (True, None)
                 subtrees.append(subtree)
                 good &= st is True
                 incomplete |= st is None
@@ -622,6 +629,15 @@ class SetAnalyzer:
         status = None if incomplete else False
         nd.slots[slot] = (status, None, depth)
         return status, None
+
+    def distinguishable(self, key: bytes, depth: int):
+        return self.search("dist", key, depth)
+
+    def activation(self, key: bytes, depth: int):
+        return self.search("act", key, depth)
+
+    def distinguishable_status(self, key: bytes, depth: int):
+        return self.search("dist_status", key, depth)
 
     # -- transcripts ------------------------------------------------------------
 
@@ -640,7 +656,7 @@ class SetAnalyzer:
             elif cert:
                 dist, basis = False, "certified locally indistinguishable"
             else:
-                dist, basis = self.search("dist_status", key, max_depth)[0], "search-in-class"
+                dist, basis = self.distinguishable_status(key, max_depth)[0], "search-in-class"
             entries.append(
                 {
                     "n_states": len(s),
@@ -681,7 +697,7 @@ def _intern_root(s: StateSet, analyzer: SetAnalyzer | None):
 def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Find and verify a perfect-discrimination protocol, or report exhaustion."""
     an, key = _intern_root(s, analyzer)
-    status, tree = an.search("dist", key, max_depth)
+    status, tree = an.distinguishable(key, max_depth)
     params = _search_params(an, max_depth, "dist")
     if status is True:
         vr = verify_protocol(s, tree)
@@ -752,7 +768,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
     returns kind Incomplete, never a negative verdict.
     """
     an, key = _intern_root(s, analyzer)
-    dstat = an.search("dist_status", key, max_depth)[0]
+    dstat = an.distinguishable_status(key, max_depth)[0]
     params = _search_params(an, max_depth, "dist_status")
     if dstat is False:
         cert = an.nodes[key].cert
@@ -770,7 +786,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
             params | {"complete": False},
             notes="depth cap too small to establish root distinguishability; verdict INCOMPLETE",
         )
-    status, tree = an.search("act", key, max_depth)
+    status, tree = an.activation(key, max_depth)
     if status is True:
         cert = certify_activation_protocol(s, tree, analyzer=an)
         cert.params.update(_search_params(an, max_depth, "act", "dist_status"))

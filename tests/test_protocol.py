@@ -474,7 +474,7 @@ def test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol():
         key = an.intern(leaf)
         assert an.nodes[key].cert["kind"] == "IRREDUCIBLE-EXACT"
         # the search does not take such a set as an activation leaf either
-        assert an.search("act", key, 0)[0] is not True
+        assert an.activation(key, 0)[0] is not True
 
 
 def test_certify_builtin_s4_abc():
