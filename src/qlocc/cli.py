@@ -520,7 +520,14 @@ def main(argv=None) -> int:
         return 2
     report["verdicts"] = payload
     report["timings"] = {"seconds": time.perf_counter() - t0}
-    print(_dumps(report, 2) if args.json else human)
+    try:
+        print(_dumps(report, 2) if args.json else human)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, and point stdout at
+        # devnull so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -14,13 +14,21 @@ per party. Terms are combined with `+` / `-`, and a repeated ket sums in term
 order. The README states the grammar. States are normalized on load.
 Both directions work on the set's amplitude matrix and build no `Ket`.
 
-Serialization is canonical: one `(re,im)` coefficient per nonzero amplitude
-with 17 significant digits, terms in ascending basis order, byte-identical
-across runs.
+Serialization is canonical: one `(re,im)*|i0,...>` term per nonzero
+amplitude with 17 significant digits, terms in ascending basis order joined
+by " + ", byte-identical across runs. A label or name that would not read
+back (a label that is empty or holds a blank, `:` or `#`; a name with `#`,
+a line break or outer blanks) is refused with a ValueError.
+
+A document whose states are all canonical is read in bulk, to the same
+amplitude bits as the general tokenizer (`_parse_terms`). Any other text,
+and any canonical text with an index out of range or a coefficient that is
+not finite, goes through the general tokenizer, which alone reports errors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -172,6 +180,51 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     return m, [e - s for s, e in zip(starts, ends)], errors
 
 
+# `_NUM`'s decimals, matched without backtracking: in a canonical term a
+# decimal always ends at a `,` or `)`, so no match needs to give a digit back
+_NUM_ATOMIC = r"-?+(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
+
+
+@functools.cache
+def _canonical_re(n_parties: int) -> re.Pattern:
+    """A state's terms as `serialize_qset` writes them: `(re,im)*|i0,...>`
+    with one index per party, joined by exactly " + "."""
+    term = rf"\({_NUM_ATOMIC},{_NUM_ATOMIC}\)\*\|\d++" + r",\d++" * (n_parties - 1) + ">"
+    return re.compile(rf"{term}(?: \+ {term})*")
+
+
+_BLANK_PUNCTUATION = str.maketrans("(,)*|>", "      ")
+
+
+def _parse_canonical(exprs: list[str], space: PartySpace) -> tuple[np.ndarray, list[int], list] | None:
+    """`_parse_terms` for states that all match `_canonical_re`, which have
+    no errors; None where one does not, or where an index is out of range
+    or a coefficient not finite, the cases that `_parse_terms` reports.
+
+    Each term is the numbers re, im, i0, ... in that order, so one split of
+    the joined text with its punctuation blanked reads every term at once.
+    The amplitudes follow `_parse_terms` bit for bit: the same coefficient
+    arithmetic for a `+` term, the same `np.add.at` in term order.
+    """
+    n_parties, dims = space.n_parties, space.party_dims
+    if not all(map(_canonical_re(n_parties).fullmatch, exprs)):
+        return None
+    counts = [expr.count("|") for expr in exprs]
+    tokens = " ".join(exprs).replace(" + ", " ").translate(_BLANK_PUNCTUATION).split()
+    # indices read as floats, as in `_parse_terms`: exact below any dim, and no overflow on a long one
+    at = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, 2 + n_parties)
+    cr, ci, idx = at[:, 0], at[:, 1], at[:, 2:]
+    if not (np.isfinite(at[:, :2]).all() and (idx < dims).all()):
+        return None
+    coeffs = np.empty(len(at), np.complex128)
+    coeffs.real, coeffs.imag = 1.0 * cr - 0.0 * ci, 1.0 * ci + 0.0 * cr
+    strides = [math.prod(dims[p + 1 :]) for p in range(n_parties)]
+    m = np.zeros((len(exprs), space.total_dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # parse_qset rejects a row that is not finite
+        np.add.at(m, (np.repeat(np.arange(len(exprs)), counts), idx.astype(np.intp) @ strides), coeffs)
+    return m, counts, [None] * len(exprs)
+
+
 def parse_qset(text: str) -> StateSet:
     dims: tuple[int, ...] | None = None
     splits: dict[int, tuple[int, ...]] = {}
@@ -232,7 +285,8 @@ def parse_qset(text: str) -> StateSet:
     space = PartySpace(dims, splits)
     if not state_rows:
         raise QsetError("E_EMPTY_STATE", 1, 1, "document declares no states")
-    m, counts, errors = _parse_terms([row[1:] for row in state_rows], space)
+    exprs = [row[1:] for row in state_rows]
+    m, counts, errors = _parse_canonical([e for e, _, _ in exprs], space) or _parse_terms(exprs, space)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = row_norms(m)
     seen = set()
@@ -251,21 +305,30 @@ def parse_qset(text: str) -> StateSet:
     return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.17g}"
+_LABEL_RE = re.compile(r"[^\s:#]+")
 
 
 def serialize_qset(s: StateSet) -> str:
+    bad = next((label for label in s.labels if not _LABEL_RE.fullmatch(label)), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} would not read back: a qset label is nonempty, without blanks, ':' or '#'")
+    if "#" in s.name or len(s.name.splitlines()) > 1 or s.name != s.name.strip():
+        raise ValueError(f"name {s.name!r} would not read back: a qset name has no '#', no line break and no outer blanks")
     lines = ["qset v1", "dims: " + " ".join(str(d) for d in s.space.party_dims)]
     for p in sorted(s.space.sub_splits):
         lines.append(f"split: {p} = " + " ".join(str(f) for f in s.space.sub_splits[p]))
     if s.name:
         lines.append(f"name: {s.name}")
-    kets = ["|" + ",".join(str(i) for i in idx) + ">" for idx in np.ndindex(*s.space.party_dims)]
+    terms = ["(%.17g,%.17g)*|" + ",".join(str(i) for i in idx) + ">" for idx in np.ndindex(*s.space.party_dims)]
     m = s.matrix()
     # np.hypot is libm hypot, as abs() on one complex scalar; np.abs on the array rounds differently
     shown = np.hypot(m.real, m.imag) > TERM_TOL
-    for label, row, nz in zip(s.labels, m, shown):
-        terms = [f"({_fmt(row[f].real)},{_fmt(row[f].imag)})*{kets[f]}" for f in np.flatnonzero(nz)]
-        lines.append(f"state {label}: " + " + ".join(terms))
+    # + 0.0 writes -0.0 as 0; re and im of each shown amplitude in row-major order, as the terms go
+    values = (np.stack([m.real[shown], m.imag[shown]], axis=-1) + 0.0).ravel().tolist()
+    cols = np.nonzero(shown)[1].tolist()
+    start = 0
+    for label, end in zip(s.labels, np.cumsum(shown.sum(axis=1)).tolist()):
+        body = " + ".join([terms[f] for f in cols[start:end]]) % tuple(values[2 * start : 2 * end])
+        lines.append(f"state {label}: {body}")
+        start = end
     return "\n".join(lines) + "\n"

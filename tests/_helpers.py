@@ -1175,7 +1175,9 @@ def reference_kraus_from_json(entry) -> np.ndarray | None:
 
 
 def reference_parse_qset(text: str) -> StateSet:
-    """`parse_qset` for a well-formed document, one Ket per state."""
+    """`parse_qset` for a well-formed document, one Ket per state; for one
+    with a malformed term, the error of the first, at the column
+    `parse_qset` gives."""
     dims, splits, name, kets = None, {}, "", []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1187,10 +1189,11 @@ def reference_parse_qset(text: str) -> StateSet:
         elif line.startswith("name:"):
             name = line[len("name:") :].strip()
         elif line.startswith("state"):
-            label, expr = re.match(r"state\s+([^\s:]+)\s*:\s*(.*)$", line).groups()
+            m = re.match(r"state\s+([^\s:]+)\s*:\s*(.*)$", line)
+            label, expr = m.groups()
             space = PartySpace(dims, splits)
             amps = np.zeros(space.total_dim, dtype=np.complex128)
-            for coeff, idx in reference_parse_terms(expr, line_no, 1, space):
+            for coeff, idx in reference_parse_terms(expr, line_no, raw.index(line[0]) + 1 + m.start(2), space):
                 amps[int(np.ravel_multi_index(idx, dims))] += coeff
             kets.append(Ket(space, amps, label))
     return StateSet(PartySpace(dims, splits), kets, name)
@@ -1211,7 +1214,7 @@ def reference_serialize_qset(s: StateSet) -> str:
                 continue
             idx = np.unravel_index(flat, s.space.party_dims)
             ket = "|" + ",".join(str(int(i)) for i in idx) + ">"
-            terms.append(f"({qset._fmt(a.real)},{qset._fmt(a.imag)})*{ket}")
+            terms.append(f"({a.real + 0.0:.17g},{a.imag + 0.0:.17g})*{ket}")
         lines.append(f"state {k.label}: " + " + ".join(terms))
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlocc
 from qlocc import cli, upb
 from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
@@ -710,3 +714,17 @@ def test_report_bytes_are_json_dumps_of_the_report(capsys, files, tmp_path, monk
         assert indent == 1 and tree.read_bytes() == json.dumps(obj, indent=1, sort_keys=True).encode()
     else:
         assert trees == []
+
+
+@pytest.mark.parametrize("argv", [["fixture", "--name", "s1"], ["fixture", "--name", "s1_general", "--d", "12"], ["fixture", "--name", "s1", "--json"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the pipe's read end is closed before the command starts, so its first
+    # write to stdout fails, whether the report is short or long
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlocc.__file__)))
+    try:
+        done = subprocess.run([sys.executable, "-m", "qlocc.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

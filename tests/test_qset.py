@@ -1,18 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import (
     qset_mismatches,
     random_orthonormal_set,
     reference_parse_qset,
     reference_parse_terms,
+    reference_serialize_qset,
     same_bits,
     state_model_cases,
 )
 from qlocc import qset
 from qlocc.fixtures import build_fixture
 from qlocc.qset import QsetError, parse_qset, serialize_qset
-from qlocc.states import PartySpace, apply_local_unitaries, gram_check, gram_matrix, random_local_unitaries
+from qlocc.states import PartySpace, StateSet, apply_local_unitaries, gram_check, gram_matrix, random_local_unitaries
 
 
 def test_parse_minimal():
@@ -279,3 +284,178 @@ def test_large_sqrt_argument_parses():
     s = parse_qset("qset v1\ndims: 2 2\nstate a: |1,1> + 1/sqrt(100000000000000000000)*|0,0>\n")
     want = np.array([1 / np.sqrt(1e20), 0, 0, 1], dtype=complex)
     assert same_bits(s.matrix()[0], want / np.linalg.norm(want))
+
+
+# -- the bulk read of canonical text ------------------------------------------
+
+
+def _outcome(text: str, bulk: bool = True) -> tuple:
+    """What `parse_qset` makes of `text`, with or without the bulk path:
+    the matrix bits, labels, name and space, or the error's fields."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not bulk:
+            mp.setattr(qset, "_parse_canonical", lambda exprs, space: None)
+        try:
+            s = parse_qset(text)
+        except QsetError as e:
+            return _fields(e)
+    return s.matrix().tobytes(), s.labels, s.name, s.space
+
+
+def _reference_outcome(text: str) -> tuple:
+    try:
+        s = reference_parse_qset(text)
+    except QsetError as e:
+        return _fields(e)
+    return s.matrix().tobytes(), s.labels, s.name, s.space
+
+
+# a decimal as the canonical pattern admits it: optional sign, digits with
+# leading zeros, `5.` and `.5` forms, an exponent with or without its sign
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-0.0", "0.0", "5.", ".5", "-.5", "1e+5", "2E-3", "00.5", "1"]),
+    st.builds(
+        lambda sign, mantissa, exp: sign + mantissa + exp,
+        st.sampled_from(["", "-"]),
+        st.one_of(_DIGITS, _DIGITS.map(lambda d: d + "."), st.tuples(_DIGITS, _DIGITS).map(".".join), _DIGITS.map(lambda d: "." + d)),
+        st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 40)).map(lambda t: f"{t[0]}{t[1]}{t[2]}")),
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__),
+)
+
+
+@st.composite
+def canonical_documents(draw) -> tuple[PartySpace, list[str]]:
+    dims = draw(st.sampled_from([(2,), (2, 2), (3, 2), (2, 2, 2)]))
+    n_states = draw(st.integers(1, 4))
+    exprs = []
+    for _ in range(n_states):
+        terms = []
+        for _ in range(draw(st.integers(1, 6))):  # few kets: repeats are common
+            re_, im = draw(_NUMBERS), draw(_NUMBERS)
+            idx = ",".join("0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, d - 1))) for d in dims)
+            terms.append(f"({re_},{im})*|{idx}>")
+        exprs.append(" + ".join(terms))
+    return PartySpace(dims), exprs
+
+
+def _document(space: PartySpace, exprs: list[str]) -> str:
+    body = "".join(f"state s{i}: {e}\n" for i, e in enumerate(exprs))
+    return f"qset v1\ndims: {' '.join(map(str, space.party_dims))}\n{body}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(canonical_documents())
+def test_canonical_documents_read_in_bulk_as_the_general_tokenizer(doc):
+    space, exprs = doc
+    assert all(qset._canonical_re(space.n_parties).fullmatch(e) for e in exprs)
+    bulk = qset._parse_canonical(exprs, space)
+    m, counts, errors = qset._parse_terms([(e, 3 + i, 10) for i, e in enumerate(exprs)], space)
+    assert errors == [None] * len(exprs)
+    assert bulk is not None and bulk[1:] == (counts, errors) and same_bits(bulk[0], m)
+    text = _document(space, exprs)
+    assert _outcome(text) == _outcome(text, bulk=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text("0123456789.-+eE", max_size=8))
+def test_the_canonical_decimal_is_the_general_one(text):
+    assert bool(re.fullmatch(qset._NUM_ATOMIC, text)) == bool(re.fullmatch(qset._NUM, text))
+
+
+def _mutate(expr: str, kind: str, dims: tuple[int, ...]) -> str:
+    """`expr` with its first term's ket (or its blank before the first `+`) changed."""
+    head, _, rest = expr.partition("|")
+    ket, _, tail = rest.partition(">")
+    idx = ket.split(",")
+    if kind == "extra index":
+        idx.append("0")
+    elif kind == "missing index":
+        idx.pop()
+    elif kind == "index at dim":
+        idx[-1] = str(dims[-1])
+    elif kind == "1e999 part":
+        head = "(1e999," + head.partition(",")[2]
+    elif kind == "doubled blank":
+        return expr.replace(" + ", "  + ", 1) if " + " in expr else expr + "  + " + expr
+    return f"{head}|{','.join(idx)}>{tail}"
+
+
+MUTATIONS = ["extra index", "missing index", "index at dim", "1e999 part", "doubled blank"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (3, 2), (2, 3, 2)]), st.sampled_from(MUTATIONS), st.data())
+def test_near_canonical_documents_report_as_the_reference(seed, dims, kind, data):
+    rng = np.random.default_rng(seed)
+    s = random_orthonormal_set(rng, dims, int(rng.integers(1, 4)))
+    lines = serialize_qset(s).splitlines()
+    states = [i for i, line in enumerate(lines) if line.startswith("state ")]
+    at = data.draw(st.sampled_from(states))
+    label, _, expr = lines[at].partition(": ")
+    lines[at] = f"{label}: {_mutate(expr, kind, dims)}"
+    text = "\n".join(lines) + "\n"
+    got = _outcome(text)
+    assert got == _outcome(text, bulk=False)
+    if kind == "1e999 part":  # the per-term walker reads 1e999 as inf and raises nothing
+        assert got[:3] == ("E_RANGE", at + 1, len(label) + 3)
+    else:
+        assert got == _reference_outcome(text)
+        assert (got[0] == "E_DIM") == (kind != "doubled blank")
+
+
+def test_canonical_text_skips_the_general_tokenizer(monkeypatch):
+    calls = []
+    general = qset._parse_terms
+    monkeypatch.setattr(qset, "_parse_terms", lambda *a: calls.append(a) or general(*a))
+    s = apply_local_unitaries(build_fixture("s3"), random_local_unitaries(build_fixture("s3").space, np.random.default_rng(4)))
+    parse_qset(serialize_qset(s))
+    assert calls == []
+    parse_qset(f"qset v1\ndims: 2 3\nname: hand\n{HAND_WRITTEN[1]}\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_serialize_keeps_the_per_term_bytes(seed):
+    rng = np.random.default_rng(seed)
+    dims = [(2, 2), (3, 2), (2, 2, 3), (6,)][seed % 4]
+    s = random_orthonormal_set(rng, dims, int(rng.integers(2, 5)))
+    m = s.matrix().copy()
+    # -0.0 parts, subnormal parts and entries of 17 significant digits in
+    # shown amplitudes. The rows are rescaled part by part, as complex
+    # division would lose a -0.0, and `from_matrix` keeps them as they are.
+    picks = rng.choice(m.size, 6, replace=False)
+    m.flat[picks[0]] = complex(-0.0, m.flat[picks[0]].imag)
+    m.flat[picks[1]] = complex(m.flat[picks[1]].real, -0.0)
+    m.flat[picks[2]] = complex(m.flat[picks[2]].real, 5e-324)
+    m.flat[picks[3]] = complex(-2.2250738585072014e-309, m.flat[picks[3]].imag)
+    m.flat[picks[4]] = complex(0.10000000000000002, m.flat[picks[4]].imag)
+    m.flat[picks[5]] = complex(m.flat[picks[5]].real, -1.2345678901234567e-5)
+    m.view(np.float64).reshape(len(m), -1)[:] /= np.linalg.norm(m, axis=1)[:, None]
+    t = StateSet.from_matrix(s.space, m, s.labels, "edge")
+    parts = t.matrix().view(np.float64)
+    assert (np.signbit(parts) & (parts == 0)).sum() == 2 and ((parts != 0) & (np.abs(parts) < 2.3e-308)).sum() == 2
+    assert serialize_qset(t) == reference_serialize_qset(t)
+    assert serialize_qset(s) == reference_serialize_qset(s)
+
+
+@pytest.mark.parametrize("label", ["a b", "x#1", "c:d", "", "tab\there", "line\nbreak"])
+def test_serialize_refuses_a_label_that_would_not_read_back(label):
+    s = StateSet.from_matrix(PartySpace((2, 2)), np.eye(4)[:2], ["ok", label])
+    with pytest.raises(ValueError, match="label " + re.escape(repr(label))):
+        serialize_qset(s)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "my#name", " padded", "padded ", "cr\rlf", "sep\u2028line"])
+def test_serialize_refuses_a_name_that_would_not_read_back(name):
+    s = StateSet.from_matrix(PartySpace((2, 2)), np.eye(4)[:2], ["a", "b"], name)
+    with pytest.raises(ValueError, match="name " + re.escape(repr(name))):
+        serialize_qset(s)
+
+
+@pytest.mark.parametrize("label, name", [("x-1", "my name"), ("P[a]|b", "s4[A|BC]"), ("\u00e9", "")])
+def test_labels_and_names_that_read_back_are_written(label, name):
+    s = StateSet.from_matrix(PartySpace((2, 2)), np.eye(4)[:2], ["a", label], name)
+    back = parse_qset(serialize_qset(s))
+    assert (back.labels, back.name) == (s.labels, s.name)
