@@ -50,6 +50,8 @@ class QsetError(ValueError):
         super().__init__(f"{code} at {where}: {message}{tail}")
 
 
+# a state label: what the `state` line admits and `serialize_qset` writes
+_LABEL = r"[^\s:#]+"
 _NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # One term, all of it in group 1. Group 2 is the + or - that joins it to the
 # previous term; it can only follow a ket, so a leading "-" belongs to the
@@ -142,23 +144,19 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
     at = np.fromiter(map(float, itertools.chain.from_iterable(idx)), np.float64).reshape(-1, n_parties)
     over = np.flatnonzero(term)[(at >= dims).any(axis=1)]
     first_over = np.append(over, len(kets))[np.searchsorted(over, starts)].tolist()
-    # sign * coefficient, each form filling the terms that use it; a bare ket
-    # has coefficient 1. A complex one takes Python's float-by-complex
-    # product, (s*re - 0*im, s*im + 0*re): it differs from (s*re, s*im) only
-    # where an entry is not finite.
-    sign = np.where(np.fromiter(map("-".__eq__, ops), bool, len(ops)), -1.0, 1.0)
-    real, imag = sign.copy(), np.zeros(len(ops))
+    # the coefficient without its sign, each form filling the terms that use
+    # it; a bare ket has coefficient 1
+    real, imag = np.ones(len(ops)), np.zeros(len(ops))
     w = _present(sq) & term
     n = np.fromiter(map(float, itertools.compress(sq, w)), np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        real[w] = sign[w] * np.where(n < np.inf, 1.0 / np.sqrt(n), np.nan)
-        w = _present(rp) & term
-        real[w] = sign[w] * [_quotient(a, b) for a, b in itertools.compress(zip(rp, rq), w)]
-        w = _present(dec) & term
-        real[w] = sign[w] * np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
-        w = _present(cre) & term
-        cr, ci = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
-        real[w], imag[w] = sign[w] * cr - 0.0 * ci, sign[w] * ci + 0.0 * cr
+    with np.errstate(divide="ignore"):
+        real[w] = np.where(n < np.inf, 1.0 / np.sqrt(n), np.nan)
+    w = _present(rp) & term
+    real[w] = [_quotient(a, b) for a, b in itertools.compress(zip(rp, rq), w)]
+    w = _present(dec) & term
+    real[w] = np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
+    w = _present(cre) & term
+    real[w], imag[w] = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
     bad = np.flatnonzero(term & ~(np.isfinite(real) & np.isfinite(imag)))
     first_bad = np.append(bad, len(kets))[np.searchsorted(bad, starts)].tolist()
     errors = []
@@ -169,27 +167,35 @@ def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[
         errors.append(_term_error(expr, pos, t > s, line_no, col0, space, bad_coeff) if bad_coeff or o < e or expr[pos:].strip() else None)
     # the terms that count: the whole ones of the states before the first error
     term &= row < next((r for r, err in enumerate(errors) if err), len(exprs))
-    coeffs = np.empty(int(term.sum()), np.complex128)
-    coeffs.real, coeffs.imag = real[term], imag[term]
+    sign = np.where(np.fromiter(map("-".__eq__, ops), bool, len(ops)), -1.0, 1.0)
     # that restriction drops only trailing terms, so `at` starts with the kept ones
-    strides = [math.prod(dims[p + 1 :]) for p in range(n_parties)]
-    flat = at[: len(coeffs)].astype(np.intp) @ strides
-    m = np.zeros((len(exprs), space.total_dim), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # parse_qset rejects a row that is not finite
-        np.add.at(m, (row[term], flat), coeffs)
+    m = _amplitudes(len(exprs), row[term], at[: np.count_nonzero(term)], sign[term], real[term], imag[term], space)
     return m, [e - s for s, e in zip(starts, ends)], errors
 
 
-# `_NUM`'s decimals, matched without backtracking: in a canonical term a
-# decimal always ends at a `,` or `)`, so no match needs to give a digit back
-_NUM_ATOMIC = r"-?+(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
+def _amplitudes(n_states: int, rows: np.ndarray, at: np.ndarray, sign, real: np.ndarray, imag: np.ndarray, space: PartySpace) -> np.ndarray:
+    """The amplitude matrix of terms given by their state `rows`, ket
+    indices `at` (floats, one column per party) and finite coefficients
+    sign * (real + i*imag), each state's terms summed in term order.
+
+    The product is Python's float-by-complex one, (s*re - 0*im, s*im + 0*re);
+    on finite entries it differs from (s*re, s*im) only in the sign of a
+    zero, which adding into a matrix of +0.0 does not keep.
+    """
+    coeffs = np.empty(len(rows), np.complex128)
+    coeffs.real, coeffs.imag = sign * real - 0.0 * imag, sign * imag + 0.0 * real
+    strides = [math.prod(space.party_dims[p + 1 :]) for p in range(space.n_parties)]
+    m = np.zeros((n_states, space.total_dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # parse_qset rejects a row that is not finite
+        np.add.at(m, (rows, at.astype(np.intp) @ strides), coeffs)
+    return m
 
 
 @functools.cache
 def _canonical_re(n_parties: int) -> re.Pattern:
     """A state's terms as `serialize_qset` writes them: `(re,im)*|i0,...>`
     with one index per party, joined by exactly " + "."""
-    term = rf"\({_NUM_ATOMIC},{_NUM_ATOMIC}\)\*\|\d++" + r",\d++" * (n_parties - 1) + ">"
+    term = rf"\({_NUM},{_NUM}\)\*\|\d+" + r",\d+" * (n_parties - 1) + ">"
     return re.compile(rf"{term}(?: \+ {term})*")
 
 
@@ -203,26 +209,20 @@ def _parse_canonical(exprs: list[str], space: PartySpace) -> tuple[np.ndarray, l
 
     Each term is the numbers re, im, i0, ... in that order, so one split of
     the joined text with its punctuation blanked reads every term at once.
-    The amplitudes follow `_parse_terms` bit for bit: the same coefficient
-    arithmetic for a `+` term, the same `np.add.at` in term order.
+    Every term is a `+` term, and `_amplitudes` sums them as it does those
+    of `_parse_terms`.
     """
-    n_parties, dims = space.n_parties, space.party_dims
+    n_parties = space.n_parties
     if not all(map(_canonical_re(n_parties).fullmatch, exprs)):
         return None
     counts = [expr.count("|") for expr in exprs]
     tokens = " ".join(exprs).replace(" + ", " ").translate(_BLANK_PUNCTUATION).split()
     # indices read as floats, as in `_parse_terms`: exact below any dim, and no overflow on a long one
     at = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, 2 + n_parties)
-    cr, ci, idx = at[:, 0], at[:, 1], at[:, 2:]
-    if not (np.isfinite(at[:, :2]).all() and (idx < dims).all()):
+    if not (np.isfinite(at[:, :2]).all() and (at[:, 2:] < space.party_dims).all()):
         return None
-    coeffs = np.empty(len(at), np.complex128)
-    coeffs.real, coeffs.imag = 1.0 * cr - 0.0 * ci, 1.0 * ci + 0.0 * cr
-    strides = [math.prod(dims[p + 1 :]) for p in range(n_parties)]
-    m = np.zeros((len(exprs), space.total_dim), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # parse_qset rejects a row that is not finite
-        np.add.at(m, (np.repeat(np.arange(len(exprs)), counts), idx.astype(np.intp) @ strides), coeffs)
-    return m, counts, [None] * len(exprs)
+    rows = np.repeat(np.arange(len(exprs)), counts)
+    return _amplitudes(len(exprs), rows, at[:, 2:], 1.0, at[:, 0], at[:, 1], space), counts, [None] * len(exprs)
 
 
 def parse_qset(text: str) -> StateSet:
@@ -269,7 +269,7 @@ def parse_qset(text: str) -> StateSet:
         if stripped.startswith("name:"):
             name = stripped[len("name:") :].strip()
             continue
-        m = re.match(r"state\s+([^\s:]+)\s*:\s*(.*)$", stripped)
+        m = re.match(rf"state\s+({_LABEL})\s*:\s*(.*)$", stripped)
         if m:
             if dims is None:
                 raise QsetError("E_SYNTAX", line_no, col, "state before dims", stripped[:16])
@@ -305,11 +305,8 @@ def parse_qset(text: str) -> StateSet:
     return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
 
 
-_LABEL_RE = re.compile(r"[^\s:#]+")
-
-
 def serialize_qset(s: StateSet) -> str:
-    bad = next((label for label in s.labels if not _LABEL_RE.fullmatch(label)), None)
+    bad = next((label for label in s.labels if not re.fullmatch(_LABEL, label)), None)
     if bad is not None:
         raise ValueError(f"label {bad!r} would not read back: a qset label is nonempty, without blanks, ':' or '#'")
     if "#" in s.name or len(s.name.splitlines()) > 1 or s.name != s.name.strip():
