@@ -161,6 +161,11 @@ def _refusal(s, tol):
 # -- command handlers: (args, set) -> (exit_code, verdict_payload, human_text)
 
 
+def _set_name(args, s) -> str:
+    """The set's name in human text: its `name:` line, else the --set path."""
+    return s.name or args.set
+
+
 def cmd_fixture(args, _):
     s = build_fixture(args.name, args.variant, d=args.d)
     text = serialize_qset(s)
@@ -194,9 +199,9 @@ def cmd_check_ortho(args, s):
         ],
     }
     human = (
-        f"{s.name or args.set}: pairwise orthogonal at tol {tol:g} ({payload['pairs_checked']} pairs)"
+        f"{_set_name(args, s)}: pairwise orthogonal at tol {tol:g} ({payload['pairs_checked']} pairs)"
         if rep.ok
-        else f"{s.name or args.set}: NOT orthogonal; worst pair "
+        else f"{_set_name(args, s)}: NOT orthogonal; worst pair "
         f"({rep.violations[0][0]}, {rep.violations[0][1]}) magnitude {rep.violations[0][2]:.6g}"
     )
     return (0 if rep.ok else 1), payload, human
@@ -213,9 +218,9 @@ def cmd_redundancy(args, s):
         },
     }
     if rep.redundant:
-        human = f"{s.name}: locally redundant (discard {','.join(rep.witness_discard)} keeps orthogonality)"
+        human = f"{_set_name(args, s)}: locally redundant (discard {','.join(rep.witness_discard)} keeps orthogonality)"
         return 1, payload, human
-    human = f"{s.name}: locally irredundant (every discard choice breaks some pair)"
+    human = f"{_set_name(args, s)}: locally irredundant (every discard choice breaks some pair)"
     return 0, payload, human
 
 
@@ -239,7 +244,7 @@ def cmd_oplm(args, s):
         ms = projective_oplms(sp, bs)
         # null when the blocks make more than ATOM_CAP atoms and are not enumerated
         payload["projective_measurements"] = None if ms is None else [m.labels[0] for m in ms]
-    human = f"{s.name}: party {party_letter(party)} OPLM space dim {sp.space_dim} (support {sp.support_dim}), "
+    human = f"{_set_name(args, s)}: party {party_letter(party)} OPLM space dim {sp.space_dim} (support {sp.support_dim}), "
     if sp.space_dim == 0:
         human += "empty: no operator preserves orthogonality, not even I, so the set is not orthogonal"
     elif not bs.commuting:
@@ -264,7 +269,7 @@ def cmd_irreducible(args, s):
         "candidates_checked": v.candidates_checked,
         "class_note": v.class_note,
     }
-    human = f"{s.name}: {v.verdict} (per-party space dims {v.space_dims})"
+    human = f"{_set_name(args, s)}: {v.verdict} (per-party space dims {v.space_dims})"
     if v.witness:
         human += f"; witness {v.witness.labels[0]} on party {party_letter(v.witness.party)}"
     return (0 if v.irreducible else 1), payload, human
@@ -279,7 +284,7 @@ def cmd_upb(args, s):
         # the oracle still runs; the exit code stays the refusal's
         v = None
         payload = {"verdict": "REFUSED", "refusal": exc.refusal}
-        human = f"{s.name}: exact check refused ({exc.refusal})"
+        human = f"{_set_name(args, s)}: exact check refused ({exc.refusal})"
     else:
         payload = {
             "verdict": "UNEXTENDIBLE" if v.unextendible else "EXTENDIBLE",
@@ -290,7 +295,7 @@ def cmd_upb(args, s):
             payload["extension_witness"] = serialize_qset(
                 type(s)(s.space, [v.witness], "extension")
             )
-        human = f"{s.name}: {payload['verdict']} ({v.support_note})"
+        human = f"{_set_name(args, s)}: {payload['verdict']} ({v.support_note})"
     if args.oracle_restarts:
         res = numeric_extension_search(s, restarts=args.oracle_restarts, seed=args.seed or 0)
         agrees = None if v is None else (res.residual <= ORACLE_TOL) == (not v.unextendible)
@@ -314,11 +319,11 @@ def cmd_protocol_verify(args, s):
         cert = certify_activation_protocol(s, tree)
         payload = cert.to_json()
         ok = cert.verified
-        human = f"{s.name}: activation protocol {'CERTIFIED' if ok else 'FAILED'} ({len(cert.leaf_evidence)} leaves)"
+        human = f"{_set_name(args, s)}: activation protocol {'CERTIFIED' if ok else 'FAILED'} ({len(cert.leaf_evidence)} leaves)"
         return (0 if ok else 1), payload, human
     vr = verify_protocol(s, tree)
     payload = {"verdict": vr.verdict, "failures": vr.failures, "identified": vr.identified}
-    human = f"{s.name}: {vr.verdict}" + ("" if vr.passed else "; " + "; ".join(vr.failures[:3]))
+    human = f"{_set_name(args, s)}: {vr.verdict}" + ("" if vr.passed else "; " + "; ".join(vr.failures[:3]))
     return (0 if vr.passed else 1), payload, human
 
 
@@ -330,9 +335,9 @@ def cmd_protocol_search(args, s):
             fh.write(_dumps(tree_to_json(cert.tree), 1))
     found = cert.kind == "Distinguishability"
     human = (
-        f"{s.name}: distinguishing protocol found and verified (depth <= {args.max_depth})"
+        f"{_set_name(args, s)}: distinguishing protocol found and verified (depth <= {args.max_depth})"
         if found
-        else f"{s.name}: {cert.kind} - {cert.notes}"
+        else f"{_set_name(args, s)}: {cert.kind} - {cert.notes}"
     )
     return (0 if found else 1), payload, human
 
@@ -345,16 +350,16 @@ def cmd_activate(args, s):
     payload = cert.to_json()
     ok = cert.kind == "Activation"
     if ok:
-        human = f"{s.name}: Activation certificate, {len(cert.leaf_evidence)} leaves all certified locally indistinguishable"
+        human = f"{_set_name(args, s)}: Activation certificate, {len(cert.leaf_evidence)} leaves all certified locally indistinguishable"
     else:
-        human = f"{s.name}: {cert.kind} - {cert.notes or 'no activation found'}"
+        human = f"{_set_name(args, s)}: {cert.kind} - {cert.notes or 'no activation found'}"
     return (0 if ok else 1), payload, human
 
 
 def cmd_profile(args, s):
     prof = hidden_nonlocality_profile(s, max_depth=args.max_depth)
     payload = prof.to_json()
-    lines = [f"{s.name}: hidden-nonlocality profile"]
+    lines = [f"{_set_name(args, s)}: hidden-nonlocality profile"]
     for r in prof.records:
         lines.append(
             f"  {r.partition}: distinguishable={r.distinguishable} activable={r.activable} "

@@ -20,7 +20,7 @@ import numpy as np
 
 # Singular values below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-8
-# At or below this an absolute value is rounding noise: the OPLM rank floor, and a zero rest outcome I - sum(K).
+# At or below this an absolute value is rounding noise: the OPLM rank floor, the overlap guard of `oplm.index_split`, and a zero rest outcome I - sum(K).
 NOISE_TOL = 1e-10
 # Pairwise orthogonality |<a|b>| and reduced-state overlap tr(rho_a rho_b): the default of the gate and of redundancy.
 ORTHO_TOL = 1e-9

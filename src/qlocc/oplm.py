@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, KEY_DECIMALS, NOISE_TOL, RANK_RTOL, SPAN_TOL
-from .states import StateSet, gram_check, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
+from .states import StateSet, gram_check, gram_matrix, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
 # many atoms; above it the family is skipped, and the skip is named
@@ -234,6 +234,54 @@ def is_trivial(sp: OplmSpace) -> bool:
     the space is one-dimensional and holds I. On a set that is not
     orthogonal, a one-dimensional space need not hold I."""
     return sp.space_dim == 1 and sp.identity_residual() <= SPAN_TOL
+
+
+def index_split(s: StateSet, party: int) -> bool:
+    """True only when `oplm_space(s, party, on_support=True)` would have
+    dimension >= 2, so that `is_trivial` fails, decided without a solve.
+
+    It is True when both hold:
+    - the exact nonzero patterns of the states on `party` (no tolerance)
+      fall into two or more groups with disjoint index sets: the connected
+      components of "shares an occupied index";
+    - the largest overlap eps = max |<psi_i|psi_j>| over i != j satisfies
+      eps * sqrt(n(n - 1)) <= NOISE_TOL.
+
+    Proof. Let P project onto one group's indices and S be the support. Each
+    group's local vectors lie in the span of its own indices, so P maps S
+    into S; on S, P and I - P are nonzero projectors (every state is a unit
+    vector). Take E = a P + b (I - P) on S with unit trace norm, so
+    |a|, |b| <= 1. A pair from two groups has <psi_i|E|psi_j> = 0 exactly,
+    and a pair within a group has a <psi_i|psi_j> or b <psi_i|psi_j>. The
+    constraint rows give each pair i < j two real rows, so every unit
+    vector of this 2-dimensional space has residual at most
+    eps * sqrt(n(n - 1) / 2) <= NOISE_TOL / sqrt(2). By Courant-Fischer the
+    second smallest singular value is at most that, below the rank cut
+    (`_rank`, never below NOISE_TOL), so the space has dimension >= 2. The
+    margin of (1 - 1/sqrt(2)) NOISE_TOL covers rounding, which is near
+    1e-16 times the number of entries, and the directions the support's
+    RANK_RTOL cut drops, whose weight is at most d n RANK_RTOL^2.
+
+    Every state shares an index in a set rotated off the computational
+    basis; that exit comes first, before the component walk and the Gram.
+    """
+    n = len(s)
+    occ = (party_matrices(s, party) != 0).any(axis=2)  # (n, d)
+    if n < 2 or occ.all(axis=0).any():
+        return False
+    # the component of state 0, grown one shared index at a time
+    members = np.zeros(n, dtype=bool)
+    members[0] = True
+    while True:
+        grown = occ[:, occ[members].any(axis=0)].any(axis=1)
+        if grown.all():
+            return False
+        if (grown == members).all():
+            break
+        members = grown
+    g = np.abs(gram_matrix(s))
+    np.fill_diagonal(g, 0.0)
+    return float(g.max()) * (n * (n - 1)) ** 0.5 <= NOISE_TOL
 
 
 @dataclass

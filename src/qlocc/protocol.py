@@ -26,6 +26,7 @@ from .oplm import (
     CLASS_NOTE,
     Candidates,
     LocalMeasurement,
+    index_split,
     measurement_candidates,
     oplm_space,
 )
@@ -369,14 +370,26 @@ class _Node:
     def cert(self) -> dict | None:
         """IRREDUCIBLE-EXACT or support-restricted UPB evidence, else None.
 
+        IRREDUCIBLE-EXACT needs a one-dimensional OPLM space at every party,
+        and the first party that cannot have one ends the check. The solve-
+        free `index_split` runs first, party by party over the parties not
+        yet solved, and stops at the first where it fires; only when it
+        fires nowhere are the parties solved, in order, up to the first
+        whose dimension is not 1. The test fires only where the solve would
+        give dimension >= 2, and a space is the same solve whenever
+        something reads it, so no verdict or byte depends on which parties
+        this check solved.
+
         A complete product basis of the support space is never certified
         this way: the UPB route requires a proper span.
         """
         s = self.set
         if len(s) < 2:
             return None
-        if all(d == 1 for d in self.space_dims):
-            return {"kind": "IRREDUCIBLE-EXACT", "space_dims": {party_letter(p): d for p, d in enumerate(self.space_dims)}}
+        parties = range(s.space.n_parties)
+        split = any(p not in self.spaces and index_split(s, p) for p in parties)
+        if not split and all(self.oplm(p).space_dim == 1 for p in parties):
+            return {"kind": "IRREDUCIBLE-EXACT", "space_dims": {party_letter(p): 1 for p in parties}}
         if not self.is_product:
             return None
         full = int(np.prod(self.support_dims))

@@ -651,6 +651,30 @@ def reference_is_locally_irreducible(s: StateSet) -> IrreducibilityVerdict:
     return IrreducibilityVerdict("IRREDUCIBLE-IN-CLASS", dims, None, checked, note)
 
 
+def reference_cert(nd) -> dict | None:
+    """`_Node.cert` as it was decided before `oplm.index_split`: every
+    party's OPLM space solved first, from fresh solves, then
+    IRREDUCIBLE-EXACT when all are one-dimensional, else the product and
+    UPB route, with a fresh `check_unextendible`."""
+    s = nd.set
+    if len(s) < 2:
+        return None
+    dims = [oplm_space(s, p, on_support=True).space_dim for p in range(s.space.n_parties)]
+    if all(d == 1 for d in dims):
+        return {"kind": "IRREDUCIBLE-EXACT", "space_dims": {party_letter(p): d for p, d in enumerate(dims)}}
+    if not nd.is_product:
+        return None
+    full = int(np.prod(nd.support_dims))
+    lower = sum(r - 1 for r in nd.support_dims) + 1
+    if not lower <= len(s) < full:
+        return None
+    try:
+        v = upb.check_unextendible(s)
+    except ValueError:
+        return None
+    return {"kind": "UPB", "support_note": v.support_note} if v.unextendible else None
+
+
 def irreducibility_cases() -> list:
     """Sets for comparing `is_locally_irreducible` with its reference, as
     pytest params: every fixture but s1_general and s1_general at d = 4, 6,

@@ -75,6 +75,32 @@ def test_check_ortho(capsys, files):
     assert set(pair) == {"xi45+_0", "xi5_0"} or set(pair) == {"xi45-_0", "xi5_0"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-ortho",),
+        ("redundancy",),
+        ("oplm", "--party", "0"),
+        ("irreducible",),
+        ("upb",),
+        ("protocol", "verify", "--protocol", "builtin:s3_discrimination"),
+        ("protocol", "verify", "--activation", "--protocol", "builtin:s3_activation"),
+        ("protocol", "search"),
+        ("activate",),
+        ("profile",),
+    ],
+)
+def test_an_unnamed_set_is_named_by_its_path(capsys, tmp_path, argv):
+    # a qset without a `name:` line: human text names it by its --set path
+    # (`render` prints the document only); JSON reports keep the empty name
+    s3 = build_fixture("s3")
+    path = tmp_path / "unnamed.qset"
+    path.write_text(serialize_qset(StateSet(s3.space, s3.states, "")))
+    assert "name:" not in path.read_text()
+    code, out, _ = run(capsys, *argv, "--set", str(path))
+    assert code in (0, 1) and out.startswith(f"{path}: "), out
+
+
 def test_redundancy(capsys, files):
     code, rep = run_json(capsys, "redundancy", "--set", files["s3"])
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from _helpers import (
     qubit_pairs,
     random_orthogonal_product_set,
     random_orthonormal_set,
+    random_unit,
     recorded_candidates,
     recorded_part_stacks,
     reference_block_columns,
@@ -31,7 +33,7 @@ from _helpers import (
 import qlocc
 from qlocc import oplm
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import ELIM_TOL, INDEX_TOL, RANK_RTOL, SPAN_TOL
+from qlocc.linalg import ELIM_TOL, INDEX_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -48,6 +50,7 @@ from qlocc.oplm import (
     eliminable_states,
     is_locally_irreducible,
     is_oplm,
+    index_split,
     is_trivial,
     measurement_candidates,
     oplm_space,
@@ -517,6 +520,79 @@ def test_screened_pair_data_matches_on_product_bases_rotated_on_one_party(seed, 
         for on_support in (False, True):
             live = _assert_screen_matches_reference(s, p, on_support, (rotated, p, on_support))
             assert np.array_equal(live, shared[np.triu_indices(len(rows), 1)]), (rotated, p, on_support)
+
+
+def _index_group_set(rng, dims, party: int, product: bool) -> StateSet:
+    """Orthonormal states whose entries on `party` sit on two or more
+    disjoint groups of its computational-basis indices, with random complex
+    amplitudes. Product states take orthonormal local vectors within their
+    group's indices and random local vectors elsewhere; entangled states are
+    orthonormal random vectors of (group indices) x (the other parties)."""
+    d = dims[party]
+    rest = int(np.prod(dims)) // d
+    cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(1, d)), replace=False))
+    mats = []
+    for group in np.split(rng.permutation(d), cuts):
+        size = len(group) if product else len(group) * rest
+        q = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+        for col in q[:, : int(rng.integers(1, min(size, 3) + 1))].T:
+            m = np.zeros((d, rest), dtype=complex)
+            if product:
+                others = [random_unit(rng, dims[o]) for o in range(len(dims)) if o != party]
+                m[group] = np.outer(col, functools.reduce(np.kron, others))
+            else:
+                m[group] = col.reshape(len(group), rest)
+            mats.append(m)
+    space = PartySpace(dims)
+    rows = party_rows(space, party, np.array(mats))
+    return StateSet.from_matrix(space, rows, [f"g{i}" for i in range(len(rows))], "groups")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (3, 4), (4, 3), (6, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]),
+    product=st.booleans(),
+    noise=st.one_of(st.none(), st.floats(-14.0, -9.0)),
+)
+def test_index_split_fires_only_where_the_solve_finds_two_dimensions(seed, dims, product, noise):
+    # a set split into index groups on one party, possibly perturbed within
+    # its own nonzero pattern so that its overlaps land on either side of
+    # the guard; and the same set in a random local frame, where every
+    # state occupies every index and the test never fires
+    rng = np.random.default_rng(seed)
+    party = int(rng.integers(len(dims)))
+    s = _index_group_set(rng, dims, party, product)
+    if noise is not None:
+        m = s.matrix()
+        kick = (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)) * (m != 0)
+        s = StateSet.from_matrix(s.space, m + 10.0**noise * kick, s.labels, s.name)
+    g = np.abs(s.matrix().conj() @ s.matrix().T)
+    np.fill_diagonal(g, 0.0)
+    n = len(s)
+    assert index_split(s, party) == (g.max() * np.sqrt(n * (n - 1)) <= NOISE_TOL), (g.max(), n)
+    for p in range(len(dims)):
+        if index_split(s, p):
+            assert oplm_space(s, p, on_support=True).space_dim >= 2, p
+    rotated = _rotated(s, seed)
+    assert not any(index_split(rotated, p) for p in range(len(dims)))
+
+
+def test_index_split_on_the_fixtures():
+    # the parties whose states fall into two or more index groups; tiles33
+    # is irreducible, and s5's and s6's groups join through shared indices
+    fires = {"s1": [0], "s2": [0], "s3": [0], "s4": [0, 2], "s5": [], "s6": [], "tiles33": [], "s1_general": [0]}
+    for name, want in fires.items():
+        s = build_fixture(name, d=4) if name == "s1_general" else build_fixture(name)
+        got = [p for p in range(s.space.n_parties) if index_split(s, p) is True]
+        assert got == want, name
+        assert all(oplm_space(s, p, on_support=True).space_dim >= 2 for p in got), name
+    # one state, and |00>, |11>, which share no index on either party: no
+    # pair constrains anything, so each party keeps its whole operator space
+    assert not index_split(StateSet(build_fixture("s1").space, build_fixture("s1").states[:1], "one"), 0)
+    s = pair_set()
+    assert index_split(s, 0) and index_split(s, 1)
+    assert [oplm_space(s, p, on_support=True).space_dim for p in range(2)] == [4, 4]
 
 
 @pytest.mark.parametrize("run", ["s2-profile", "s4-profile", "s1_general-d4", "s1_general-d6", "two-states"])

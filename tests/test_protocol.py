@@ -52,6 +52,7 @@ from _helpers import (
     outcome_matches_reference,
     random_orthonormal_set,
     reference_apply_outcome,
+    reference_cert,
     reference_canonical_key,
     reference_kraus_from_json,
     reference_matrix_json,
@@ -508,6 +509,88 @@ def test_node_facts_are_decided_once_per_node(monkeypatch):
     assert cert.kind == "Activation" and cert.leaf_evidence == found.leaf_evidence
     assert len(spaces) == len(set(spaces)) > 0
     assert len(upb_checks) == len(set(upb_checks)) > 0
+
+
+def _profile_analyzers(monkeypatch, name: str) -> list[SetAnalyzer]:
+    """The analyzers of `name`'s hidden-nonlocality profile, one per
+    partition it searched."""
+    made = []
+
+    def recorded_analyzer():
+        made.append(SetAnalyzer())
+        return made[-1]
+
+    monkeypatch.setattr(partitions, "SetAnalyzer", recorded_analyzer)
+    hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    return made
+
+
+def _replayed_builtin_leaves() -> SetAnalyzer:
+    """An analyzer holding every leaf set of the four builtin protocols,
+    each also in a seeded local-unitary frame."""
+    sets = {
+        "s3_discrimination": build_fixture("s3"),
+        "s3_activation": build_fixture("s3"),
+        "s1_recursion": build_fixture("s1"),
+        "s4_abc_activation": merge_parties(build_fixture("s4"), [(0,), (1, 2)]),
+    }
+    assert set(sets) == set(protocol.BUILTIN_PROTOCOLS)
+    an = SetAnalyzer()
+    rng = np.random.default_rng(30)
+    for name, s in sets.items():
+        for _, leaf, _ in _collect_leaves(s, builtin_protocol(name)):
+            an.intern(leaf)
+            an.intern(apply_local_unitaries(leaf, random_local_unitaries(leaf.space, rng)))
+    return an
+
+
+@pytest.mark.parametrize(
+    "run", ["s2-profile", "s4-profile", "s1", "s3", "s6", "tiles33", "s1_general-4", "s1_general-6", "builtin-leaves"]
+)
+def test_certificates_match_the_solve_every_party_rule(monkeypatch, run):
+    # `_Node.cert` skips the solves that `index_split` rules out; on every
+    # node of these runs it must give what solving every party first gives
+    if run.endswith("-profile"):
+        analyzers = _profile_analyzers(monkeypatch, run.removesuffix("-profile"))
+    elif run == "builtin-leaves":
+        analyzers = [_replayed_builtin_leaves()]
+    else:
+        name, _, d = run.partition("-")
+        s = build_fixture(name, d=int(d)) if d else build_fixture(name)
+        analyzers = [SetAnalyzer()]
+        activation_search(s, 2 * int(d) if d else 8, analyzer=analyzers[0])
+    nodes = [nd for an in analyzers for nd in an.nodes.values()]
+    assert nodes
+    for nd in nodes:
+        assert nd.cert == reference_cert(nd), (run, nd.set.labels)
+    # what each run certifies: both routes, and runs that certify nothing
+    want = {"s4-profile": {"UPB"}, "s3": {"UPB"}, "tiles33": {"IRREDUCIBLE-EXACT"}, "builtin-leaves": {"IRREDUCIBLE-EXACT"}}
+    assert {nd.cert["kind"] for nd in nodes if nd.cert} == want.get(run, set())
+
+
+def test_upb_leaves_are_certified_without_a_solve(monkeypatch):
+    # at the profiles' UPB leaves, four of 20 states on 6 x 12 (s4 as A|BC
+    # and B|AC) and four of 10 on 6 x 6 x 2, some party's index groups rule
+    # out IRREDUCIBLE-EXACT before any OPLM solve (112 solves without that)
+    solved, upb_leaves = [], set()
+
+    def recorded_space(s, party, **kw):
+        solved.append(canonical_key(s))
+        return oplm_space(s, party, **kw)
+
+    def recorded_upb(s):
+        v = check_unextendible(s)
+        if v.unextendible:
+            upb_leaves.add((canonical_key(s), len(s)))
+        return v
+
+    monkeypatch.setattr(protocol, "oplm_space", recorded_space)
+    monkeypatch.setattr(protocol, "check_unextendible", recorded_upb)
+    for name in ("s4", "s2"):
+        hidden_nonlocality_profile(build_fixture(name), max_depth=8)
+    assert sorted(n for _, n in upb_leaves) == [10] * 4 + [20] * 4
+    assert not {key for key, _ in upb_leaves} & set(solved)
+    assert len(solved) <= 92
 
 
 def test_dist_implies_not_indistinguishable_at_root():
