@@ -48,9 +48,9 @@ from qlocc.oplm import (
     _tall_svd,
     block_structure,
     eliminable_states,
+    index_split,
     is_locally_irreducible,
     is_oplm,
-    index_split,
     is_trivial,
     measurement_candidates,
     oplm_space,
@@ -589,7 +589,8 @@ def test_index_split_on_the_fixtures():
         assert all(oplm_space(s, p, on_support=True).space_dim >= 2 for p in got), name
     # one state, and |00>, |11>, which share no index on either party: no
     # pair constrains anything, so each party keeps its whole operator space
-    assert not index_split(StateSet(build_fixture("s1").space, build_fixture("s1").states[:1], "one"), 0)
+    s1 = build_fixture("s1")
+    assert not index_split(StateSet(s1.space, s1.states[:1], "one"), 0)
     s = pair_set()
     assert index_split(s, 0) and index_split(s, 1)
     assert [oplm_space(s, p, on_support=True).space_dim for p in range(2)] == [4, 4]

@@ -52,8 +52,8 @@ from _helpers import (
     outcome_matches_reference,
     random_orthonormal_set,
     reference_apply_outcome,
-    reference_cert,
     reference_canonical_key,
+    reference_cert,
     reference_kraus_from_json,
     reference_matrix_json,
     same_bits,
