@@ -3,7 +3,17 @@ multipartite orthogonal quantum state sets."""
 
 __version__ = "0.1.0"
 
-from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
+from .certify import (
+    Certificate,
+    Leaf,
+    Measure,
+    apply_outcome,
+    certify_activation_protocol,
+    tree_from_json,
+    tree_to_json,
+    verify_protocol,
+)
+from .fixtures import FIXTURE_NAMES, build_fixture, builtin_protocol, fixture_corrections
 from .oplm import (
     LocalMeasurement,
     OplmSpace,
@@ -16,20 +26,7 @@ from .oplm import (
     projective_oplms,
 )
 from .partitions import hidden_nonlocality_profile, qubit_times_n_rule
-from .protocol import (
-    Certificate,
-    Leaf,
-    Measure,
-    SetAnalyzer,
-    activation_search,
-    apply_outcome,
-    builtin_protocol,
-    certify_activation_protocol,
-    search_distinguishing_protocol,
-    tree_from_json,
-    tree_to_json,
-    verify_protocol,
-)
+from .protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
 from .qset import QsetError, parse_qset, serialize_qset
 from .render import extract_tiles, render
 from .states import (

@@ -20,22 +20,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, build_fixture, fixture_corrections
+from .certify import Measure, certify_activation_protocol, matrix_json, tree_from_json, tree_to_json, verify_protocol
+from .fixtures import FIXTURE_NAMES, build_fixture, builtin_protocol, fixture_corrections
 from .linalg import ORACLE_TOL, ORTHO_TOL, SPAN_TOL
 from .oplm import block_structure, is_locally_irreducible, is_trivial, oplm_space, projective_oplms
 from .partitions import hidden_nonlocality_profile
-from .protocol import (
-    BUILTIN_PROTOCOLS,
-    Measure,
-    activation_search,
-    builtin_protocol,
-    certify_activation_protocol,
-    matrix_json,
-    search_distinguishing_protocol,
-    tree_from_json,
-    tree_to_json,
-    verify_protocol,
-)
+from .protocol import activation_search, search_distinguishing_protocol
 from .qset import QsetError, parse_qset, serialize_qset
 from .render import overlay_from_kraus, render
 from .states import gram_check, party_letter, redundancy_check

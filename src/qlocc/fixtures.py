@@ -1,6 +1,7 @@
 """Built-in state sets: the layered two-qudit tilings s1/s5, the tripartite
 sets s2/s4, the 6x6 pair s3/s6, the 3x3 tiles UPB, and the even-d
-generalization of s1.
+generalization of s1; and the scripted protocol trees that run on them
+(`builtin_protocol`).
 
 Each set ships in two variants. `corrected` fixes printed party-subscript
 typos and (for s6) one misplaced column so the set is pairwise orthogonal;
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .certify import Leaf, Measure, _rest, _with_rest
+from .oplm import LocalMeasurement
 from .states import PartySpace, StateSet, make_ket
 
 FIXTURE_NAMES = ("s1", "s2", "s3", "s4", "s5", "s6", "tiles33", "s1_general")
@@ -268,3 +271,145 @@ def fixture_corrections(name: str) -> list[tuple[str, str, str]]:
     if name in ("s2", "s3", "s4", "s5", "tiles33", "s1_general"):
         return []
     raise ValueError(f"unknown fixture {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# scripted protocols on the sets above
+
+
+def _proj(d: int, part) -> np.ndarray:
+    """The projector onto the normalized one-party term list `part`."""
+    v = np.zeros(d, dtype=np.complex128)
+    for c, (i,) in part:
+        v[i] = c
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _pidx(d: int, idx) -> np.ndarray:
+    p = np.zeros((d, d), dtype=np.complex128)
+    for i in idx:
+        p[i, i] = 1.0
+    return p
+
+
+def _meas(party: int, kraus, labels) -> LocalMeasurement:
+    return LocalMeasurement(party, [np.asarray(k, dtype=np.complex128) for k in kraus], labels)
+
+
+def _s3_discrimination_tree():
+    d = 6
+    v1, v2, v3 = _proj(d, _sup(0, 4, -1)), _proj(d, _sup(2, 3, -1)), _proj(d, _usum(*range(6)))
+    mb = _meas(1, [v1, v2, v3, _rest(d, [v1, v2, v3])], ["P[0-4]", "P[2-3]", "P[stopper]", "rest"])
+
+    def alice(parts, leaves):
+        ops = [_proj(d, part) for part in parts]
+        kraus = ops + [_rest(d, ops)]
+        labels = [f"P{i}" for i in range(len(ops))] + ["rest"]
+        return Measure(0, _meas(0, kraus, labels), leaves)
+
+    b1 = alice([_sup(1, 2, -1), _sup(4, 5, -1)], [Leaf(identified="phi3"), Leaf(identified="phi8"), None])
+    b2 = alice([_sup(0, 1, -1), _sup(3, 4, -1)], [Leaf(identified="phi4"), Leaf(identified="phi9"), None])
+    b3 = alice([_usum(0, 1, 2), _usum(3, 4, 5)], [Leaf(identified="phi5"), Leaf(identified="phi10"), None])
+    b4 = alice(
+        [_b(0), _b(2), _b(3)],
+        [Leaf(identified="phi1"), Leaf(identified="phi2"), Leaf(identified="phi6"), Leaf(identified="phi7")],
+    )
+    return Measure(1, mb, [b1, b2, b3, b4])
+
+
+def _half_split(party: int, d: int, lo_half, hi_half) -> LocalMeasurement:
+    return _meas(
+        party,
+        [_pidx(d, lo_half), _pidx(d, hi_half)],
+        [f"P[{','.join(map(str, lo_half))}]", f"P[{','.join(map(str, hi_half))}]"],
+    )
+
+
+def _s3_activation_tree():
+    ka = _half_split(0, 6, (0, 1, 2), (3, 4, 5))
+    kb = _half_split(1, 6, (0, 1, 2), (3, 4, 5))
+    return Measure(1, kb, [Measure(0, ka, [Leaf(), Leaf()]), Measure(0, ka, [Leaf(), Leaf()])])
+
+
+def _s1_recursion_tree():
+    d = 4
+    pa = _half_split(0, d, (0,), (1, 2, 3))
+    pb = _half_split(1, d, (0,), (1, 2, 3))
+
+    def resolve(party, parts, labels, leaves):
+        return _with_rest(party, d, [_proj(d, part) for part in parts], labels, leaves)
+
+    b0 = resolve(
+        1,
+        [_sup(0, 1, 1), _sup(0, 1, -1), _sup(2, 3, 1), _sup(2, 3, -1)],
+        ["P[X01+]", "P[X01-]", "P[X23+]", "P[X23-]"],
+        [Leaf(identified="0_X01+"), Leaf(identified="0_X01-"), Leaf(identified="0_X23+"), Leaf(identified="0_X23-")],
+    )
+    col0 = resolve(
+        0,
+        [_sup(1, 2, 1), _sup(1, 2, -1), _b(3)],
+        ["P[xi12+]", "P[xi12-]", "P[3]"],
+        [Leaf(identified="xi12+_0"), Leaf(identified="xi12-_0"), Leaf(identified="xi3_0")],
+    )
+    row1 = resolve(
+        1,
+        [_sup(1, 2, 1), _sup(1, 2, -1), _b(3)],
+        ["P[X12+]", "P[X12-]", "P[3]"],
+        [Leaf(identified="1_X12+"), Leaf(identified="1_X12-"), Leaf(identified="1_X3")],
+    )
+    col1 = resolve(
+        0,
+        [_sup(2, 3, 1), _sup(2, 3, -1)],
+        ["P[xi23+]", "P[xi23-]"],
+        [Leaf(identified="xi23+_1"), Leaf(identified="xi23-_1")],
+    )
+    row2 = resolve(
+        1,
+        [_sup(2, 3, 1), _sup(2, 3, -1)],
+        ["P[X23+]", "P[X23-]"],
+        [Leaf(identified="2_X23+"), Leaf(identified="2_X23-")],
+    )
+    tail_b = Measure(
+        1,
+        _meas(1, [_pidx(d, (2,)), _rest(d, [_pidx(d, (2,))])], ["P[2]", "I-P[2]"]),
+        [Leaf(identified="xi3_2"), Leaf(identified="xi3_X3")],
+    )
+    a23 = Measure(0, _meas(0, [_pidx(d, (2,)), _rest(d, [_pidx(d, (2,))])], ["P[2]", "I-P[2]"]), [row2, tail_b])
+    b23 = Measure(1, _meas(1, [_pidx(d, (1,)), _rest(d, [_pidx(d, (1,))])], ["P[1]", "I-P[1]"]), [col1, a23])
+    a123 = Measure(0, _meas(0, [_pidx(d, (1,)), _rest(d, [_pidx(d, (1,))])], ["P[1]", "I-P[1]"]), [row1, b23])
+    b123 = Measure(1, pb, [col0, a123])
+    return Measure(0, pa, [b0, b123])
+
+
+def _s4_abc_activation_tree():
+    # on merge_parties(s4, {A},{B,C}): party 0 is A (dim 6), party 1 is BC (dim 12)
+    i6 = np.eye(6, dtype=np.complex128)
+    i2 = np.eye(2, dtype=np.complex128)
+    c0 = np.kron(i6, _pidx(2, (0,)))
+    c1 = np.kron(i6, _pidx(2, (1,)))
+    kb0 = np.kron(_pidx(6, (0, 1, 2)), i2)
+    kb1 = np.kron(_pidx(6, (3, 4, 5)), i2)
+    ka = _half_split(0, 6, (0, 1, 2), (3, 4, 5))
+    mc = _meas(1, [c0, c1], ["I6xP[c=0]", "I6xP[c=1]"])
+    mkb = _meas(1, [kb0, kb1], ["P[B012]xI2", "P[B345]xI2"])
+
+    def branch():
+        return Measure(1, mkb, [Measure(0, ka, [Leaf(), Leaf()]), Measure(0, ka, [Leaf(), Leaf()])])
+
+    return Measure(1, mc, [branch(), branch()])
+
+
+_BUILTIN_TREES = {
+    "s3_discrimination": _s3_discrimination_tree,
+    "s3_activation": _s3_activation_tree,
+    "s1_recursion": _s1_recursion_tree,
+    "s4_abc_activation": _s4_abc_activation_tree,
+}
+BUILTIN_PROTOCOLS = tuple(_BUILTIN_TREES)
+
+
+def builtin_protocol(name: str):
+    if name not in _BUILTIN_TREES:
+        raise ValueError(f"unknown builtin protocol {name!r}")
+    return _BUILTIN_TREES[name]()

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
-from .protocol import Certificate, SetAnalyzer, activation_search, search_distinguishing_protocol
+from .certify import Certificate
+from .protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
 from .states import StateSet, local_factors, merge_parties, party_letter
 
 

@@ -1,359 +1,56 @@
-"""Protocol trees over state sets: application, verification, and search.
+"""The search engine: memoized AND-OR search for discrimination and
+activation protocols over state sets.
 
-A protocol tree alternates Measure nodes (one party, a Kraus-form local
-measurement, one child per outcome) with leaves that either identify a
-state or mark a reached set. Search runs over the two-outcome projective
-OPLM candidates of each party plus a terminal one-party resolution, with
-reached sets deduplicated by a canonical amplitude key. Every proper
-projective outcome strictly shrinks the measured party's local support, so
-the reachable-set graph is finite and acyclic.
+Search runs over the two-outcome projective OPLM candidates of each party
+plus a terminal one-party resolution, with reached sets deduplicated by a
+canonical amplitude key. Every proper projective outcome strictly shrinks
+the measured party's local support, so the reachable-set graph is finite
+and acyclic.
 
-Negative verdicts are class-relative and say so; certificates replay.
+The trees, their replay and the certificates live in `certify.py`, the
+trust base: this module imports it, and it never imports this module. A
+found tree is replayed there before it is returned, so a positive
+certificate does not rest on the search. Negative verdicts do; they are
+class-relative and say so.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import KEY_DECIMALS, NOISE_TOL, ORTHO_TOL, SPAN_TOL
-from .oplm import (
-    ATOM_CAP,
-    CLASS_NOTE,
-    Candidates,
-    LocalMeasurement,
-    index_split,
-    measurement_candidates,
-    oplm_space,
-)
-from .qset import serialize_qset
-from .states import (
-    StateSet,
-    fixed_phases,
-    gram_check,
-    local_factors,
-    local_vectors,
-    party_letter,
-    party_rows,
-    redundancy_check_whole_parties,
-    support_basis,
-    survivors,
-)
-from .upb import check_unextendible
-
-SEARCH_CLASS_NOTE = CLASS_NOTE + "; terminal single-party resolution onto distinct local supports"
-
-
-# ---------------------------------------------------------------------------
-# tree nodes
-
-
-@dataclass
-class Leaf:
-    identified: str | None = None
-    reached: StateSet | None = None
-
-
-@dataclass
-class Measure:
-    party: int
-    measurement: LocalMeasurement
-    children: list
-
-
-def _with_rest(party: int, d: int, kraus: list, labels: list[str], children: list) -> Measure:
-    """A measurement of `party` (dimension d) with one child per operator of
-    `kraus`, completed when rest = I - sum(kraus) is nonzero (an entry above
-    NOISE_TOL) by a `rest` outcome that has no child."""
-    rest = _rest(d, kraus)
-    if np.abs(rest).max() > NOISE_TOL:
-        kraus, labels, children = [*kraus, rest], [*labels, "rest"], [*children, None]
-    return Measure(party, LocalMeasurement(party, kraus, labels), children)
-
-
-def matrix_json(m) -> list:
-    """A complex matrix as nested [real, imag] pairs, row by row."""
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], -1).tolist()
-
-
-def tree_to_json(node):
-    if node is None:
-        return None
-    if isinstance(node, Leaf):
-        if node.identified is not None:
-            return {"identified": node.identified}
-        return {"set": serialize_qset(node.reached) if node.reached is not None else None}
-    return {
-        "party": node.party,
-        "outcomes": [
-            {
-                "kraus": matrix_json(k),
-                "child": tree_to_json(c),
-            }
-            for k, c in zip(node.measurement.kraus, node.children)
-        ],
-    }
-
-
-def tree_from_json(obj):
-    """A protocol tree from its `tree_to_json` form. Raises ValueError
-    naming the path of the first malformed node."""
-    return _node_from_json(obj, "root")
-
-
-def _kraus_from_json(entry) -> np.ndarray | None:
-    """The complex matrix of an outcome's `kraus` entry when that is a
-    nonempty square matrix of [re, im] pairs of finite numbers, else None.
-
-    One `np.asarray` reads the whole entry; its dtype tells the leaf types,
-    so a string is refused, not parsed. A bool counts as 0 or 1 and an
-    integer too wide for 64 bits as the nearest float, both as `complex`
-    takes them.
-    """
-    try:
-        a = np.asarray(entry)
-    except (TypeError, ValueError):  # ragged
-        return None
-    if a.dtype == object and all(type(v) in (bool, int, float) for v in a.flat):
-        a = a.astype(np.float64)
-    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2 or a.shape[0] != a.shape[1] or not a.size:
-        return None
-    a = a.astype(np.float64)
-    return a.view(np.complex128)[..., 0] if np.isfinite(a).all() else None
-
-
-def _node_from_json(obj, path: str):
-    from .qset import parse_qset
-
-    def malformed(what: str) -> ValueError:
-        return ValueError(f"malformed protocol at {path}: {what}")
-
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise malformed(f"a node must be an object or null, not {type(obj).__name__}")
-    if "identified" in obj:
-        if not isinstance(obj["identified"], str):
-            raise malformed("'identified' must be a state label")
-        return Leaf(identified=obj["identified"])
-    if "set" in obj:
-        if not isinstance(obj["set"], (str, type(None))):
-            raise malformed("'set' must be qset text or null")
-        return Leaf(reached=parse_qset(obj["set"]) if obj["set"] else None)
-    party, outcomes = obj.get("party"), obj.get("outcomes")
-    if type(party) is not int or party < 0:
-        raise malformed("'party' must be a party index")
-    if not isinstance(outcomes, list) or not outcomes:
-        raise malformed("'outcomes' must be a nonempty list")
-    kraus = []
-    children = []
-    for i, out in enumerate(outcomes):
-        if not isinstance(out, dict) or "kraus" not in out or "child" not in out:
-            raise malformed(f"outcome {i} must be an object with 'kraus' and 'child'")
-        k = _kraus_from_json(out["kraus"])
-        if k is None:
-            raise malformed(f"outcome {i}: 'kraus' must be a square matrix of [re, im] pairs")
-        if kraus and k.shape != kraus[0].shape:
-            raise malformed(f"outcome {i}: 'kraus' shape {k.shape} differs from outcome 0's {kraus[0].shape}")
-        kraus.append(k)
-        children.append(_node_from_json(out["child"], f"{path}/{i}"))
-    m = LocalMeasurement(party, kraus, [f"M{i}" for i in range(len(kraus))])
-    return Measure(party, m, children)
-
-
-# ---------------------------------------------------------------------------
-# applying measurements
-
-
-def apply_outcome(s: StateSet, party: int, kraus):
-    """Project every state, drop the eliminated ones, renormalize survivors.
-
-    Works on the amplitude matrix (see `states.survivors`). Returns (surviving
-    StateSet, list of surviving original labels). Raises if the survivors
-    are no longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome).
-    """
-    post, keep = survivors(s, party, kraus)
-    full = party_rows(s.space, party, post[keep])
-    labels = [lab for lab, k in zip(s.labels, keep) if k]
-    out = StateSet.from_matrix(s.space, full, labels, s.name)
-    if len(out) > 1:
-        rep = gram_check(out, tol=SPAN_TOL)
-        if not rep.ok:
-            a, b, v = rep.violations[0]
-            raise ValueError(f"outcome breaks orthogonality: |<{a}|{b}>| = {v:.3g}")
-    return out, labels
-
-
-# ---------------------------------------------------------------------------
-# verification (discrimination semantics)
-
-
-@dataclass
-class VerifyReport:
-    passed: bool
-    verdict: str
-    failures: list[str]
-    identified: dict[str, str]
-
-
-def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
-    """Replay a tree from `cur`; yield (path, reached set, leaf) per reachable leaf.
-
-    Faults of the tree itself are appended to `failures` as the walk meets
-    them, never raised: a reachable branch without a child, a party the set
-    does not have, Kraus operators not of that party's size, an incomplete
-    measurement, a child count that differs from the outcome count, and an
-    outcome that breaks orthogonality. Branches no state reaches are skipped.
-    """
-    if len(cur) == 0:
-        return
-    if node is None:
-        failures.append(f"{path}: reachable branch has no child ({len(cur)} states)")
-        return
-    if isinstance(node, Leaf):
-        yield path, cur, node
-        return
-    if not 0 <= node.party < cur.space.n_parties:
-        failures.append(f"{path}: measures party {node.party} of a {cur.space.n_parties}-party set")
-        return
-    m, d = node.measurement, cur.space.party_dims[node.party]
-    bad = [k.shape for k in m.kraus if k.shape != (d, d)]
-    if bad:
-        failures.append(f"{path}: kraus is {bad[0][0]}x{bad[0][1]}, party {party_letter(node.party)} has dimension {d}")
-        return
-    if m.completeness_residual() > SPAN_TOL:
-        failures.append(f"{path}: measurement completeness violated")
-    if len(node.children) != len(m.kraus):
-        failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
-        return
-    for idx, kraus in enumerate(m.kraus):
-        try:
-            child_set, _ = apply_outcome(cur, node.party, kraus)
-        except ValueError as exc:
-            failures.append(f"{path}/{idx}: {exc}")
-            continue
-        yield from _replay(node.children[idx], child_set, failures, f"{path}/{idx}")
-
-
-def verify_protocol(s: StateSet, tree) -> VerifyReport:
-    """Replay a tree and check perfect discrimination.
-
-    PASS iff every replay step is a complete measurement that preserves
-    orthogonality, every reachable leaf identifies exactly its single
-    surviving state, and every input state is identified somewhere.
-    """
-    failures: list[str] = []
-    identified: dict[str, str] = {}
-    for path, cur, node in _replay(tree, s, failures):
-        if node.identified is None:
-            failures.append(f"{path}: leaf identifies nothing but {len(cur)} state(s) reach it")
-        elif len(cur) != 1:
-            failures.append(f"{path}: leaf holds {len(cur)} states")
-        elif cur.labels[0] != node.identified:
-            failures.append(f"{path}: leaf claims {node.identified!r}, reached by {cur.labels[0]!r}")
-        else:
-            identified[node.identified] = path
-    missing = [lab for lab in s.labels if lab not in identified]
-    if missing:
-        failures.append("states never identified: " + ", ".join(missing))
-    passed = not failures
-    return VerifyReport(passed, "PASS-DISCRIMINATION" if passed else "FAIL", failures, identified)
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-@dataclass
-class Certificate:
-    # Distinguishability | Activation | ProtocolFailure | NonActivabilityInClass | Indistinguishability | Exhaustion | Incomplete
-    kind: str
-    class_note: str
-    params: dict
-    tree: object | None = None
-    leaf_evidence: list = field(default_factory=list)
-    transcript: list = field(default_factory=list)
-    verified: bool = False
-    notes: str = ""
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "class_note": self.class_note,
-            "params": self.params,
-            "tree": tree_to_json(self.tree),
-            "leaf_evidence": self.leaf_evidence,
-            "transcript": self.transcript,
-            "verified": self.verified,
-            "notes": self.notes,
-        }
-
-
-# ---------------------------------------------------------------------------
-# canonical keys for reached-set deduplication
-
-
-def canonical_key(s: StateSet) -> bytes:
-    """Interning key: the sha256 digest of the party dims and one item per
-    state, sorted.
-
-    Each row gets its phase fixed by `fixed_phases` and is rounded to
-    KEY_DECIMALS decimals; its item is the row's bytes followed by its
-    label, so sets that differ only in labels get different keys. The memo
-    keeps the digest, not the items, which are as large as the amplitude
-    matrix itself.
-    """
-    m = fixed_phases(s.matrix())
-    buf = (np.round(m, KEY_DECIMALS) + 0.0).tobytes()
-    width = m.shape[1] * m.itemsize
-    items = []
-    for i, lab in enumerate(s.labels):
-        b = lab.encode()
-        items.append(buf[i * width : (i + 1) * width] + len(b).to_bytes(4, "little") + b)
-    return hashlib.sha256(repr(s.space.party_dims).encode() + b"|" + b"".join(sorted(items))).digest()
+from .certify import SEARCH_CLASS_NOTE, Certificate, Leaf, Measure, SetFacts, _with_rest, apply_outcome, canonical_key, certify_activation_protocol, verify_protocol
+from .linalg import ORTHO_TOL, SPAN_TOL
+from .oplm import ATOM_CAP, Candidates, LocalMeasurement, measurement_candidates
+from .states import StateSet, gram_check, local_vectors, party_letter
 
 
 # ---------------------------------------------------------------------------
 # the memoized analysis graph
 
 
-class _Node:
+class _Node(SetFacts):
     """One reached set and what the analysis decided about it.
 
-    The search writes its own state into named fields; each fact about the
-    set itself is decided on first read and kept (`cached_property`).
+    The search writes its own state into named fields. Each fact about the
+    set itself is decided on first read and kept (`cached_property`): the
+    facts a certificate reads come from `SetFacts`, and this class adds
+    those only the search reads.
     """
 
     def __init__(self, s: StateSet):
-        self.set = s
-        self.spaces: dict = {}  # party -> its OPLM space on the support
+        super().__init__(s)
         self.slots: dict[str, tuple] = {}  # rule slot -> (status, tree, depth tried)
         self.moves: list | None = None
         # the rule slots that expanded this node, when ATOM_CAP bound at it
         self.capped_in: set[str] | None = None
         self.leaf_evidence: dict | None = None  # the certificate of an activation leaf
 
-    def oplm(self, party: int):
-        if party not in self.spaces:
-            self.spaces[party] = oplm_space(self.set, party, on_support=True)
-        return self.spaces[party]
-
-    @cached_property
-    def support_dims(self) -> tuple[int, ...]:
-        return tuple(support_basis(self.set, p)[0].shape[1] for p in range(self.set.space.n_parties))
-
     @cached_property
     def space_dims(self) -> tuple[int, ...]:
         return tuple(self.oplm(p).space_dim for p in range(self.set.space.n_parties))
-
-    @cached_property
-    def is_product(self) -> bool:
-        return all(local_factors(self.set, p)[1].all() for p in range(self.set.space.n_parties))
 
     @cached_property
     def exact_nonactivable(self) -> bool:
@@ -365,54 +62,6 @@ class _Node:
         """
         eff = [] if len(self.set) <= 1 else [r for r in self.support_dims if r >= 2]
         return len(eff) <= 1 or (len(eff) == 2 and min(eff) <= 2 and self.is_product)
-
-    @cached_property
-    def cert(self) -> dict | None:
-        """IRREDUCIBLE-EXACT or support-restricted UPB evidence, else None.
-
-        IRREDUCIBLE-EXACT needs a one-dimensional OPLM space at every party,
-        and the first party that cannot have one ends the check. The solve-
-        free `index_split` runs first, party by party over the parties not
-        yet solved, and stops at the first where it fires; only when it
-        fires nowhere are the parties solved, in order, up to the first
-        whose dimension is not 1. The test fires only where the solve would
-        give dimension >= 2, and a space is the same solve whenever
-        something reads it, so no verdict or byte depends on which parties
-        this check solved.
-
-        A complete product basis of the support space is never certified
-        this way: the UPB route requires a proper span.
-        """
-        s = self.set
-        if len(s) < 2:
-            return None
-        parties = range(s.space.n_parties)
-        split = any(p not in self.spaces and index_split(s, p) for p in parties)
-        if not split and all(self.oplm(p).space_dim == 1 for p in parties):
-            return {"kind": "IRREDUCIBLE-EXACT", "space_dims": {party_letter(p): 1 for p in parties}}
-        if not self.is_product:
-            return None
-        full = int(np.prod(self.support_dims))
-        lower = sum(r - 1 for r in self.support_dims) + 1
-        if not lower <= len(s) < full:
-            return None
-        try:
-            v = check_unextendible(s)
-        except ValueError:
-            return None
-        return {"kind": "UPB", "support_note": v.support_note} if v.unextendible else None
-
-    @cached_property
-    def redundant(self) -> bool | None:
-        """Whole-party redundancy of the set, or None when it is not
-        orthogonal at ORTHO_TOL and so has no redundancy verdict: the search
-        and replay keep survivors orthogonal only to SPAN_TOL. The search
-        asks it of every certified leaf it reaches, and certifying the tree
-        asks it again of each leaf the tree reaches."""
-        try:
-            return redundancy_check_whole_parties(self.set)
-        except ValueError:
-            return None
 
     @cached_property
     def terminal(self) -> Measure | None:
@@ -722,56 +371,6 @@ def search_distinguishing_protocol(s: StateSet, max_depth: int = 8, analyzer: Se
     return Certificate(kind, SEARCH_CLASS_NOTE, params | {"complete": status is False}, notes=note)
 
 
-def certify_activation_protocol(s: StateSet, tree, analyzer: SetAnalyzer | None = None) -> Certificate:
-    """Replay an activation tree and certify every reachable leaf set.
-
-    Deterministic activation: every replay step must be a complete
-    measurement that preserves orthogonality, and each leaf must hold >= 2
-    states, be orthogonal at ORTHO_TOL and locally irredundant over whole
-    parties, and be certified locally indistinguishable (IRREDUCIBLE-EXACT
-    or support-restricted UPB).
-    """
-    an = analyzer or SetAnalyzer()
-    params = {"tolerance": SPAN_TOL}
-    evidence = []
-    failures: list[str] = []
-    for path, cur, node in _replay(tree, s, failures):
-        if node.identified is not None or len(cur) < 2:
-            failures.append(f"{path}: not an activation leaf")
-            continue
-        key = an.intern(cur)
-        nd = an.nodes[key]
-        if nd.cert is None:
-            failures.append(f"{path}: leaf set not certified locally indistinguishable")
-        elif nd.redundant is None:
-            failures.append(f"{path}: leaf set not orthogonal at ORTHO_TOL")
-        elif nd.redundant:
-            failures.append(f"{path}: leaf set is locally redundant")
-        else:
-            evidence.append(
-                {
-                    "path": path,
-                    "n_states": len(cur),
-                    "labels": cur.labels,
-                    "support_dims": list(nd.support_dims),
-                    "certificate": nd.cert,
-                    "locally_irredundant": True,
-                }
-            )
-        if node.reached is not None and canonical_key(node.reached) != key:
-            failures.append(f"{path}: recorded leaf set does not replay")
-    ok = not failures and bool(evidence)
-    return Certificate(
-        "Activation" if ok else "ProtocolFailure",
-        SEARCH_CLASS_NOTE,
-        params,
-        tree=tree,
-        leaf_evidence=evidence,
-        verified=ok,
-        notes="" if ok else "; ".join(failures),
-    )
-
-
 def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | None = None) -> Certificate:
     """Search for a deterministic nonlocality-activation protocol.
 
@@ -801,7 +400,7 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
         )
     status, tree = an.activation(key, max_depth)
     if status is True:
-        cert = certify_activation_protocol(s, tree, analyzer=an)
+        cert = certify_activation_protocol(s, tree, known=an.nodes)
         cert.params.update(_search_params(an, max_depth, "act", "dist_status"))
         return cert
     transcript = an.activation_transcript(max_depth)
@@ -820,156 +419,3 @@ def activation_search(s: StateSet, max_depth: int = 8, analyzer: SetAnalyzer | N
         else "depth cap reached before exhausting the class; verdict INCOMPLETE",
     )
 
-
-# ---------------------------------------------------------------------------
-# scripted protocols
-
-
-def _vec(d: int, entries) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    for i, c in entries:
-        v[i] = c
-    return v / np.linalg.norm(v)
-
-
-def _pvec(d: int, entries) -> np.ndarray:
-    v = _vec(d, entries)
-    return np.outer(v, v.conj())
-
-
-def _pidx(d: int, idx) -> np.ndarray:
-    p = np.zeros((d, d), dtype=np.complex128)
-    for i in idx:
-        p[i, i] = 1.0
-    return p
-
-
-def _meas(party: int, kraus, labels) -> LocalMeasurement:
-    return LocalMeasurement(party, [np.asarray(k, dtype=np.complex128) for k in kraus], labels)
-
-
-def _rest(d: int, ops) -> np.ndarray:
-    return np.eye(d, dtype=np.complex128) - sum(ops)
-
-
-def _s3_discrimination_tree():
-    d = 6
-    v1 = _pvec(d, [(0, 1), (4, -1)])
-    v2 = _pvec(d, [(2, 1), (3, -1)])
-    v3 = _pvec(d, [(i, 1) for i in range(6)])
-    mb = _meas(1, [v1, v2, v3, _rest(d, [v1, v2, v3])], ["P[0-4]", "P[2-3]", "P[stopper]", "rest"])
-
-    def alice(specs, leaves):
-        ops = [_pvec(d, sp) for sp in specs]
-        kraus = ops + [_rest(d, ops)]
-        labels = [f"P{i}" for i in range(len(ops))] + ["rest"]
-        return Measure(0, _meas(0, kraus, labels), leaves)
-
-    b1 = alice([[(1, 1), (2, -1)], [(4, 1), (5, -1)]], [Leaf(identified="phi3"), Leaf(identified="phi8"), None])
-    b2 = alice([[(0, 1), (1, -1)], [(3, 1), (4, -1)]], [Leaf(identified="phi4"), Leaf(identified="phi9"), None])
-    b3 = alice(
-        [[(0, 1), (1, 1), (2, 1)], [(3, 1), (4, 1), (5, 1)]],
-        [Leaf(identified="phi5"), Leaf(identified="phi10"), None],
-    )
-    b4 = alice(
-        [[(0, 1)], [(2, 1)], [(3, 1)]],
-        [Leaf(identified="phi1"), Leaf(identified="phi2"), Leaf(identified="phi6"), Leaf(identified="phi7")],
-    )
-    return Measure(1, mb, [b1, b2, b3, b4])
-
-
-def _half_split(party: int, d: int, lo_half, hi_half) -> LocalMeasurement:
-    return _meas(
-        party,
-        [_pidx(d, lo_half), _pidx(d, hi_half)],
-        [f"P[{','.join(map(str, lo_half))}]", f"P[{','.join(map(str, hi_half))}]"],
-    )
-
-
-def _s3_activation_tree():
-    ka = _half_split(0, 6, (0, 1, 2), (3, 4, 5))
-    kb = _half_split(1, 6, (0, 1, 2), (3, 4, 5))
-    return Measure(1, kb, [Measure(0, ka, [Leaf(), Leaf()]), Measure(0, ka, [Leaf(), Leaf()])])
-
-
-def _s1_recursion_tree():
-    d = 4
-    pa = _half_split(0, d, (0,), (1, 2, 3))
-    pb = _half_split(1, d, (0,), (1, 2, 3))
-
-    def resolve(party, specs, labels, leaves):
-        return _with_rest(party, d, [_pvec(d, sp) for sp in specs], labels, leaves)
-
-    b0 = resolve(
-        1,
-        [[(0, 1), (1, 1)], [(0, 1), (1, -1)], [(2, 1), (3, 1)], [(2, 1), (3, -1)]],
-        ["P[X01+]", "P[X01-]", "P[X23+]", "P[X23-]"],
-        [Leaf(identified="0_X01+"), Leaf(identified="0_X01-"), Leaf(identified="0_X23+"), Leaf(identified="0_X23-")],
-    )
-    col0 = resolve(
-        0,
-        [[(1, 1), (2, 1)], [(1, 1), (2, -1)], [(3, 1)]],
-        ["P[xi12+]", "P[xi12-]", "P[3]"],
-        [Leaf(identified="xi12+_0"), Leaf(identified="xi12-_0"), Leaf(identified="xi3_0")],
-    )
-    row1 = resolve(
-        1,
-        [[(1, 1), (2, 1)], [(1, 1), (2, -1)], [(3, 1)]],
-        ["P[X12+]", "P[X12-]", "P[3]"],
-        [Leaf(identified="1_X12+"), Leaf(identified="1_X12-"), Leaf(identified="1_X3")],
-    )
-    col1 = resolve(
-        0,
-        [[(2, 1), (3, 1)], [(2, 1), (3, -1)]],
-        ["P[xi23+]", "P[xi23-]"],
-        [Leaf(identified="xi23+_1"), Leaf(identified="xi23-_1")],
-    )
-    row2 = resolve(
-        1,
-        [[(2, 1), (3, 1)], [(2, 1), (3, -1)]],
-        ["P[X23+]", "P[X23-]"],
-        [Leaf(identified="2_X23+"), Leaf(identified="2_X23-")],
-    )
-    tail_b = Measure(
-        1,
-        _meas(1, [_pidx(d, (2,)), _rest(d, [_pidx(d, (2,))])], ["P[2]", "I-P[2]"]),
-        [Leaf(identified="xi3_2"), Leaf(identified="xi3_X3")],
-    )
-    a23 = Measure(0, _meas(0, [_pidx(d, (2,)), _rest(d, [_pidx(d, (2,))])], ["P[2]", "I-P[2]"]), [row2, tail_b])
-    b23 = Measure(1, _meas(1, [_pidx(d, (1,)), _rest(d, [_pidx(d, (1,))])], ["P[1]", "I-P[1]"]), [col1, a23])
-    a123 = Measure(0, _meas(0, [_pidx(d, (1,)), _rest(d, [_pidx(d, (1,))])], ["P[1]", "I-P[1]"]), [row1, b23])
-    b123 = Measure(1, pb, [col0, a123])
-    return Measure(0, pa, [b0, b123])
-
-
-def _s4_abc_activation_tree():
-    # on merge_parties(s4, {A},{B,C}): party 0 is A (dim 6), party 1 is BC (dim 12)
-    i6 = np.eye(6, dtype=np.complex128)
-    i2 = np.eye(2, dtype=np.complex128)
-    c0 = np.kron(i6, _pidx(2, (0,)))
-    c1 = np.kron(i6, _pidx(2, (1,)))
-    kb0 = np.kron(_pidx(6, (0, 1, 2)), i2)
-    kb1 = np.kron(_pidx(6, (3, 4, 5)), i2)
-    ka = _half_split(0, 6, (0, 1, 2), (3, 4, 5))
-    mc = _meas(1, [c0, c1], ["I6xP[c=0]", "I6xP[c=1]"])
-    mkb = _meas(1, [kb0, kb1], ["P[B012]xI2", "P[B345]xI2"])
-
-    def branch():
-        return Measure(1, mkb, [Measure(0, ka, [Leaf(), Leaf()]), Measure(0, ka, [Leaf(), Leaf()])])
-
-    return Measure(1, mc, [branch(), branch()])
-
-
-_BUILTIN_TREES = {
-    "s3_discrimination": _s3_discrimination_tree,
-    "s3_activation": _s3_activation_tree,
-    "s1_recursion": _s1_recursion_tree,
-    "s4_abc_activation": _s4_abc_activation_tree,
-}
-BUILTIN_PROTOCOLS = tuple(_BUILTIN_TREES)
-
-
-def builtin_protocol(name: str):
-    if name not in _BUILTIN_TREES:
-        raise ValueError(f"unknown builtin protocol {name!r}")
-    return _BUILTIN_TREES[name]()

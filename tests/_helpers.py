@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -14,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qlocc import oplm, partitions, protocol, qset, states, upb
-from qlocc.fixtures import FIXTURE_NAMES, build_fixture
+from qlocc import certify, oplm, partitions, protocol, qset, states, upb
+from qlocc.certify import Leaf, Measure, _replay, apply_outcome
+from qlocc.fixtures import FIXTURE_NAMES, build_fixture, builtin_protocol
 from qlocc.linalg import ELIM_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL, WITNESS_TOL
 from qlocc.oplm import (
     ATOM_CAP,
@@ -32,7 +34,7 @@ from qlocc.oplm import (
     measurement_candidates,
     oplm_space,
 )
-from qlocc.protocol import _RULES, Measure, SetAnalyzer, _replay, apply_outcome, builtin_protocol
+from qlocc.protocol import _RULES, SetAnalyzer
 from qlocc.qset import QsetError
 from qlocc.states import (
     Bipartition,
@@ -180,7 +182,7 @@ def near_orthogonal_leaves_tree():
     rows = [np.kron(np.array([1, 0, 1, 0]) / np.sqrt(2), e0), np.kron(np.array([x, y, -x, y]) / np.sqrt(2), e0)]
     s = StateSet.from_matrix(PartySpace((4, 2)), rows, ["p1", "p2"], "near")
     halves = [np.diag([1, 1, 0, 0]).astype(complex), np.diag([0, 0, 1, 1]).astype(complex)]
-    return s, protocol.Measure(0, LocalMeasurement(0, halves, ["M0", "M1"]), [protocol.Leaf(), protocol.Leaf()])
+    return s, Measure(0, LocalMeasurement(0, halves, ["M0", "M1"]), [Leaf(), Leaf()])
 
 
 def near_bell_leaves_tree():
@@ -858,7 +860,8 @@ def product_structure_mismatches(s: StateSet) -> list[str]:
 
 class ReferenceCheck:
     """While installed, compares every `apply_outcome` and `canonical_key`
-    call made through qlocc.protocol with the per-state references, every
+    call made through qlocc.protocol or qlocc.certify with the per-state
+    references (counting in `sites` the calls each module makes), every
     `measurement_candidates` call with the one-mask-per-iteration loops of
     `reference_measurement_candidates` (and the masks of its candidates
     with `survivors`, keeping each call's candidate count, the part count
@@ -877,11 +880,24 @@ class ReferenceCheck:
         self.mismatches: list[str] = []
         self.factor_sets: dict[int, StateSet] = {}
         self.upb_calls: list[tuple[StateSet, UpbVerdict | ValueError, UpbVerdict | ValueError]] = []
+        # "module.name" -> calls of that module's spy; a spy on a module
+        # that no longer makes the call stays at 0
+        self.sites: Counter[str] = Counter()
+
+    def _counted(self, mod, name: str, spy):
+        site = f"{mod.__name__}.{name}"
+        self.sites[site] += 0
+
+        def counted(*args, **kwargs):
+            self.sites[site] += 1
+            return spy(*args, **kwargs)
+
+        return counted
 
     @contextmanager
     def installed(self):
-        apply_outcome, canonical_key = protocol.apply_outcome, protocol.canonical_key
-        check_unextendible = protocol.check_unextendible
+        apply_outcome, canonical_key = certify.apply_outcome, certify.canonical_key
+        check_unextendible = certify.check_unextendible
         measurement_candidates = oplm.measurement_candidates
 
         def checked_apply(s, party, kraus, *args, **kwargs):
@@ -922,12 +938,13 @@ class ReferenceCheck:
             return got
 
         with recorded_part_stacks() as stacks, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "apply_outcome", checked_apply)
-            mp.setattr(protocol, "canonical_key", checked_key)
-            mp.setattr(protocol, "check_unextendible", checked_upb)
+            for mod in (protocol, certify):
+                mp.setattr(mod, "apply_outcome", self._counted(mod, "apply_outcome", checked_apply))
+                mp.setattr(mod, "canonical_key", self._counted(mod, "canonical_key", checked_key))
+            mp.setattr(certify, "check_unextendible", self._counted(certify, "check_unextendible", checked_upb))
             for mod in (oplm, protocol):
                 mp.setattr(mod, "measurement_candidates", checked_candidates)
-            for mod in (states, protocol, partitions, upb):
+            for mod in (states, certify, partitions, upb):
                 mp.setattr(mod, "local_factors", recorded_factors)
             yield self
 

@@ -9,17 +9,11 @@ import numpy as np
 import pytest
 
 from _helpers import _collect_leaves, constraint_residual, random_orthogonal_product_set, random_orthonormal_set
-from qlocc.fixtures import build_fixture
+from qlocc.certify import apply_outcome, certify_activation_protocol, verify_protocol
+from qlocc.fixtures import build_fixture, builtin_protocol
 from qlocc.oplm import block_structure, measurement_candidates, oplm_space, projective_oplms
 from qlocc.partitions import hidden_nonlocality_profile
-from qlocc.protocol import (
-    activation_search,
-    apply_outcome,
-    builtin_protocol,
-    certify_activation_protocol,
-    search_distinguishing_protocol,
-    verify_protocol,
-)
+from qlocc.protocol import activation_search, search_distinguishing_protocol
 from qlocc.qset import parse_qset, serialize_qset
 from qlocc.render import extract_tiles, render
 from qlocc.states import (

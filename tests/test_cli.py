@@ -15,7 +15,7 @@ from qlocc import cli, upb
 from qlocc.cli import build_parser, main
 from qlocc.fixtures import build_fixture
 from qlocc.linalg import SPAN_TOL
-from qlocc.protocol import matrix_json, tree_to_json
+from qlocc.certify import matrix_json, tree_to_json
 from qlocc.qset import serialize_qset
 from qlocc.states import StateSet
 
@@ -379,6 +379,8 @@ def test_usage_errors(capsys, files, tmp_path, monkeypatch):
         {"party": 0, "outcomes": [{"kraus": [[[1, 0]]], "child": 5}]},
         {"identified": 3},
         {"set": 4},
+        {"set": "garbage"},
+        {"set": "qset v1\ndims: 2 2\nstate a: |0,5>\n"},
     ):
         protocol.write_text(json.dumps(doc))
         code, _, err = run(capsys, "protocol", "verify", "--set", files["s3"], "--protocol", str(protocol))

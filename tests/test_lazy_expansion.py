@@ -17,9 +17,10 @@ import pytest
 
 from _helpers import EagerSetAnalyzer, candidates_match_reference, recorded_candidates, reference_eager_candidates
 from qlocc import partitions
+from qlocc.certify import Leaf, Measure, canonical_key
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import _analyze_partition, _merge_for, hidden_nonlocality_profile
-from qlocc.protocol import Leaf, Measure, SetAnalyzer, activation_search, canonical_key, search_distinguishing_protocol
+from qlocc.protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
 from qlocc.states import StateSet
 
 # case -> (fixture, d, search depth)

@@ -57,7 +57,7 @@ from qlocc.oplm import (
     projective_oplms,
 )
 from qlocc.partitions import _merge_for, hidden_nonlocality_profile
-from qlocc.protocol import activation_search, apply_outcome, search_distinguishing_protocol
+from qlocc.protocol import activation_search, search_distinguishing_protocol
 from qlocc.states import (
     PartySpace,
     StateSet,

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from _helpers import DIGESTS, EagerSetAnalyzer, ReferenceCheck, digest, product_structure_mismatches, upb_outcome
-from qlocc import partitions, protocol
+from qlocc import certify, partitions
+from qlocc.certify import canonical_key
 from qlocc.fixtures import build_fixture
 from qlocc.partitions import hidden_nonlocality_profile, qubit_times_n_rule
-from qlocc.protocol import canonical_key
 from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties, redundancy_check_whole_parties
 
 
@@ -132,6 +132,13 @@ def test_profile_outcomes_and_keys_match_per_state_references(run, request):
     assert check.mismatches == []
 
 
+def test_every_patched_call_site_is_reached(s4_run):
+    # the s4 profile both searches and certifies: a spy on a module that no
+    # longer makes its call would record nothing
+    _prof, check = s4_run
+    assert len(check.sites) == 5 and all(check.sites.values()), check.sites
+
+
 def test_s4_part_stack_is_bounded_at_its_largest_candidate_family(s4_run):
     # one A|BC node has 2,047 unions on a 12-dim party; its masks come from
     # one product per union family with at most d + 1 parts, not one per
@@ -221,7 +228,7 @@ def test_each_activation_leaf_is_checked_for_redundancy_once(monkeypatch):
         checked.append(canonical_key(s))
         return redundancy_check_whole_parties(s)
 
-    monkeypatch.setattr(protocol, "redundancy_check_whole_parties", recorded)
+    monkeypatch.setattr(certify, "redundancy_check_whole_parties", recorded)
     for name in ("s4", "s2"):
         hidden_nonlocality_profile(build_fixture(name), max_depth=8)
     assert len(checked) == len(set(checked)) == 8

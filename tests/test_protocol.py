@@ -8,27 +8,26 @@ import numpy as np
 import pytest
 
 import qlocc
-from qlocc import partitions, protocol
-from qlocc.fixtures import build_fixture
-from qlocc.oplm import LocalMeasurement, measurement_candidates, oplm_space
-from qlocc.partitions import hidden_nonlocality_profile
-from qlocc.protocol import (
+from qlocc import certify, partitions, protocol
+from qlocc.certify import (
     Leaf,
     Measure,
-    SetAnalyzer,
+    SetFacts,
     _kraus_from_json,
     _replay,
-    activation_search,
     apply_outcome,
-    builtin_protocol,
     canonical_key,
     certify_activation_protocol,
     matrix_json,
-    search_distinguishing_protocol,
     tree_from_json,
     tree_to_json,
     verify_protocol,
 )
+from qlocc.fixtures import BUILTIN_PROTOCOLS, build_fixture, builtin_protocol
+from qlocc.oplm import LocalMeasurement, measurement_candidates, oplm_space
+from qlocc.partitions import hidden_nonlocality_profile
+from qlocc.protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
+from qlocc.qset import QsetError
 from qlocc.states import (
     PartySpace,
     StateSet,
@@ -358,11 +357,10 @@ def test_certify_rejects_locally_redundant_leaf():
     # the 3 x 3 x 1 supports), but discarding C leaves the states orthogonal
     t = build_fixture("tiles33")
     s = StateSet.from_matrix(PartySpace((3, 3, 2)), np.kron(t.matrix(), [1, 0]), t.labels, "tiles33-c0")
-    an = SetAnalyzer()
-    cert = certify_activation_protocol(s, Leaf(), an)
+    cert = certify_activation_protocol(s, Leaf())
     assert cert.kind == "ProtocolFailure" and not cert.verified
     assert cert.notes == "root: leaf set is locally redundant"
-    assert an.nodes[an.intern(s)].cert is not None
+    assert SetFacts(s).cert is not None
 
 
 def test_certify_rejects_recorded_leaf_set_that_does_not_replay():
@@ -467,10 +465,10 @@ def test_certify_judges_redundancy_only_on_certified_leaves():
 
 def test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol():
     s, tree = near_bell_leaves_tree()
-    an = SetAnalyzer()
-    cert = certify_activation_protocol(s, tree, an)
+    cert = certify_activation_protocol(s, tree)
     assert cert.kind == "ProtocolFailure" and not cert.verified
     assert cert.notes == "root/0: leaf set not orthogonal at ORTHO_TOL; root/1: leaf set not orthogonal at ORTHO_TOL"
+    an = SetAnalyzer()
     for _, leaf, _ in _collect_leaves(s, tree):
         key = an.intern(leaf)
         assert an.nodes[key].cert["kind"] == "IRREDUCIBLE-EXACT"
@@ -499,13 +497,13 @@ def test_node_facts_are_decided_once_per_node(monkeypatch):
         upb_checks.append(canonical_key(s))
         return check_unextendible(s)
 
-    monkeypatch.setattr(protocol, "oplm_space", recorded_space)
-    monkeypatch.setattr(protocol, "check_unextendible", recorded_upb)
+    monkeypatch.setattr(certify, "oplm_space", recorded_space)
+    monkeypatch.setattr(certify, "check_unextendible", recorded_upb)
     s4 = merge_parties(build_fixture("s4"), [(0,), (1, 2)])
     an = SetAnalyzer()
     found = activation_search(s4, 8, analyzer=an)
     assert found.kind == "Activation" and found.verified
-    cert = certify_activation_protocol(s4, found.tree, an)
+    cert = certify_activation_protocol(s4, found.tree, known=an.nodes)
     assert cert.kind == "Activation" and cert.leaf_evidence == found.leaf_evidence
     assert len(spaces) == len(set(spaces)) > 0
     assert len(upb_checks) == len(set(upb_checks)) > 0
@@ -534,7 +532,7 @@ def _replayed_builtin_leaves() -> SetAnalyzer:
         "s1_recursion": build_fixture("s1"),
         "s4_abc_activation": merge_parties(build_fixture("s4"), [(0,), (1, 2)]),
     }
-    assert set(sets) == set(protocol.BUILTIN_PROTOCOLS)
+    assert set(sets) == set(BUILTIN_PROTOCOLS)
     an = SetAnalyzer()
     rng = np.random.default_rng(30)
     for name, s in sets.items():
@@ -584,13 +582,13 @@ def test_upb_leaves_are_certified_without_a_solve(monkeypatch):
             upb_leaves.add((canonical_key(s), len(s)))
         return v
 
-    monkeypatch.setattr(protocol, "oplm_space", recorded_space)
-    monkeypatch.setattr(protocol, "check_unextendible", recorded_upb)
+    monkeypatch.setattr(certify, "oplm_space", recorded_space)
+    monkeypatch.setattr(certify, "check_unextendible", recorded_upb)
     for name in ("s4", "s2"):
         hidden_nonlocality_profile(build_fixture(name), max_depth=8)
     assert sorted(n for _, n in upb_leaves) == [10] * 4 + [20] * 4
     assert not {key for key, _ in upb_leaves} & set(solved)
-    assert len(solved) <= 92
+    assert 0 < len(solved) <= 92
 
 
 def test_dist_implies_not_indistinguishable_at_root():
@@ -752,6 +750,19 @@ def test_kraus_entries_load_as_the_per_pair_reference(entry):
         with pytest.raises(ValueError) as exc:
             tree_from_json(doc)
         assert str(exc.value) == "malformed protocol at root: outcome 0: 'kraus' must be a square matrix of [re, im] pairs"
+
+
+def test_a_leaf_set_that_is_not_qset_text_names_its_path():
+    # a QsetError would read like a broken --set file; the tree's own error
+    # names the protocol and the leaf
+    doc = tree_to_json(builtin_protocol("s3_activation"))
+    doc["outcomes"][0]["child"]["outcomes"][0]["child"] = {"set": "garbage"}
+    with pytest.raises(ValueError) as exc:
+        tree_from_json(doc)
+    assert not isinstance(exc.value, QsetError)
+    assert str(exc.value) == (
+        "malformed protocol at root/0/0: 'set' is not qset text: E_SYNTAX at line 1, col 1: expected header 'qset v1' near 'garbage'"
+    )
 
 
 def test_exact_rule_nodes_are_never_certified(monkeypatch):

@@ -359,7 +359,8 @@ def test_canonical_documents_read_in_bulk_as_the_general_tokenizer(doc):
 
 
 def test_the_patterns_compile_on_python_3_10():
-    # possessive repeats and atomic groups need Python 3.11's re; the package admits 3.10
+    # possessive repeats and atomic groups are new in Python 3.11's re; the patterns
+    # keep to older syntax, so admitting 3.10 again would need no change to them
     try:
         from re import _parser as parser
     except ImportError:  # Python 3.10
