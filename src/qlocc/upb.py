@@ -21,25 +21,28 @@ al., CMP 238, 379 (2003)). The pruned search returns the assignment the
 plain party-order search finds first; see `check_unextendible`.
 
 It also remembers the subproblems that failed. Whether the search from
-state i succeeds depends only on i and on the spans as subspaces, and a
-span is the span of the local vectors it was grown from. Each state has a
-direction class per party, the first state whose local vector holds its
-own, so spans grown from the same classes are the same subspace, and a
-failed (i, class masks) fails wherever it recurs. Only failures are kept,
-so the first successful path, and with it the assignment and witness,
-stays the plain search's. Sets whose states share local vectors, as the
-tiles of a tiling do, reach the same subproblem along many paths.
+state i succeeds depends only on i and on the spans as subspaces. Each
+span keeps the bitmask of the states whose local vectors it holds, and a
+span grown from local vectors is the span of every local vector it holds,
+so spans with equal masks are the same subspace, however they were grown,
+and a failed (i, held-state masks) fails wherever it recurs. Only failures
+are kept, so the first successful path, and with it the assignment and
+witness, stays the plain search's. Sets whose states share local vectors,
+as the tiles of a tiling do, or whose local vectors fill a subspace from
+more directions than its dimension, reach the same subproblem along many
+paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import EXTENSION_TOL, SPAN_TOL, SWEEP_TOL, WITNESS_TOL
-from .states import Ket, StateSet, gram_check, local_factors, support_basis
+from .states import Ket, StateSet, gram_check, local_factors, row_norms, support_basis
 
 ASSIGNMENT_CAP = 10**7
 # The assignment search gives up after this many nodes.
@@ -64,14 +67,27 @@ def _local_support_vectors(s: StateSet, factors):
     return supports, locals_
 
 
-def _direction_classes(w: np.ndarray) -> list[int]:
-    """Each state's direction class on one party, from its unit local
-    vectors w (n, r): the first state i whose vector holds w[j] by the
-    assignment search's test, ||w_j - w_i <w_i|w_j>|| <= SPAN_TOL, taken on
-    squared norms. Every unit vector holds itself, so i <= j."""
-    resid = w[None, :, :] - w[:, None, :] * (w.conj() @ w.T)[:, :, None]
-    parts = resid.view(np.float64)
-    return (np.einsum("ijk,ijk->ij", parts, parts) <= SPAN_TOL**2).argmax(axis=0).tolist()
+class _Span(NamedTuple):
+    """A party's span of assigned local vectors (orthonormal columns), every
+    state's residual against it with the residual's norm, and the bitmask of
+    the states it holds (norm <= SPAN_TOL)."""
+
+    basis: np.ndarray
+    resid: np.ndarray
+    norms: np.ndarray
+    held: int
+
+
+def _span(basis: np.ndarray, w: np.ndarray) -> _Span:
+    """The `_Span` of `basis` for the unit local vectors w (n, r).
+
+    Residual j is `w[j] - basis @ (basis_h @ w[j])` and its norm
+    `np.linalg.norm` of it, bit for bit: the rows of w are C-contiguous, so
+    np.matmul runs per state the gemv that the one-vector product runs, and
+    `row_norms` takes the same dots."""
+    resid = w - np.matmul(basis, np.matmul(basis.conj().T, w[:, :, None]))[:, :, 0]
+    norms = row_norms(resid)
+    return _Span(basis, resid, norms, sum(1 << j for j in np.flatnonzero(norms <= SPAN_TOL).tolist()))
 
 
 class CapExceeded(ValueError):
@@ -108,18 +124,20 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
 
     A depth-first search gives states 0, 1, ... to parties, trying parties
     in index order, and keeps each party's span of assigned local vectors
-    proper. At each state it first looks for a free party: the lowest f
-    whose span already holds the state's local vector (residual <= SPAN_TOL).
-    With no free party, it tries every party in order. Otherwise f's branch
-    decides the state (dominance, see the module docstring), so it runs
-    first: if it fails the state fails, and if f == 0 its result is the
-    answer. For f > 0 the plain search would have tried parties 0..f-1
-    before f, so these run next, from the spans the state started with,
-    and the first that succeeds is the answer; if none does, the answer is
-    f's kept result. f's branch runs once. A state whose (index, per-party
-    direction class masks) already failed fails at once (see the module
-    docstring). Verdict, assignment and witness are those of the plain
-    search; only `nodes_explored` differs.
+    proper. Each span keeps every state's residual against it and the
+    bitmask of the states it holds (residual <= SPAN_TOL), computed once
+    when it grows (`_Span`). At each state the search first looks for
+    a free party: the lowest f whose span holds the state. With no free
+    party, it tries every party in order, growing its span by the state's
+    stored residual. Otherwise f's branch decides the state (dominance, see
+    the module docstring), so it runs first: if it fails the state fails,
+    and if f == 0 its result is the answer. For f > 0 the plain search
+    would have tried parties 0..f-1 before f, so these run next, from the
+    spans the state started with, and the first that succeeds is the
+    answer; if none does, the answer is f's kept result. f's branch runs
+    once. A state whose (index, per-party held-state masks) already failed
+    fails at once (see the module docstring). Verdict, assignment and
+    witness are those of the plain search; only `nodes_explored` differs.
     """
     if len(s) == 0:
         raise ValueError("empty state set")
@@ -140,13 +158,10 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
     rdims = [u.shape[1] for u in supports]
     note = "supports: " + " x ".join(str(r) for r in rdims) + f" (ambient {'x'.join(str(d) for d in s.space.party_dims)})"
 
-    classes = [_direction_classes(w) for w in locals_]
     nodes = 0
-    # each party's span of assigned local vectors, with its conjugate
-    # transpose and the bitmask of the direction classes it was grown from
-    spans = [(z, z.conj().T, 0) for z in (np.zeros((r, 0), dtype=np.complex128) for r in rdims)]
+    spans = [_span(np.zeros((r, 0), dtype=np.complex128), w) for r, w in zip(rdims, locals_)]
     assignment: list[int] = []
-    failed: set[tuple[int, ...]] = set()  # (i, class masks) whose search failed
+    failed: set[tuple[int, ...]] = set()  # (i, held-state masks) whose search failed
 
     def dfs(i: int) -> bool:
         nonlocal nodes
@@ -155,29 +170,18 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             raise CapExceeded("assignment search exceeded node cap", f"assignment search exceeded NODE_CAP = {NODE_CAP} nodes")
         if i == k:
             return True
-        if failed and (i, *(m for _, _, m in spans)) in failed:
+        if failed and (i, *(sp.held for sp in spans)) in failed:
             return False
         if search(i):
             return True
         # a failed search leaves the spans as it found them
-        failed.add((i, *(m for _, _, m in spans)))
+        failed.add((i, *(sp.held for sp in spans)))
         return False
 
     def search(i: int) -> bool:
-        # residuals up to the first free party: only the parties before it
-        # are tried besides it
-        resids = []
-        for p, (span, span_h, _) in enumerate(spans):
-            w = locals_[p][i]
-            resid = w - span @ (span_h @ w)
-            re, im = resid.real, resid.imag
-            rn = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm(resid), bit for bit
-            if rn <= SPAN_TOL:
-                break
-            resids.append((resid, rn))
-        else:
-            return grow_into(i, range(n_parties), resids)
-        free = len(resids)
+        free = next((p for p, sp in enumerate(spans) if sp.held >> i & 1), None)
+        if free is None:
+            return grow_into(i, range(n_parties))
         at_entry = list(spans)
         assignment.append(free)
         if not dfs(i + 1):
@@ -187,34 +191,31 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             kept_assignment, kept_spans = assignment[i:], list(spans)
             del assignment[i:]
             spans[:] = at_entry
-            if not grow_into(i, range(free), resids):
+            if not grow_into(i, range(free)):
                 assignment.extend(kept_assignment)
                 spans[:] = kept_spans
         return True
 
-    def grow_into(i: int, parties, resids) -> bool:
+    def grow_into(i: int, parties) -> bool:
         """Give state i to each of `parties` in turn, none of whose spans
         holds its local vector yet, growing that span by the state's
         residual, until the rest of the search succeeds."""
         for p in parties:
-            resid, rn = resids[p]
-            held = spans[p]
-            span, _, mask = held
-            if span.shape[1] + 1 >= rdims[p]:
+            sp = spans[p]
+            if sp.basis.shape[1] + 1 >= rdims[p]:
                 continue  # party span would become full: no room for a witness
-            grown = np.hstack([span, (resid / rn)[:, None]])
-            spans[p] = grown, grown.conj().T, mask | 1 << classes[p][i]
+            spans[p] = _span(np.hstack([sp.basis, (sp.resid[i] / sp.norms[i])[:, None]]), locals_[p])
             assignment.append(p)
             if dfs(i + 1):
                 return True
             assignment.pop()
-            spans[p] = held
+            spans[p] = sp
         return False
 
     if dfs(0):
         parts = []
         for p in range(n_parties):
-            v = _orth_complement_vector(spans[p][0], rdims[p])
+            v = _orth_complement_vector(spans[p].basis, rdims[p])
             parts.append(supports[p] @ v)
         amp = parts[0]
         for v in parts[1:]:

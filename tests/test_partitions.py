@@ -168,12 +168,17 @@ def test_profile_upb_inputs_match_unpruned_search(run, completed, request):
 
 
 def test_upb_prune_bounds_s4_abc_node(s4_run):
-    # the 20-state 6x12 nodes of the s4 A|BC search that the unpruned
-    # search settles in 58,352 nodes each
+    # the unextendible 20-state 6x12 nodes of the s4 profile: the two leaves
+    # of the A|BC activation, which the unpruned search settles in 58,352
+    # nodes each, then the two B|AC sets (5,289 each). The B|AC counts hold
+    # only while the memo sees spans as subspaces
     _prof, check = s4_run
-    hard = [(got, ref) for s, got, ref in check.upb_calls if len(s) == 20 and s.space.party_dims == (6, 12) and ref.unextendible]
-    assert max(ref.nodes_explored for _, ref in hard) == 58_352
-    assert all(got.unextendible and got.nodes_explored <= 1_100 for got, _ in hard)
+    hard = [
+        (got.unextendible, got.nodes_explored, ref.nodes_explored)
+        for s, got, ref in check.upb_calls
+        if len(s) == 20 and s.space.party_dims == (6, 12) and ref.unextendible
+    ]
+    assert hard == [(True, 535, 58_352)] * 2 + [(True, 269, 5_289)] * 2
 
 
 def test_s2_s4_profiles_differ(s2_profile, s4_profile):

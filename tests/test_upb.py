@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from _helpers import random_orthogonal_product_set, reference_check_unextendible, upb_outcome, upb_run
 from qlocc.fixtures import build_fixture
+from qlocc.linalg import SPAN_TOL
 from qlocc.oplm import is_locally_irreducible
 from qlocc.protocol import SetAnalyzer
 from qlocc.states import (
@@ -595,27 +597,71 @@ def _tiled_product_set(rng, dims, n, rotated):
 
 
 def test_memoized_search_matches_the_plain_search_on_repeated_local_vectors():
-    # spans grown from the same direction classes are one subspace, so a
-    # failed (state, class masks) subproblem fails wherever it recurs; the
-    # memo of failures keeps the plain search's first successful path. With
-    # every state its own class the memo keys are finer, so shared classes
-    # must save nodes somewhere
+    # a failed (state, held-state masks) subproblem fails wherever it
+    # recurs, and the memo of failures keeps the plain search's first
+    # successful path. The pruned, memoized search never takes more nodes
+    # than the plain one on these sets, and takes fewer on some
     rng = np.random.default_rng(25)
-    checked = unextendible = saved = 0
+    checked = unextendible = fewer = 0
     for case in range(40):
         dims = [(3, 3), (4, 4), (2, 2, 2), (3, 3, 2), (4, 5)][case % 5]
         s = _tiled_product_set(rng, dims, int(rng.integers(8, 21 if len(dims) == 2 else 13)), rotated=case % 2 == 1)
         if s is None:
             continue
         _, locals_ = upb._local_support_vectors(s, [local_factors(s, p) for p in range(len(dims))])
-        assert any(len(set(upb._direction_classes(w))) < len(s) for w in locals_), case
-        got = check_unextendible(s)
-        assert upb_outcome(got) == upb_outcome(upb_run(reference_check_unextendible, s)), case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(upb, "_direction_classes", lambda w: list(range(len(w))))
-            finer = check_unextendible(s)
-        assert upb_outcome(finer) == upb_outcome(got) and finer.nodes_explored >= got.nodes_explored, case
-        saved += finer.nodes_explored - got.nodes_explored
+        assert any((np.abs(w.conj() @ w.T) > 1 - 1e-12).sum() > len(s) for w in locals_), case  # a shared local vector
+        got, plain = check_unextendible(s), upb_run(reference_check_unextendible, s)
+        assert upb_outcome(got) == upb_outcome(plain) and got.nodes_explored <= plain.nodes_explored, case
+        fewer += got.nodes_explored < plain.nodes_explored
         checked += 1
         unextendible += got.unextendible
-    assert checked >= 35 and 0 < unextendible < checked and saved > 0
+    assert checked >= 35 and 0 < unextendible < checked and fewer > 0
+
+
+def test_memo_hits_a_span_grown_from_other_states():
+    # on party A, states 0, 3 and 4 lie in the plane orthogonal to
+    # (1, 1, 1), and 0, 1 and 2 in the plane orthogonal to (1, -1, 1). The
+    # search fails at state 5 with A's span grown from states 0 and 4, and
+    # reaches state 5 again with it grown from 0 and 3 (B's span is
+    # span{e0, e1} both times); likewise at state 4 with the other plane.
+    # Both recurrences hit the memo: 16 nodes, where a key on the states a
+    # span was grown from, or no memo, takes 17
+    space = PartySpace((3, 3))
+    e, r = np.eye(3), np.sqrt(0.5)
+    factors = [
+        ((e[0] - e[2]) * r, e[2]),
+        ((e[0] + e[1]) * r, e[0]),
+        ((e[1] + e[2]) * r, e[1]),
+        ((e[0] - e[1]) * r, e[0]),
+        ((e[1] - e[2]) * r, e[1]),
+        ((e[0] + e[2]) * r, e[2]),
+    ]
+    s = StateSet(space, [Ket(space, np.kron(a, b).astype(complex), f"p{i}") for i, (a, b) in enumerate(factors)], "planes")
+    got, plain = check_unextendible(s), reference_check_unextendible(s)
+    assert upb_outcome(got) == upb_outcome(plain)
+    assert (got.unextendible, got.assignment, got.nodes_explored, plain.nodes_explored) == (False, [0, 1, 1, 1, 1, 0], 16, 21)
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_span_residuals_are_the_one_vector_products(r):
+    # the residuals and norms `_span` stacks over all states equal, bit for
+    # bit, the per-vector residual and the norm taken from its real and
+    # imaginary dots
+    rng = np.random.default_rng(r)
+    for dim in range(r):
+        n = int(rng.integers(1, 41))
+        # C-contiguous, as np.hstack grows a span in the search
+        basis = np.ascontiguousarray(np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))[0][:, :dim])
+        # a third of the states lie in a nonzero span
+        inside = n // 3 if dim else 0
+        w = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        w[:inside] = (rng.normal(size=(inside, dim)) + 1j * rng.normal(size=(inside, dim))) @ basis.T
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        sp = upb._span(basis, w)
+        basis_h = basis.conj().T
+        for j in range(n):
+            resid = w[j] - basis @ (basis_h @ w[j])
+            re, im = resid.real, resid.imag
+            assert sp.resid[j].tobytes() == resid.tobytes(), (dim, j)
+            assert sp.norms[j] == math.sqrt(re.dot(re) + im.dot(im)), (dim, j)
+        assert sp.held == sum(1 << j for j in range(n) if sp.norms[j] <= SPAN_TOL) == 2**inside - 1
