@@ -7,6 +7,7 @@ from .certify import (
     Certificate,
     Leaf,
     Measure,
+    apply_measurement,
     apply_outcome,
     certify_activation_protocol,
     tree_from_json,

@@ -9,6 +9,10 @@ certifies every leaf set locally indistinguishable (IRREDUCIBLE-EXACT or a
 support-restricted UPB) and irredundant over whole parties. Neither
 trusts the tree: each step is checked as it is replayed.
 
+`apply_measurement` is the one application path: replay applies every
+outcome of a Measure node in one call, and the search applies one outcome
+at a time through `apply_outcome`, its one-operator case.
+
 The search (`protocol.py`) imports this module, and this module never
 imports the search, the partition profile, the CLI or the fixtures. To
 trust a certificate, read this module, the OPLM solve and `index_split` of
@@ -161,23 +165,50 @@ def _node_from_json(obj, path: str):
 # applying measurements
 
 
-def apply_outcome(s: StateSet, party: int, kraus):
-    """Project every state, drop the eliminated ones, renormalize survivors.
+def apply_measurement(s: StateSet, party: int, kraus) -> list:
+    """Apply every operator of a stack `kraus` (k, d, d) of `party` at once:
+    project every state, drop the eliminated ones, renormalize survivors.
 
-    Works on the amplitude matrix (see `states.survivors`). Returns (surviving
-    StateSet, list of surviving original labels). Raises if the survivors
-    are no longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome).
+    One `states.survivors` call gives every outcome's post-measurement
+    states and survivor mask, and one `party_rows` the amplitude rows of
+    all kept states. Returns, per operator, (surviving StateSet, list of
+    surviving original labels), or the ValueError that outcome raises: a
+    survivor whose norm overflows or vanishes (`StateSet.from_matrix`, which
+    copies and normalizes each child's rows on its own), or survivors no
+    longer pairwise orthogonal at SPAN_TOL (not an OPLM outcome). An error
+    belongs to its outcome alone; each child is checked, none trusted.
     """
     post, keep = survivors(s, party, kraus)
-    full = party_rows(s.space, party, post[keep])
-    labels = [lab for lab, k in zip(s.labels, keep) if k]
-    out = StateSet.from_matrix(s.space, full, labels, s.name)
-    if len(out) > 1:
-        rep = gram_check(out, tol=SPAN_TOL)
-        if not rep.ok:
-            a, b, v = rep.violations[0]
-            raise ValueError(f"outcome breaks orthogonality: |<{a}|{b}>| = {v:.3g}")
-    return out, labels
+    rows = party_rows(s.space, party, post[keep])
+    labels = s.labels
+    out = []
+    end = 0
+    for mask in keep.tolist():
+        kept = [lab for lab, k in zip(labels, mask) if k]
+        start, end = end, end + len(kept)
+        try:
+            child = StateSet.from_matrix(s.space, rows[start:end], kept, s.name)
+            if len(child) > 1:
+                rep = gram_check(child, tol=SPAN_TOL)
+                if not rep.ok:
+                    a, b, v = rep.violations[0]
+                    raise ValueError(f"outcome breaks orthogonality: |<{a}|{b}>| = {v:.3g}")
+        except ValueError as exc:
+            out.append(exc)
+        else:
+            out.append((child, kept))
+    return out
+
+
+def apply_outcome(s: StateSet, party: int, kraus):
+    """`apply_measurement` of the one operator `kraus` (d, d): returns
+    (surviving StateSet, list of surviving original labels), or raises that
+    outcome's ValueError. The search applies its outcomes one at a time
+    through it, so search and replay share one application path."""
+    (result,) = apply_measurement(s, party, np.asarray(kraus, dtype=np.complex128)[None])
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +226,14 @@ class VerifyReport:
 def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     """Replay a tree from `cur`; yield (path, reached set, leaf) per reachable leaf.
 
-    Faults of the tree itself are appended to `failures` as the walk meets
-    them, never raised: a reachable branch without a child, a party the set
-    does not have, Kraus operators not of that party's size, an incomplete
-    measurement, a child count that differs from the outcome count, and an
-    outcome that breaks orthogonality. Branches no state reaches are skipped.
+    Each Measure node applies all its outcomes in one `apply_measurement`
+    call, then walks them in order. Faults of the tree itself are appended
+    to `failures` as the walk meets them, never raised: a reachable branch
+    without a child, a party the set does not have, Kraus operators not of
+    that party's size, an incomplete measurement, a child count that
+    differs from the outcome count, and an outcome whose survivors cannot
+    be normalized or break orthogonality (that outcome's failure alone; its
+    siblings still replay). Branches no state reaches are skipped.
     """
     if len(cur) == 0:
         return
@@ -217,18 +251,17 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     if bad:
         failures.append(f"{path}: kraus is {bad[0][0]}x{bad[0][1]}, party {party_letter(node.party)} has dimension {d}")
         return
-    if m.completeness_residual() > SPAN_TOL:
+    # written so that a NaN residual (inf - inf in an overflowing product) fails
+    if not m.completeness_residual() <= SPAN_TOL:
         failures.append(f"{path}: measurement completeness violated")
     if len(node.children) != len(m.kraus):
         failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
         return
-    for idx, kraus in enumerate(m.kraus):
-        try:
-            child_set, _ = apply_outcome(cur, node.party, kraus)
-        except ValueError as exc:
-            failures.append(f"{path}/{idx}: {exc}")
+    for idx, applied in enumerate(apply_measurement(cur, node.party, m.kraus)):
+        if isinstance(applied, ValueError):
+            failures.append(f"{path}/{idx}: {applied}")
             continue
-        yield from _replay(node.children[idx], child_set, failures, f"{path}/{idx}")
+        yield from _replay(node.children[idx], applied[0], failures, f"{path}/{idx}")
 
 
 def verify_protocol(s: StateSet, tree) -> VerifyReport:

@@ -300,7 +300,12 @@ def _load_protocol(spec: str):
     if spec.startswith("builtin:"):
         return builtin_protocol(spec[len("builtin:") :])
     with open(spec) as fh:
-        return tree_from_json(json.load(fh))
+        try:
+            # json's decoder recurses once per nested container, three per
+            # tree node, and stops at the interpreter's recursion limit
+            return tree_from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"protocol {spec}: nested too deeply to read") from None
 
 
 def cmd_protocol_verify(args, s):

@@ -338,8 +338,11 @@ class LocalMeasurement:
     labels: list[str]
 
     def completeness_residual(self) -> float:
-        total = sum(m.conj().T @ m for m in self.kraus)
-        return float(np.abs(total - np.eye(total.shape[0])).max())
+        """max |sum_k K_k^H K_k - I| over entries, the sum taken as one
+        product A^H A of the operators stacked row-wise into A (k d, d)."""
+        a = np.asarray(self.kraus, dtype=np.complex128)
+        a = a.reshape(-1, a.shape[-1])
+        return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
 def _union_kraus(support: np.ndarray, parts: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,7 +599,8 @@ def eliminable_states(s: StateSet, m: LocalMeasurement) -> list[list[str]]:
     """Per outcome, the labels conclusively excluded (post-measurement norm 0)."""
     if not is_oplm(s, m):
         raise ValueError("measurement does not preserve orthogonality on this set")
-    return [[lab for lab, kept in zip(s.labels, survivors(s, m.party, k)[1]) if not kept] for k in m.kraus]
+    labels = s.labels
+    return [[lab for lab, kept in zip(labels, mask) if not kept] for mask in survivors(s, m.party, m.kraus)[1]]
 
 
 @dataclass

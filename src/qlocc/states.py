@@ -12,16 +12,17 @@ partial trace: a batch of rows at a time, one row for `reduced_state`.
 This is the one module that knows how a set looks from one party:
 `party_matrices` is the party-first (n, d_p, rest) view of the amplitude
 matrix and `party_rows` its inverse, `occupied_indices` the party's
-occupied computational-basis indices, `survivors` the states a local Kraus
-operator keeps (`union_survivors` the same for many operators that are sums
-of a few orthogonal parts: `measurement_candidates` builds each candidate's
-survivor masks with it, and move ordering and irreducibility read those
-masks), `support_basis` an orthonormal basis of the joint local support
-(index-aligned when `index_support` finds its projector to be a 0/1
-diagonal), and `local_factors` decides with one stacked SVD per party which
-states are product across that party's cut and what their local vectors
-are. A set keeps both decisions, the support and the product structure, so
-each (set, party) is decided once however many analyses ask.
+occupied computational-basis indices, `survivors` the states that a local
+Kraus operator, or each operator of a stack, keeps (`union_survivors` the
+same for many operators that are sums of a few orthogonal parts:
+`measurement_candidates` builds each candidate's survivor masks with it,
+and move ordering and irreducibility read those masks), `support_basis` an
+orthonormal basis of the joint local support (index-aligned when
+`index_support` finds its projector to be a 0/1 diagonal), and
+`local_factors` decides with one stacked SVD per party which states are
+product across that party's cut and what their local vectors are. A set
+keeps both decisions, the support and the product structure, so each (set,
+party) is decided once however many analyses ask.
 `schmidt_rank` and `coefficient_matrix` remain as the per-`Ket` API.
 
 Mixed-state orthogonality of reductions is read as tr(rho_i rho_j) = 0
@@ -341,8 +342,15 @@ def party_rows(space: PartySpace, party: int, mats: np.ndarray) -> np.ndarray:
 
 def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     """The post-measurement party-first matrices of every state of `s` under
-    the Kraus operator, from one batched product, and the mask of the states
+    a Kraus operator, from one batched product, and the mask of the states
     that survive: a state is eliminated when its norm is at most ELIM_TOL.
+
+    `kraus` is one operator (d, d), giving post (n, d, rest) and the mask
+    (n,), or a stack (k, d, d) of a measurement's operators, giving post
+    (k, n, d, rest) and masks (k, n) from one `party_matrices`, one stacked
+    product and one `row_norms` over all k n rows. Each (d, d) x (d, rest)
+    slice of the stack is the product of that operator alone, and each norm
+    the same dots, so an operator's slice has the bits of its own call.
 
     The one survivor decision: outcome application, replay and
     `eliminable_states` read it. Candidate masks (`Candidates.masks`, which
@@ -352,8 +360,9 @@ def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     ||K psi||^2 = sum_b ||P_b psi||^2 in exact arithmetic. The search checks
     that the two agree on every child it visits.
     """
-    post = np.asarray(kraus, dtype=np.complex128) @ party_matrices(s, party)
-    return post, ~(row_norms(post.reshape(len(s), s.space.total_dim)) <= ELIM_TOL)
+    k = np.asarray(kraus, dtype=np.complex128)
+    post = k[..., None, :, :] @ party_matrices(s, party)
+    return post, ~(row_norms(post.reshape(-1, s.space.total_dim)) <= ELIM_TOL).reshape(post.shape[:-2])
 
 
 def union_survivors(s: StateSet, party: int, parts: np.ndarray, bits: np.ndarray) -> np.ndarray:

@@ -278,10 +278,17 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def outcome_matches_reference(s: StateSet, party: int, kraus, result) -> bool:
-    """`result` of apply_outcome(s, party, kraus) equals the per-state
-    reference bit for bit: amplitudes, Ket views, labels and name."""
+    """`result` of apply_outcome(s, party, kraus), or the entry of `kraus`
+    in an `apply_measurement` result, equals the per-state reference bit
+    for bit: amplitudes, Ket views, labels and name; or, where the
+    reference raises a ValueError, `result` is one with the same message."""
+    try:
+        ref, ref_labels = reference_apply_outcome(s, party, kraus)
+    except ValueError as exc:
+        return isinstance(result, ValueError) and str(result) == str(exc)
+    if isinstance(result, ValueError):
+        return False
     out, labels = result
-    ref, ref_labels = reference_apply_outcome(s, party, kraus)
     return (
         labels == ref_labels == out.labels == ref.labels
         and out.name == ref.name
@@ -859,9 +866,12 @@ def product_structure_mismatches(s: StateSet) -> list[str]:
 
 
 class ReferenceCheck:
-    """While installed, compares every `apply_outcome` and `canonical_key`
-    call made through qlocc.protocol or qlocc.certify with the per-state
-    references (counting in `sites` the calls each module makes), every
+    """While installed, compares the result of every `apply_outcome` call
+    made through qlocc.protocol, every outcome of every `apply_measurement`
+    call made through qlocc.certify, and every `canonical_key` call made
+    through either, with the per-state references (counting in `sites` the
+    calls each module makes itself: `apply_outcome`'s own call of
+    `apply_measurement` counts as its caller's), every
     `measurement_candidates` call with the one-mask-per-iteration loops of
     `reference_measurement_candidates` (and the masks of its candidates
     with `survivors`, keeping each call's candidate count, the part count
@@ -896,16 +906,38 @@ class ReferenceCheck:
 
     @contextmanager
     def installed(self):
-        apply_outcome, canonical_key = certify.apply_outcome, certify.canonical_key
+        apply_outcome, apply_measurement, canonical_key = certify.apply_outcome, certify.apply_measurement, certify.canonical_key
         check_unextendible = certify.check_unextendible
         measurement_candidates = oplm.measurement_candidates
+        # apply_outcome calls in progress: their own apply_measurement call
+        # is checked as theirs
+        applying = []
 
         def checked_apply(s, party, kraus, *args, **kwargs):
-            result = apply_outcome(s, party, kraus, *args, **kwargs)
+            applying.append(kraus)
+            try:
+                result = apply_outcome(s, party, kraus, *args, **kwargs)
+            finally:
+                applying.pop()
             self.outcomes += 1
             if not outcome_matches_reference(s, party, kraus, result):
                 self.mismatches.append(f"apply_outcome on {s.labels} at party {party}")
             return result
+
+        def checked_measurement(s, party, kraus, *args, **kwargs):
+            results = apply_measurement(s, party, kraus, *args, **kwargs)
+            for o, (k, result) in enumerate(zip(kraus, results, strict=True)):
+                self.outcomes += 1
+                if not outcome_matches_reference(s, party, k, result):
+                    self.mismatches.append(f"apply_measurement outcome {o} on {s.labels} at party {party}")
+            return results
+
+        counted_measurement = self._counted(certify, "apply_measurement", checked_measurement)
+
+        def measurement_spy(*args, **kwargs):
+            if applying:
+                return apply_measurement(*args, **kwargs)
+            return counted_measurement(*args, **kwargs)
 
         def checked_key(s):
             key = canonical_key(s)
@@ -938,8 +970,9 @@ class ReferenceCheck:
             return got
 
         with recorded_part_stacks() as stacks, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "apply_outcome", self._counted(protocol, "apply_outcome", checked_apply))
+            mp.setattr(certify, "apply_measurement", measurement_spy)
             for mod in (protocol, certify):
-                mp.setattr(mod, "apply_outcome", self._counted(mod, "apply_outcome", checked_apply))
                 mp.setattr(mod, "canonical_key", self._counted(mod, "canonical_key", checked_key))
             mp.setattr(certify, "check_unextendible", self._counted(certify, "check_unextendible", checked_upb))
             for mod in (oplm, protocol):

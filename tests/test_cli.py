@@ -351,6 +351,17 @@ def test_irreducible_names_the_atom_cap_at_desk_scale(capsys, tmp_path):
     assert code == 0 and rep["verdicts"]["projective_measurements"] is None
 
 
+@pytest.mark.parametrize("command", [("protocol", "verify", "--protocol"), ("activate", "--protocol"), ("render", "--overlay")])
+def test_too_deeply_nested_protocol_file_is_refused(capsys, files, tmp_path, command):
+    # a chain of 3,000 measurements is 9,000 nested JSON containers, beyond
+    # the recursion limit of json's decoder
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"party": 0, "outcomes": [{"kraus": [[[1, 0]]], "child": ' * 3000 + "null" + "}]}" * 3000)
+    *words, option = command
+    code, out, err = run(capsys, *words, "--set", files["s3"], option, str(deep))
+    assert (code, out, err) == (2, "", f"qlocc: error: protocol {deep}: nested too deeply to read\n")
+
+
 def test_usage_errors(capsys, files, tmp_path, monkeypatch):
     code, _, err = run(capsys, "check-ortho")
     assert code == 2 and "required" in err

@@ -14,8 +14,8 @@ from qlocc.states import Ket, PartySpace, StateSet, make_ket, merge_parties, red
 
 def _checked_profile(name: str):
     """The depth-8 profile of a fixture, computed while every apply_outcome,
-    canonical_key and measurement_candidates call is compared with its
-    reference."""
+    apply_measurement, canonical_key and measurement_candidates call is
+    compared with its reference."""
     check = ReferenceCheck()
     with check.installed():
         prof = hidden_nonlocality_profile(build_fixture(name), max_depth=8)
