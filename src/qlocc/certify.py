@@ -9,9 +9,9 @@ certifies every leaf set locally indistinguishable (IRREDUCIBLE-EXACT or a
 support-restricted UPB) and irredundant over whole parties. Neither
 trusts the tree: each step is checked as it is replayed.
 
-`apply_measurement` is the one application path: replay applies every
-outcome of a Measure node in one call, and the search applies one outcome
-at a time through `apply_outcome`, its one-operator case.
+`apply_measurement` is the one application path, and `apply_outcome` the
+one name both callers reach it by: replay passes every operator of a
+Measure node in one call, and the search one operator at a time.
 
 The search (`protocol.py`) imports this module, and this module never
 imports the search, the partition profile, the CLI or the fixtures. To
@@ -201,11 +201,19 @@ def apply_measurement(s: StateSet, party: int, kraus) -> list:
 
 
 def apply_outcome(s: StateSet, party: int, kraus):
-    """`apply_measurement` of the one operator `kraus` (d, d): returns
+    """`apply_measurement` reached by one name from the search and replay.
+
+    One operator `kraus` (d, d), as the search applies them: returns
     (surviving StateSet, list of surviving original labels), or raises that
-    outcome's ValueError. The search applies its outcomes one at a time
-    through it, so search and replay share one application path."""
-    (result,) = apply_measurement(s, party, np.asarray(kraus, dtype=np.complex128)[None])
+    outcome's ValueError. A stack (k, d, d), as replay applies a Measure
+    node: returns `apply_measurement`'s list, one result or error per
+    operator, so one outcome's error does not hide its siblings'. The
+    calls a profile of this name sees are thus all outcome application.
+    """
+    kraus = np.asarray(kraus, dtype=np.complex128)
+    if kraus.ndim == 3:
+        return apply_measurement(s, party, kraus)
+    (result,) = apply_measurement(s, party, kraus[None])
     if isinstance(result, ValueError):
         raise result
     return result
@@ -226,14 +234,15 @@ class VerifyReport:
 def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     """Replay a tree from `cur`; yield (path, reached set, leaf) per reachable leaf.
 
-    Each Measure node applies all its outcomes in one `apply_measurement`
-    call, then walks them in order. Faults of the tree itself are appended
-    to `failures` as the walk meets them, never raised: a reachable branch
-    without a child, a party the set does not have, Kraus operators not of
-    that party's size, an incomplete measurement, a child count that
-    differs from the outcome count, and an outcome whose survivors cannot
-    be normalized or break orthogonality (that outcome's failure alone; its
-    siblings still replay). Branches no state reaches are skipped.
+    Each Measure node applies all its outcomes in one `apply_outcome` call
+    on the stack of its operators, then walks them in order. Faults of the
+    tree itself are appended to `failures` as the walk meets them, never
+    raised: a reachable branch without a child, a party the set does not
+    have, Kraus operators not of that party's size, an incomplete
+    measurement, a child count that differs from the outcome count, and an
+    outcome whose survivors cannot be normalized or break orthogonality
+    (that outcome's failure alone; its siblings still replay). Branches no
+    state reaches are skipped.
     """
     if len(cur) == 0:
         return
@@ -257,7 +266,7 @@ def _replay(node, cur: StateSet, failures: list[str], path: str = "root"):
     if len(node.children) != len(m.kraus):
         failures.append(f"{path}: {len(node.children)} children for {len(m.kraus)} outcomes")
         return
-    for idx, applied in enumerate(apply_measurement(cur, node.party, m.kraus)):
+    for idx, applied in enumerate(apply_outcome(cur, node.party, m.kraus)):
         if isinstance(applied, ValueError):
             failures.append(f"{path}/{idx}: {applied}")
             continue

@@ -187,28 +187,27 @@ def _rotated(node, us):
 
 def _walk_both(node, s, path, failures, reached):
     """Walk a tree from `s` as replay does, applying each measurement once
-    through `apply_measurement` and once per outcome through `apply_outcome`,
-    and assert that every outcome agrees bit for bit, with the per-state
-    reference too; keep the failure strings replay would record and the
-    path of every reached set."""
+    as a stack through `apply_measurement` and once per outcome through
+    `apply_outcome`, and assert that every outcome agrees bit for bit, with
+    the per-state reference too; keep the failure strings replay would
+    record and the path of every reached set."""
     if len(s) == 0 or not isinstance(node, Measure):
         return
     party, kraus = node.party, node.measurement.kraus
     stacked = apply_measurement(s, party, kraus)
     for o, (k, got) in enumerate(zip(kraus, stacked, strict=True)):
-        (one,) = apply_measurement(s, party, k[None])
         try:
             want = apply_outcome(s, party, k)
         except ValueError as exc:
-            assert isinstance(got, ValueError) and str(got) == str(one) == str(exc)
+            assert isinstance(got, ValueError) and str(got) == str(exc)
             failures.append(f"{path}/{o}: {exc}")
             continue
         assert outcome_matches_reference(s, party, k, got)
-        for child, labels in (got, one):
-            assert labels == want[1] == child.labels and child.name == want[0].name
-            assert same_bits(child.matrix(), want[0].matrix())
+        child, labels = got
+        assert labels == want[1] == child.labels and child.name == want[0].name
+        assert same_bits(child.matrix(), want[0].matrix())
         reached.append(f"{path}/{o}")
-        _walk_both(node.children[o], got[0], f"{path}/{o}", failures, reached)
+        _walk_both(node.children[o], child, f"{path}/{o}", failures, reached)
 
 
 @pytest.mark.parametrize("frame", [1, 2, 3])
