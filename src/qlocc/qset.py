@@ -21,15 +21,16 @@ back (a label that is empty or holds a blank, `:` or `#`; a name with `#`,
 a line break or outer blanks) is refused with a ValueError.
 
 A document whose states are all canonical is read in bulk, to the same
-amplitude bits as the general tokenizer (`_parse_terms`). Any other text,
-and any canonical text with an index out of range or a coefficient that is
-not finite, goes through the general tokenizer, which alone reports errors.
+amplitude bits as the general reader (`_parse_terms`). Any other text, and
+any canonical text with an index out of range or a coefficient that is not
+finite, goes through the general reader. It reads each state one term at a
+time and stops at the first bad one; it alone reports errors. A document
+declares its dims once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 
@@ -60,7 +61,7 @@ _NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # (group 4), (re,im) (5, 6), p/q (7, 8) or a decimal (9); `*` and blanks may
 # follow it. Group 10 holds the ket's indices. Every part after the operator
 # is optional, so a match never backtracks into another form: it stops where
-# the grammar does, and `_term_error` reads the error off it.
+# the grammar does, and `_read_term` reads the term or its error off it.
 _TERM_RE = re.compile(
     r"((?:(?<=>)\s*([+-]))?\s*()"
     rf"(?:(?:1/sqrt\((\d+)\)|\(({_NUM}),({_NUM})\)|(-?\d+)/(\d+)(?!\w)|({_NUM}))\*?\s*)?"
@@ -68,13 +69,16 @@ _TERM_RE = re.compile(
 )
 
 
-def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, space: PartySpace, bad_coeff: bool) -> QsetError:
-    """The error of the term at `pos`, which is not a whole term, has an
-    index out of range, or (`bad_coeff`) has a coefficient that is not finite."""
-    m = _TERM_RE.match(expr, pos)
-    if bad_coeff:
-        return QsetError("E_RANGE", line_no, col0 + m.start(3), "coefficient outside float range", expr[m.start(3) : m.end()])
-    _, op, _, _, _, _, rp, rq, _, ket = m.groups()
+def _read_term(m: re.Match, after_term: bool, line_no: int, col0: int, space: PartySpace) -> tuple | QsetError:
+    """The term that `m`, a `_TERM_RE` match, reads: its ket indices as
+    floats, its sign, and its coefficient's real and imaginary parts. Or the
+    QsetError of the first rule the term breaks, in this order: a term after
+    another needs an operator; an operator needs a term; a denominator is
+    not zero; a term has a coefficient or a ket; it has a ket; the ket has
+    one index per party; the coefficient is finite; each index is below its
+    party's dim."""
+    expr = m.string
+    _, op, _, sq, cre, cim, rp, rq, dec, ket = m.groups()
     p, q = m.start(3), m.end()
     if after_term and op is None:
         return QsetError("E_SYNTAX", line_no, col0 + p, "expected + or - between terms", expr[p : p + 8])
@@ -86,91 +90,66 @@ def _term_error(expr: str, pos: int, after_term: bool, line_no: int, col0: int, 
         return QsetError("E_SYNTAX", line_no, col0 + p, "expected coefficient or ket", expr[p : p + 8])
     if ket is None:
         return QsetError("E_SYNTAX", line_no, col0 + q, "expected ket |i0,i1,...>", expr[q : q + 12])
-    col, idx = col0 + m.start(10) - 1, [int(i) for i in ket.split(",")]
+    col, idx = col0 + m.start(10) - 1, ket.split(",")
     if len(idx) != space.n_parties:
         return QsetError("E_DIM", line_no, col, f"ket has {len(idx)} indices for {space.n_parties} parties", f"|{ket}>")
-    party = next(k for k, (i, d) in enumerate(zip(idx, space.party_dims)) if i >= d)
-    message = f"index {idx[party]} out of range for party {party} (dim {space.party_dims[party]})"
-    return QsetError("E_DIM", line_no, col, message, f"|{ket}>")
-
-
-def _quotient(p: str, q: str) -> float:
-    """p/q as Python divides ints; nan where that is no float or p or q has too many digits to convert."""
-    try:
-        return int(p) / int(q)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _present(col: tuple[str, ...]) -> np.ndarray:
-    """Which entries of a `findall` column are not empty."""
-    return np.fromiter(map(bool, col), bool, len(col))
+    # a bare ket has coefficient 1; the sign is the operator's, the coefficient's own `-` is in its value
+    real, imag = 1.0, 0.0
+    if sq is not None:
+        n = float(sq)
+        real = 1.0 / math.sqrt(n) if 0.0 < n < math.inf else math.nan
+    elif rp is not None:
+        try:
+            real = int(rp) / int(rq)
+        except (OverflowError, ValueError):  # no float, or too many digits to convert
+            real = math.nan
+    elif dec is not None:
+        real = float(dec)
+    elif cre is not None:
+        real, imag = float(cre), float(cim)
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        return QsetError("E_RANGE", line_no, col0 + p, "coefficient outside float range", expr[p:q])
+    # indices compare as floats: exact below any dim, and no overflow on a long one
+    at = [float(i) for i in idx]
+    party = next((k for k, (i, d) in enumerate(zip(at, space.party_dims)) if i >= d), None)
+    if party is not None:
+        message = f"index {idx[party].lstrip('0')} out of range for party {party} (dim {space.party_dims[party]})"
+        return QsetError("E_DIM", line_no, col, message, f"|{ket}>")
+    return at, -1.0 if op == "-" else 1.0, real, imag
 
 
 def _parse_terms(exprs: list[tuple[str, int, int]], space: PartySpace) -> tuple[np.ndarray, list[int], list]:
     """Parse the term lists `term (+|-) term ...` of a document's states,
-    given as [(expr, line_no, col0)], all at once.
+    given as [(expr, line_no, col0)].
 
     Returns (amplitudes, counts, errors): one row per state, the sum of its
     terms in term order, so a repeated ket adds up as written; each state's
-    number of terms; and each state's QsetError, that of its first bad term
-    (a coefficient outside float range or an index out of range counts
-    before a later term's syntax), or None. Rows from the first state with
-    an error on stay zero.
+    number of terms read; and each state's QsetError, that of its first bad
+    term, or None. Rows from the first state with an error on stay zero.
 
-    One `findall` cuts each expression into matches. The leading ones that
-    are whole terms (a ket, an operator after the first, no zero
-    denominator, one index per party) tile the text, since none is empty,
-    and what follows them must be blank. The last match of an expression,
-    the empty one at its end, is never a whole term.
+    Each state is read one `_TERM_RE` match at a time, from where the last
+    term ended, until only blanks are left or a term is bad.
     """
-    n_parties, dims = space.n_parties, space.party_dims
-    found = [_TERM_RE.findall(expr) for expr, _, _ in exprs]
-    sizes = list(map(len, found))
-    starts = list(itertools.accumulate(sizes, initial=0))[:-1]
-    spans, ops, _, sq, cre, cim, rp, rq, dec, kets = zip(*itertools.chain.from_iterable(found))
-    joined = _present(ops)
-    joined[starts] = True  # the first term of a state has no operator
-    whole = _present(kets) & joined
-    whole &= np.fromiter(map(str.count, kets, itertools.repeat(",")), np.intp, len(kets)) == n_parties - 1
-    if any(rq):
-        whole &= [not d or bool(d.strip("0")) for d in rq]
-    row = np.repeat(np.arange(len(exprs)), sizes)
-    not_whole = np.flatnonzero(~whole)
-    ends = not_whole[np.searchsorted(not_whole, starts)].tolist()
-    term = np.arange(len(kets)) < np.array(ends)[row]
-    # indices compare as floats: exact below any dim, and no overflow on a long one
-    idx = map(str.split, itertools.compress(kets, term), itertools.repeat(","))
-    at = np.fromiter(map(float, itertools.chain.from_iterable(idx)), np.float64).reshape(-1, n_parties)
-    over = np.flatnonzero(term)[(at >= dims).any(axis=1)]
-    first_over = np.append(over, len(kets))[np.searchsorted(over, starts)].tolist()
-    # the coefficient without its sign, each form filling the terms that use
-    # it; a bare ket has coefficient 1
-    real, imag = np.ones(len(ops)), np.zeros(len(ops))
-    w = _present(sq) & term
-    n = np.fromiter(map(float, itertools.compress(sq, w)), np.float64)
-    with np.errstate(divide="ignore"):
-        real[w] = np.where(n < np.inf, 1.0 / np.sqrt(n), np.nan)
-    w = _present(rp) & term
-    real[w] = [_quotient(a, b) for a, b in itertools.compress(zip(rp, rq), w)]
-    w = _present(dec) & term
-    real[w] = np.fromiter(map(float, itertools.compress(dec, w)), np.float64)
-    w = _present(cre) & term
-    real[w], imag[w] = (np.fromiter(map(float, itertools.compress(col, w)), np.float64) for col in (cre, cim))
-    bad = np.flatnonzero(term & ~(np.isfinite(real) & np.isfinite(imag)))
-    first_bad = np.append(bad, len(kets))[np.searchsorted(bad, starts)].tolist()
-    errors = []
-    for (expr, line_no, col0), s, e, o, b in zip(exprs, starts, ends, first_over, first_bad):
-        t = min(e, o, b)
-        pos = sum(map(len, spans[s:t]))
-        bad_coeff = b == t  # b < e then: only whole terms have coefficients
-        errors.append(_term_error(expr, pos, t > s, line_no, col0, space, bad_coeff) if bad_coeff or o < e or expr[pos:].strip() else None)
-    # the terms that count: the whole ones of the states before the first error
-    term &= row < next((r for r, err in enumerate(errors) if err), len(exprs))
-    sign = np.where(np.fromiter(map("-".__eq__, ops), bool, len(ops)), -1.0, 1.0)
-    # that restriction drops only trailing terms, so `at` starts with the kept ones
-    m = _amplitudes(len(exprs), row[term], at[: np.count_nonzero(term)], sign[term], real[term], imag[term], space)
-    return m, [e - s for s, e in zip(starts, ends)], errors
+    states, errors = [], []
+    for expr, line_no, col0 in exprs:
+        terms, pos, stop, err = [], 0, len(expr.rstrip()), None
+        while pos < stop and err is None:
+            m = _TERM_RE.match(expr, pos)
+            term = _read_term(m, bool(terms), line_no, col0, space)
+            if isinstance(term, QsetError):
+                err = term
+            else:
+                terms.append(term)
+                pos = m.end()
+        states.append(terms)
+        errors.append(err)
+    # the terms that count, those of the states before the first error, one
+    # row each: state, sign, re, im, then the ket's indices
+    first_error = next((r for r, err in enumerate(errors) if err), len(exprs))
+    kept = [(r, sign, real, imag, *at) for r in range(first_error) for at, sign, real, imag in states[r]]
+    cols = np.array(kept, np.float64).reshape(-1, 4 + space.n_parties).T
+    m = _amplitudes(len(exprs), cols[0].astype(np.intp), cols[4:].T, cols[1], cols[2], cols[3], space)
+    return m, list(map(len, states)), errors
 
 
 def _amplitudes(n_states: int, rows: np.ndarray, at: np.ndarray, sign, real: np.ndarray, imag: np.ndarray, space: PartySpace) -> np.ndarray:
@@ -243,6 +222,8 @@ def parse_qset(text: str) -> StateSet:
             header_seen = True
             continue
         if stripped.startswith("dims:"):
+            if dims is not None:
+                raise QsetError("E_SYNTAX", line_no, col, "dims declared twice", stripped[:16])
             body = stripped[len("dims:") :].strip()
             try:
                 dims = tuple(int(x) for x in body.split())

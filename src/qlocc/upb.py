@@ -254,13 +254,9 @@ def numeric_extension_search(s: StateSet, restarts: int = 200, seed: int = 0) ->
     """
     if len(s) == 0:
         raise ValueError("empty state set")
-    return _extension_search(s, [support_basis(s, p)[0] for p in range(s.space.n_parties)], restarts, seed)
-
-
-def _extension_search(s: StateSet, supports, restarts: int, seed: int) -> ExtensionSearchResult:
-    """`numeric_extension_search` with party p's candidate in the span of supports[p]."""
     rng = np.random.default_rng(seed)
     n_parties = s.space.n_parties
+    supports = [support_basis(s, p)[0] for p in range(n_parties)]
     rdims = [u.shape[1] for u in supports]
     tensors = _compressed_states(s, supports)
 

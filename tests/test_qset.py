@@ -171,6 +171,23 @@ def test_malformed_terms_report_as_the_reference_walker(expr):
     assert _fields(errors[0]) == _fields(ref.value)
 
 
+# an index too long for int(): still an index out of range, named as written without its leading zeros
+LONG_INDEX = {
+    "5000-nines": ("|0," + "9" * 5000 + ">", "9" * 5000, 1),
+    "leading-zeros": ("|" + "0" * 4400 + "7,1>", "7", 0),
+    "after-a-term": ("|1,1> - 1/2*|0," + "0" * 2 + "8" * 4500 + ">", "8" * 4500, 1),
+}
+
+
+@pytest.mark.parametrize("expr, index, party", LONG_INDEX.values(), ids=LONG_INDEX.keys())
+def test_an_index_of_any_length_is_a_dim_error(expr, index, party):
+    ket = expr[expr.rindex("|") :]
+    col = 10 + expr.rindex("|")
+    message = f"index {index} out of range for party {party} (dim {2 + party})"
+    want = ("E_DIM", 3, col, ket, f"E_DIM at line 3, col {col}: {message} near {ket!r}")
+    assert _fields(_err(f"qset v1\ndims: 2 3\nstate a: {expr} + oops\n")) == want
+
+
 def test_serialize_single_basis_state():
     s = parse_qset("qset v1\ndims: 2 2\nstate a: |0,0>\n")
     text = serialize_qset(s)
@@ -203,6 +220,19 @@ def test_error_dim_out_of_range():
 def test_error_bad_split():
     e = _err("qset v1\ndims: 6 6\nsplit: 1 = 2 2\nstate a: |0,0>\n")
     assert e.code == "E_SPLIT" and e.line == 3
+
+
+def test_a_repeated_dims_line_is_refused():
+    # a second dims line would re-read the states before it in the new space
+    e = _err("qset v1\ndims: 2 2\nstate a: |0,0>\n  dims: 3 3\nstate b: |2,2>\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_SYNTAX", 4, 3, "dims: 3 3")
+    assert "dims declared twice" in str(e)
+
+
+def test_a_repeated_dims_line_after_a_split_is_refused():
+    # it would leave the split's factors to multiply to another dim: a bare ValueError before
+    e = _err("qset v1\ndims: 4 2\nsplit: 0 = 2 2\ndims: 6 2\nstate a: |0,0>\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_SYNTAX", 4, 1, "dims: 6 2")
 
 
 def test_error_duplicate_label():
@@ -465,3 +495,106 @@ def test_labels_and_names_that_read_back_are_written(label, name):
     s = StateSet.from_matrix(PartySpace((2, 2)), np.eye(4)[:2], ["a", label], name)
     back = parse_qset(serialize_qset(s))
     assert (back.labels, back.name) == (s.labels, s.name)
+
+
+# -- hand-written documents from a seeded generator ---------------------------
+
+
+def _decimal(rng, nonzero: bool) -> str:
+    """A decimal in one of its shapes (`5`, `5.`, `.5`, `5.25`), maybe with an exponent and its own `-`."""
+    digits = str(rng.integers(1 if nonzero else 0, 1000))
+    mantissa = [digits, digits + ".", "." + digits, digits[:1] + "." + digits[1:]][rng.integers(4)]
+    return str(rng.choice(["", "", "-"])) + mantissa + str(rng.choice(["", "", "e-2", "E+1", "e3", "e+0"]))
+
+
+def _coefficient(rng, nonzero: bool) -> str:
+    """No coefficient or one of the four forms; `nonzero` keeps it from being zero."""
+    form = rng.integers(5)
+    if form == 1:
+        return f"1/sqrt({rng.integers(1, 50)})"
+    if form == 2:
+        return f"{rng.choice(['', '', '-'])}{rng.integers(1 if nonzero else 0, 20)}/{rng.integers(1, 12)}"
+    if form == 3:
+        return f"({_decimal(rng, nonzero)},{_decimal(rng, False)})"
+    if form == 4:
+        return _decimal(rng, nonzero)
+    return ""
+
+
+def _ket_text(idx) -> str:
+    return "|" + ",".join(idx) + ">"
+
+
+# each breaks the term it is given, so that the state always has an error
+BREAKS = ["missing operator", "dangling operator", "zero denominator", "no coefficient or ket", "no ket", "wrong arity", "index out of range"]
+
+
+def _hand_written_state(rng, dims: tuple[int, ...], broken: bool) -> str:
+    """One state's terms as a person might type them: every coefficient
+    form, `*` or not, blanks and tabs, both joining signs, and repeated
+    kets. The first term's ket is one no other term uses, and its
+    coefficient is not zero, so the state never sums to zero. `broken`
+    breaks one term in one of the ways of `BREAKS`."""
+    flat = rng.choice(int(np.prod(dims)), size=min(3, int(np.prod(dims))), replace=False)
+    kets = [[str(i) for i in np.unravel_index(f, dims)] for f in flat]
+    terms = []
+    for t in range(int(rng.integers(1, 7))):
+        idx = ["0" * int(rng.random() < 0.15) + i for i in kets[0 if t == 0 else rng.integers(1, len(kets))]]
+        coeff = _coefficient(rng, nonzero=t == 0)
+        terms.append((coeff, str(rng.choice(["*", "", "* ", "*\t", " "])) if coeff else "", idx))
+    texts = [coeff + sep + _ket_text(idx) for coeff, sep, idx in terms]
+    if broken:
+        j = rng.integers(len(terms))
+        coeff, sep, idx = terms[j]
+        kind = BREAKS[rng.integers(len(BREAKS))]
+        if kind == "missing operator":
+            texts[j] += " " + _ket_text(kets[0])
+        elif kind == "dangling operator":
+            texts[-1] += str(rng.choice([" +", " -", "+\t", "-"]))
+        elif kind == "zero denominator":
+            texts[j] = f"{rng.choice(['1', '-3', '0'])}/{'0' * rng.integers(1, 3)}*{_ket_text(idx)}"
+        elif kind == "no coefficient or ket":
+            texts[j] = str(rng.choice(["oops", "+", "*", ")"])) + texts[j]
+        elif kind == "no ket":
+            texts[j] = texts[j][:-1]
+        elif kind == "wrong arity":
+            texts[j] = coeff + sep + _ket_text(idx + ["0"] if len(idx) == 1 or rng.random() < 0.5 else idx[:-1])
+        else:
+            p = rng.integers(len(idx))
+            texts[j] = coeff + sep + _ket_text(idx[:p] + ["0" * rng.integers(2) + str(dims[p] + rng.integers(20))] + idx[p + 1 :])
+    expr = texts[0]
+    for text in texts[1:]:
+        expr += str(rng.choice([" + ", " - ", "+", "-", "\t+ ", " -\t", "  +  "])) + text
+    return str(rng.choice(["", " ", "\t"])) + expr
+
+
+def _hand_written_document(rng) -> tuple[str, int | None]:
+    """A document of 1 to 4 states on 1 to 3 parties, with comments and
+    blank lines, and the line of its first broken state, or None. Half the
+    documents of two or more states break one or two states after the first."""
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(1, 4)))
+    lines = ["# typed by hand", "qset v1", "dims: " + " ".join(map(str, dims)) + str(rng.choice(["", "  # parties"]))]
+    if rng.random() < 0.5:
+        lines.append("name: hand written")
+    n_states = int(rng.integers(1, 5))
+    broken = set(rng.integers(1, n_states, size=rng.integers(1, 3)).tolist()) if n_states > 1 and rng.random() < 0.5 else set()
+    first_broken = None
+    for k in range(n_states):
+        if rng.random() < 0.3:
+            lines.append(str(rng.choice(["", "# a comment line", "   "])))
+        head = str(rng.choice(["", " ", "\t"])) + "state" + str(rng.choice([" ", "\t"])) + f"s{k}" + str(rng.choice([":", " : ", ":\t"]))
+        lines.append(head + _hand_written_state(rng, dims, k in broken) + str(rng.choice(["", "  # a note", "\t"])))
+        if k in broken and first_broken is None:
+            first_broken = len(lines)
+    return "\n".join(lines) + "\n", first_broken
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_hand_written_documents_match_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        text, first_broken = _hand_written_document(rng)
+        got = _outcome(text)
+        assert got == _reference_outcome(text), text
+        if first_broken is not None:  # the error is that of the first broken state, after a good one
+            assert got[0] in ("E_SYNTAX", "E_DIM") and got[1] == first_broken, (text, got)

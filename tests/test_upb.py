@@ -402,8 +402,11 @@ def _oracle_input(name):
 
 
 def _ambient_extension_search(s, restarts, seed):
-    """The oracle's descent with each party's candidate on its whole space."""
-    return upb._extension_search(s, [np.eye(d, dtype=np.complex128) for d in s.space.party_dims], restarts, seed)
+    """The oracle's descent with each party's candidate on its whole space:
+    `numeric_extension_search` with every support the identity."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upb, "support_basis", lambda s, p: (np.eye(s.space.party_dims[p], dtype=np.complex128), None))
+        return numeric_extension_search(s, restarts, seed)
 
 
 def _same_bits(a, b):
