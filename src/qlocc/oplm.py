@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ATOM_TOL, CLUSTER_TOL, COMM_TOL, ELIM_TOL, KEY_DECIMALS, NOISE_TOL, RANK_RTOL, SPAN_TOL
+from .linalg import CLUSTER_TOL, KEY_DECIMALS, NOISE_TOL, RANK_RTOL, SPAN_TOL
 from .states import StateSet, gram_check, gram_matrix, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
@@ -298,7 +298,7 @@ def block_structure(sp: OplmSpace) -> BlockStructure:
     iteratively one basis element at a time.
     """
     basis = sp.basis
-    if any(np.abs(a @ b - b @ a).max() > COMM_TOL for a, b in combinations(basis, 2)):
+    if any(np.abs(a @ b - b @ a).max() > SPAN_TOL for a, b in combinations(basis, 2)):
         return BlockStructure(False, [], [])
     r = sp.support_dim
     # columns of V carry the running joint eigenbasis, grouped into blocks
@@ -457,7 +457,7 @@ def _atoms(cols: np.ndarray) -> tuple[np.ndarray, int]:
     null = np.eye(k) - vh.T @ vh
     owner, tops = np.zeros(k, dtype=np.intp), []  # tops: each atom's largest member, descending
     for b in range(k - 1, -1, -1):
-        owner[b] = next((a for a, c in enumerate(tops) if np.abs(null[c] - null[b]).max() <= ATOM_TOL), len(tops))
+        owner[b] = next((a for a, c in enumerate(tops) if np.abs(null[c] - null[b]).max() <= CLUSTER_TOL), len(tops))
         if owner[b] == len(tops):
             tops.append(b)
     return len(tops) - 1 - owner, len(tops)

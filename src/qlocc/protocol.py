@@ -184,7 +184,7 @@ class SetAnalyzer:
     operator: every candidate outcome is a sum of orthogonal parts
     (`Candidates`), so ||K psi||^2 is the sum of its parts' weights
     ||P_b psi||^2: equal in exact arithmetic, and within rounding far below
-    ELIM_TOL in floating point. A child is applied, checked for
+    ORTHO_TOL in floating point. A child is applied, checked for
     orthogonality and interned only when the search first visits it
     (`child_key`), which raises if its survivors are not the labels of the
     mask move ordering read; so every node was either interned by `intern`

@@ -25,7 +25,7 @@ amplitude bits as the general reader (`_parse_terms`). Any other text, and
 any canonical text with an index out of range or a coefficient that is not
 finite, goes through the general reader. It reads each state one term at a
 time and stops at the first bad one; it alone reports errors. A document
-declares its dims once.
+declares its dims and its name once, and each party's split once.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _parse_canonical(exprs: list[str], space: PartySpace) -> tuple[np.ndarray, l
 def parse_qset(text: str) -> StateSet:
     dims: tuple[int, ...] | None = None
     splits: dict[int, tuple[int, ...]] = {}
-    name = ""
+    name: str | None = None
     state_rows: list[tuple[str, list, int, int]] = []
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -240,6 +240,8 @@ def parse_qset(text: str) -> StateSet:
             if not m:
                 raise QsetError("E_SYNTAX", line_no, col, "expected 'split: <party> = f1 f2 ...'", body)
             party = int(m.group(1))
+            if party in splits:
+                raise QsetError("E_SYNTAX", line_no, col, f"split declared twice for party {party}", stripped[:16])
             factors = tuple(int(x) for x in m.group(2).split())
             if party >= len(dims):
                 raise QsetError("E_SPLIT", line_no, col, f"party {party} out of range", body)
@@ -248,6 +250,8 @@ def parse_qset(text: str) -> StateSet:
             splits[party] = factors
             continue
         if stripped.startswith("name:"):
+            if name is not None:
+                raise QsetError("E_SYNTAX", line_no, col, "name declared twice", stripped[:16])
             name = stripped[len("name:") :].strip()
             continue
         m = re.match(rf"state\s+({_LABEL})\s*:\s*(.*)$", stripped)
@@ -283,7 +287,7 @@ def parse_qset(text: str) -> StateSet:
             raise QsetError("E_RANGE", line_no, col, f"state {label!r} has a norm outside float range")
         if norm < NORM_TOL:
             raise QsetError("E_EMPTY_STATE", line_no, col, f"state {label!r} sums to zero")
-    return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name)
+    return StateSet.from_matrix(space, m, [row[0] for row in state_rows], name or "")
 
 
 def serialize_qset(s: StateSet) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import INDEX_TOL, RANK_RTOL
+from .linalg import ORTHO_TOL, RANK_RTOL
 from .states import StateSet, party_matrices
 
 
@@ -68,7 +68,7 @@ def _rectangles_of(label: str, m: np.ndarray, allow_linked: bool):
     Splits along non-contiguous row runs, then column runs, recursively;
     every final block must be a fully supported rank-one rectangle.
     """
-    mask = np.abs(m) > INDEX_TOL
+    mask = np.abs(m) > ORTHO_TOL
     rects = []
 
     def split(rows, cols):
@@ -255,7 +255,7 @@ def _render_svg(s: StateSet, diagram: TileDiagram, overlay) -> str:
 
 def overlay_from_kraus(kraus: np.ndarray) -> list[int]:
     """Basis indices supporting a (near-diagonal) projective outcome: the
-    rows of norm above INDEX_TOL."""
+    rows of norm above ORTHO_TOL."""
     kraus = np.asarray(kraus)
     row_norms = np.linalg.norm(kraus, axis=1)
-    return [i for i in range(kraus.shape[0]) if row_norms[i] > INDEX_TOL]
+    return [i for i in range(kraus.shape[0]) if row_norms[i] > ORTHO_TOL]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ELIM_TOL, INDEX_TOL, NORM_TOL, ORTHO_TOL, PHASE_TOL, RANK_RTOL, RELABEL_TOL, as_carray
+from .linalg import CLUSTER_TOL, NORM_TOL, ORTHO_TOL, PHASE_TOL, RANK_RTOL, as_carray
 
 
 def party_letter(i: int) -> str:
@@ -343,7 +343,9 @@ def party_rows(space: PartySpace, party: int, mats: np.ndarray) -> np.ndarray:
 def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     """The post-measurement party-first matrices of every state of `s` under
     a Kraus operator, from one batched product, and the mask of the states
-    that survive: a state is eliminated when its norm is at most ELIM_TOL.
+    that survive: a state is eliminated when its norm is at most ORTHO_TOL,
+    that is, when it is orthogonal to the outcome's range. Elimination keeps
+    ORTHO_TOL's default: `--tol` does not reach it.
 
     `kraus` is one operator (d, d), giving post (n, d, rest) and the mask
     (n,), or a stack (k, d, d) of a measurement's operators, giving post
@@ -362,7 +364,7 @@ def survivors(s: StateSet, party: int, kraus) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.asarray(kraus, dtype=np.complex128)
     post = k[..., None, :, :] @ party_matrices(s, party)
-    return post, ~(row_norms(post.reshape(-1, s.space.total_dim)) <= ELIM_TOL).reshape(post.shape[:-2])
+    return post, ~(row_norms(post.reshape(-1, s.space.total_dim)) <= ORTHO_TOL).reshape(post.shape[:-2])
 
 
 def union_survivors(s: StateSet, party: int, parts: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -371,30 +373,31 @@ def union_survivors(s: StateSet, party: int, parts: np.ndarray, bits: np.ndarray
     of shape bits.shape[:-1] + (len(s),), from one product for all of them.
 
     With w[b, i] = ||P_b psi_i||^2, a state survives K when sqrt(bits @ w)
-    exceeds ELIM_TOL: for orthogonal projectors that is ||K psi|| in exact
+    exceeds ORTHO_TOL: for orthogonal projectors that is ||K psi|| in exact
     arithmetic (see `survivors`). Every term is a nonnegative sum of
     squares, so nothing cancels, and the two norms differ only by the
-    rounding of the products, near 1e-16, far below ELIM_TOL. Memory is one
+    rounding of the products, near 1e-16, far below ORTHO_TOL. Memory is one
     (k, n, d, rest) stack, bounded by the number of parts, not of operators.
     """
     post = parts[:, None] @ party_matrices(s, party)
     w = np.square(post.view(np.float64)).sum(axis=(2, 3))
-    return np.sqrt(bits @ w) > ELIM_TOL
+    return np.sqrt(bits @ w) > ORTHO_TOL
 
 
 def occupied_indices(mats: np.ndarray) -> list[int]:
     """Computational-basis indices of the party on which some state has an
-    entry above INDEX_TOL, from its party matrices (n, d_party, d_rest)."""
+    entry above ORTHO_TOL, so is not orthogonal to that basis vector, from
+    its party matrices (n, d_party, d_rest)."""
     weight = np.abs(mats).max(axis=(0, 2))
-    return [i for i in range(mats.shape[1]) if weight[i] > INDEX_TOL]
+    return [i for i in range(mats.shape[1]) if weight[i] > ORTHO_TOL]
 
 
 def index_support(proj: np.ndarray) -> list[int] | None:
     """The indices i with proj[i, i] = 1 when the projector `proj` is a 0/1
-    diagonal matrix to within INDEX_TOL in every entry, else None."""
+    diagonal matrix to within ORTHO_TOL in every entry, else None."""
     diag = np.real(np.diagonal(proj))
     off = proj - np.diag(np.diagonal(proj))
-    if np.abs(off).max(initial=0.0) < INDEX_TOL and np.all((diag < INDEX_TOL) | (np.abs(diag - 1) < INDEX_TOL)):
+    if np.abs(off).max(initial=0.0) < ORTHO_TOL and np.all((diag < ORTHO_TOL) | (np.abs(diag - 1) < ORTHO_TOL)):
         return [i for i in range(len(diag)) if diag[i] > 0.5]
     return None
 
@@ -606,7 +609,7 @@ def _compressed_rows(s: StateSet) -> tuple[np.ndarray, int, int]:
 def equal_up_to_local_relabeling(a: StateSet, b: StateSet) -> bool:
     """Same bipartite set up to support embedding, independent local basis
     relabelings (index permutations), per-state phases and state order: each
-    state of `a` must have overlap above 1 - RELABEL_TOL with a distinct
+    state of `a` must have overlap above 1 - CLUSTER_TOL with a distinct
     state of `b`."""
     from itertools import permutations
 
@@ -621,7 +624,7 @@ def equal_up_to_local_relabeling(a: StateSet, b: StateSet) -> bool:
         for pb in permutations(range(ca)):
             perm = mb[:, pa][:, :, pb].reshape(len(b), -1)
             overlap = np.abs(va.conj() @ perm.T)
-            hits = overlap > 1 - RELABEL_TOL
+            hits = overlap > 1 - CLUSTER_TOL
             if hits.sum(axis=1).min() >= 1 and len(set(int(np.argmax(r)) for r in hits)) == len(a):
                 return True
     return False

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import EXTENSION_TOL, SPAN_TOL, SWEEP_TOL, WITNESS_TOL
+from .linalg import EXTENSION_TOL, SPAN_TOL, SWEEP_TOL
 from .states import Ket, StateSet, gram_check, local_factors, row_norms, support_basis
 
 ASSIGNMENT_CAP = 10**7
@@ -222,7 +222,7 @@ def check_unextendible(s: StateSet) -> UpbVerdict:
             amp = np.kron(amp, v)
         witness = Ket(s.space, amp, "extension")
         overlaps = np.abs(s.matrix().conj() @ witness.amplitudes)
-        if overlaps.max() > WITNESS_TOL:
+        if overlaps.max() > SPAN_TOL:
             raise AssertionError("internal error: extension witness not orthogonal")
         return UpbVerdict(False, witness, list(assignment), note, nodes)
     return UpbVerdict(True, None, None, note, nodes)

@@ -18,7 +18,7 @@ import pytest
 from qlocc import certify, oplm, partitions, protocol, qset, states, upb
 from qlocc.certify import Leaf, Measure, _replay, apply_outcome
 from qlocc.fixtures import FIXTURE_NAMES, build_fixture, builtin_protocol
-from qlocc.linalg import ELIM_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL, WITNESS_TOL
+from qlocc.linalg import ORTHO_TOL, RANK_RTOL, SPAN_TOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -239,7 +239,7 @@ def reference_apply_outcome(s: StateSet, party: int, kraus, check: bool = True, 
         t = k.tensor().transpose(order).reshape(dims[party], -1)
         post = kraus @ t
         nrm = np.linalg.norm(post)
-        if nrm <= ELIM_TOL:
+        if nrm <= ORTHO_TOL:
             continue
         full = post.reshape([dims[q] for q in order]).transpose(inv).reshape(-1)
         survivors.append(Ket(s.space, full, k.label))
@@ -820,7 +820,7 @@ def reference_check_unextendible(s: StateSet) -> UpbVerdict:
             amp = np.kron(amp, v)
         witness = Ket(s.space, amp, "extension")
         overlaps = np.abs(s.matrix().conj() @ witness.amplitudes)
-        if overlaps.max() > WITNESS_TOL:
+        if overlaps.max() > SPAN_TOL:
             raise AssertionError("internal error: extension witness not orthogonal")
         return UpbVerdict(False, witness, list(assignment), note, nodes)
     return UpbVerdict(True, None, None, note, nodes)

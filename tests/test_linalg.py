@@ -2,6 +2,9 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,10 @@ import pytest
 import qlocc
 from qlocc import linalg, states
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import as_carray
-from qlocc.oplm import is_locally_irreducible
+from qlocc.linalg import ORTHO_TOL, as_carray
+from qlocc.oplm import block_structure, is_locally_irreducible, oplm_space
 from qlocc.protocol import activation_search, search_distinguishing_protocol
-from qlocc.states import Bipartition, Ket, PartySpace, make_ket, schmidt_rank
+from qlocc.states import Bipartition, Ket, PartySpace, StateSet, make_ket, schmidt_rank
 from qlocc.upb import check_unextendible
 
 MODULES = [qlocc] + [importlib.import_module(f"qlocc.{m.name}") for m in pkgutil.iter_modules(qlocc.__path__)]
@@ -137,3 +140,119 @@ def test_readme_table_and_bench_copy_match_the_policy():
     tree = ast.parse((root / "bench" / "workloads.py").read_text())
     copies = [n.value.value for n in tree.body if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["ORACLE_TOL"]]
     assert copies == [linalg.ORACLE_TOL]
+
+
+# Every linalg constant, mapped to the tests whose inputs straddle its cut,
+# or to the reason it moves no verdict.
+NEAR_THRESHOLD = {
+    "RANK_RTOL": ["tests/test_oplm.py::test_rank_and_basis_come_from_one_svd"],
+    "NOISE_TOL": ["tests/test_oplm.py::test_index_split_fires_only_where_the_solve_finds_two_dimensions"],
+    "ORTHO_TOL": [
+        "tests/test_protocol.py::test_certify_fails_certified_leaves_not_orthogonal_at_ortho_tol",
+        "tests/test_oplm.py::test_union_survivors_match_survivors_random",
+        "tests/test_oplm.py::test_residual_part_keeps_a_faint_state",
+        "tests/test_linalg.py::test_elimination_flips_at_ortho_tol",
+    ],
+    "SPAN_TOL": ["tests/test_linalg.py::test_unextendibility_flips_at_span_tol"],
+    "CLUSTER_TOL": [
+        "tests/test_states.py::test_equal_up_to_local_relabeling_overlap_bound",
+        "tests/test_linalg.py::test_block_count_flips_at_cluster_tol",
+    ],
+    "NORM_TOL": ["tests/test_states.py::test_ket_normalization_thresholds_match_unit_rows"],
+    "PHASE_TOL": "only picks the entry whose phase `fixed_phases` fixes in interning keys and local factors; no verdict reads a phase",
+    "EXTENSION_TOL": "only stops the numeric oracle's restarts early; the exact UPB check never reads it",
+    "SWEEP_TOL": "only ends a descent restart of the numeric oracle; the exact UPB check never reads it",
+    "TERM_TOL": "only decides which terms `serialize_qset` writes; every analysis reads the amplitudes themselves",
+    "ORACLE_TOL": "only decides the oracle's `agrees` flag beside the exact UPB verdict, which never reads it",
+    "KEY_DECIMALS": "only rounds interning and dedupe keys; the digest and certificate pins hold its bytes",
+}
+
+
+def test_every_linalg_constant_names_its_near_threshold_tests():
+    constants = {name for name, value in vars(linalg).items() if name.isupper() and isinstance(value, (int, float))}
+    assert set(NEAR_THRESHOLD) == constants
+    ids = [i for entry in NEAR_THRESHOLD.values() if isinstance(entry, list) for i in entry]
+    assert all(entry and (isinstance(entry, list) or "\n" not in entry) for entry in NEAR_THRESHOLD.values())
+    root = Path(__file__).resolve().parent.parent
+    files = sorted({i.split("::")[0] for i in ids})
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert [i for i in ids if not any(line == i or line.startswith(i + "[") for line in out)] == []
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_elimination_flips_at_ortho_tol(factor):
+    # a state of s1 with no weight on one index of A gets `factor` ORTHO_TOL of
+    # weight there: below the cut the index projector eliminates it, as with
+    # none, above it the state survives; both survivor paths agree either side
+    s = build_fixture("s1")
+    rng = np.random.default_rng(11)
+    d = s.space.party_dims[0]
+    mats = states.party_matrices(s, 0)
+    empty = np.argwhere(np.abs(mats).max(axis=2) == 0)
+    state, index = empty[rng.integers(len(empty))]
+    column = int(rng.integers(mats.shape[2]))
+    eps = factor * ORTHO_TOL * np.exp(2j * np.pi * rng.random())
+    # party 0 is the slow index, so its index and the rest's column make the flat one
+    m = s.matrix().copy()
+    m[state, index * mats.shape[2] + column] = eps
+    moved = StateSet.from_matrix(s.space, m, s.labels, s.name)
+    parts = np.array([np.diag(e) for e in np.eye(d)])
+    for t, survives in ((s, False), (moved, factor > 1)):
+        masks = [states.survivors(t, 0, parts[index])[1], states.union_survivors(t, 0, parts, np.eye(d)[index])]
+        assert [bool(mask[state]) for mask in masks] == [survives, survives]
+        assert (masks[0] == masks[1]).all()
+
+
+def _shifts(off: float, seed: int) -> StateSet:
+    """The Shifts UPB |0,1,c>, |1,b,0>, |a,0,1>, |a',b',c'> on three qubits,
+    with seeded b and c and a = cos(off)|0> + sin(off)|1>, so that `off` is a's
+    residual against the span of |0>. The states are orthogonal for every off."""
+    rng = np.random.default_rng(seed)
+
+    def qubit(theta, phase):
+        return np.array([np.cos(theta), np.exp(1j * phase) * np.sin(theta)])
+
+    def perp(v):
+        return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+    b, c = (qubit(*rng.uniform(0.3, 1.2, size=2)) for _ in range(2))
+    a, (e0, e1) = qubit(off, 0.0), np.eye(2)
+    prods = [(e0, e1, c), (e1, b, e0), (a, e0, e1), (perp(a), perp(b), perp(c))]
+    rows = np.array([np.kron(np.kron(x, y), z) for x, y, z in prods])
+    return StateSet.from_matrix(PartySpace((2, 2, 2)), rows, [f"p{i}" for i in range(4)], "shifts")
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_unextendibility_flips_at_span_tol(factor):
+    # with a in the span of |0> A holds two states, B and C one each, and a
+    # product vector extends the set; `factor` SPAN_TOL off that span, A's
+    # two vectors span C2 below the cut only
+    assert not check_unextendible(_shifts(0.0, 5)).unextendible
+    v = check_unextendible(_shifts(factor * linalg.SPAN_TOL, 5))
+    assert v.unextendible is (factor > 1)
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_block_count_flips_at_cluster_tol(factor):
+    # s1's OPLM space on A with its second element replaced by a seeded
+    # rotation of diag(0, 0, gap, gap): two eigenvalue clusters part into
+    # two blocks only when the gap exceeds CLUSTER_TOL
+    sp = oplm_space(build_fixture("s1"), 0)
+    r = sp.support_dim
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+
+    def blocks(gap):
+        e = u @ np.diag([0.0] * (r // 2) + [gap] * (r - r // 2)) @ u.conj().T
+        bs = block_structure(replace(sp, basis=[np.eye(r) / np.sqrt(r), e]))
+        assert bs.commuting
+        return len(bs.blocks)
+
+    assert blocks(0.0) == 1
+    assert blocks(factor * linalg.CLUSTER_TOL) == (2 if factor > 1 else 1)

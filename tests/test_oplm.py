@@ -33,7 +33,7 @@ from _helpers import (
 import qlocc
 from qlocc import oplm
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import ELIM_TOL, INDEX_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL
+from qlocc.linalg import NOISE_TOL, ORTHO_TOL, RANK_RTOL, SPAN_TOL
 from qlocc.oplm import (
     ATOM_CAP,
     CLASS_NOTE,
@@ -1105,7 +1105,7 @@ def _index_label_mismatches(s: StateSet) -> list[str]:
             label = m.labels[0]
             if label.startswith("P[") and not label.startswith("P[blocks "):
                 on = np.isin(np.arange(m.kraus[0].shape[0]), [int(i) for i in label[2:-1].split(",")])
-                if np.abs(m.kraus[0] - np.diag(on.astype(complex))).max() > INDEX_TOL:
+                if np.abs(m.kraus[0] - np.diag(on.astype(complex))).max() > ORTHO_TOL:
                     bad.append(f"party {p} {label}")
     return bad
 
@@ -1127,7 +1127,7 @@ def test_unaligned_support_keeps_block_labels():
 
 def _with_faint_index(s: StateSet, party: int, state: int, eps: float) -> StateSet:
     """`s` with one more index on `party`, on which `state` has amplitude
-    `eps` at every other coordinate: below INDEX_TOL, so the index stays
+    `eps` at every other coordinate: below ORTHO_TOL, so the index stays
     unoccupied and outside the support, and only the residual parts of the
     two candidate families hold that weight."""
     mats = party_matrices(s, party)
@@ -1144,18 +1144,18 @@ def _with_faint_index(s: StateSet, party: int, state: int, eps: float) -> StateS
     seed=st.integers(0, 2**32 - 1),
     source=st.sampled_from(["random", "product", "s1", "s2", "s3", "s5", "s6", "tiles33", "s1_general"]),
     rotated=st.booleans(),
-    faint=st.one_of(st.none(), st.floats(1e-12, 0.9 * INDEX_TOL)),
+    faint=st.one_of(st.none(), st.floats(1e-12, 0.9 * ORTHO_TOL)),
 )
 def test_union_survivors_match_survivors_random(seed, source, rotated, faint):
     # rotated sets have blocks that are not index-aligned; a faint index puts
-    # sub-INDEX_TOL weight where only a residual part sees it
+    # sub-ORTHO_TOL weight where only a residual part sees it
     s = _candidate_source(seed, source, rotated)
     assume(s is not None)
     if faint is not None:
         party, state = seed % s.space.n_parties, seed % len(s)
         rest = s.space.total_dim // s.space.party_dims[party]
         # the two norms agree to rounding, so keep the faint norm off the cut
-        assume(not 0.5 < faint * np.sqrt(rest) / ELIM_TOL < 2)
+        assume(not 0.5 < faint * np.sqrt(rest) / ORTHO_TOL < 2)
         s = _with_faint_index(s, party, state, faint)
     for p in range(s.space.n_parties):
         # one product per union family, each with at most d + 1 parts
@@ -1171,7 +1171,7 @@ def test_residual_part_keeps_a_faint_state():
     s1 = build_fixture("s1")
     (m,) = measurement_candidates(s1, 0)
     state = next(i for i, keep in enumerate(survivors(s1, 0, m.kraus[1])[1]) if not keep)
-    s = _with_faint_index(s1, 0, state, 0.9 * INDEX_TOL)
+    s = _with_faint_index(s1, 0, state, 0.9 * ORTHO_TOL)
     cands = measurement_candidates(s, 0)
     assert [c.labels for c in cands] == [m.labels] and mask_mismatches(s, 0, cands) == []
     assert cands.masks[0, 1, state]

@@ -235,6 +235,25 @@ def test_a_repeated_dims_line_after_a_split_is_refused():
     assert (e.code, e.line, e.col, e.lexeme) == ("E_SYNTAX", 4, 1, "dims: 6 2")
 
 
+def test_a_repeated_split_line_for_one_party_is_refused():
+    # the last split would silently win: sub_splits {0: (4,)}
+    e = _err("qset v1\ndims: 4 2\nsplit: 0 = 2 2\n split: 0 = 4\nstate a: |0,0>\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_SYNTAX", 4, 2, "split: 0 = 4")
+    assert "split declared twice for party 0" in str(e)
+
+
+def test_splits_of_two_parties_are_not_a_repeat():
+    s = parse_qset("qset v1\ndims: 4 6\nsplit: 1 = 2 3\nsplit: 0 = 2 2\nstate a: |0,0>\n")
+    assert s.space.sub_splits == {0: (2, 2), 1: (2, 3)}
+
+
+def test_a_repeated_name_line_is_refused():
+    # the second name would silently replace the first, even an empty one
+    e = _err("qset v1\ndims: 2 2\nname:\nstate a: |0,0>\nname: b\n")
+    assert (e.code, e.line, e.col, e.lexeme) == ("E_SYNTAX", 5, 1, "name: b")
+    assert "name declared twice" in str(e)
+
+
 def test_error_duplicate_label():
     e = _err("qset v1\ndims: 2 2\nstate a: |0,0>\nstate a: |1,1>\n")
     assert e.code == "E_DUP_LABEL" and e.line == 4

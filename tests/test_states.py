@@ -372,7 +372,7 @@ def test_equal_up_to_local_relabeling():
 
 @pytest.mark.parametrize("gap, equal", [(1e-7, True), (1e-5, False)])
 def test_equal_up_to_local_relabeling_overlap_bound(gap, equal):
-    # overlaps 1 - 1e-7 and 1 - 1e-5 lie on either side of 1 - RELABEL_TOL (1e-6)
+    # overlaps 1 - 1e-7 and 1 - 1e-5 lie on either side of 1 - CLUSTER_TOL (1e-6)
     t = build_fixture("tiles33")
     perm = np.kron(np.eye(3), np.eye(3)[[1, 2, 0]])
     rows = t.matrix() @ perm.T
