@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import KEY_DECIMALS, NOISE_TOL, SPAN_TOL
+from .linalg import NOISE_TOL, SPAN_TOL, key_bytes
 from .oplm import CLASS_NOTE, LocalMeasurement, index_split, oplm_space
 from .qset import QsetError, parse_qset, serialize_qset
 from .states import StateSet, fixed_phases, gram_check, local_factors, party_letter, party_rows, redundancy_check_whole_parties, support_basis, survivors
@@ -105,16 +105,20 @@ def _kraus_from_json(entry) -> np.ndarray | None:
     nonempty square matrix of [re, im] pairs of finite numbers, else None.
 
     One `np.asarray` reads the whole entry; its dtype tells the leaf types,
-    so a string is refused, not parsed. A bool counts as 0 or 1 and an
+    so a string is refused, not parsed. A bool counts as 0 or 1, and an
     integer too wide for 64 bits as the nearest float, both as `complex`
-    takes them.
+    takes them; an integer beyond float range, where `complex` overflows,
+    makes the entry malformed.
     """
     try:
         a = np.asarray(entry)
     except (TypeError, ValueError):  # ragged
         return None
     if a.dtype == object and all(type(v) in (bool, int, float) for v in a.flat):
-        a = a.astype(np.float64)
+        try:
+            a = a.astype(np.float64)
+        except OverflowError:  # an integer beyond float range
+            return None
     if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2 or a.shape[0] != a.shape[1] or not a.size:
         return None
     a = a.astype(np.float64)
@@ -335,14 +339,14 @@ def canonical_key(s: StateSet) -> bytes:
     """Interning key: the sha256 digest of the party dims and one item per
     state, sorted.
 
-    Each row gets its phase fixed by `fixed_phases` and is rounded to
-    KEY_DECIMALS decimals; its item is the row's bytes followed by its
+    Each row gets its phase fixed by `fixed_phases`; its item is the row's
+    bytes under the one key rule (`key_bytes`), followed by its
     label, so sets that differ only in labels get different keys. The memo
     keeps the digest, not the items, which are as large as the amplitude
     matrix itself.
     """
     m = fixed_phases(s.matrix())
-    buf = (np.round(m, KEY_DECIMALS) + 0.0).tobytes()
+    buf = key_bytes(m)
     width = m.shape[1] * m.itemsize
     items = []
     for i, lab in enumerate(s.labels):

@@ -1,4 +1,5 @@
-"""The numerical tolerances of qlocc, and the finite complex array check.
+"""The numerical tolerances of qlocc, the one key rule, and the finite
+complex array check.
 
 This is the one module that says what counts as zero. Every cut that
 decides a verdict, a certificate byte or a line of output is named here,
@@ -17,6 +18,9 @@ never counts as a constraint. Only ORTHO_TOL is reachable from the command
 line, and only where it is passed as an argument: `--tol` and `QLOCC_TOL`
 replace it at the orthogonality gate and in the redundancy check, while
 elimination and index occupancy keep its default.
+
+`key_bytes` is the one rule that turns an array into key bytes: every
+interning and dedupe key reads it, and no other module rounds.
 """
 
 from __future__ import annotations
@@ -45,8 +49,15 @@ ORACLE_TOL = 1e-8
 SWEEP_TOL = 1e-15
 # An amplitude's magnitude: `serialize_qset` writes the terms above it.
 TERM_TOL = 1e-14
-# Interning and dedupe keys round entries to this many decimals: reached sets (`canonical_key`) and union measurements.
+# Interning and dedupe keys round entries to this many decimals, in `key_bytes` only.
 KEY_DECIMALS = 9
+
+
+def key_bytes(a: np.ndarray) -> bytes:
+    """The bytes of `a` rounded to KEY_DECIMALS decimals: the one key rule of
+    reached sets (`canonical_key`) and union measurements (`_Unions.keys`)."""
+    # + 0.0 turns -0.0 into 0.0, so arrays equal after rounding give equal bytes
+    return (np.round(a, KEY_DECIMALS) + 0.0).tobytes()
 
 
 def as_carray(a) -> np.ndarray:

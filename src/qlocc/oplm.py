@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CLUSTER_TOL, KEY_DECIMALS, NOISE_TOL, RANK_RTOL, SPAN_TOL
+from .linalg import CLUSTER_TOL, NOISE_TOL, RANK_RTOL, SPAN_TOL, key_bytes
 from .states import StateSet, gram_check, gram_matrix, index_support, occupied_indices, party_letter, party_matrices, support_basis, survivors, union_survivors
 
 # a union family is enumerated (2^(k-1) masks) only while it has k <= this
@@ -378,14 +378,15 @@ class _Unions(NamedTuple):
     parts: np.ndarray  # (k, r, r)
 
     def keys(self) -> list[bytes]:
-        """Each union's dedupe key: the sha256 digest of min(rounded P
-        bytes, rounded I - P bytes), from one `_union_kraus` stack per
-        MASK_CHUNK of unions."""
+        """Each union's dedupe key: the sha256 digest of min(P bytes, I - P
+        bytes) under the one key rule (`key_bytes`), from one
+        `_union_kraus` stack per MASK_CHUNK of unions, each stack keyed in
+        one call and sliced per union."""
         keys = []
         for lo in range(0, len(self.members), MASK_CHUNK):
             p_full, q_full = _union_kraus(self.support, self.parts, self.members[lo : lo + MASK_CHUNK])
-            rp, rq = np.round(p_full, KEY_DECIMALS), np.round(q_full, KEY_DECIMALS)
-            keys += [hashlib.sha256(min(a.tobytes(), b.tobytes())).digest() for a, b in zip(rp, rq)]
+            bp, bq, w = key_bytes(p_full), key_bytes(q_full), p_full[0].nbytes
+            keys += [hashlib.sha256(min(bp[i : i + w], bq[i : i + w])).digest() for i in range(0, len(bp), w)]
         return keys
 
     def measurement(self, party: int, c: int) -> LocalMeasurement:
@@ -542,10 +543,11 @@ def measurement_candidates(s: StateSet, party: int, sp: OplmSpace | None = None)
     """Two-outcome projective OPLM candidates for one party.
 
     Two families of unions, enumerated by `_union_measurements`; where both
-    are present, deduplicated on the digests of their rounded Kraus
-    operators (`_Unions.keys`), the first found kept. One family alone
-    repeats no measurement (see `_Unions`), so it is kept whole, and no
-    Kraus operator is built for a key:
+    are present, deduplicated on the digests of their Kraus operators'
+    `key_bytes` (`_Unions.keys`), the first found kept, so the list holds
+    each measurement once. One family alone repeats no measurement (see
+    `_Unions`), so it is kept whole, and no Kraus operator is built for a
+    key:
 
     * If the operator space restricted to the joint local support commutes,
       `projective_oplms`: the unions of joint eigenblocks (complete for

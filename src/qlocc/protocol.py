@@ -173,10 +173,10 @@ class SetAnalyzer:
 
     Reached sets are interned by `canonical_key` into `nodes` (key ->
     `_Node`), so two sets with the same amplitudes but different labels are
-    two nodes. A key's node keeps the
-    first set that reached it; sets with equal keys agree to KEY_DECIMALS
-    decimals, and trees print reached sets in full. `nodes` is in the order
-    the sets were first reached, and so is the activation transcript.
+    two nodes. A key's node keeps the first set that reached it; sets with
+    equal keys agree to KEY_DECIMALS decimals (`key_bytes`), and trees print
+    reached sets in full. `nodes` is in the order the sets were first
+    reached, and so is the activation transcript.
 
     Expanding a node keeps only what move ordering needs: each outcome's
     survivor mask and count. They come from the masks

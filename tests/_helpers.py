@@ -326,7 +326,7 @@ def _reference_projective_oplms(sp: OplmSpace, bs: BlockStructure) -> list[Local
             continue
         if constraint_residual(sp, p) > SPAN_TOL:
             continue
-        key = np.round(p, 9).tobytes()
+        key = (np.round(p, 9) + 0.0).tobytes()
         if key in seen:
             continue
         seen.add(key)
@@ -426,8 +426,8 @@ def reference_measurement_candidates(s: StateSet, party: int, sp: OplmSpace | No
     seen: dict[bytes, LocalMeasurement] = {}
 
     def add(m: LocalMeasurement):
-        k1 = np.round(m.kraus[0], 9).tobytes()
-        k2 = np.round(m.kraus[1], 9).tobytes()
+        k1 = (np.round(m.kraus[0], 9) + 0.0).tobytes()
+        k2 = (np.round(m.kraus[1], 9) + 0.0).tobytes()
         seen.setdefault(min(k1, k2), m)
 
     if sp.space_dim >= 2 and 2 <= sp.support_dim:
@@ -518,7 +518,7 @@ def reference_union_measurements(party: int, support: np.ndarray, parts: np.ndar
             p[bits[:, b] == 1] += part
         p_full = support @ p @ support.conj().T
         q_full = ident - p_full
-        rp, rq = np.round(p_full, 9), np.round(q_full, 9)
+        rp, rq = np.round(p_full, 9) + 0.0, np.round(q_full, 9) + 0.0
         for c, row in enumerate(bits):
             members = np.flatnonzero(row).tolist()
             if all(index_sets[b] is not None for b in members):
@@ -1241,7 +1241,7 @@ def reference_kraus_from_json(entry) -> np.ndarray | None:
     None where that loader called the entry malformed."""
     try:
         k = np.array([[complex(re, im) for re, im in row] for row in entry])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         k = None
     if k is None or k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size or not np.isfinite(k).all():
         return None

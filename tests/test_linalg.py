@@ -13,8 +13,8 @@ import pytest
 import qlocc
 from qlocc import linalg, states
 from qlocc.fixtures import build_fixture
-from qlocc.linalg import ORTHO_TOL, as_carray
-from qlocc.oplm import block_structure, is_locally_irreducible, oplm_space
+from qlocc.linalg import ORTHO_TOL, as_carray, key_bytes
+from qlocc.oplm import block_structure, is_locally_irreducible, measurement_candidates, oplm_space, projective_oplms
 from qlocc.protocol import activation_search, search_distinguishing_protocol
 from qlocc.states import Bipartition, Ket, PartySpace, StateSet, make_ket, schmidt_rank
 from qlocc.upb import check_unextendible
@@ -164,7 +164,11 @@ NEAR_THRESHOLD = {
     "SWEEP_TOL": "only ends a descent restart of the numeric oracle; the exact UPB check never reads it",
     "TERM_TOL": "only decides which terms `serialize_qset` writes; every analysis reads the amplitudes themselves",
     "ORACLE_TOL": "only decides the oracle's `agrees` flag beside the exact UPB verdict, which never reads it",
-    "KEY_DECIMALS": "only rounds interning and dedupe keys; the digest and certificate pins hold its bytes",
+    "KEY_DECIMALS": [
+        "tests/test_linalg.py::test_key_bytes_dedupes_one_projector_from_two_families",
+        "tests/test_linalg.py::test_key_bytes_flips_at_key_decimals",
+        "tests/test_linalg.py::test_key_bytes_normalizes_signed_zeros",
+    ],
 }
 
 
@@ -256,3 +260,43 @@ def test_block_count_flips_at_cluster_tol(factor):
 
     assert blocks(0.0) == 1
     assert blocks(factor * linalg.CLUSTER_TOL) == (2 if factor > 1 else 1)
+
+
+def test_key_bytes_dedupes_one_projector_from_two_families():
+    # party B of s1_general d=6 without its r0_* states (those with weight
+    # on A's index 0): the block unions and the index projectors both find
+    # P[0], the block copy with rounding noise where the index copy holds
+    # exact zeros, so the two differ in zero signs after rounding; one key
+    # rule gives both one key, and the candidates hold P[0] once
+    s = build_fixture("s1_general", d=6)
+    t = StateSet(s.space, [k for k in s if not k.label.startswith("r0_")], s.name)
+    sp = oplm_space(t, 1, on_support=True)
+    [block] = projective_oplms(sp, block_structure(sp))
+    index = np.diag(np.eye(sp.support.shape[0], dtype=np.complex128)[0])
+    pairs = [block.kraus, [index, np.eye(len(index)) - index]]
+    assert block.labels[0] == "P[0]"
+    assert len({min(np.round(k, linalg.KEY_DECIMALS).tobytes() for k in pair) for pair in pairs}) == 2
+    assert len({min(key_bytes(k) for k in pair) for pair in pairs}) == 1
+    cands = measurement_candidates(t, 1, sp)
+    assert [cands.label(i) for i in range(len(cands))] == ["P[0]"]
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_key_bytes_flips_at_key_decimals(factor):
+    # an entry of 0.25, far from a rounding half-point, moved by `factor`
+    # units of the last kept decimal: its key moves only above the unit
+    a = np.full((2, 2), 0.25, dtype=np.complex128)
+    moved = a.copy()
+    moved[0, 1] += factor * 10.0**-linalg.KEY_DECIMALS
+    assert (key_bytes(moved) == key_bytes(a)) is (factor < 1)
+
+
+def test_key_bytes_normalizes_signed_zeros():
+    # -0.0 in place of +0.0, written or left by rounding a tiny negative
+    # entry, gives the same key bytes, though not the same raw bytes
+    a = np.array([[0.5, 0.0], [0.0, 0.5j]])
+    signed = a.copy()
+    signed[0, 1] = complex(-0.0, -0.0)
+    signed[1, 0] = complex(-1e-17, 0.0)
+    assert signed.tobytes() != a.tobytes()
+    assert key_bytes(signed) == key_bytes(a)

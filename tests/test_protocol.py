@@ -24,6 +24,7 @@ from qlocc.certify import (
     verify_protocol,
 )
 from qlocc.fixtures import BUILTIN_PROTOCOLS, build_fixture, builtin_protocol
+from qlocc.linalg import key_bytes
 from qlocc.oplm import LocalMeasurement, measurement_candidates, oplm_space
 from qlocc.partitions import hidden_nonlocality_profile
 from qlocc.protocol import SetAnalyzer, activation_search, search_distinguishing_protocol
@@ -646,6 +647,29 @@ def test_interning_is_label_aware():
     assert an.intern(same) == an.intern(s1) != an.intern(relabeled)
 
 
+def test_no_move_list_holds_one_measurement_twice():
+    """At every node that either search expands, on the seven corrected
+    fixtures and s1_general d = 4, 6, 8, each unrotated and under three
+    seeded local rotations, no party's moves hold two measurements with
+    equal min(key_bytes(P), key_bytes(I - P)): the searched class lists
+    each measurement once."""
+    base = [build_fixture(name) for name in ("s1", "s2", "s3", "s4", "s5", "s6", "tiles33")]
+    base += [build_fixture("s1_general", d=d) for d in (4, 6, 8)]
+    rotated = [apply_local_unitaries(s, random_local_unitaries(s.space, np.random.default_rng(seed))) for s in base for seed in (1, 2, 3)]
+    expanded = repeats = 0
+    for s in base + rotated:
+        an = SetAnalyzer()
+        search_distinguishing_protocol(s, max_depth=8, analyzer=an)
+        activation_search(s, max_depth=8, analyzer=an)
+        for nd in an.nodes.values():
+            if nd.moves is not None:
+                keys = [(mv.candidates.party, min(key_bytes(k) for k in mv.measurement.kraus)) for mv in nd.moves]
+                expanded += 1
+                repeats += len(keys) - len(set(keys))
+    assert expanded > 200
+    assert repeats == 0
+
+
 @pytest.mark.parametrize("search", [search_distinguishing_protocol, activation_search])
 def test_index_projector_cap_named_in_search_params(search):
     # the atom bound binds on the index projectors of party A, at the root
@@ -709,6 +733,7 @@ KRAUS_ENTRIES = [
     [[[0.1, -0.0], [1e-300, 5]], [[-0.0, 0.0], [1, 2]]],
     [[[True, False]]],
     [[[2**70, 0]]],
+    [[[10**400, 0]]],
     [[[2**64, 0.5]]],
     [[[2**63, -0.0]]],
     [[[-1, 2], [3, 4], [5, 6]], [[7, 8], [9, 10], [11, 12]], [[1, 1], [1, 1], [1, 1]]],
